@@ -2,6 +2,7 @@
 
 Modules
 -------
+geometry   torus/box grids, the shared interpolation/deposit stencil, distances
 measures   measure representations, moments, pushforwards, Wasserstein metrics
 transport  exact/entropic coupling solvers, monotone and Brenier maps, duality
 moser      Moser coupling on the flat torus (Poisson solve, flow integration)

@@ -7,6 +7,10 @@ the manifest only, so reports from identical configs are byte-identical.
 
 Exit codes: 0 all checks passed, 1 a check failed (reports still written),
 2 configuration or validation error.
+
+RANDMAP_THREADS, when set, must be a positive integer (anything else exits
+with code 2) and is written to manifest.json. It is metadata only: it
+governs no thread count or worker pool in randmap.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import CostSpec, GridSpec
+from .geometry import CostSpec, sphere_xyz, wrap_signed
 from .kernel import (
     KernelError,
     KernelFamily,
@@ -32,7 +36,6 @@ from .kernel import (
 from .lift import (
     LiftError,
     ManifoldChart,
-    density_lift_compare,
     exp_push,
     log_lift,
     read_manifold_atoms,
@@ -280,10 +283,8 @@ def cmd_lift(args) -> int:
     lifted = log_lift(chart, atoms)
     back = exp_push(chart, lifted)
     if args.manifold == "sphere2":
-        from .lift import _sphere_xyz
-        rt = float(np.abs(_sphere_xyz(back.points) - _sphere_xyz(atoms.points)).max())
+        rt = float(np.abs(sphere_xyz(back.points) - sphere_xyz(atoms.points)).max())
     else:
-        from .geometry import wrap_signed
         rt = float(np.abs(wrap_signed(back.points - atoms.points)).max())
     out = _outdir(args)
     lifted.to_csv(out / "tangent_atoms.csv")

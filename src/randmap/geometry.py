@@ -1,10 +1,12 @@
-"""Flat-space and torus geometry helpers shared across the package.
+"""Flat-space, torus and sphere geometry shared across the package.
 
 Grid quantities live on the flat torus [0,1)^d (cell-centered nodes),
 bounded-box charts use the same cell-centered layout without wrapping.
+One stencil serves both linear interpolation and the linear deposit.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,23 +22,21 @@ def wrap_signed(x: np.ndarray | float) -> np.ndarray:
     return np.mod(np.asarray(x, dtype=float) + 0.5, 1.0) - 0.5
 
 
-def torus_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quotient metric on [0,1)^d: Euclidean norm of per-axis wrapped deltas."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    delta = wrap_signed(a - b)
-    return np.sqrt(np.sum(delta * delta, axis=-1))
-
-
-def euclidean_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    delta = a - b
-    return np.sqrt(np.sum(delta * delta, axis=-1))
+def sphere_xyz(angles: np.ndarray) -> np.ndarray:
+    """Unit-sphere points given as (colatitude, longitude) rows, embedded in R^3."""
+    angles = np.atleast_2d(np.asarray(angles, dtype=float))
+    theta, phi = angles[:, 0], angles[:, 1]
+    return np.column_stack([np.sin(theta) * np.cos(phi),
+                            np.sin(theta) * np.sin(phi),
+                            np.cos(theta)])
 
 
 def pairwise_distance(x: np.ndarray, y: np.ndarray, periodic: bool = False) -> np.ndarray:
-    """(n, m) matrix of distances between point clouds x (n,d) and y (m,d)."""
+    """(n, m) matrix of distances between point clouds x (n,d) and y (m,d).
+
+    periodic selects the torus quotient metric: per-axis deltas are wrapped
+    to the nearest lift before the Euclidean norm.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     delta = x[:, None, :] - y[None, :, :]
@@ -78,7 +78,8 @@ class CostSpec:
 class GridSpec:
     """Cell-centered uniform grid over a box or torus chart.
 
-    Node i along an axis sits at lo + (i + 1/2) * (hi - lo) / n.
+    Node i along an axis sits at lo + (i + 1/2) * (hi - lo) / n. Torus grids
+    have dim 1 or 2, box grids dim 1 to 3.
     """
 
     dim: int
@@ -87,11 +88,12 @@ class GridSpec:
     periodic: bool = True
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError("grid dim must be 1 or 2")
+        if self.dim not in ((1, 2) if self.periodic else (1, 2, 3)):
+            kind = "torus" if self.periodic else "box"
+            raise ValueError(f"{kind} grid dim {self.dim} is not supported")
         bounds = tuple(tuple(map(float, b)) for b in self.bounds)
-        if len(bounds) == 1 and self.dim == 2:
-            bounds = bounds * 2
+        if len(bounds) == 1:
+            bounds = bounds * self.dim
         if len(bounds) != self.dim:
             raise ValueError("bounds must give one (lo, hi) pair per axis")
         object.__setattr__(self, "bounds", bounds)
@@ -99,6 +101,10 @@ class GridSpec:
     @property
     def spacing(self) -> np.ndarray:
         return np.array([(hi - lo) / self.n for lo, hi in self.bounds])
+
+    @property
+    def cell_volume(self) -> float:
+        return float(np.prod(self.spacing))
 
     def axis_nodes(self, axis: int) -> np.ndarray:
         lo, hi = self.bounds[axis]
@@ -108,26 +114,22 @@ class GridSpec:
     def nodes(self) -> np.ndarray:
         """All node coordinates, row-major, shape (n^dim, dim)."""
         axes = [self.axis_nodes(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
 def unit_torus_grid(dim: int, n: int) -> GridSpec:
     return GridSpec(dim=dim, n=n, bounds=((0.0, 1.0),) * dim, periodic=True)
 
 
-def interp_grid(values: np.ndarray, points: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(Bi)linear interpolation of node values at arbitrary points.
+def _stencil(points: np.ndarray, grid: GridSpec) -> list[tuple[tuple, list]]:
+    """The 2^dim cell corners around each point, with per-axis linear weights.
 
+    Returns (index tuple, weight factors) per corner, axis 0 varying fastest.
     Periodic grids wrap across the seam; box grids clamp to the edge cells.
-    values has shape (n,)*dim, points (m, dim); returns (m,).
     """
-    values = np.asarray(values, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = grid.n
-    idx0, frac = [], []
+    idx, wts = [], []
     for a in range(grid.dim):
         lo, hi = grid.bounds[a]
         f = (pts[:, a] - lo) / (hi - lo) * n - 0.5
@@ -135,29 +137,54 @@ def interp_grid(values: np.ndarray, points: np.ndarray, grid: GridSpec) -> np.nd
             i0 = np.floor(f).astype(int)
             w = f - i0
             i0 = np.mod(i0, n)
+            i1 = np.mod(i0 + 1, n)
         else:
             f = np.clip(f, 0.0, n - 1.0)
             i0 = np.minimum(np.floor(f).astype(int), n - 2) if n > 1 else np.zeros(len(f), int)
             w = f - i0
-        idx0.append(i0)
-        frac.append(w)
-    if grid.dim == 1:
-        i0 = idx0[0]
-        i1 = np.mod(i0 + 1, n) if grid.periodic else np.minimum(i0 + 1, n - 1)
-        w = frac[0]
-        return (1 - w) * values[i0] + w * values[i1]
-    i0, j0 = idx0
-    wi, wj = frac
-    if grid.periodic:
-        i1, j1 = np.mod(i0 + 1, n), np.mod(j0 + 1, n)
-    else:
-        i1, j1 = np.minimum(i0 + 1, n - 1), np.minimum(j0 + 1, n - 1)
-    v00 = values[i0, j0]
-    v10 = values[i1, j0]
-    v01 = values[i0, j1]
-    v11 = values[i1, j1]
-    return ((1 - wi) * (1 - wj) * v00 + wi * (1 - wj) * v10
-            + (1 - wi) * wj * v01 + wi * wj * v11)
+            i1 = np.minimum(i0 + 1, n - 1)
+        idx.append((i0, i1))
+        wts.append((1 - w, w))
+    corners = []
+    for bits in itertools.product((0, 1), repeat=grid.dim):
+        bits = bits[::-1]
+        corners.append((tuple(idx[a][b] for a, b in enumerate(bits)),
+                        [wts[a][b] for a, b in enumerate(bits)]))
+    return corners
+
+
+def interp_grid(values: np.ndarray, points: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """(Multi)linear interpolation of node values at arbitrary points.
+
+    values has shape (n,)*dim, or (k,) + (n,)*dim for a stack of k fields
+    that share one stencil and one gather; points (m, dim). Returns (m,) for
+    one field and (m, k) for a stack.
+    """
+    values = np.asarray(values, dtype=float)
+    out = None
+    for index, factors in _stencil(points, grid):
+        weight = factors[0]
+        for f in factors[1:]:
+            weight = weight * f
+        term = weight * values[(Ellipsis,) + index]
+        out = term if out is None else out + term
+    # points first and C-ordered, as a column_stack of one call per field
+    return np.ascontiguousarray(out.T)
+
+
+def deposit_linear(points: np.ndarray, weights: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Linear (cloud-in-cell) deposit of weighted particles onto a grid.
+
+    It shares interp_grid's stencil, so it is that interpolation's exact
+    adjoint: sum_i w_i interp(v, x_i) = sum over cells of v * deposit(x, w).
+    """
+    out = np.zeros((grid.n,) * grid.dim)
+    for index, factors in _stencil(points, grid):
+        mass = np.asarray(weights, dtype=float)
+        for f in factors:
+            mass = mass * f
+        np.add.at(out, index, mass)
+    return out
 
 
 def deposit_grid(points: np.ndarray, weights: np.ndarray, n: int, dim: int) -> np.ndarray:

@@ -9,17 +9,15 @@ compares the empirical law of f_omega(x_i) against mu_{x_i} in W1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import wrap_signed
+from .geometry import pairwise_distance, sphere_xyz, wrap_signed
 from .measures import (
     DiscreteMeasure,
-    EmpiricalSample,
     GridDensity,
     draw_sample,
-    empirical_measure,
     grid_pushforward,
     wasserstein_1d,
     wasserstein_sinkhorn_upper,
@@ -36,25 +34,14 @@ class KernelError(ValueError):
     """Invalid kernel family or representation request."""
 
 
-def _sphere_angles_to_xyz(pts: np.ndarray) -> np.ndarray:
-    theta, phi = pts[:, 0], pts[:, 1]
-    return np.column_stack([np.sin(theta) * np.cos(phi),
-                            np.sin(theta) * np.sin(phi),
-                            np.cos(theta)])
-
-
 def base_distance_matrix(space: str, pts: np.ndarray) -> np.ndarray:
     """Pairwise base-space distances for the supported base manifolds."""
-    if space == "circle":
-        d = np.abs(wrap_signed(pts[:, :1] - pts[:, :1].T))
-        return d
+    if space in ("circle", "interval"):
+        return pairwise_distance(pts[:, :1], pts[:, :1], periodic=space == "circle")
     if space == "torus2":
-        delta = wrap_signed(pts[:, None, :] - pts[None, :, :])
-        return np.sqrt(np.sum(delta * delta, axis=-1))
-    if space == "interval":
-        return np.abs(pts[:, :1] - pts[:, :1].T)
+        return pairwise_distance(pts, pts, periodic=True)
     if space == "sphere2-chart":
-        xyz = _sphere_angles_to_xyz(pts)
+        xyz = sphere_xyz(pts)
         dots = np.clip(xyz @ xyz.T, -1.0, 1.0)
         return np.arccos(dots)
     raise KernelError(f"unknown base space {space!r}")
@@ -151,7 +138,6 @@ class RandomMapFamily:
     kernel: KernelFamily
     pushforward_tol: float
     pushforward_errors: tuple
-    seed_protocol: str = "numpy-pcg64"
     modulus: ModulusTable | None = None
 
     @property
@@ -206,9 +192,8 @@ def build_measurable_representation(kernel: KernelFamily,
                               f"W1 = {err:.3e} > {pushforward_tol:.3e}")
         maps.append(t_map)
         errs.append(err)
-    family = RandomMapFamily(reference, tuple(maps), "measurable", kernel,
-                             pushforward_tol, tuple(errs))
-    return family
+    return RandomMapFamily(reference, tuple(maps), "measurable", kernel,
+                           pushforward_tol, tuple(errs))
 
 
 def build_continuous_representation(kernel: KernelFamily,
@@ -246,9 +231,9 @@ def build_continuous_representation(kernel: KernelFamily,
         errs.append(err)
     family = RandomMapFamily(reference, tuple(maps), "continuous", kernel,
                              pushforward_tol, tuple(errs))
-    table = continuity_modulus(family)
-    return RandomMapFamily(reference, tuple(maps), "continuous", kernel,
-                           pushforward_tol, tuple(errs), modulus=table)
+    # the table reads the family it describes, so it is attached after the build
+    object.__setattr__(family, "modulus", continuity_modulus(family))
+    return family
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,12 @@ flat-space solvers are reused for.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import wrap_signed, wrap_unit
-from .measures import DiscreteMeasure, GridDensity, MeasureError
+from .geometry import GridSpec, deposit_linear, interp_grid, sphere_xyz, wrap_signed, wrap_unit
+from .measures import DiscreteMeasure, GridDensity
 
 MANIFOLDS = ("circle", "torus2", "sphere2")
 ROUND_TRIP_TOL = 1e-9
@@ -24,13 +24,6 @@ CONVEXITY_RADIUS = {"circle": 0.25, "torus2": 0.25, "sphere2": np.pi / 2}
 
 class LiftError(ValueError):
     """Chart or bundle precondition violated."""
-
-
-def _sphere_xyz(angles: np.ndarray) -> np.ndarray:
-    theta, phi = angles[:, 0], angles[:, 1]
-    return np.column_stack([np.sin(theta) * np.cos(phi),
-                            np.sin(theta) * np.sin(phi),
-                            np.cos(theta)])
 
 
 def _sphere_angles(xyz: np.ndarray) -> np.ndarray:
@@ -72,7 +65,7 @@ class ManifoldChart:
 
     def _sphere_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         theta, phi = self.base_point
-        p = _sphere_xyz(self.base_point[None, :])[0]
+        p = sphere_xyz(self.base_point[None, :])[0]
         e1 = np.array([np.cos(theta) * np.cos(phi),
                        np.cos(theta) * np.sin(phi),
                        -np.sin(theta)])
@@ -91,7 +84,7 @@ class ManifoldChart:
                                 f"injectivity cap {self.cap}")
             return v
         p, e1, e2 = self._sphere_frame()
-        q = _sphere_xyz(pts)
+        q = sphere_xyz(pts)
         cosd = np.clip(q @ p, -1.0, 1.0)
         # atan2 form stays well-conditioned where arccos loses digits
         d = np.arctan2(np.linalg.norm(np.cross(q, p[None, :]), axis=1), cosd)
@@ -159,37 +152,18 @@ class BoxDensity:
         bounds = tuple(tuple(map(float, b)) for b in self.bounds)
         if vals.ndim != len(bounds):
             raise LiftError("bounds must give one (lo, hi) pair per axis")
+        if len(set(vals.shape)) != 1:
+            raise LiftError("box density needs the same node count on every axis")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "bounds", bounds)
 
     @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
-    def cell_volume(self) -> float:
-        vol = 1.0
-        for (lo, hi), m in zip(self.bounds, self.values.shape):
-            vol *= (hi - lo) / m
-        return vol
+    def grid(self) -> GridSpec:
+        return GridSpec(dim=self.values.ndim, n=self.values.shape[0], bounds=self.bounds,
+                        periodic=False)
 
     def integral(self) -> float:
-        return float(self.values.sum() * self.cell_volume())
-
-    def axis_nodes(self, axis: int) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        m = self.values.shape[axis]
-        return lo + (np.arange(m) + 0.5) * (hi - lo) / m
-
-    def nodes(self) -> np.ndarray:
-        axes = [self.axis_nodes(a) for a in range(self.dim)]
-        if self.dim == 1:
-            return axes[0][:, None]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
+        return float(self.values.sum() * self.grid.cell_volume)
 
     def normalized(self) -> "BoxDensity":
         total = self.integral()
@@ -198,62 +172,11 @@ class BoxDensity:
         return BoxDensity(self.values / total, self.bounds)
 
     def as_discrete(self) -> DiscreteMeasure:
-        masses = self.values.ravel() * self.cell_volume()
+        masses = self.values.ravel() * self.grid.cell_volume
         keep = masses > 0
-        pts = self.nodes()[keep]
+        pts = self.grid.nodes()[keep]
         w = masses[keep]
         return DiscreteMeasure(pts, w / w.sum())
-
-    def interp(self, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation clamped to the edge cells."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        idx0, frac = [], []
-        for a in range(self.dim):
-            lo, hi = self.bounds[a]
-            m = self.values.shape[a]
-            f = np.clip((pts[:, a] - lo) / (hi - lo) * m - 0.5, 0.0, m - 1.0)
-            i0 = np.minimum(np.floor(f).astype(int), m - 2) if m > 1 else np.zeros(len(f), int)
-            idx0.append(i0)
-            frac.append(f - i0)
-        if self.dim == 1:
-            i0, w = idx0[0], frac[0]
-            return (1 - w) * self.values[i0] + w * self.values[i0 + 1]
-        if self.dim == 2:
-            i0, j0 = idx0
-            wi, wj = frac
-            v = self.values
-            return ((1 - wi) * (1 - wj) * v[i0, j0] + wi * (1 - wj) * v[i0 + 1, j0]
-                    + (1 - wi) * wj * v[i0, j0 + 1] + wi * wj * v[i0 + 1, j0 + 1])
-        raise LiftError("interpolation supports dim <= 2")
-
-
-def _deposit_box(points: np.ndarray, weights: np.ndarray, shape: tuple,
-                 bounds: tuple) -> np.ndarray:
-    """Linear deposit of weighted particles onto a box grid (edges clamp)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    w = np.asarray(weights, dtype=float)
-    dim = len(shape)
-    out = np.zeros(shape)
-    idx0, frac = [], []
-    for a in range(dim):
-        lo, hi = bounds[a]
-        m = shape[a]
-        f = np.clip((pts[:, a] - lo) / (hi - lo) * m - 0.5, 0.0, m - 1.0)
-        i0 = np.minimum(np.floor(f).astype(int), m - 2) if m > 1 else np.zeros(len(f), int)
-        idx0.append(i0)
-        frac.append(f - i0)
-    if dim == 1:
-        i0, wi = idx0[0], frac[0]
-        np.add.at(out, i0, w * (1 - wi))
-        np.add.at(out, i0 + 1, w * wi)
-        return out
-    i0, j0 = idx0
-    wi, wj = frac
-    np.add.at(out, (i0, j0), w * (1 - wi) * (1 - wj))
-    np.add.at(out, (i0 + 1, j0), w * wi * (1 - wj))
-    np.add.at(out, (i0, j0 + 1), w * (1 - wi) * wj)
-    np.add.at(out, (i0 + 1, j0 + 1), w * wi * wj)
-    return out
 
 
 @dataclass(frozen=True)
@@ -287,14 +210,13 @@ class BundleLift:
 
     def reference_box(self) -> BoxDensity:
         """The reference nu evaluated on the ambient grid."""
-        m = self.grid_n
-        axes = [(-1.0 + (np.arange(m) + 0.5) * 2.0 / m) for _ in range(self.ambient_dim)]
-        vals = np.ones((m,) * self.ambient_dim)
+        grid = GridSpec(self.ambient_dim, self.grid_n, ((-1.0, 1.0),), periodic=False)
+        vals = np.ones((self.grid_n,) * self.ambient_dim)
         for a in range(self.ambient_dim):
             shape = [1] * self.ambient_dim
-            shape[a] = m
-            vals = vals * bump_profile(axes[a]).reshape(shape)
-        return BoxDensity(vals, ((-1.0, 1.0),) * self.ambient_dim)
+            shape[a] = self.grid_n
+            vals = vals * bump_profile(grid.axis_nodes(a)).reshape(shape)
+        return BoxDensity(vals, grid.bounds)
 
     def is_coordinate_projection(self) -> bool:
         d, k = self.projection.shape
@@ -311,17 +233,14 @@ class BundleLift:
 
     def projected_reference(self, target: BoxDensity) -> np.ndarray:
         """Density of r_* nu sampled on the target's grid."""
+        grid = target.grid
         if self.is_coordinate_projection():
-            axes = [bump_profile(target.axis_nodes(a)) for a in range(target.dim)]
+            axes = [bump_profile(grid.axis_nodes(a)) for a in range(grid.dim)]
             vals = axes[0]
             for other in axes[1:]:
                 vals = np.multiply.outer(vals, other)
             return vals
-        nu = self.reference_box()
-        masses = nu.values.ravel() * nu.cell_volume()
-        proj_pts = nu.nodes() @ self.projection.T
-        hist = _deposit_box(proj_pts, masses, target.shape, target.bounds)
-        return hist / target.cell_volume()
+        return _project(self, self.reference_box(), grid)
 
 
 def bundle_lift(lift: BundleLift, mu_tilde: BoxDensity) -> BoxDensity:
@@ -330,18 +249,17 @@ def bundle_lift(lift: BundleLift, mu_tilde: BoxDensity) -> BoxDensity:
     The support of mu_tilde must sit inside the interior of supp r_* nu;
     total mass is conserved exactly by renormalizing the quadrature.
     """
-    if mu_tilde.dim != lift.fiber_dim:
+    if mu_tilde.grid.dim != lift.fiber_dim:
         raise LiftError("mu_tilde dimension must match the projection rank")
     nu_r = lift.projected_reference(mu_tilde)
     support = mu_tilde.values > 0
     if np.any(support & (nu_r <= 1e-12)):
         raise LiftError("support of mu_tilde escapes the interior of supp r_* nu")
     g = np.where(support, mu_tilde.values / np.where(nu_r > 0, nu_r, 1.0), 0.0)
-    g_box = BoxDensity(g, mu_tilde.bounds)
     nu = lift.reference_box()
-    proj_pts = nu.nodes() @ lift.projection.T
-    hat_vals = (g_box.interp(proj_pts) * nu.values.ravel()).reshape(nu.shape)
-    hat = BoxDensity(hat_vals, nu.bounds)
+    proj_pts = nu.grid.nodes() @ lift.projection.T
+    hat_vals = interp_grid(g, proj_pts, mu_tilde.grid) * nu.values.ravel()
+    hat = BoxDensity(hat_vals.reshape(nu.values.shape), nu.bounds)
     total = hat.integral()
     target_mass = mu_tilde.integral()
     if total <= 0:
@@ -349,23 +267,18 @@ def bundle_lift(lift: BundleLift, mu_tilde: BoxDensity) -> BoxDensity:
     return BoxDensity(hat.values * (target_mass / total), nu.bounds)
 
 
-def project_density(lift: BundleLift, hat: BoxDensity, target: BoxDensity | None = None,
-                    grid_shape: tuple | None = None) -> BoxDensity:
-    """Quadrature pushforward r_* hat onto a fiber grid (the defining check)."""
-    if hat.dim != lift.ambient_dim:
+def _project(lift: BundleLift, density: BoxDensity, grid: GridSpec) -> np.ndarray:
+    """Density of r_* density on a fiber grid: linear deposit of cell masses."""
+    masses = density.values.ravel() * density.grid.cell_volume
+    proj_pts = density.grid.nodes() @ lift.projection.T
+    return deposit_linear(proj_pts, masses, grid) / grid.cell_volume
+
+
+def project_density(lift: BundleLift, hat: BoxDensity, target: BoxDensity) -> BoxDensity:
+    """Quadrature pushforward r_* hat onto the target's fiber grid (the defining check)."""
+    if hat.grid.dim != lift.ambient_dim:
         raise LiftError("hat density must live on the ambient box")
-    if target is not None:
-        shape, bounds = target.shape, target.bounds
-    else:
-        bounds = lift.projected_bounds()
-        shape = grid_shape if grid_shape is not None else (lift.grid_n,) * lift.fiber_dim
-    masses = hat.values.ravel() * hat.cell_volume()
-    proj_pts = hat.nodes() @ lift.projection.T
-    hist = _deposit_box(proj_pts, masses, shape, bounds)
-    vol = 1.0
-    for (lo, hi), m in zip(bounds, shape):
-        vol *= (hi - lo) / m
-    return BoxDensity(hist / vol, bounds)
+    return BoxDensity(_project(lift, hat, target.grid), target.bounds)
 
 
 def fiber_w1(a: BoxDensity, b: BoxDensity) -> float:
@@ -374,7 +287,7 @@ def fiber_w1(a: BoxDensity, b: BoxDensity) -> float:
     from .measures import wasserstein_1d, wasserstein_sinkhorn_upper
 
     da, db = a.as_discrete(), b.as_discrete()
-    if a.dim == 1:
+    if a.grid.dim == 1:
         return wasserstein_1d(da, db, p=1)
     return wasserstein_sinkhorn_upper(da, db, p=1, periodic=False)
 

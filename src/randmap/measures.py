@@ -7,17 +7,15 @@ Two concrete representations are supported: weighted point clouds in R^d
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
     CostSpec,
     deposit_grid,
-    torus_distance,
-    euclidean_distance,
+    pairwise_distance,
     unit_torus_grid,
-    wrap_signed,
     wrap_unit,
 )
 
@@ -67,15 +65,6 @@ class DiscreteMeasure:
     @classmethod
     def dirac(cls, point) -> "DiscreteMeasure":
         return cls(np.atleast_2d(np.asarray(point, dtype=float)), np.array([1.0]))
-
-    @classmethod
-    def from_points(cls, points, weights=None) -> "DiscreteMeasure":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 1 and pts.shape[1] > 3:
-            pts = pts.T
-        if weights is None:
-            weights = np.full(len(pts), 1.0 / len(pts))
-        return cls(pts, weights)
 
     def merged(self, tol: float = MERGE_TOL) -> "DiscreteMeasure":
         """Merge atoms whose coordinates agree within tol (sums their weights)."""
@@ -136,14 +125,6 @@ class GridDensity:
     @classmethod
     def uniform(cls, dim: int, n: int) -> "GridDensity":
         return cls(dim, n, np.ones((n,) * dim))
-
-    @classmethod
-    def from_values(cls, values, normalize: bool = False) -> "GridDensity":
-        vals = np.asarray(values, dtype=float)
-        dim = vals.ndim
-        if normalize:
-            vals = vals / vals.mean()
-        return cls(dim, vals.shape[0], vals)
 
     @property
     def grid(self):
@@ -270,12 +251,11 @@ def p_moment(mu: DiscreteMeasure | GridDensity, p: float, base) -> float:
     """
     if p < 1:
         raise MeasureError("moment order p must be >= 1")
-    if isinstance(mu, DiscreteMeasure):
-        b = _base_point(base, mu.dim)
-        d = euclidean_distance(mu.points, b[None, :])
-        return float(np.sum(mu.weights * d ** p))
     b = _base_point(base, mu.dim)
-    d = torus_distance(mu.nodes(), b[None, :])
+    if isinstance(mu, DiscreteMeasure):
+        d = pairwise_distance(mu.points, b[None, :])[:, 0]
+        return float(np.sum(mu.weights * d ** p))
+    d = pairwise_distance(mu.nodes(), b[None, :], periodic=True)[:, 0]
     return float(np.sum(mu.cell_masses() * d ** p))
 
 
@@ -305,7 +285,8 @@ def grid_pushforward(T, rho: GridDensity, n_particles: int | None = None) -> Gri
 
     Particles are seeded at subcell centers (exact quadrature of the
     piecewise-constant density), transported through the map's node
-    interpolation, and deposited back with linear (cloud-in-cell) weights.
+    interpolation, and deposited back by nearest-cell binning (`deposit_grid`),
+    which keeps whole-cell shifts exact.
     """
     n, dim = rho.n, rho.dim
     if n_particles is None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GridSpec, interp_grid, unit_torus_grid, wrap_signed, wrap_unit
-from .measures import GridDensity, MeasureError, grid_pushforward, wasserstein_1d
+from .measures import GridDensity, grid_pushforward, wasserstein_1d
 from .transport import TransportMap
 
 POISSON_RESIDUAL_TOL = 1e-8
@@ -104,6 +104,9 @@ class MoserField:
     rho1: GridDensity
     poisson: PoissonSolution
     grad_u: tuple = field(init=False, default=())
+    # grad u components, rho0 and rho1 stacked as (dim + 2, n, ...): every
+    # velocity evaluation is one gather through one interpolation stencil
+    stack: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         if self.rho0.n != self.rho1.n or self.rho0.dim != self.rho1.dim:
@@ -111,24 +114,21 @@ class MoserField:
         floor = min(self.rho0.min_value, self.rho1.min_value)
         if floor <= 0.0:
             raise MoserError(f"field denominator not positive (min density {floor})")
-        object.__setattr__(self, "grad_u", tuple(spectral_gradient(self.poisson.u)))
+        grad_u = tuple(spectral_gradient(self.poisson.u))
+        object.__setattr__(self, "grad_u", grad_u)
+        object.__setattr__(self, "stack",
+                           np.stack(grad_u + (self.rho0.values, self.rho1.values)))
 
     @property
     def grid(self) -> GridSpec:
         return unit_torus_grid(self.rho0.dim, self.rho0.n)
 
-    @property
-    def denominator_floor(self) -> float:
-        return min(self.rho0.min_value, self.rho1.min_value)
-
     def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation of grad u and the densities, then the ratio."""
-        g = self.grid
-        num = np.column_stack([interp_grid(comp, pts, g) for comp in self.grad_u])
-        r0 = interp_grid(self.rho0.values, pts, g)
-        r1 = interp_grid(self.rho1.values, pts, g)
-        denom = (1.0 - t) * r0 + t * r1
-        return num / denom[:, None]
+        """Multilinear interpolation of grad u and the densities, then the ratio."""
+        vals = interp_grid(self.stack, pts, self.grid)
+        dim = self.rho0.dim
+        denom = (1.0 - t) * vals[:, dim] + t * vals[:, dim + 1]
+        return vals[:, :dim] / denom[:, None]
 
 
 @dataclass(frozen=True)
@@ -150,9 +150,6 @@ class FlowMap:
             raise MoserError("flow images must be wrapped to [0,1)^dim")
 
     def evaluate(self, x) -> np.ndarray:
-        return self.map.evaluate(x)
-
-    def __call__(self, x) -> np.ndarray:
         return self.map.evaluate(x)
 
 

@@ -6,7 +6,7 @@ is certified on return via dual feasibility and complementary slackness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -66,10 +66,10 @@ class TransportPlan:
         if abs(recomputed - self.cost) > max(tol, tol * abs(recomputed)):
             raise SolverError(f"stored cost {self.cost} != recomputed {recomputed}")
 
-    def to_csv(self, path, threshold: float = 0.0) -> None:
+    def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("i,j,gamma\n")
-            rows, cols = np.nonzero(self.gamma > threshold)
+            rows, cols = np.nonzero(self.gamma > 0.0)
             for i, j in zip(rows, cols):
                 fh.write(f"{i},{j},{float(self.gamma[i, j])!r}\n")
 
@@ -105,11 +105,6 @@ class TransportMap:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    def _component_grids(self) -> list[np.ndarray]:
-        n = self.grid.n
-        shape = (n,) * self.grid.dim
-        return [self.images[:, a].reshape(shape) for a in range(self.images.shape[1])]
-
     def evaluate(self, x) -> np.ndarray:
         """Map arbitrary points through node interpolation."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
@@ -119,16 +114,10 @@ class TransportMap:
                 return np.interp(pts[:, 0], self.points[order, 0],
                                  self.images[order, 0])[:, None]
             raise MapError("off-node evaluation requires a grid spec")
-        if self.grid.periodic:
-            disp = wrap_signed(self.images - self.points)
-            out = []
-            n = self.grid.n
-            shape = (n,) * self.grid.dim
-            for a in range(disp.shape[1]):
-                out.append(interp_grid(disp[:, a].reshape(shape), pts, self.grid))
-            return wrap_unit(pts + np.column_stack(out))
-        comps = [interp_grid(g, pts, self.grid) for g in self._component_grids()]
-        return np.column_stack(comps)
+        at_nodes = wrap_signed(self.images - self.points) if self.grid.periodic else self.images
+        stack = at_nodes.T.reshape((at_nodes.shape[1],) + (self.grid.n,) * self.grid.dim)
+        vals = interp_grid(stack, pts, self.grid)
+        return wrap_unit(pts + vals) if self.grid.periodic else vals
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)
@@ -195,29 +184,21 @@ class PotentialGrid:
         bounds = tuple(tuple(map(float, b)) for b in self.bounds)
         if vals.ndim != len(bounds):
             raise MapError("bounds must give one (lo, hi) pair per axis")
+        if len(set(vals.shape)) != 1:
+            raise MapError("potential grid needs the same node count on every axis")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "bounds", bounds)
 
     @property
-    def dim(self) -> int:
-        return self.values.ndim
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def grid(self) -> GridSpec:
-        return GridSpec(dim=self.dim, n=self.n, bounds=self.bounds, periodic=False)
-
-    def nodes(self) -> np.ndarray:
-        return self.grid.nodes()
+        return GridSpec(dim=self.values.ndim, n=self.values.shape[0], bounds=self.bounds,
+                        periodic=False)
 
     def midpoint_convexity_violation(self) -> float:
         """Largest violation of phi((x+y)/2) <= (phi(x)+phi(y))/2 on grid triples."""
         worst = 0.0
         v = self.values
-        for a in range(self.dim):
+        for a in range(v.ndim):
             left = np.take(v, range(0, v.shape[a] - 2), axis=a)
             mid = np.take(v, range(1, v.shape[a] - 1), axis=a)
             right = np.take(v, range(2, v.shape[a]), axis=a)
@@ -585,8 +566,11 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     tgt = _box_atoms(nu)
     cost = CostSpec("sqdist", periodic=False)
     c = 0.5 * cost.matrix(src.points, tgt.points)
-    _, g, _, _, _ = _sinkhorn_potentials(c, src.weights, tgt.weights,
-                                         reg_epsilon, max_iter=4000, tol=1e-10)
+    _, g, converged, err, iters = _sinkhorn_potentials(c, src.weights, tgt.weights,
+                                                       reg_epsilon, max_iter=4000, tol=1e-10)
+    if not converged:
+        raise SolverError(f"Brenier Sinkhorn solve did not converge in {iters} iterations "
+                          f"(marginal error {err:.3e} > 1e-10)")
     y = tgt.points
     lb = np.where(tgt.weights > 0, np.log(np.where(tgt.weights > 0, tgt.weights, 1.0)), -np.inf)
     affine = (g - 0.5 * np.sum(y * y, axis=1) + reg_epsilon * lb) / reg_epsilon
@@ -616,11 +600,12 @@ def legendre_transform(phi: PotentialGrid, dual_bounds=None, dual_n: int | None 
     10 * diam(domain) * max(1, gradient bound) so extended-real transforms
     of affine inputs stay representable.
     """
-    nodes = phi.nodes()
+    grid = phi.grid
+    nodes = grid.nodes()
     vals = phi.values.ravel()
     grads = []
-    for a in range(phi.dim):
-        h = phi.grid.spacing[a]
+    for a in range(grid.dim):
+        h = grid.spacing[a]
         slopes = np.diff(phi.values, axis=a) / h
         grads.append(slopes)
     if dual_bounds is None:
@@ -628,13 +613,13 @@ def legendre_transform(phi: PotentialGrid, dual_bounds=None, dual_n: int | None 
         for s in grads:
             lo, hi = float(s.min()), float(s.max())
             if hi - lo < 1e-12:
-                pad = max(phi.grid.spacing.max(), 1e-6)
+                pad = max(grid.spacing.max(), 1e-6)
                 lo, hi = lo - pad, hi + pad
             dual_bounds.append((lo, hi))
         dual_bounds = tuple(dual_bounds)
     if dual_n is None:
-        dual_n = phi.n
-    dual = GridSpec(dim=phi.dim, n=dual_n, bounds=tuple(dual_bounds), periodic=False)
+        dual_n = grid.n
+    dual = GridSpec(dim=grid.dim, n=dual_n, bounds=tuple(dual_bounds), periodic=False)
     ygrid = dual.nodes()
     out = np.empty(len(ygrid))
     block = max(1, _CHUNK // max(1, len(nodes)))
@@ -645,12 +630,12 @@ def legendre_transform(phi: PotentialGrid, dual_bounds=None, dual_n: int | None 
     gradbound = max(1.0, max(float(np.abs(s).max()) for s in grads))
     sentinel = 10.0 * diam * gradbound
     out = np.minimum(out, sentinel)
-    return PotentialGrid(out.reshape((dual_n,) * phi.dim), dual.bounds, convexified=True)
+    return PotentialGrid(out.reshape((dual_n,) * dual.dim), dual.bounds, convexified=True)
 
 
 def _argmax_conjugate_map(phi: PotentialGrid, target: GridSpec):
     """Subgradient selection of phi*: y -> argmax_x (x.y - phi(x)), lowest index wins."""
-    nodes = phi.nodes()
+    nodes = phi.grid.nodes()
     vals = phi.values.ravel()
     y = target.nodes()
     images = np.empty((len(y), nodes.shape[1]))

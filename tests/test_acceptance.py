@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from randmap.geometry import CostSpec, GridSpec, unit_torus_grid
+from randmap.geometry import CostSpec, GridSpec, sphere_xyz, unit_torus_grid
 from randmap.kernel import (
     KernelFamily,
     build_continuous_representation,
@@ -20,7 +20,6 @@ from randmap.lift import (
     BoxDensity,
     BundleLift,
     ManifoldChart,
-    _sphere_xyz,
     bump_profile,
     bundle_lift,
     density_lift_compare,
@@ -306,7 +305,7 @@ def test_criterion_8_lifting():
         atoms = DiscreteMeasure(pts, np.full(100, 0.01))
         back = exp_push(chart, log_lift(chart, atoms))
         if mani == "sphere2":
-            err = np.linalg.norm(_sphere_xyz(back.points) - _sphere_xyz(atoms.points),
+            err = np.linalg.norm(sphere_xyz(back.points) - sphere_xyz(atoms.points),
                                  axis=1).max()
         else:
             from randmap.geometry import wrap_signed

@@ -205,6 +205,30 @@ def test_invalid_threads_env(workspace, monkeypatch, capsys):
     assert "RANDMAP_THREADS" in capsys.readouterr().err
 
 
+def test_unconverged_brenier_solve_is_usage_error(tmp_path, monkeypatch, capsys):
+    from randmap import transport
+
+    solve = transport._sinkhorn_potentials
+
+    def stalled(*args, **kwargs):
+        f, g, _, err, iters = solve(*args, **kwargs)
+        return f, g, False, err, iters
+
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", stalled)
+    n = 8
+    x = (np.arange(n) + 0.5) / n
+    lines = ["space,interval", "interp,nearest", "x0,path"]
+    for i, c in enumerate((0.3, 0.7)):
+        vals = 1 + 0.5 * np.exp(-((x[:, None] - c) ** 2 + (x[None, :] - 0.5) ** 2) / 0.02)
+        GridDensity(2, n, vals / vals.mean()).to_csv(tmp_path / f"meas_{i}.csv")
+        lines.append(f"{c},meas_{i}.csv")
+    (tmp_path / "kernel.txt").write_text("\n".join(lines) + "\n")
+    rc = main(["represent", "--kernel", str(tmp_path / "kernel.txt"),
+               "--route", "measurable", "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert "did not converge" in capsys.readouterr().err
+
+
 def test_manifest_isolates_timestamp(workspace):
     import time
     outs = []

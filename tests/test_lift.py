@@ -7,13 +7,12 @@ bundle lift.
 import numpy as np
 import pytest
 
-from randmap.geometry import wrap_signed
+from randmap.geometry import sphere_xyz, wrap_signed
 from randmap.lift import (
     BoxDensity,
     BundleLift,
     LiftError,
     ManifoldChart,
-    _sphere_xyz,
     bump_profile,
     bundle_lift,
     density_lift_compare,
@@ -29,7 +28,7 @@ from randmap.measures import DiscreteMeasure, GridDensity, wasserstein_1d
 
 def sphere_dist(a, b):
     # chordal metric: well-conditioned at zero separation, where arccos is not
-    return np.linalg.norm(_sphere_xyz(a) - _sphere_xyz(b), axis=1)
+    return np.linalg.norm(sphere_xyz(a) - sphere_xyz(b), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +145,7 @@ def test_bundle_lift_fibers_are_rescaled_reference_fibers():
     bl = BundleLift(2, [[1.0, 0.0]], grid_n=64)
     mt = make_fiber_density(64, kind="triangle")
     hat = bundle_lift(bl, mt)
-    z = mt.axis_nodes(0)
+    z = mt.grid.axis_nodes(0)
     prof = bump_profile(z)
     for i in (20, 26, 32, 38, 44):
         fiber = hat.values[i]
@@ -231,7 +230,7 @@ def test_bundle_lift_3d_ambient_with_2d_fiber():
     total = vals.sum() * (2.0 / m) ** 2
     mt = BoxDensity(vals / total, ((-1.0, 1.0), (-1.0, 1.0)))
     hat = bundle_lift(bl, mt)
-    assert hat.dim == 3
+    assert hat.grid.dim == 3
     proj = project_density(bl, hat, target=mt)
     h = 2.0 / m
     assert fiber_w1(proj.normalized(), mt.normalized()) <= 2 * h

@@ -323,6 +323,21 @@ def test_brenier_rejects_atomic_source():
         brenier_map(nu, nu, reg_epsilon=1e-2)
 
 
+def test_brenier_rejects_unconverged_sinkhorn(monkeypatch):
+    from randmap import transport
+
+    solve = transport._sinkhorn_potentials
+
+    def stalled(*args, **kwargs):
+        f, g, _, err, iters = solve(*args, **kwargs)
+        return f, g, False, err, iters
+
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", stalled)
+    g = GridDensity.uniform(2, 8)
+    with pytest.raises(SolverError, match=r"did not converge in \d+ iterations"):
+        brenier_map(g, g, reg_epsilon=1e-2)
+
+
 # ---------------------------------------------------------------------------
 # Legendre transform
 # ---------------------------------------------------------------------------
@@ -336,7 +351,7 @@ def test_legendre_quadratic_self_dual():
     n = 64
     _, phi = quadratic_grid(n)
     star = legendre_transform(phi)
-    ys = star.nodes()[:, 0]
+    ys = star.grid.nodes()[:, 0]
     h = 2.0 / n
     assert np.abs(star.values - 0.5 * ys ** 2).max() <= h ** 2
     assert star.convexified
@@ -349,7 +364,7 @@ def test_legendre_affine_support_function():
     a, b = 0.75, 0.2
     phi = PotentialGrid(a * xs + b, ((-1.0, 1.0),))
     star = legendre_transform(phi, dual_bounds=((a - 1.0, a + 1.0),), dual_n=n)
-    ys = star.nodes()[:, 0]
+    ys = star.grid.nodes()[:, 0]
     near = np.abs(ys - a) <= 2.0 / n
     assert np.abs(star.values[near] + b).max() <= 2.0 / n + 1e-12
     # the sentinel cap keeps the extended-real transform finite

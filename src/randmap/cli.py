@@ -265,8 +265,7 @@ def cmd_represent(args) -> int:
 def cmd_verify(args) -> int:
     kern = _load_kernel_manifest(args.kernel)
     family = _build_family(args, kern)
-    report = verify_representation(family, kern, n_samples=args.n, tol=args.tol,
-                                   seed=args.seed)
+    report = verify_representation(family, n_samples=args.n, tol=args.tol, seed=args.seed)
     out = _outdir(args)
     with open(out / "report.json", "w") as fh:
         fh.write(report.to_json())

@@ -14,7 +14,9 @@ import numpy as np
 
 def wrap_unit(x: np.ndarray | float) -> np.ndarray:
     """Map coordinates into the fundamental domain [0, 1)."""
-    return np.mod(x, 1.0)
+    y = np.mod(x, 1.0)
+    # np.mod rounds inputs in about (-5.6e-17, 0) up to exactly 1.0
+    return np.where(y == 1.0, 0.0, y)
 
 
 def wrap_signed(x: np.ndarray | float) -> np.ndarray:
@@ -198,8 +200,5 @@ def deposit_grid(points: np.ndarray, weights: np.ndarray, n: int, dim: int) -> n
     w = np.asarray(weights, dtype=float)
     out = np.zeros((n,) * dim)
     idx = [np.minimum((wrap_unit(pts[:, a]) * n).astype(int), n - 1) for a in range(dim)]
-    if dim == 1:
-        np.add.at(out, idx[0], w)
-        return out
-    np.add.at(out, (idx[0], idx[1]), w)
+    np.add.at(out, tuple(idx), w)
     return out

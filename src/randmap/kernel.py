@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -154,12 +155,33 @@ def _pushforward_error(t_map: TransportMap, reference: GridDensity, target,
     return wasserstein_sinkhorn_upper(pushed, target, p=1, periodic=periodic)
 
 
-def build_measurable_representation(kernel: KernelFamily,
-                                    reference: GridDensity,
-                                    p: float = 2.0,
-                                    pushforward_tol: float | None = None,
-                                    reg_epsilon: float = 1e-3,
-                                    validate: bool = True) -> RandomMapFamily:
+def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,
+                      build_map, periodic: bool, validate: bool) -> RandomMapFamily:
+    """One map per kernel measure, each checked by its pushforward W1.
+
+    build_map(target) returns the map from the reference to target. With
+    validate, a W1(T_* reference, target) above 2/n (1D) or 4/n (2D) is
+    rejected; without it every error is recorded as NaN.
+    """
+    tol = (2.0 if reference.dim == 1 else 4.0) / reference.n
+    maps, errs = [], []
+    for i, target in enumerate(kernel.measures):
+        try:
+            t_map = build_map(target)
+        except Exception as exc:
+            raise KernelError(f"map construction failed at base point {i}: {exc}") from exc
+        err = (_pushforward_error(t_map, reference, target, periodic)
+               if validate else float("nan"))
+        if err > tol:
+            raise KernelError(f"pushforward check failed at base point {i}: "
+                              f"W1 = {err:.3e} > {tol:.3e}")
+        maps.append(t_map)
+        errs.append(err)
+    return RandomMapFamily(reference, tuple(maps), route, kernel, tol, tuple(errs))
+
+
+def build_measurable_representation(kernel: KernelFamily, reference: GridDensity,
+                                    p: float = 2.0) -> RandomMapFamily:
     """Representation by per-base-point optimal maps from the reference.
 
     The reference must be absolutely continuous (a grid density) so each
@@ -173,38 +195,23 @@ def build_measurable_representation(kernel: KernelFamily,
                           "(grid density) reference measure")
     if reference.dim != kernel.target_dim:
         raise KernelError("reference dimension does not match kernel measures")
-    if pushforward_tol is None:
-        pushforward_tol = (2.0 if reference.dim == 1 else 4.0) / reference.n
-    maps, errs = [], []
-    for i, target in enumerate(kernel.measures):
-        try:
-            if reference.dim == 1:
-                t_map = monotone_map_1d(reference, target,
-                                        periodic=kernel.target_periodic)
-            else:
-                t_map = brenier_map(reference, target, reg_epsilon)
-        except Exception as exc:
-            raise KernelError(f"map construction failed at base point {i}: {exc}") from exc
-        err = (_pushforward_error(t_map, reference, target, kernel.target_periodic)
-               if validate else float("nan"))
-        if validate and err > pushforward_tol:
-            raise KernelError(f"pushforward check failed at base point {i}: "
-                              f"W1 = {err:.3e} > {pushforward_tol:.3e}")
-        maps.append(t_map)
-        errs.append(err)
-    return RandomMapFamily(reference, tuple(maps), "measurable", kernel,
-                           pushforward_tol, tuple(errs))
+    periodic = kernel.target_periodic
+    if reference.dim == 1:
+        build_map = partial(monotone_map_1d, reference, periodic=periodic)
+    else:
+        build_map = partial(brenier_map, reference, reg_epsilon=1e-3)
+    return _validated_family("measurable", kernel, reference, build_map, periodic,
+                             validate=True)
 
 
 def build_continuous_representation(kernel: KernelFamily,
-                                    steps: int | None = None,
-                                    pushforward_tol: float | None = None,
-                                    validate: bool = True) -> RandomMapFamily:
+                                    steps: int | None = None) -> RandomMapFamily:
     """Representation by Moser time-1 maps from the uniform density.
 
     Every kernel measure must be a strictly positive grid density (full
     support is what makes the maps continuous). Continuity metadata is
-    attached from the modulus table over all base-point pairs.
+    attached from the modulus table over all base-point pairs. Only 1D maps
+    are validated: in 2D the pushforward errors are recorded as NaN.
     """
     if not isinstance(kernel.measures[0], GridDensity):
         raise KernelError("continuous route needs grid-density kernel measures")
@@ -214,23 +221,12 @@ def build_continuous_representation(kernel: KernelFamily,
                               f"positivity: min {m.min_value:.2e} < {MIN_DENSITY}")
     proto = kernel.measures[0]
     reference = GridDensity.uniform(proto.dim, proto.n)
-    if pushforward_tol is None:
-        pushforward_tol = (2.0 if proto.dim == 1 else 4.0) / proto.n
-    maps, errs = [], []
-    for i, target in enumerate(kernel.measures):
-        try:
-            flow = moser_map(reference, target, steps=steps, check_pushforward=False)
-        except Exception as exc:
-            raise KernelError(f"Moser map failed at base point {i}: {exc}") from exc
-        err = (_pushforward_error(flow.map, reference, target, True)
-               if validate and proto.dim == 1 else float("nan"))
-        if validate and proto.dim == 1 and err > pushforward_tol:
-            raise KernelError(f"pushforward check failed at base point {i}: "
-                              f"W1 = {err:.3e} > {pushforward_tol:.3e}")
-        maps.append(flow.map)
-        errs.append(err)
-    family = RandomMapFamily(reference, tuple(maps), "continuous", kernel,
-                             pushforward_tol, tuple(errs))
+
+    def build_map(target):
+        return moser_map(reference, target, steps=steps, check_pushforward=False).map
+
+    family = _validated_family("continuous", kernel, reference, build_map, True,
+                               validate=proto.dim == 1)
     # the table reads the family it describes, so it is attached after the build
     object.__setattr__(family, "modulus", continuity_modulus(family))
     return family
@@ -304,8 +300,8 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def verify_representation(family: RandomMapFamily, kernel: KernelFamily,
-                          n_samples: int, tol: float, seed: int) -> VerificationReport:
+def verify_representation(family: RandomMapFamily, n_samples: int, tol: float,
+                          seed: int) -> VerificationReport:
     """Statistical check of the representation criterion.
 
     Draws n_samples shared reference points (one omega per sampled map; all
@@ -316,6 +312,7 @@ def verify_representation(family: RandomMapFamily, kernel: KernelFamily,
     """
     if n_samples < 100:
         raise KernelError("n_samples must be >= 100")
+    kernel = family.kernel
     sample = draw_sample(family.reference, n_samples, seed)
     periodic = kernel.target_periodic
     w1 = np.empty(family.size)
@@ -346,9 +343,8 @@ def continuity_modulus(family: RandomMapFamily) -> ModulusTable:
     kernel = family.kernel
     if kernel.size < 2:
         raise KernelError("modulus needs at least two base points")
-    grids = {(m.grid.dim, m.grid.n, m.grid.periodic) if m.grid is not None else None
-             for m in family.maps}
-    if len(grids) != 1 or None in grids:
+    grids = {(m.grid.dim, m.grid.n, m.grid.periodic) for m in family.maps}
+    if len(grids) != 1:
         raise KernelError("modulus needs maps sampled on one common grid")
     periodic = family.maps[0].grid.periodic
     dmat = base_distance_matrix(kernel.space, kernel.base_points)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import GridSpec, deposit_linear, interp_grid, sphere_xyz, wrap_signed, wrap_unit
-from .measures import DiscreteMeasure, GridDensity
+from .measures import DiscreteMeasure, GridDensity, wasserstein_1d, wasserstein_sinkhorn_upper
 
 MANIFOLDS = ("circle", "torus2", "sphere2")
 ROUND_TRIP_TOL = 1e-9
@@ -157,7 +158,7 @@ class BoxDensity:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "bounds", bounds)
 
-    @property
+    @cached_property
     def grid(self) -> GridSpec:
         return GridSpec(dim=self.values.ndim, n=self.values.shape[0], bounds=self.bounds,
                         periodic=False)
@@ -284,8 +285,6 @@ def project_density(lift: BundleLift, hat: BoxDensity, target: BoxDensity) -> Bo
 def fiber_w1(a: BoxDensity, b: BoxDensity) -> float:
     """W1 between two fiber densities (exact quantile form in 1D, entropic
     upper bound in 2D)."""
-    from .measures import wasserstein_1d, wasserstein_sinkhorn_upper
-
     da, db = a.as_discrete(), b.as_discrete()
     if a.grid.dim == 1:
         return wasserstein_1d(da, db, p=1)

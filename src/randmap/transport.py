@@ -6,14 +6,15 @@ is certified on return via dual feasibility and complementary slackness.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
 from .geometry import CostSpec, GridSpec, interp_grid, wrap_signed, wrap_unit
-from .measures import DiscreteMeasure, GridDensity, MeasureError
+from .measures import EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError
 
 MARGINAL_TOL = 1e-9
 DUAL_TOL = 1e-9
@@ -76,24 +77,26 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class TransportMap:
-    """Deterministic map sampled at domain nodes, optionally with potential.
+    """Deterministic map sampled at the nodes of its grid, optionally with potential.
 
-    route is one of "monotone", "brenier", "moser", "composed". When a grid
-    spec is attached, evaluation between nodes is (bi)linear; periodic grids
-    interpolate the nearest-lift displacement so the seam is handled cleanly.
+    route is one of "monotone", "brenier", "moser", "composed". Evaluation
+    between nodes is (bi)linear; periodic grids interpolate the nearest-lift
+    displacement so the seam is handled cleanly.
     """
 
     points: np.ndarray
     images: np.ndarray
     psi: np.ndarray | None = None
     route: str = "composed"
-    grid: GridSpec | None = None
+    grid: GridSpec = field(kw_only=True)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         img = np.atleast_2d(np.asarray(self.images, dtype=float))
-        if pts.shape[0] != img.shape[0]:
-            raise MapError("points and images must have the same count")
+        nodes = self.grid.n ** self.grid.dim
+        if pts.shape[0] != nodes or img.shape[0] != nodes:
+            raise MapError(f"need one point and one image per grid node ({nodes}), "
+                           f"got {pts.shape[0]} and {img.shape[0]}")
         psi = None if self.psi is None else np.asarray(self.psi, dtype=float).ravel()
         if psi is not None and len(psi) != len(pts):
             raise MapError("potential values must align with domain points")
@@ -108,12 +111,6 @@ class TransportMap:
     def evaluate(self, x) -> np.ndarray:
         """Map arbitrary points through node interpolation."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.grid is None:
-            if self.dim == 1:
-                order = np.argsort(self.points[:, 0])
-                return np.interp(pts[:, 0], self.points[order, 0],
-                                 self.images[order, 0])[:, None]
-            raise MapError("off-node evaluation requires a grid spec")
         at_nodes = wrap_signed(self.images - self.points) if self.grid.periodic else self.images
         stack = at_nodes.T.reshape((at_nodes.shape[1],) + (self.grid.n,) * self.grid.dim)
         vals = interp_grid(stack, pts, self.grid)
@@ -130,8 +127,6 @@ class TransportMap:
         """
         if self.psi is None:
             raise MapError("map carries no potential")
-        if self.grid is None:
-            raise MapError("potential check requires a grid spec")
         n, dim = self.grid.n, self.grid.dim
         psi = self.psi.reshape((n,) * dim)
         disp = self.images - self.points
@@ -189,7 +184,7 @@ class PotentialGrid:
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "bounds", bounds)
 
-    @property
+    @cached_property
     def grid(self) -> GridSpec:
         return GridSpec(dim=self.values.ndim, n=self.values.shape[0], bounds=self.bounds,
                         periodic=False)
@@ -262,8 +257,6 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
     slackness of the potentials must hold within 1e-9 or the solve is
     rejected outright.
     """
-    from .measures import EXACT_SIZE_GUARD
-
     m, n = mu.size, nu.size
     if m > EXACT_SIZE_GUARD or n > EXACT_SIZE_GUARD:
         raise MeasureError(f"support sizes ({m}, {n}) exceed LP guard {EXACT_SIZE_GUARD}")
@@ -326,6 +319,11 @@ def _lse_over_cols(cmat, g_term, eps):
     return out
 
 
+def _log_weights(w: np.ndarray) -> np.ndarray:
+    """log w, with -inf for zero weights."""
+    return np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
+
+
 def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                          epsilon: float, max_iter: int, tol: float,
                          warm_iters: int = 25):
@@ -334,8 +332,7 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     Returns (f, g, converged, err, iterations); the marginal error is the L1
     column violation of the (exactly row-feasible) iterate.
     """
-    la = np.where(wa > 0, np.log(np.where(wa > 0, wa, 1.0)), -np.inf)
-    lb = np.where(wb > 0, np.log(np.where(wb > 0, wb, 1.0)), -np.inf)
+    la, lb = _log_weights(wa), _log_weights(wb)
     levels = [epsilon]
     lvl = 1.0
     while lvl > epsilon:
@@ -406,8 +403,7 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     f, g, converged, err, _ = _sinkhorn_potentials(c, mu.weights, nu.weights,
                                                    epsilon, max_iter, tol,
                                                    warm_iters=warm_iters)
-    la = np.where(mu.weights > 0, np.log(np.where(mu.weights > 0, mu.weights, 1.0)), -np.inf)
-    lb = np.where(nu.weights > 0, np.log(np.where(nu.weights > 0, nu.weights, 1.0)), -np.inf)
+    la, lb = _log_weights(mu.weights), _log_weights(nu.weights)
     gamma = np.empty_like(c)
     block = max(1, _CHUNK // max(1, c.shape[1]))
     for i0 in range(0, c.shape[0], block):
@@ -455,12 +451,10 @@ def _discrete_quantile(points: np.ndarray, weights: np.ndarray, q: np.ndarray) -
 
 
 def _quantile_of(nu, q: np.ndarray) -> np.ndarray:
-    if isinstance(nu, GridDensity):
-        if nu.dim != 1:
-            raise MapError("monotone maps require 1D measures")
-        return _grid_quantile(nu, q)
     if nu.dim != 1:
         raise MapError("monotone maps require 1D measures")
+    if isinstance(nu, GridDensity):
+        return _grid_quantile(nu, q)
     return _discrete_quantile(nu.points[:, 0], nu.weights, q)
 
 
@@ -489,18 +483,13 @@ def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
                        "atomic sources admit no deterministic coupling in general")
     if mu.dim != 1:
         raise MapError("monotone_map_1d requires one-dimensional measures")
-    nodes = mu.grid.axis_nodes(0)
+    nodes = mu.nodes()
     q = _grid_cdf_at_nodes(mu)
     if not periodic:
-        images = _quantile_of(nu, q)
-        psi = None
-        if isinstance(nu, GridDensity):
-            disp = images - nodes
-            h = 1.0 / mu.n
-            psi = np.concatenate([[0.0], np.cumsum(0.5 * (disp[:-1] + disp[1:]) * h)])
+        images = _quantile_of(nu, q)[:, None]
         gspec = GridSpec(dim=1, n=mu.n, bounds=((0.0, 1.0),), periodic=False)
-        return TransportMap(nodes[:, None], images[:, None], psi=psi,
-                            route="monotone", grid=gspec)
+        psi = _integrate_potential(images - nodes, gspec) if isinstance(nu, GridDensity) else None
+        return TransportMap(nodes, images, psi=psi, route="monotone", grid=gspec)
     # circle: minimize the convex shift cost over s in [-1, 1]
     levels = (np.arange(8 * mu.n) + 0.5) / (8 * mu.n)
     lo, hi = -1.0, 1.0
@@ -520,9 +509,7 @@ def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
             f2 = _circle_shift_cost(mu, nu, x2, levels)
     s_star = 0.5 * (lo + hi)
     images = wrap_unit(_unrolled_quantile(nu, q - s_star))
-    gspec = GridSpec(dim=1, n=mu.n, bounds=((0.0, 1.0),), periodic=True)
-    return TransportMap(nodes[:, None], images[:, None], psi=None,
-                        route="monotone", grid=gspec)
+    return TransportMap(nodes, images[:, None], route="monotone", grid=mu.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +559,7 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
         raise SolverError(f"Brenier Sinkhorn solve did not converge in {iters} iterations "
                           f"(marginal error {err:.3e} > 1e-10)")
     y = tgt.points
-    lb = np.where(tgt.weights > 0, np.log(np.where(tgt.weights > 0, tgt.weights, 1.0)), -np.inf)
+    lb = _log_weights(tgt.weights)
     affine = (g - 0.5 * np.sum(y * y, axis=1) + reg_epsilon * lb) / reg_epsilon
     nodes = mu.nodes()
     images = np.empty((len(nodes), y.shape[1]))
@@ -601,8 +588,6 @@ def legendre_transform(phi: PotentialGrid, dual_bounds=None, dual_n: int | None 
     of affine inputs stay representable.
     """
     grid = phi.grid
-    nodes = grid.nodes()
-    vals = phi.values.ravel()
     grads = []
     for a in range(grid.dim):
         h = grid.spacing[a]
@@ -620,12 +605,7 @@ def legendre_transform(phi: PotentialGrid, dual_bounds=None, dual_n: int | None 
     if dual_n is None:
         dual_n = grid.n
     dual = GridSpec(dim=grid.dim, n=dual_n, bounds=tuple(dual_bounds), periodic=False)
-    ygrid = dual.nodes()
-    out = np.empty(len(ygrid))
-    block = max(1, _CHUNK // max(1, len(nodes)))
-    for j0 in range(0, len(ygrid), block):
-        scores = ygrid[j0:j0 + block] @ nodes.T - vals[None, :]
-        out[j0:j0 + block] = scores.max(axis=1)
+    _, out = _argmax_conjugate_map(phi, dual)
     diam = float(np.sqrt(sum((hi - lo) ** 2 for lo, hi in phi.bounds)))
     gradbound = max(1.0, max(float(np.abs(s).max()) for s in grads))
     sentinel = 10.0 * diam * gradbound
@@ -665,9 +645,7 @@ def invert_map(s_map: TransportMap, target_grid: GridSpec) -> TransportMap:
         x, t = x[order], t[order]
         if np.all(np.diff(t) >= -1e-12):
             images = np.interp(y_nodes[:, 0], t, x)[:, None]
-            disp = images[:, 0] - y_nodes[:, 0]
-            h = target_grid.spacing[0]
-            psi = np.concatenate([[0.0], np.cumsum(0.5 * (disp[:-1] + disp[1:]) * h)])
+            psi = _integrate_potential(images - y_nodes, target_grid)
             return TransportMap(y_nodes, images, psi=psi, route="composed",
                                 grid=target_grid)
         if s_map.psi is None:
@@ -676,8 +654,6 @@ def invert_map(s_map: TransportMap, target_grid: GridSpec) -> TransportMap:
         raise MapError("2D inversion requires a gradient-of-convex map with potential")
     nodes = s_map.points
     phi_vals = 0.5 * np.sum(nodes * nodes, axis=1) + s_map.psi
-    if s_map.grid is None:
-        raise MapError("2D inversion requires a grid-sampled map")
     phi = PotentialGrid(phi_vals.reshape((s_map.grid.n,) * s_map.grid.dim),
                         s_map.grid.bounds)
     images, conj = _argmax_conjugate_map(phi, target_grid)

@@ -69,7 +69,7 @@ def circle_cosine_kernel(n=64, k=16, amp=0.4):
 def run_criterion_1_reports(seeds=range(20)):
     kern = circle_cosine_kernel()
     family = build_continuous_representation(kern)
-    return [verify_representation(family, kern, n_samples=10 ** 4, tol=0.05,
+    return [verify_representation(family, n_samples=10 ** 4, tol=0.05,
                                   seed=s) for s in seeds]
 
 

@@ -131,8 +131,8 @@ def test_route_consistency():
     kern = circle_kernel(n=64, k=4)
     cont = build_continuous_representation(kern)
     meas = build_measurable_representation(kern, GridDensity.uniform(1, 64))
-    r1 = verify_representation(cont, kern, n_samples=4000, tol=0.05, seed=11)
-    r2 = verify_representation(meas, kern, n_samples=4000, tol=0.05, seed=11)
+    r1 = verify_representation(cont, n_samples=4000, tol=0.05, seed=11)
+    r2 = verify_representation(meas, n_samples=4000, tol=0.05, seed=11)
     assert r1.all_pass and r2.all_pass
 
 
@@ -185,7 +185,7 @@ def test_verify_identity_family_monte_carlo_floor():
     kern = identity_kernel(n=64, k=4)
     fam = build_continuous_representation(kern)
     n = 10 ** 4
-    rep = verify_representation(fam, kern, n_samples=n, tol=0.05, seed=7)
+    rep = verify_representation(fam, n_samples=n, tol=0.05, seed=7)
     assert rep.all_pass
     assert rep.w1.max() <= 2.0 / np.sqrt(n) + 1.0 / 64
     assert rep.mc_floor == pytest.approx(0.5 / np.sqrt(n))
@@ -202,7 +202,7 @@ def test_verify_detects_corrupted_family():
     corrupted = RandomMapFamily(fam.reference, tuple(broken), fam.route,
                                 fam.kernel, fam.pushforward_tol,
                                 fam.pushforward_errors)
-    rep = verify_representation(corrupted, kern, n_samples=4000, tol=0.05, seed=3)
+    rep = verify_representation(corrupted, n_samples=4000, tol=0.05, seed=3)
     assert not rep.passed[2]
     assert rep.passed[[0, 1, 3]].all()
 
@@ -211,9 +211,9 @@ def test_verify_sqrt_n_scaling():
     kern = circle_kernel(n=64, k=4)
     fam = build_continuous_representation(kern)
     seeds = range(40, 45)
-    small = np.mean([verify_representation(fam, kern, 100, 0.5, s).w1.mean()
+    small = np.mean([verify_representation(fam, 100, 0.5, s).w1.mean()
                      for s in seeds])
-    large = np.mean([verify_representation(fam, kern, 10 ** 4, 0.5, s).w1.mean()
+    large = np.mean([verify_representation(fam, 10 ** 4, 0.5, s).w1.mean()
                      for s in seeds])
     ratio = small / large
     assert 10 / 3 <= ratio <= 30
@@ -223,14 +223,14 @@ def test_verify_requires_minimum_samples():
     kern = identity_kernel()
     fam = build_continuous_representation(kern)
     with pytest.raises(KernelError, match="100"):
-        verify_representation(fam, kern, n_samples=50, tol=0.05, seed=1)
+        verify_representation(fam, n_samples=50, tol=0.05, seed=1)
 
 
 def test_verification_report_deterministic():
     kern = circle_kernel(n=64, k=4)
     fam = build_continuous_representation(kern)
-    r1 = verify_representation(fam, kern, n_samples=1000, tol=0.05, seed=21)
-    r2 = verify_representation(fam, kern, n_samples=1000, tol=0.05, seed=21)
+    r1 = verify_representation(fam, n_samples=1000, tol=0.05, seed=21)
+    r2 = verify_representation(fam, n_samples=1000, tol=0.05, seed=21)
     assert r1.to_json() == r2.to_json()
     d = r1.to_dict()
     assert set(d) == {"route", "N", "seed", "tol", "mc_floor", "per_point", "modulus"}

@@ -583,3 +583,15 @@ def test_map_csv_round_trip_columns(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (16, 3)
     assert np.allclose(data[:, 0], t.points[:, 0])
+
+
+def test_map_needs_one_point_and_image_per_grid_node():
+    grid = GridSpec(1, 8, ((0.0, 1.0),), periodic=False)
+    nodes = grid.nodes()
+    assert len(TransportMap(nodes, nodes, grid=grid).points) == 8
+    with pytest.raises(MapError, match="per grid node"):
+        TransportMap(nodes[:7], nodes[:7], grid=grid)
+    with pytest.raises(MapError, match="per grid node"):
+        TransportMap(nodes, nodes[:7], grid=grid)
+    with pytest.raises(MapError, match="per grid node"):
+        TransportMap(nodes, nodes, grid=GridSpec(2, 8, ((0.0, 1.0),), periodic=False))

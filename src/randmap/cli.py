@@ -92,19 +92,24 @@ def _load_kernel_manifest(path: str) -> KernelFamily:
     if not p.exists():
         raise CliError(f"kernel manifest not found: {path}")
     with open(p) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1)
+                 if ln.strip() and not ln.startswith("#")]
     if len(lines) < 4:
         raise CliError(f"{path}: manifest needs space, interp, header, and rows")
-    if not lines[0].startswith("space,"):
+    (_, space_line), (_, interp_line) = lines[:2]
+    if not space_line.startswith("space,"):
         raise CliError(f"{path}: first line must be 'space,<tag>'")
-    space = lines[0].split(",", 1)[1]
-    if not lines[1].startswith("interp,"):
+    space = space_line.split(",", 1)[1]
+    if not interp_line.startswith("interp,"):
         raise CliError(f"{path}: second line must be 'interp,<rule>'")
-    interp = lines[1].split(",", 1)[1]
+    interp = interp_line.split(",", 1)[1]
     base_pts, measures = [], []
-    for ln in lines[3:]:
+    for no, ln in lines[3:]:
         parts = ln.split(",")
-        coords = [float(v) for v in parts[:-1]]
+        try:
+            coords = [float(v) for v in parts[:-1]]
+        except ValueError as exc:
+            raise CliError(f"{path}, line {no}: {exc}") from None
         mpath = parts[-1]
         if not os.path.isabs(mpath):
             mpath = str(p.parent / mpath)

@@ -37,14 +37,22 @@ def pairwise_distance(x: np.ndarray, y: np.ndarray, periodic: bool = False) -> n
     """(n, m) matrix of distances between point clouds x (n,d) and y (m,d).
 
     periodic selects the torus quotient metric: per-axis deltas are wrapped
-    to the nearest lift before the Euclidean norm.
+    to the nearest lift before the Euclidean norm. The squared deltas are
+    summed axis by axis into one (n, m) array, in the order a sum over a
+    (n, m, d) array of deltas would add them, so no (n, m, d) array is built.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    delta = x[:, None, :] - y[None, :, :]
-    if periodic:
-        delta = wrap_signed(delta)
-    return np.sqrt(np.sum(delta * delta, axis=-1))
+    out = np.zeros((len(x), len(y)))
+    for a in range(x.shape[1]):
+        delta = np.subtract.outer(x[:, a], y[:, a])
+        if periodic:  # wrap_signed, in place
+            delta += 0.5
+            np.mod(delta, 1.0, out=delta)
+            delta -= 0.5
+        delta *= delta
+        out += delta
+    return np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -72,8 +80,10 @@ class CostSpec:
             return -(x @ y.T)
         d = pairwise_distance(x, y, periodic=self.periodic)
         if self.kind == "sqdist":
-            return d * d
-        return d ** self.p
+            d *= d
+        else:
+            d **= self.p
+        return d
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,14 @@ class MeasureError(ValueError):
     """Invalid measure data or unsupported operation on a measure."""
 
 
+def _parse_float(token: str, path, line: int) -> float:
+    """One input-file token as a float; MeasureError naming the file and line."""
+    try:
+        return float(token)
+    except ValueError as exc:
+        raise MeasureError(f"{path}, line {line}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Weighted point cloud in R^d, d in {1,2,3}; weights sum to one."""
@@ -92,7 +100,15 @@ class DiscreteMeasure:
         header = rows[0]
         if header[-1] != "w" or not header[0].startswith("x"):
             raise MeasureError(f"{path}: expected header 'x0[,x1[,x2]],w'")
-        data = np.array([[float(v) for v in r] for r in rows[1:] if r], dtype=float)
+        data = []
+        for line, row in enumerate(rows[1:], start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise MeasureError(f"{path}, line {line}: expected {len(header)} values, "
+                                   f"got {len(row)}")
+            data.append([_parse_float(v, path, line) for v in row])
+        data = np.array(data, dtype=float).reshape(-1, len(header))
         return cls(data[:, :-1], data[:, -1])
 
 
@@ -176,15 +192,15 @@ class GridDensity:
     @classmethod
     def from_csv(cls, path) -> "GridDensity":
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
         if not lines:
             raise MeasureError(f"{path}: empty density file")
-        start = 1 if lines[0].replace(" ", "") == "dim,n" else 0
+        start = 1 if lines[0][1].replace(" ", "") == "dim,n" else 0
         try:
-            dim, n = (int(tok) for tok in lines[start].split(","))
+            dim, n = (int(tok) for tok in lines[start][1].split(","))
         except Exception as exc:
             raise MeasureError(f"{path}: expected 'dim,n' metadata line") from exc
-        vals = np.array([float(v) for v in lines[start + 1:]])
+        vals = np.array([_parse_float(ln, path, no) for no, ln in lines[start + 1:]])
         if len(vals) != n ** dim:
             raise MeasureError(f"{path}: expected {n ** dim} values, got {len(vals)}")
         return cls(dim, n, vals.reshape((n,) * dim))

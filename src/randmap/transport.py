@@ -292,31 +292,15 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 
 
 # ---------------------------------------------------------------------------
-# entropic solver (log domain, epsilon scaling, feasible rounding)
+# entropic solver (stabilised kernel, epsilon scaling, feasible rounding)
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 22
-
-
-def _lse_over_cols(cmat, g_term, eps):
-    """logsumexp_j[(g_term_j - C_ij)/eps] computed in row chunks."""
-    m = cmat.shape[0]
-    out = np.empty(m)
-    block = max(1, _CHUNK // max(1, cmat.shape[1]))
-    buf = None
-    for i0 in range(0, m, block):
-        slab = cmat[i0:i0 + block]
-        if buf is None or buf.shape != slab.shape:
-            buf = np.empty_like(slab)
-        np.subtract(g_term[None, :], slab, out=buf)
-        buf /= eps
-        mx = buf.max(axis=1)
-        safe = np.where(np.isfinite(mx), mx, 0.0)
-        buf -= safe[:, None]
-        np.exp(buf, out=buf)
-        out[i0:i0 + block] = safe + np.log(buf.sum(axis=1))
-        out[i0:i0 + block][~np.isfinite(mx)] = -np.inf
-    return out
+# A potential may move this many epsilons away from the one the kernel was
+# built with before the scalings are folded back into the kernel: the
+# scaling factors then stay within e^30 of one, far above the underflow
+# threshold of the kernel entries that carry the mass.
+_ABSORB = 30.0
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
@@ -324,10 +308,72 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
     return np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
 
 
+class _StabilisedKernel:
+    """K = exp((f_bar_i + g_bar_j - C_ij)/eps), with the potentials it was built from.
+
+    Against K, a log-domain Sinkhorn half-step is one matrix-vector product:
+    f_i = f_bar_i - eps * log sum_j K_ij exp((g_j - g_bar_j)/eps + log b_j),
+    and the same through K.T for g.
+    """
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+        self.k = np.empty_like(c)
+
+    def absorb(self, f: np.ndarray, g: np.ndarray, eps: float) -> None:
+        """Fold the potentials f, g into K at regularisation eps, in place."""
+        self.f_bar, self.g_bar, self.eps = f, g, eps
+        np.add(f[:, None], g[None, :], out=self.k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.k -= self.c
+            self.k /= eps
+            np.exp(self.k, out=self.k)
+
+    def half_step(self, rows: bool, f: np.ndarray, g: np.ndarray,
+                  log_w: np.ndarray) -> np.ndarray:
+        """New f from g (rows) or new g from f.
+
+        Absorbs and retries once if a kernel sum underflows or is not
+        finite, and absorbs the result once it has moved _ABSORB * eps.
+        """
+        new = self._update(rows, f, g, log_w)
+        if new is None:
+            self.absorb(f, g, self.eps)
+            new = self._update(rows, f, g, log_w)
+            if new is None:
+                raise SolverError(f"Sinkhorn kernel sum underflowed or is not finite at "
+                                  f"epsilon {self.eps:g}, even after absorption")
+        moved = new - (self.f_bar if rows else self.g_bar)
+        if np.abs(moved).max() > _ABSORB * self.eps:
+            self.absorb(new if rows else f, g if rows else new, self.eps)
+        return new
+
+    def _update(self, rows: bool, f: np.ndarray, g: np.ndarray, log_w: np.ndarray):
+        if rows:
+            kmat, bar, v = self.k, self.f_bar, (g - self.g_bar) / self.eps + log_w
+        else:
+            kmat, bar, v = self.k.T, self.g_bar, (f - self.f_bar) / self.eps + log_w
+        shift = v.max()
+        s = kmat @ np.exp(v - shift)
+        if not np.all((s > 0) & np.isfinite(s)):
+            return None
+        return bar - self.eps * (np.log(s) + shift)
+
+
 def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                          epsilon: float, max_iter: int, tol: float,
                          warm_iters: int = 25):
-    """Log-domain Sinkhorn with a halving epsilon schedule from 1.0 down.
+    """Stabilised-kernel Sinkhorn with a halving epsilon schedule from 1.0 down.
+
+    The iterates are those of log-domain Sinkhorn (f = -eps lse_j[(g_j -
+    C_ij)/eps + log b_j], then g likewise from f), each half-step computed as
+    one matrix-vector product with the stabilised kernel
+    K = exp((f_bar + g_bar - C)/eps). K is built from the current potentials
+    at the start of every epsilon level, and the scalings are absorbed into
+    it (K rebuilt from the current potentials) whenever a potential moves
+    more than 30 eps from the one K was built with, or a kernel sum
+    underflows to 0. A sum that still underflows after absorption raises
+    SolverError, so the potentials returned are always finite.
 
     Returns (f, g, converged, err, iterations); the marginal error is the L1
     column violation of the (exactly row-feasible) iterate.
@@ -339,7 +385,7 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
         levels.append(lvl)
         lvl *= 0.5
     levels = sorted(set(levels), reverse=True)
-    ct = np.ascontiguousarray(c.T)  # keeps the column-side reductions cache-friendly
+    kern = _StabilisedKernel(c)
     f = np.zeros(len(wa))
     g = np.zeros(len(wb))
     total_iters = 0
@@ -348,10 +394,11 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     for li, eps in enumerate(levels):
         final = li == len(levels) - 1
         warm_budget = 0 if final else min(warm_iters, max(1, max_iter // (2 * len(levels))))
+        kern.absorb(f, g, eps)
         it = 0
         while True:
-            f = -eps * _lse_over_cols(c, g + eps * lb, eps)
-            g_new = -eps * _lse_over_cols(ct, f + eps * la, eps)
+            f = kern.half_step(True, f, g, lb)
+            g_new = kern.half_step(False, f, g, la)
             with np.errstate(over="ignore", invalid="ignore"):
                 ratio = np.exp((g - g_new) / eps)
             err = float(np.sum(np.abs(wb * np.where(np.isfinite(ratio), ratio, 1.0) - wb)))
@@ -370,22 +417,23 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     return f, g, converged, err, total_iters
 
 
-def _round_to_feasible(gamma: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> np.ndarray:
-    """Scale rows then columns down, then restore mass with a rank-one patch."""
+def _round_to_feasible(gamma: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> None:
+    """Scale rows then columns down, then restore mass with a rank-one patch, in place."""
     r = gamma.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(r > 0, np.minimum(wa / np.where(r > 0, r, 1.0), 1.0), 0.0)
-    gamma = gamma * s[:, None]
+    gamma *= s[:, None]
     cmarg = gamma.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(cmarg > 0, np.minimum(wb / np.where(cmarg > 0, cmarg, 1.0), 1.0), 0.0)
-    gamma = gamma * t[None, :]
+    gamma *= t[None, :]
     er = wa - gamma.sum(axis=1)
     ec = wb - gamma.sum(axis=0)
     mass = er.sum()
     if mass > 0:
-        gamma = gamma + np.outer(er, ec) / mass
-    return gamma
+        block = max(1, _CHUNK // max(1, gamma.shape[1]))
+        for i0 in range(0, gamma.shape[0], block):
+            gamma[i0:i0 + block] += np.outer(er[i0:i0 + block], ec) / mass
 
 
 def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
@@ -404,14 +452,15 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
                                                    epsilon, max_iter, tol,
                                                    warm_iters=warm_iters)
     la, lb = _log_weights(mu.weights), _log_weights(nu.weights)
-    gamma = np.empty_like(c)
-    block = max(1, _CHUNK // max(1, c.shape[1]))
-    for i0 in range(0, c.shape[0], block):
-        expo = ((f[i0:i0 + block, None] + g[None, :] - c[i0:i0 + block]) / epsilon
-                + la[i0:i0 + block, None] + lb[None, :])
-        gamma[i0:i0 + block] = np.exp(expo)
-    gamma = _round_to_feasible(gamma, mu.weights, nu.weights)
-    value = float(np.sum(gamma * c))
+    gamma = np.add(f[:, None], g[None, :])
+    gamma -= c
+    gamma /= epsilon
+    gamma += la[:, None]
+    gamma += lb[None, :]
+    np.exp(gamma, out=gamma)
+    _round_to_feasible(gamma, mu.weights, nu.weights)
+    c *= gamma  # c is not used again: its products with gamma give the cost
+    value = float(np.sum(c))
     plan = TransportPlan(mu, nu, gamma, value, converged=converged,
                          marginal_error=err)
     return plan

@@ -196,6 +196,37 @@ def test_missing_input_file_is_usage_error(workspace, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_malformed_manifest_coordinate_is_usage_error(workspace, capsys):
+    text = (workspace / "kernel.txt").read_text().replace("0.25,meas_002", "foo,meas_002")
+    (workspace / "bad_kernel.txt").write_text(text)
+    rc = main(["represent", "--kernel", str(workspace / "bad_kernel.txt"),
+               "--route", "continuous", "--out", str(workspace / "rbad")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_kernel.txt, line 6" in err and "foo" in err
+
+
+def test_malformed_density_value_is_usage_error(workspace, capsys):
+    lines = (workspace / "bump.csv").read_text().splitlines()
+    lines[4] = "abc"
+    (workspace / "bad_density.csv").write_text("\n".join(lines) + "\n")
+    rc = main(["wdist", "--a", str(workspace / "bad_density.csv"),
+               "--b", str(workspace / "uniform.csv"), "--out", str(workspace / "wbad")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_density.csv, line 5" in err and "abc" in err
+
+
+def test_malformed_atom_value_is_usage_error(workspace, capsys):
+    (workspace / "bad_atoms.csv").write_text("x0,w\n0.2,0.5\n0.8,half\n")
+    rc = main(["wdist", "--a", str(workspace / "bad_atoms.csv"),
+               "--b", str(workspace / "atoms.csv"), "--method", "exact",
+               "--out", str(workspace / "wbad")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_atoms.csv, line 3" in err and "half" in err
+
+
 def test_invalid_threads_env(workspace, monkeypatch, capsys):
     monkeypatch.setenv("RANDMAP_THREADS", "zero")
     rc = main(["wdist", "--a", str(workspace / "uniform.csv"),

@@ -1,11 +1,19 @@
 """Tests for the shared grid stencil: a stack of fields is gathered with the
 same arithmetic as one call per field, and the linear deposit is the exact
-adjoint of interpolation. Also: torus wrapping stays inside [0, 1), and every
-grid-backed object builds its grid once."""
+adjoint of interpolation. Also: torus wrapping stays inside [0, 1), every
+grid-backed object builds its grid once, and pairwise distances are the
+broadcast formula's, bit for bit."""
 import numpy as np
 import pytest
 
-from randmap.geometry import GridSpec, deposit_linear, interp_grid, wrap_unit
+from randmap.geometry import (
+    GridSpec,
+    deposit_linear,
+    interp_grid,
+    pairwise_distance,
+    wrap_signed,
+    wrap_unit,
+)
 from randmap.lift import BoxDensity
 from randmap.measures import GridDensity
 from randmap.moser import MoserField, PoissonSolution
@@ -71,3 +79,15 @@ def _moser_field():
 def test_grid_is_built_once(make):
     obj = make()
     assert obj.grid is obj.grid
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_pairwise_distance_equals_broadcast_formula_bit_for_bit(dim, periodic):
+    rng = np.random.default_rng(10 * dim + periodic)
+    x, y = 3 * rng.random((40, dim)) - 1, 3 * rng.random((33, dim)) - 1
+    delta = x[:, None, :] - y[None, :, :]
+    if periodic:
+        delta = wrap_signed(delta)
+    expected = np.sqrt(np.sum(delta * delta, axis=-1))
+    assert np.array_equal(pairwise_distance(x, y, periodic=periodic), expected)

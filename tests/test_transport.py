@@ -6,7 +6,11 @@ closed-form quantile compositions, and analytic conjugates.
 """
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from randmap import transport
 from randmap.geometry import CostSpec, GridSpec, wrap_signed
 from randmap.measures import (
     DiscreteMeasure,
@@ -172,6 +176,107 @@ def test_sinkhorn_rejects_bad_epsilon():
     m = DiscreteMeasure.dirac([0.0])
     with pytest.raises(SolverError):
         solve_sinkhorn(m, m, CostSpec("sqdist"), epsilon=0.0)
+
+
+def reference_potentials(c, wa, wb, epsilon, max_iter, tol, warm_iters=25):
+    """Log-domain Sinkhorn, each half-step a full logsumexp over the cost
+    matrix, with the schedule, budgets and stopping rule of the solver."""
+    with np.errstate(divide="ignore"):
+        la, lb = np.log(wa), np.log(wb)
+    levels = [epsilon]
+    lvl = 1.0
+    while lvl > epsilon:
+        levels.append(lvl)
+        lvl *= 0.5
+    levels = sorted(set(levels), reverse=True)
+    f, g = np.zeros(len(wa)), np.zeros(len(wb))
+    iters, converged, err = 0, False, np.inf
+    for li, eps in enumerate(levels):
+        final = li == len(levels) - 1
+        budget = 0 if final else min(warm_iters, max(1, max_iter // (2 * len(levels))))
+        it = 0
+        while True:
+            f = -eps * logsumexp((g[None, :] - c) / eps + lb[None, :], axis=1)
+            g_new = -eps * logsumexp((f[:, None] - c) / eps + la[:, None], axis=0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio = np.exp((g - g_new) / eps)
+            err = float(np.sum(np.abs(wb * np.where(np.isfinite(ratio), ratio, 1.0) - wb)))
+            g = g_new
+            it += 1
+            iters += 1
+            if final and err <= tol:
+                converged = True
+                break
+            if final and iters >= max_iter:
+                break
+            if not final and it >= budget:
+                break
+        if final:
+            break
+    return f, g, converged, err, iters
+
+
+def _weights(draw, k):
+    w = np.array(draw(st.lists(st.integers(0, 9), min_size=k, max_size=k)
+                      .filter(lambda v: sum(v) > 0)), dtype=float)
+    return w / w.sum()
+
+
+@st.composite
+def sinkhorn_cases(draw):
+    """Random supports (zero weights included) and a cost: the W1 cost d^1 on
+    the torus or the box, or the squared distance at epsilon down to 1e-4."""
+    m, n, dim = draw(st.integers(2, 24)), draw(st.integers(2, 24)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = draw(st.sampled_from([CostSpec("dist_p", p=1, periodic=True),
+                                 CostSpec("dist_p", p=1, periodic=False),
+                                 CostSpec("sqdist")]))
+    epsilon = draw(st.sampled_from([1e-1, 1e-2, 1e-3, 1e-4]))
+    c = spec.matrix(rng.random((m, dim)), rng.random((n, dim)))
+    return c, _weights(draw, m), _weights(draw, n), epsilon, draw(st.sampled_from([1e-4, 1e-9]))
+
+
+@given(sinkhorn_cases())
+def test_sinkhorn_potentials_match_log_domain_reference(case):
+    c, wa, wb, epsilon, tol = case
+    f, g, converged, _, iters = transport._sinkhorn_potentials(c, wa, wb, epsilon, 300, tol)
+    rf, rg, r_converged, _, r_iters = reference_potentials(c, wa, wb, epsilon, 300, tol)
+    assert (iters, converged) == (r_iters, r_converged)
+    assert np.abs(f - rf).max() <= 1e-10 * max(1.0, np.abs(rf).max())
+    assert np.abs(g - rg).max() <= 1e-10 * max(1.0, np.abs(rg).max())
+
+
+def test_sinkhorn_absorbs_within_a_level_and_matches_reference(monkeypatch):
+    rng = np.random.default_rng(59)
+    x, y = rng.random((30, 2)), rng.random((25, 2))
+    c = CostSpec("sqdist").matrix(x, y)
+    wa, wb = rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(25))
+    absorbed = []
+    absorb = transport._StabilisedKernel.absorb
+
+    def counted(self, f, g, eps):
+        absorbed.append(eps)
+        absorb(self, f, g, eps)
+
+    monkeypatch.setattr(transport._StabilisedKernel, "absorb", counted)
+    f, g, converged, _, iters = transport._sinkhorn_potentials(c, wa, wb, 1e-4, 2000, 1e-9)
+    rf, rg, r_converged, _, r_iters = reference_potentials(c, wa, wb, 1e-4, 2000, 1e-9)
+    # more kernel builds than epsilon levels: some were absorptions mid-level
+    assert len(absorbed) > len(set(absorbed))
+    assert (iters, converged) == (r_iters, r_converged)
+    assert np.abs(f - rf).max() <= 1e-10 * max(1.0, np.abs(rf).max())
+    assert np.abs(g - rg).max() <= 1e-10 * max(1.0, np.abs(rg).max())
+
+
+@pytest.mark.parametrize("bad", [1e4, np.nan], ids=["underflow", "nan"])
+def test_sinkhorn_kernel_failure_raises_instead_of_non_finite_potentials(bad):
+    # exp(-1e4 / 1.0) underflows, so the first row's kernel sum is 0 even
+    # after absorption; a NaN cost makes its sum non-finite
+    c = np.zeros((3, 4))
+    c[0] = bad
+    w = np.full(3, 1 / 3)
+    with pytest.raises(SolverError, match="after absorption"):
+        transport._sinkhorn_potentials(c, w, np.full(4, 0.25), 1.0, 100, 1e-9)
 
 
 # ---------------------------------------------------------------------------

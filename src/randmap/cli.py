@@ -45,6 +45,7 @@ from .measures import (
     DiscreteMeasure,
     GridDensity,
     MeasureError,
+    parse_float,
     wasserstein_1d,
     wasserstein_exact,
 )
@@ -106,10 +107,7 @@ def _load_kernel_manifest(path: str) -> KernelFamily:
     base_pts, measures = [], []
     for no, ln in lines[3:]:
         parts = ln.split(",")
-        try:
-            coords = [float(v) for v in parts[:-1]]
-        except ValueError as exc:
-            raise CliError(f"{path}, line {no}: {exc}") from None
+        coords = [parse_float(v, path, no) for v in parts[:-1]]
         mpath = parts[-1]
         if not os.path.isabs(mpath):
             mpath = str(p.parent / mpath)

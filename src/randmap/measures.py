@@ -30,7 +30,7 @@ class MeasureError(ValueError):
     """Invalid measure data or unsupported operation on a measure."""
 
 
-def _parse_float(token: str, path, line: int) -> float:
+def parse_float(token: str, path, line: int) -> float:
     """One input-file token as a float; MeasureError naming the file and line."""
     try:
         return float(token)
@@ -107,7 +107,7 @@ class DiscreteMeasure:
             if len(row) != len(header):
                 raise MeasureError(f"{path}, line {line}: expected {len(header)} values, "
                                    f"got {len(row)}")
-            data.append([_parse_float(v, path, line) for v in row])
+            data.append([parse_float(v, path, line) for v in row])
         data = np.array(data, dtype=float).reshape(-1, len(header))
         return cls(data[:, :-1], data[:, -1])
 
@@ -200,7 +200,7 @@ class GridDensity:
             dim, n = (int(tok) for tok in lines[start][1].split(","))
         except Exception as exc:
             raise MeasureError(f"{path}: expected 'dim,n' metadata line") from exc
-        vals = np.array([_parse_float(ln, path, no) for no, ln in lines[start + 1:]])
+        vals = np.array([parse_float(ln, path, no) for no, ln in lines[start + 1:]])
         if len(vals) != n ** dim:
             raise MeasureError(f"{path}: expected {n ** dim} values, got {len(vals)}")
         return cls(dim, n, vals.reshape((n,) * dim))

@@ -316,9 +316,13 @@ class _StabilisedKernel:
     and the same through K.T for g.
     """
 
-    def __init__(self, c: np.ndarray):
+    def __init__(self, c: np.ndarray, wa: np.ndarray, wb: np.ndarray):
         self.c = c
         self.k = np.empty_like(c)
+        # An entry between a zero-weight row and a zero-weight column always
+        # meets an exact zero scaling, and no update bounds its exponent, so
+        # it is kept at 0 rather than left to overflow to inf (inf * 0 = NaN).
+        self.idle = np.ix_(wa == 0, wb == 0)
 
     def absorb(self, f: np.ndarray, g: np.ndarray, eps: float) -> None:
         """Fold the potentials f, g into K at regularisation eps, in place."""
@@ -328,36 +332,39 @@ class _StabilisedKernel:
             self.k -= self.c
             self.k /= eps
             np.exp(self.k, out=self.k)
+        self.k[self.idle] = 0.0
 
-    def half_step(self, rows: bool, f: np.ndarray, g: np.ndarray,
-                  log_w: np.ndarray) -> np.ndarray:
-        """New f from g (rows) or new g from f.
+    def iterate(self, g: np.ndarray, la: np.ndarray, lb: np.ndarray):
+        """One Sinkhorn iteration, f from g and then g from that f, as (f, g).
 
-        Absorbs and retries once if a kernel sum underflows or is not
-        finite, and absorbs the result once it has moved _ABSORB * eps.
+        K is absorbed after each half-step that leaves a potential more than
+        _ABSORB * eps from the one K holds. None if a kernel sum underflows
+        to 0 or is not finite.
         """
-        new = self._update(rows, f, g, log_w)
-        if new is None:
-            self.absorb(f, g, self.eps)
-            new = self._update(rows, f, g, log_w)
-            if new is None:
-                raise SolverError(f"Sinkhorn kernel sum underflowed or is not finite at "
-                                  f"epsilon {self.eps:g}, even after absorption")
-        moved = new - (self.f_bar if rows else self.g_bar)
-        if np.abs(moved).max() > _ABSORB * self.eps:
-            self.absorb(new if rows else f, g if rows else new, self.eps)
-        return new
+        f = self._half_step(self.k, self.f_bar, g, self.g_bar, lb)
+        if f is None:
+            return None
+        self._absorb_if_moved(f, g)
+        g = self._half_step(self.k.T, self.g_bar, f, self.f_bar, la)
+        if g is None:
+            return None
+        self._absorb_if_moved(f, g)
+        return f, g
 
-    def _update(self, rows: bool, f: np.ndarray, g: np.ndarray, log_w: np.ndarray):
-        if rows:
-            kmat, bar, v = self.k, self.f_bar, (g - self.g_bar) / self.eps + log_w
-        else:
-            kmat, bar, v = self.k.T, self.g_bar, (f - self.f_bar) / self.eps + log_w
+    def _half_step(self, kmat, bar, other, other_bar, log_w):
+        """bar - eps * log(kmat @ exp((other - other_bar)/eps + log_w)), max-shifted."""
+        v = (other - other_bar) / self.eps + log_w
         shift = v.max()
-        s = kmat @ np.exp(v - shift)
+        with np.errstate(invalid="ignore"):
+            s = kmat @ np.exp(v - shift)
         if not np.all((s > 0) & np.isfinite(s)):
             return None
         return bar - self.eps * (np.log(s) + shift)
+
+    def _absorb_if_moved(self, f: np.ndarray, g: np.ndarray) -> None:
+        moved = max(np.abs(f - self.f_bar).max(), np.abs(g - self.g_bar).max())
+        if moved > _ABSORB * self.eps:
+            self.absorb(f, g, self.eps)
 
 
 def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
@@ -371,9 +378,10 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     K = exp((f_bar + g_bar - C)/eps). K is built from the current potentials
     at the start of every epsilon level, and the scalings are absorbed into
     it (K rebuilt from the current potentials) whenever a potential moves
-    more than 30 eps from the one K was built with, or a kernel sum
-    underflows to 0. A sum that still underflows after absorption raises
-    SolverError, so the potentials returned are always finite.
+    more than 30 eps from the one K was built with. When a kernel sum
+    underflows to 0 or is not finite, K is absorbed and the iteration redone;
+    a sum that still fails raises SolverError, so the potentials returned are
+    always finite. Entries between zero-weight atoms on both sides stay 0.
 
     Returns (f, g, converged, err, iterations); the marginal error is the L1
     column violation of the (exactly row-feasible) iterate.
@@ -385,7 +393,7 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
         levels.append(lvl)
         lvl *= 0.5
     levels = sorted(set(levels), reverse=True)
-    kern = _StabilisedKernel(c)
+    kern = _StabilisedKernel(c, wa, wb)
     f = np.zeros(len(wa))
     g = np.zeros(len(wb))
     total_iters = 0
@@ -397,8 +405,14 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
         kern.absorb(f, g, eps)
         it = 0
         while True:
-            f = kern.half_step(True, f, g, lb)
-            g_new = kern.half_step(False, f, g, la)
+            step = kern.iterate(g, la, lb)
+            if step is None:
+                kern.absorb(f, g, eps)
+                step = kern.iterate(g, la, lb)
+                if step is None:
+                    raise SolverError(f"Sinkhorn kernel sum underflowed or is not finite at "
+                                      f"epsilon {eps:g}, even after absorption")
+            f, g_new = step
             with np.errstate(over="ignore", invalid="ignore"):
                 ratio = np.exp((g - g_new) / eps)
             err = float(np.sum(np.abs(wb * np.where(np.isfinite(ratio), ratio, 1.0) - wb)))

@@ -6,7 +6,7 @@ closed-form quantile compositions, and analytic conjugates.
 """
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -236,7 +236,16 @@ def sinkhorn_cases(draw):
     return c, _weights(draw, m), _weights(draw, n), epsilon, draw(st.sampled_from([1e-4, 1e-9]))
 
 
+# Nothing bounds f_1 + g_1 - C_11 between the two zero-weight atoms of this
+# case: it reaches 2, so a kernel entry exp(2 / eps) would overflow at
+# eps = 1/512 and meet an exact zero scaling (inf * 0 = NaN).
+_ZERO_WEIGHT_PAIR = (CostSpec("sqdist").matrix(np.array([[0.0], [1.0]]),
+                                              np.array([[1.0], [2.0]])),
+                     np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1e-3, 1e-9)
+
+
 @given(sinkhorn_cases())
+@example(_ZERO_WEIGHT_PAIR)
 def test_sinkhorn_potentials_match_log_domain_reference(case):
     c, wa, wb, epsilon, tol = case
     f, g, converged, _, iters = transport._sinkhorn_potentials(c, wa, wb, epsilon, 300, tol)

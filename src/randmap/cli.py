@@ -104,9 +104,12 @@ def _load_kernel_manifest(path: str) -> KernelFamily:
     if not interp_line.startswith("interp,"):
         raise CliError(f"{path}: second line must be 'interp,<rule>'")
     interp = interp_line.split(",", 1)[1]
+    fields = len(lines[2][1].split(","))
     base_pts, measures = [], []
     for no, ln in lines[3:]:
         parts = ln.split(",")
+        if len(parts) != fields:
+            raise CliError(f"{path}, line {no}: expected {fields} fields, got {len(parts)}")
         coords = [parse_float(v, path, no) for v in parts[:-1]]
         mpath = parts[-1]
         if not os.path.isabs(mpath):
@@ -146,6 +149,15 @@ def _cost_spec(args) -> CostSpec:
     return CostSpec(kind=args.cost, p=args.p, periodic=args.periodic)
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    """A comma-separated flag value as floats (argparse names the flag on error)."""
+    try:
+        return tuple(float(v) for v in text.split(",")) if text else ()
+    except ValueError:
+        msg = f"expected comma-separated numbers, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -154,8 +166,6 @@ def cmd_wdist(args) -> int:
     a = _load_measure(args.a)
     b = _load_measure(args.b)
     if args.method == "exact":
-        if not isinstance(a, DiscreteMeasure) or not isinstance(b, DiscreteMeasure):
-            raise CliError("--method exact requires discrete measures")
         dist = wasserstein_exact(a, b, p=args.p, periodic=args.periodic)
     else:
         dist = wasserstein_1d(a, b, p=args.p, periodic=args.periodic)
@@ -170,12 +180,8 @@ def cmd_wdist(args) -> int:
 
 
 def cmd_couple(args) -> int:
-    mu = _load_measure(args.mu)
-    nu = _load_measure(args.nu)
-    if isinstance(mu, GridDensity):
-        mu = mu.as_discrete()
-    if isinstance(nu, GridDensity):
-        nu = nu.as_discrete()
+    mu = _load_measure(args.mu).as_discrete()
+    nu = _load_measure(args.nu).as_discrete()
     spec = _cost_spec(args)
     if args.method == "exact":
         plan = solve_exact(mu, nu, spec)
@@ -203,8 +209,7 @@ def cmd_moser(args) -> int:
     rho1 = _load_measure(args.rho1)
     if not isinstance(rho0, GridDensity) or not isinstance(rho1, GridDensity):
         raise CliError("moser requires grid-density inputs")
-    marks = tuple(float(t) for t in args.checkpoints.split(",")) if args.checkpoints else ()
-    flow = moser_map(rho0, rho1, steps=args.steps, checkpoints=marks)
+    flow = moser_map(rho0, rho1, steps=args.steps, checkpoints=args.checkpoints)
     out = _outdir(args)
     flow.map.to_csv(out / "map.csv")
     for t_mark, positions in flow.checkpoints.items():
@@ -225,7 +230,7 @@ def cmd_moser(args) -> int:
         "steps": flow.steps,
     }
     _write_report(out, report)
-    _write_manifest(out, "moser", {"steps": flow.steps, "checkpoints": list(marks)},
+    _write_manifest(out, "moser", {"steps": flow.steps, "checkpoints": list(args.checkpoints)},
                     [args.rho0, args.rho1],
                     {"pushforward_tol": args.tol, "poisson_residual_tol": 1e-8})
     ok = (jac > 0 and flow.field_ref.poisson.residual <= 1e-8
@@ -270,8 +275,7 @@ def cmd_verify(args) -> int:
     family = _build_family(args, kern)
     report = verify_representation(family, n_samples=args.n, tol=args.tol, seed=args.seed)
     out = _outdir(args)
-    with open(out / "report.json", "w") as fh:
-        fh.write(report.to_json())
+    _write_report(out, report.to_dict())
     _write_manifest(out, "verify", {"route": args.route, "n": args.n,
                                     "tol": args.tol, "seed": args.seed},
                     [args.kernel], {"tol": args.tol})
@@ -279,8 +283,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    base = [float(v) for v in args.base.split(",")]
-    chart = ManifoldChart(args.manifold, base, cap=args.cap)
+    chart = ManifoldChart(args.manifold, args.base, cap=args.cap)
     atoms = read_manifold_atoms(args.atoms, args.manifold)
     lifted = log_lift(chart, atoms)
     back = exp_push(chart, lifted)
@@ -294,7 +297,7 @@ def cmd_lift(args) -> int:
     report = {"round_trip_error": rt, "cap": chart.cap, "manifold": args.manifold,
               "n_atoms": atoms.size}
     _write_report(out, report)
-    _write_manifest(out, "lift", {"manifold": args.manifold, "base": base,
+    _write_manifest(out, "lift", {"manifold": args.manifold, "base": list(args.base),
                                   "cap": chart.cap},
                     [args.atoms], {"round_trip_tol": 1e-9})
     return 0 if rt <= 1e-9 else CHECK_FAILED
@@ -302,8 +305,6 @@ def cmd_lift(args) -> int:
 
 def cmd_stability(args) -> int:
     mu = _load_measure(args.mu)
-    if not isinstance(mu, GridDensity):
-        raise CliError("stability requires a grid-density source")
     targets = [_load_measure(p) for p in args.targets.split(",")]
     limit = _load_measure(args.limit)
     spec = CostSpec(kind="sqdist", periodic=args.periodic)
@@ -359,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho0", required=True)
     sp.add_argument("--rho1", required=True)
     sp.add_argument("--steps", type=int, default=None)
-    sp.add_argument("--checkpoints", default="")
+    sp.add_argument("--checkpoints", type=_floats, default="")
     sp.add_argument("--tol", type=float, default=1e-2,
                     help="pushforward W1 tolerance for the pass/fail gate")
     add_out(sp)
@@ -382,7 +383,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("lift", help="exp/log lifting of manifold atoms")
     sp.add_argument("--manifold", choices=["circle", "torus2", "sphere2"], required=True)
-    sp.add_argument("--base", required=True, help="chart base point, comma-separated")
+    sp.add_argument("--base", type=_floats, required=True,
+                    help="chart base point, comma-separated")
     sp.add_argument("--atoms", required=True)
     sp.add_argument("--cap", type=float, default=None)
     add_out(sp)
@@ -439,10 +441,7 @@ def main(argv=None) -> int:
             return USAGE_ERROR
     try:
         return args.func(args)
-    except (CliError, *_ERRORS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (CliError, FileNotFoundError, *_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

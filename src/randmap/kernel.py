@@ -146,13 +146,16 @@ class RandomMapFamily:
         return len(self.maps)
 
 
+def _w1(mu, target, periodic: bool, grid_subdiv: int) -> float:
+    """Exact W1 in 1D, the certified Sinkhorn upper bound in 2D."""
+    if target.dim == 1:
+        return wasserstein_1d(mu, target, p=1, periodic=periodic, grid_subdiv=grid_subdiv)
+    return wasserstein_sinkhorn_upper(mu, target, p=1, periodic=periodic)
+
+
 def _pushforward_error(t_map: TransportMap, reference: GridDensity, target,
                        periodic: bool) -> float:
-    pushed = grid_pushforward(t_map, reference)
-    if target.dim == 1:
-        return wasserstein_1d(pushed, target, p=1, periodic=periodic,
-                              grid_subdiv=4 if isinstance(target, GridDensity) else 1)
-    return wasserstein_sinkhorn_upper(pushed, target, p=1, periodic=periodic)
+    return _w1(grid_pushforward(t_map, reference), target, periodic, grid_subdiv=4)
 
 
 def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,
@@ -255,15 +258,6 @@ def sample_random_map(family: RandomMapFamily, seed: int) -> RandomMap:
     return RandomMap(family, sample.draws, seed)
 
 
-def _empirical_w1(images: np.ndarray, target, periodic: bool) -> float:
-    emp = DiscreteMeasure(images, np.full(len(images), 1.0 / len(images)))
-    if target.dim == 1:
-        subdiv = 8 if isinstance(target, GridDensity) else 1
-        return wasserstein_1d(emp, target, p=1, periodic=periodic,
-                              grid_subdiv=subdiv)
-    return wasserstein_sinkhorn_upper(emp, target, p=1, periodic=periodic)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Per-base-point W1 between the empirical law of f_omega(x_i) and mu_{x_i}."""
@@ -318,7 +312,8 @@ def verify_representation(family: RandomMapFamily, n_samples: int, tol: float,
     w1 = np.empty(family.size)
     for i, t_map in enumerate(family.maps):
         images = t_map.evaluate(sample.draws)
-        w1[i] = _empirical_w1(images, kernel.measures[i], periodic)
+        emp = DiscreteMeasure(images, np.full(len(images), 1.0 / len(images)))
+        w1[i] = _w1(emp, kernel.measures[i], periodic, grid_subdiv=8)
     passed = w1 <= tol
     return VerificationReport(
         route=family.route,

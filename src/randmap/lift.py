@@ -8,14 +8,14 @@ flat-space solvers are reused for.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .geometry import GridSpec, deposit_linear, interp_grid, sphere_xyz, wrap_signed, wrap_unit
-from .measures import DiscreteMeasure, GridDensity, wasserstein_1d, wasserstein_sinkhorn_upper
+from .measures import (DiscreteMeasure, GridDensity, read_atom_rows, wasserstein_1d,
+                       wasserstein_sinkhorn_upper, write_atom_rows)
 
 MANIFOLDS = ("circle", "torus2", "sphere2")
 ROUND_TRIP_TOL = 1e-9
@@ -358,19 +358,13 @@ def write_manifold_atoms(path, manifold: str, mu: DiscreteMeasure) -> None:
     header = _HEADERS[manifold]
     if mu.dim != len(header) - 1:
         raise LiftError(f"{manifold} atoms need {len(header) - 1} coordinates")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for pt, w in zip(mu.points, mu.weights):
-            writer.writerow([repr(float(v)) for v in pt] + [repr(float(w))])
+    write_atom_rows(path, header, mu)
 
 
 def read_manifold_atoms(path, manifold: str) -> DiscreteMeasure:
     if manifold not in _HEADERS:
         raise LiftError(f"unknown manifold {manifold!r}")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or [c.strip() for c in rows[0]] != _HEADERS[manifold]:
+    header, data = read_atom_rows(path)
+    if header != _HEADERS[manifold]:
         raise LiftError(f"{path}: expected header {','.join(_HEADERS[manifold])}")
-    data = np.array([[float(v) for v in r] for r in rows[1:] if r])
     return DiscreteMeasure(data[:, :-1], data[:, -1])

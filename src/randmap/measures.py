@@ -38,6 +38,36 @@ def parse_float(token: str, path, line: int) -> float:
         raise MeasureError(f"{path}, line {line}: {exc}") from None
 
 
+def read_atom_rows(path) -> tuple[list[str], np.ndarray]:
+    """Header and values of an atom CSV, one number per header field in each row.
+
+    MeasureError names the file and line of a bad row; callers check the header.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise MeasureError(f"{path}: empty measure file")
+    header = [c.strip() for c in rows[0]]
+    data = []
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise MeasureError(f"{path}, line {line}: expected {len(header)} values, "
+                               f"got {len(row)}")
+        data.append([parse_float(v, path, line) for v in row])
+    return header, np.array(data, dtype=float).reshape(-1, len(header))
+
+
+def write_atom_rows(path, header: list[str], mu: DiscreteMeasure) -> None:
+    """Write the header, then one row of coordinates and weight per atom."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for p, w in zip(mu.points, mu.weights):
+            writer.writerow([repr(float(v)) for v in p] + [repr(float(w))])
+
+
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Weighted point cloud in R^d, d in {1,2,3}; weights sum to one."""
@@ -84,31 +114,18 @@ class DiscreteMeasure:
         pts = self.points[first]
         return DiscreteMeasure(pts, w / w.sum())
 
+    def as_discrete(self, subdiv: int = 1) -> "DiscreteMeasure":
+        """The measure itself: it is already atomic at every resolution."""
+        return self
+
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(self.dim)] + ["w"])
-            for p, w in zip(self.points, self.weights):
-                writer.writerow([repr(float(v)) for v in p] + [repr(float(w))])
+        write_atom_rows(path, [f"x{i}" for i in range(self.dim)] + ["w"], self)
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteMeasure":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        if not rows:
-            raise MeasureError(f"{path}: empty measure file")
-        header = rows[0]
+        header, data = read_atom_rows(path)
         if header[-1] != "w" or not header[0].startswith("x"):
             raise MeasureError(f"{path}: expected header 'x0[,x1[,x2]],w'")
-        data = []
-        for line, row in enumerate(rows[1:], start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise MeasureError(f"{path}, line {line}: expected {len(header)} values, "
-                                   f"got {len(row)}")
-            data.append([parse_float(v, path, line) for v in row])
-        data = np.array(data, dtype=float).reshape(-1, len(header))
         return cls(data[:, :-1], data[:, -1])
 
 
@@ -164,23 +181,18 @@ class GridDensity:
         return self.values.ravel() / self.n ** self.dim
 
     def as_discrete(self, subdiv: int = 1) -> DiscreteMeasure:
-        """Midpoint quadrature: one atom per (sub)cell carrying the cell mass."""
+        """Midpoint quadrature: one atom per (sub)cell carrying the cell mass.
+
+        (Sub)cells of zero mass get no atom, in every dimension.
+        """
         m = self.n * subdiv
-        if self.dim == 1:
-            x = (np.arange(m) + 0.5) / m
-            cell = np.minimum((x * self.n).astype(int), self.n - 1)
-            w = self.values[cell] / m
-            return DiscreteMeasure(x[:, None], w / w.sum())
         x = (np.arange(m) + 0.5) / m
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        ci = np.minimum((xx * self.n).astype(int), self.n - 1)
-        cj = np.minimum((yy * self.n).astype(int), self.n - 1)
-        w = (self.values[ci, cj] / m ** 2).ravel()
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
+        axes = np.meshgrid(*(x,) * self.dim, indexing="ij")
+        cells = tuple(np.minimum((a * self.n).astype(int), self.n - 1) for a in axes)
+        w = (self.values[cells] / m ** self.dim).ravel()
         keep = w > 0
-        if not np.all(keep):
-            pts, w = pts[keep], w[keep]
-        return DiscreteMeasure(pts, w / w.sum())
+        pts = np.column_stack([a.ravel() for a in axes])[keep]
+        return DiscreteMeasure(pts, w[keep] / w[keep].sum())
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -273,12 +285,6 @@ def p_moment(mu: DiscreteMeasure | GridDensity, p: float, base) -> float:
     return float(np.sum(mu.cell_masses() * d ** p))
 
 
-def _as_map(T):
-    """Accept a TransportMap-like object (with .evaluate) or a plain callable."""
-    ev = getattr(T, "evaluate", None)
-    return ev if callable(ev) else T
-
-
 def pushforward(T, mu: DiscreteMeasure) -> DiscreteMeasure:
     """Image measure T_* mu: atoms move, weights are untouched, images merge.
 
@@ -286,11 +292,10 @@ def pushforward(T, mu: DiscreteMeasure) -> DiscreteMeasure:
     handle one point at a time, and the per-atom call is what lets the error
     name the support point where the map is undefined.
     """
-    f = _as_map(T)
     images = []
     for pt in mu.points:
         try:
-            y = np.asarray(f(pt[None, :]), dtype=float).reshape(-1)
+            y = np.asarray(T(pt[None, :]), dtype=float).reshape(-1)
         except Exception as exc:
             raise MeasureError(f"map undefined at support point {pt.tolist()}: {exc}") from exc
         if not np.all(np.isfinite(y)):
@@ -309,15 +314,14 @@ def grid_pushforward(T, rho: GridDensity, n_particles: int | None = None) -> Gri
     """
     n, dim = rho.n, rho.dim
     if n_particles is None:
-        n_particles = 16 * n if dim == 1 else (4 * n) ** 2
+        n_particles = 16 * n ** dim
     if n_particles < n ** dim:
         raise MeasureError(f"n_particles must be >= n^dim = {n ** dim}")
     subdiv = 1
     while (subdiv * n) ** dim < n_particles:
         subdiv += 1
     atoms = rho.as_discrete(subdiv=subdiv)
-    f = _as_map(T)
-    images = np.atleast_2d(np.asarray(f(atoms.points), dtype=float))
+    images = np.atleast_2d(np.asarray(T(atoms.points), dtype=float))
     hist = deposit_grid(images, atoms.weights, n, dim)
     total = hist.sum()
     if total <= 0:
@@ -329,35 +333,34 @@ def grid_pushforward(T, rho: GridDensity, n_particles: int | None = None) -> Gri
 # one-dimensional Wasserstein distances (quantile coupling)
 # ---------------------------------------------------------------------------
 
-def _atoms_1d(mu: DiscreteMeasure | GridDensity, subdiv: int = 1):
+def _atoms_1d(mu: DiscreteMeasure | GridDensity, subdiv: int, periodic: bool):
+    """Atom positions (wrapped to [0, 1) on the circle) in sorted order, with weights."""
     if mu.dim != 1:
         raise MeasureError("wasserstein_1d requires one-dimensional measures")
-    dm = mu.as_discrete(subdiv=subdiv) if isinstance(mu, GridDensity) else mu
-    x, w = dm.points[:, 0], dm.weights
+    dm = mu.as_discrete(subdiv=subdiv)
+    x = wrap_unit(dm.points[:, 0]) if periodic else dm.points[:, 0]
     order = np.argsort(x, kind="stable")
-    return x[order], w[order]
+    return x[order], dm.weights[order]
 
 
-def _quantile_cost(xu, wu, xv, wv, p: float) -> float:
-    """Exact quantile-coupling cost sum over merged cumulative-weight segments."""
-    cu = np.cumsum(wu)
-    cv = np.cumsum(wv)
-    levels = np.union1d(cu[:-1], cv[:-1])
-    levels = np.concatenate([levels, [min(cu[-1], cv[-1])]])
-    lower = np.concatenate([[0.0], levels[:-1]])
-    seg = np.maximum(levels - lower, 0.0)
-    iu = np.searchsorted(cu, lower, side="right")
-    iv = np.searchsorted(cv, lower, side="right")
-    iu = np.minimum(iu, len(xu) - 1)
-    iv = np.minimum(iv, len(xv) - 1)
-    diff = np.abs(xu[iu] - xv[iv])
-    return float(np.sum(seg * diff ** p))
+def _quantile_cost(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
+    """Cost of pairing level t of mu with level t - theta of nu (atoms sorted).
+
+    nu's quantile is unrolled by Q(s + 1) = Q(s) + 1 for the circle; at
+    theta = 0 this is the exact quantile coupling on the line.
+    """
+    cu, cv = np.cumsum(wu), np.cumsum(wv)
+    # level segments between the breaks of both step quantiles
+    t = np.sort(np.concatenate([[0.0, 1.0], cu[:-1], wrap_unit(cv + theta)]))
+    mid = 0.5 * (t[:-1] + t[1:])
+    k = np.floor(mid - theta)
+    qu = xu[np.minimum(np.searchsorted(cu, mid, side="right"), len(xu) - 1)]
+    qv = xv[np.minimum(np.searchsorted(cv, mid - theta - k, side="right"), len(xv) - 1)] + k
+    return float(np.sum(np.diff(t) * np.abs(qu - qv) ** p))
 
 
 def _circle_w1(xu, wu, xv, wv) -> float:
-    """Exact W1 on the circle: min_t integral |F_mu - F_nu - t| dx over [0,1)."""
-    xu = wrap_unit(xu)
-    xv = wrap_unit(xv)
+    """Exact W1 on the circle (atoms in [0, 1)): min_t integral |F_mu - F_nu - t| dx."""
     z = np.union1d(xu, xv)
     cu = np.zeros(len(z))
     cv = np.zeros(len(z))
@@ -374,38 +377,50 @@ def _circle_w1(xu, wu, xv, wv) -> float:
     return float(np.sum(seg * np.abs(d - t_star)))
 
 
-def _circle_cut_cost(xu, wu, xv, wv, p: float) -> float:
-    """Min over support-point cuts of the line quantile cost (general p on S^1)."""
-    cuts = np.union1d(wrap_unit(xu), wrap_unit(xv))
-    best = np.inf
-    for c in cuts:
-        su = wrap_unit(xu - c)
-        sv = wrap_unit(xv - c)
-        ou = np.argsort(su, kind="stable")
-        ov = np.argsort(sv, kind="stable")
-        cost = _quantile_cost(su[ou], wu[ou], sv[ov], wv[ov], p)
-        best = min(best, cost)
-    return best
+def golden_section_argmin(f, lo: float, hi: float) -> float:
+    """Minimiser of a convex function on [lo, hi] by 80 golden-section steps.
+
+    Rounding noise in f can misplace the result only where f is that flat.
+    """
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - invphi * (hi - lo)
+    x2 = lo + invphi * (hi - lo)
+    f1 = f(x1)
+    f2 = f(x2)
+    for _ in range(80):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    return 0.5 * (lo + hi)
 
 
 def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
                    grid_subdiv: int = 1) -> float:
     """Exact order-p Wasserstein distance between 1D measures.
 
-    On the line this is the quantile-function coupling; on the circle the
-    optimal cut is found exactly (weighted-median formula for p=1, cut
-    search over support points otherwise). Grid densities enter through
-    midpoint quadrature at subcell resolution `grid_subdiv`.
+    On the line this is the quantile-function coupling. On the circle it is
+    the quantile coupling rotated by the best level shift theta: level t of
+    mu goes with level t - theta of nu (Delon, Salomon & Sobolevski 2010).
+    For p=1 the weighted-median formula gives it. Otherwise the cost is
+    convex in theta, and a golden-section search finds its minimum in
+    (-1.5, 1.5): at the optimum no displacement exceeds 1/2. Grid densities
+    enter through midpoint quadrature at subcell resolution `grid_subdiv`.
     """
     if p < 1:
         raise MeasureError("order p must be >= 1")
-    xu, wu = _atoms_1d(mu, grid_subdiv)
-    xv, wv = _atoms_1d(nu, grid_subdiv)
-    if periodic:
-        if p == 1.0:
-            return _circle_w1(xu, wu, xv, wv)
-        return _circle_cut_cost(xu, wu, xv, wv, p) ** (1.0 / p)
-    return _quantile_cost(xu, wu, xv, wv, p) ** (1.0 / p)
+    xu, wu = _atoms_1d(mu, grid_subdiv, periodic)
+    xv, wv = _atoms_1d(nu, grid_subdiv, periodic)
+    if not periodic:
+        return _quantile_cost(xu, wu, xv, wv, p) ** (1.0 / p)
+    if p == 1.0:
+        return _circle_w1(xu, wu, xv, wv)
+    theta = golden_section_argmin(lambda th: _quantile_cost(xu, wu, xv, wv, p, th), -1.5, 1.5)
+    return _quantile_cost(xu, wu, xv, wv, p, theta) ** (1.0 / p)
 
 
 def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0,
@@ -430,9 +445,8 @@ def wasserstein_sinkhorn_upper(mu, nu, p: float = 1.0, periodic: bool = False,
     """
     from . import transport
 
-    a = mu.as_discrete() if isinstance(mu, GridDensity) else mu
-    b = nu.as_discrete() if isinstance(nu, GridDensity) else nu
-    plan = transport.solve_sinkhorn(a, b, CostSpec("dist_p", p=p, periodic=periodic),
+    plan = transport.solve_sinkhorn(mu.as_discrete(), nu.as_discrete(),
+                                    CostSpec("dist_p", p=p, periodic=periodic),
                                     epsilon=epsilon, max_iter=max_iter, tol=tol,
                                     warm_iters=8)
     return float(max(plan.cost, 0.0) ** (1.0 / p))

@@ -33,8 +33,6 @@ class MoserError(ValueError):
 def _wavenumbers(shape: tuple[int, ...]) -> list[np.ndarray]:
     """Integer Fourier mode grids for each axis of a unit-torus field."""
     axes = [np.fft.fftfreq(n, d=1.0 / n) for n in shape]
-    if len(shape) == 1:
-        return [axes[0]]
     return list(np.meshgrid(*axes, indexing="ij"))
 
 
@@ -149,8 +147,8 @@ class FlowMap:
         if np.any(img < 0.0) or np.any(img >= 1.0):
             raise MoserError("flow images must be wrapped to [0,1)^dim")
 
-    def evaluate(self, x) -> np.ndarray:
-        return self.map.evaluate(x)
+    def __call__(self, x) -> np.ndarray:
+        return self.map(x)
 
 
 def integrate_flow(fld: MoserField, x0: np.ndarray, t0: float, t1: float,
@@ -194,11 +192,7 @@ def moser_map(rho0: GridDensity, rho1: GridDensity, steps: int | None = None,
         steps = 4 * n
     if steps < MIN_STEPS:
         raise MoserError(f"step count {steps} below minimum {MIN_STEPS}")
-    source = rho0.values - rho1.values
-    if np.abs(source).max() == 0.0:
-        fld = MoserField(rho0, rho1, PoissonSolution(np.zeros_like(source), 0.0))
-    else:
-        fld = MoserField(rho0, rho1, solve_poisson_periodic(source))
+    fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
     grid = fld.grid
     nodes = grid.nodes()
     marks = {}
@@ -235,16 +229,12 @@ def jacobian_min(flow: FlowMap | TransportMap) -> float:
     h = 1.0 / n
     shape = (n,) * dim
     comps = [tmap.images[:, a].reshape(shape) for a in range(dim)]
-    if dim == 1:
-        f = comps[0]
-        d = wrap_signed(np.roll(f, -1) - np.roll(f, 1)) / (2 * h)
-        return float(d.min())
     j = np.empty((dim, dim) + shape)
     for a in range(dim):
         for b in range(dim):
             rolled = wrap_signed(np.roll(comps[a], -1, axis=b) - np.roll(comps[a], 1, axis=b))
             j[a, b] = rolled / (2 * h)
-    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    det = j[0, 0] if dim == 1 else j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
     return float(det.min())
 
 

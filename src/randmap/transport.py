@@ -14,7 +14,8 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .geometry import CostSpec, GridSpec, interp_grid, wrap_signed, wrap_unit
-from .measures import EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError
+from .measures import (EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError,
+                       golden_section_argmin)
 
 MARGINAL_TOL = 1e-9
 DUAL_TOL = 1e-9
@@ -550,27 +551,12 @@ def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
     q = _grid_cdf_at_nodes(mu)
     if not periodic:
         images = _quantile_of(nu, q)[:, None]
-        gspec = GridSpec(dim=1, n=mu.n, bounds=((0.0, 1.0),), periodic=False)
+        gspec = GridSpec(1, mu.n, periodic=False)
         psi = _integrate_potential(images - nodes, gspec) if isinstance(nu, GridDensity) else None
         return TransportMap(nodes, images, psi=psi, route="monotone", grid=gspec)
     # circle: minimize the convex shift cost over s in [-1, 1]
     levels = (np.arange(8 * mu.n) + 0.5) / (8 * mu.n)
-    lo, hi = -1.0, 1.0
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1 = _circle_shift_cost(mu, nu, x1, levels)
-    f2 = _circle_shift_cost(mu, nu, x2, levels)
-    for _ in range(80):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = _circle_shift_cost(mu, nu, x1, levels)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = _circle_shift_cost(mu, nu, x2, levels)
-    s_star = 0.5 * (lo + hi)
+    s_star = golden_section_argmin(lambda s: _circle_shift_cost(mu, nu, s, levels), -1.0, 1.0)
     images = wrap_unit(_unrolled_quantile(nu, q - s_star))
     return TransportMap(nodes, images[:, None], route="monotone", grid=mu.grid)
 
@@ -578,12 +564,6 @@ def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
 # ---------------------------------------------------------------------------
 # Brenier maps from entropic dual potentials
 # ---------------------------------------------------------------------------
-
-def _box_atoms(mu) -> DiscreteMeasure:
-    if isinstance(mu, GridDensity):
-        return mu.as_discrete()
-    return mu
-
 
 def _integrate_potential(disp: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Trapezoid path integration of a displacement field (axis 0, then 1)."""
@@ -613,7 +593,7 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     if reg_epsilon <= 0:
         raise SolverError("reg_epsilon must be > 0")
     src = mu.as_discrete()
-    tgt = _box_atoms(nu)
+    tgt = nu.as_discrete()
     cost = CostSpec("sqdist", periodic=False)
     c = 0.5 * cost.matrix(src.points, tgt.points)
     _, g, converged, err, iters = _sinkhorn_potentials(c, src.weights, tgt.weights,
@@ -633,7 +613,7 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
         images[i0:i0 + block] = w @ y
-    gspec = GridSpec(dim=mu.dim, n=mu.n, bounds=((0.0, 1.0),) * mu.dim, periodic=False)
+    gspec = GridSpec(mu.dim, mu.n, periodic=False)
     psi = _integrate_potential(images - nodes, gspec)
     return TransportMap(nodes, images, psi=psi, route="brenier", grid=gspec)
 

@@ -227,6 +227,49 @@ def test_malformed_atom_value_is_usage_error(workspace, capsys):
     assert "bad_atoms.csv, line 3" in err and "half" in err
 
 
+def _bad_lift_atoms(workspace, text):
+    (workspace / "bad_circle.csv").write_text(text)
+    return ["lift", "--manifold", "circle", "--base", "0.0",
+            "--atoms", str(workspace / "bad_circle.csv"), "--out", str(workspace / "lbad")]
+
+
+def _ragged_manifest(workspace):
+    text = (workspace / "kernel.txt").read_text().replace("0.25,meas_002", "meas_002")
+    (workspace / "ragged_kernel.txt").write_text(text)
+    return ["represent", "--kernel", str(workspace / "ragged_kernel.txt"),
+            "--out", str(workspace / "rbad")]
+
+
+BAD_INPUTS = {
+    "lift-atom-value": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2,abc\n"),
+                        ["bad_circle.csv, line 3", "abc"]),
+    "lift-atom-row": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2\n"),
+                      ["bad_circle.csv, line 3", "expected 2 values"]),
+    "lift-base": (lambda ws: ["lift", "--manifold", "circle", "--base", "x",
+                              "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "lb")],
+                  ["--base", "'x'"]),
+    "moser-checkpoints": (lambda ws: ["moser", "--rho0", str(ws / "uniform.csv"),
+                                      "--rho1", str(ws / "bump.csv"), "--checkpoints", "x",
+                                      "--out", str(ws / "mc")],
+                          ["--checkpoints", "'x'"]),
+    "manifest-row": (_ragged_manifest, ["ragged_kernel.txt, line 6", "expected 2 fields"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_usage_error(workspace, capsys, case):
+    make_argv, needles = BAD_INPUTS[case]
+    try:
+        rc = main(make_argv(workspace))
+    except SystemExit as exc:  # argparse rejects a bad flag value itself
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
 def test_invalid_threads_env(workspace, monkeypatch, capsys):
     monkeypatch.setenv("RANDMAP_THREADS", "zero")
     rc = main(["wdist", "--a", str(workspace / "uniform.csv"),

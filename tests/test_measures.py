@@ -6,6 +6,8 @@ weights), and seeded Monte Carlo for the empirical-measure bound.
 """
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from randmap.geometry import CostSpec, wrap_unit
@@ -245,6 +247,33 @@ def test_w1d_circle_vs_assignment_oracle():
         assert got == pytest.approx(want, abs=1e-10)
 
 
+def test_w1d_circle_p2_searches_every_level_shift():
+    # the best coupling cuts neither measure at a support point: a cut search
+    # over support points gives sqrt(0.072)
+    a = DiscreteMeasure(np.array([[0.1], [0.5], [0.6]]), np.array([0.4, 0.4, 0.2]))
+    b = DiscreteMeasure(np.array([[0.0], [0.1], [0.7]]), np.array([0.6, 0.1, 0.3]))
+    got = wasserstein_1d(a, b, p=2, periodic=True)
+    assert got == pytest.approx(np.sqrt(0.064), abs=1e-12)
+    assert got == pytest.approx(wasserstein_exact(a, b, p=2, periodic=True), abs=1e-12)
+
+
+@st.composite
+def atom_measures(draw):
+    """A 1D measure of 1-6 atoms anywhere in [-1, 2] with real-valued weights."""
+    k = draw(st.integers(1, 6))
+    x = draw(st.lists(st.floats(-1.0, 2.0), min_size=k, max_size=k))
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+    return DiscreteMeasure(np.array(x)[:, None], w / w.sum())
+
+
+@given(atom_measures(), atom_measures(), st.sampled_from([1.0, 2.0, 3.0]), st.booleans())
+def test_w1d_matches_exact_lp(a, b, p, periodic):
+    got = wasserstein_1d(a, b, p=p, periodic=periodic) ** p
+    want = wasserstein_exact(a, b, p=p, periodic=periodic) ** p
+    # the LP is certified to 1e-9 (dual feasibility and slackness)
+    assert got == pytest.approx(want, abs=1e-9)
+
+
 def test_w1d_rejects_2d():
     m = DiscreteMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
     with pytest.raises(MeasureError):
@@ -348,6 +377,25 @@ def test_empirical_monte_carlo_bound():
     emp = empirical_measure(sample)
     dist = wasserstein_1d(emp, g, p=1, grid_subdiv=8)
     assert dist <= 2.0 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_as_discrete_gives_empty_cells_no_atom(dim):
+    vals = np.ones((8,) * dim)
+    vals[(3,) * dim] = 0.0
+    g = GridDensity(dim, 8, vals / vals.mean())
+    for subdiv in (1, 2):
+        atoms = g.as_discrete(subdiv)
+        assert atoms.size == (8 ** dim - 1) * subdiv ** dim
+        cells = np.floor(atoms.points * 8).astype(int)
+        assert not np.any(np.all(cells == 3, axis=1))
+        assert atoms.weights.min() > 0
+
+
+def test_discrete_measure_is_its_own_discretisation():
+    m = DiscreteMeasure(np.array([[0.1], [0.7]]), np.array([0.25, 0.75]))
+    assert m.as_discrete() is m
+    assert m.as_discrete(subdiv=4) is m
 
 
 # ---------------------------------------------------------------------------

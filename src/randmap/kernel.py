@@ -24,7 +24,7 @@ from .measures import (
     wasserstein_sinkhorn_upper,
 )
 from .moser import MIN_DENSITY, moser_map
-from .transport import TransportMap, brenier_map, monotone_map_1d
+from .transport import BRENIER_EPSILON, TransportMap, brenier_map, monotone_map_1d
 
 BASE_SPACES = ("circle", "torus2", "interval", "sphere2-chart")
 INTERP_RULES = ("nearest", "none")
@@ -183,16 +183,14 @@ def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,
     return RandomMapFamily(reference, tuple(maps), route, kernel, tol, tuple(errs))
 
 
-def build_measurable_representation(kernel: KernelFamily, reference: GridDensity,
-                                    p: float = 2.0) -> RandomMapFamily:
+def build_measurable_representation(kernel: KernelFamily,
+                                    reference: GridDensity) -> RandomMapFamily:
     """Representation by per-base-point optimal maps from the reference.
 
     The reference must be absolutely continuous (a grid density) so each
     Monge problem has a deterministic solution: 1D targets get the monotone
     rearrangement, 2D targets the entropic Brenier map on the box chart.
     """
-    if p < 1:
-        raise KernelError("moment order p must be >= 1")
     if not isinstance(reference, GridDensity):
         raise KernelError("measurable route needs an absolutely continuous "
                           "(grid density) reference measure")
@@ -202,7 +200,7 @@ def build_measurable_representation(kernel: KernelFamily, reference: GridDensity
     if reference.dim == 1:
         build_map = partial(monotone_map_1d, reference, periodic=periodic)
     else:
-        build_map = partial(brenier_map, reference, reg_epsilon=1e-3)
+        build_map = partial(brenier_map, reference, reg_epsilon=BRENIER_EPSILON)
     return _validated_family("measurable", kernel, reference, build_map, periodic,
                              validate=True)
 

@@ -304,23 +304,16 @@ def pushforward(T, mu: DiscreteMeasure) -> DiscreteMeasure:
     return DiscreteMeasure(np.vstack(images), mu.weights).merged()
 
 
-def grid_pushforward(T, rho: GridDensity, n_particles: int | None = None) -> GridDensity:
+def grid_pushforward(T, rho: GridDensity) -> GridDensity:
     """Particle estimate of T_* rho on rho's own grid.
 
-    Particles are seeded at subcell centers (exact quadrature of the
-    piecewise-constant density), transported through the map's node
-    interpolation, and deposited back by nearest-cell binning (`deposit_grid`),
-    which keeps whole-cell shifts exact.
+    Sixteen particles per cell are seeded at subcell centers (exact
+    quadrature of the piecewise-constant density), transported through the
+    map's node interpolation, and deposited back by nearest-cell binning
+    (`deposit_grid`), which keeps whole-cell shifts exact.
     """
     n, dim = rho.n, rho.dim
-    if n_particles is None:
-        n_particles = 16 * n ** dim
-    if n_particles < n ** dim:
-        raise MeasureError(f"n_particles must be >= n^dim = {n ** dim}")
-    subdiv = 1
-    while (subdiv * n) ** dim < n_particles:
-        subdiv += 1
-    atoms = rho.as_discrete(subdiv=subdiv)
+    atoms = rho.as_discrete(subdiv=16 if dim == 1 else 4)
     images = np.atleast_2d(np.asarray(T(atoms.points), dtype=float))
     hist = deposit_grid(images, atoms.weights, n, dim)
     total = hist.sum()
@@ -333,7 +326,7 @@ def grid_pushforward(T, rho: GridDensity, n_particles: int | None = None) -> Gri
 # one-dimensional Wasserstein distances (quantile coupling)
 # ---------------------------------------------------------------------------
 
-def _atoms_1d(mu: DiscreteMeasure | GridDensity, subdiv: int, periodic: bool):
+def atoms_1d(mu: DiscreteMeasure | GridDensity, subdiv: int, periodic: bool):
     """Atom positions (wrapped to [0, 1) on the circle) in sorted order, with weights."""
     if mu.dim != 1:
         raise MeasureError("wasserstein_1d requires one-dimensional measures")
@@ -341,6 +334,15 @@ def _atoms_1d(mu: DiscreteMeasure | GridDensity, subdiv: int, periodic: bool):
     x = wrap_unit(dm.points[:, 0]) if periodic else dm.points[:, 0]
     order = np.argsort(x, kind="stable")
     return x[order], dm.weights[order]
+
+
+def step_quantile(x: np.ndarray, cum: np.ndarray, q) -> np.ndarray:
+    """Quantile of sorted atoms x with cumulative weights cum at levels q in [0, 1].
+
+    Level q goes to the first atom whose cumulative weight reaches q; levels
+    above a total rounded below 1 go to the last atom.
+    """
+    return x[np.minimum(np.searchsorted(cum, q), len(x) - 1)]
 
 
 def _quantile_cost(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
@@ -354,8 +356,8 @@ def _quantile_cost(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
     t = np.sort(np.concatenate([[0.0, 1.0], cu[:-1], wrap_unit(cv + theta)]))
     mid = 0.5 * (t[:-1] + t[1:])
     k = np.floor(mid - theta)
-    qu = xu[np.minimum(np.searchsorted(cu, mid, side="right"), len(xu) - 1)]
-    qv = xv[np.minimum(np.searchsorted(cv, mid - theta - k, side="right"), len(xv) - 1)] + k
+    qu = step_quantile(xu, cu, mid)
+    qv = step_quantile(xv, cv, mid - theta - k) + k
     return float(np.sum(np.diff(t) * np.abs(qu - qv) ** p))
 
 
@@ -377,7 +379,7 @@ def _circle_w1(xu, wu, xv, wv) -> float:
     return float(np.sum(seg * np.abs(d - t_star)))
 
 
-def golden_section_argmin(f, lo: float, hi: float) -> float:
+def _golden_section_argmin(f, lo: float, hi: float) -> float:
     """Minimiser of a convex function on [lo, hi] by 80 golden-section steps.
 
     Rounding noise in f can misplace the result only where f is that flat.
@@ -399,27 +401,36 @@ def golden_section_argmin(f, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def circle_rotation(xu, wu, xv, wv, p: float) -> float:
+    """Level shift theta of the optimal order-p circle coupling (atoms from atoms_1d).
+
+    Level t of mu goes with level t - theta of nu, nu's quantile unrolled by
+    Q(s + 1) = Q(s) + 1 (Delon, Salomon & Sobolevski 2010). The cost is
+    convex in theta, and at the optimum no displacement exceeds 1/2, so a
+    golden-section search over (-1.5, 1.5) finds it.
+    """
+    return _golden_section_argmin(lambda th: _quantile_cost(xu, wu, xv, wv, p, th), -1.5, 1.5)
+
+
 def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
                    grid_subdiv: int = 1) -> float:
     """Exact order-p Wasserstein distance between 1D measures.
 
     On the line this is the quantile-function coupling. On the circle it is
-    the quantile coupling rotated by the best level shift theta: level t of
-    mu goes with level t - theta of nu (Delon, Salomon & Sobolevski 2010).
-    For p=1 the weighted-median formula gives it. Otherwise the cost is
-    convex in theta, and a golden-section search finds its minimum in
-    (-1.5, 1.5): at the optimum no displacement exceeds 1/2. Grid densities
-    enter through midpoint quadrature at subcell resolution `grid_subdiv`.
+    the quantile coupling rotated by the best level shift: the weighted-median
+    formula for p=1, `circle_rotation` otherwise (the one rotation search,
+    shared with `transport.monotone_map_1d`). Grid densities enter through
+    midpoint quadrature at subcell resolution `grid_subdiv`.
     """
     if p < 1:
         raise MeasureError("order p must be >= 1")
-    xu, wu = _atoms_1d(mu, grid_subdiv, periodic)
-    xv, wv = _atoms_1d(nu, grid_subdiv, periodic)
+    xu, wu = atoms_1d(mu, grid_subdiv, periodic)
+    xv, wv = atoms_1d(nu, grid_subdiv, periodic)
     if not periodic:
         return _quantile_cost(xu, wu, xv, wv, p) ** (1.0 / p)
     if p == 1.0:
         return _circle_w1(xu, wu, xv, wv)
-    theta = golden_section_argmin(lambda th: _quantile_cost(xu, wu, xv, wv, p, th), -1.5, 1.5)
+    theta = circle_rotation(xu, wu, xv, wv, p)
     return _quantile_cost(xu, wu, xv, wv, p, theta) ** (1.0 / p)
 
 

@@ -15,11 +15,13 @@ from scipy.optimize import linprog
 
 from .geometry import CostSpec, GridSpec, interp_grid, wrap_signed, wrap_unit
 from .measures import (EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError,
-                       golden_section_argmin)
+                       atoms_1d, circle_rotation, step_quantile)
 
 MARGINAL_TOL = 1e-9
 DUAL_TOL = 1e-9
 CM_SLACK_FACTOR = 1e-6
+# entropic regularisation of every Brenier map the library builds itself
+BRENIER_EPSILON = 1e-3
 
 
 class SolverError(RuntimeError):
@@ -505,33 +507,13 @@ def _grid_quantile(rho: GridDensity, q: np.ndarray) -> np.ndarray:
     return (idx + np.clip(frac, 0.0, 1.0)) / n
 
 
-def _discrete_quantile(points: np.ndarray, weights: np.ndarray, q: np.ndarray) -> np.ndarray:
-    order = np.argsort(points, kind="stable")
-    x = points[order]
-    cum = np.cumsum(weights[order])
-    cum[-1] = max(cum[-1], 1.0)
-    idx = np.clip(np.searchsorted(cum, np.clip(q, 0.0, 1.0), side="left"), 0, len(x) - 1)
-    return x[idx]
-
-
-def _quantile_of(nu, q: np.ndarray) -> np.ndarray:
-    if nu.dim != 1:
-        raise MapError("monotone maps require 1D measures")
+def _quantile_of(nu, q: np.ndarray, periodic: bool) -> np.ndarray:
+    """Quantile of a 1D target at levels q in [0, 1]: piecewise linear for a grid
+    density, the step quantile of its atoms (wrapped on the circle) otherwise."""
     if isinstance(nu, GridDensity):
         return _grid_quantile(nu, q)
-    return _discrete_quantile(nu.points[:, 0], nu.weights, q)
-
-
-def _unrolled_quantile(nu, t: np.ndarray) -> np.ndarray:
-    """Quantile extended by Q(t + k) = Q(t) + k for the circle."""
-    k = np.floor(t)
-    return _quantile_of(nu, t - k) + k
-
-
-def _circle_shift_cost(mu: GridDensity, nu, s: float, levels: np.ndarray) -> float:
-    qm = _quantile_of(mu, levels)
-    qn = _unrolled_quantile(nu, levels - s)
-    return float(np.mean((qm - qn) ** 2))
+    x, w = atoms_1d(nu, 1, periodic)
+    return step_quantile(x, np.cumsum(w), q)
 
 
 def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
@@ -539,25 +521,24 @@ def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
 
     The source must be absolutely continuous (a grid density): an atomic
     source generally admits no deterministic coupling (Dirac counterexample).
-    On the circle the optimal rotation of quantile levels is located by
-    golden-section search on the convex shift cost.
+    On the circle, level t of mu goes with level t - theta of nu, with theta
+    from `measures.circle_rotation` (the one rotation search, shared with
+    `wasserstein_1d`) at p = 2, on atoms at 8 subcells per grid cell.
     """
     if not isinstance(mu, GridDensity):
         raise MapError("monotone map requires an absolutely continuous (grid) source; "
                        "atomic sources admit no deterministic coupling in general")
-    if mu.dim != 1:
+    if mu.dim != 1 or nu.dim != 1:
         raise MapError("monotone_map_1d requires one-dimensional measures")
     nodes = mu.nodes()
     q = _grid_cdf_at_nodes(mu)
     if not periodic:
-        images = _quantile_of(nu, q)[:, None]
+        images = _quantile_of(nu, q, periodic)[:, None]
         gspec = GridSpec(1, mu.n, periodic=False)
         psi = _integrate_potential(images - nodes, gspec) if isinstance(nu, GridDensity) else None
         return TransportMap(nodes, images, psi=psi, route="monotone", grid=gspec)
-    # circle: minimize the convex shift cost over s in [-1, 1]
-    levels = (np.arange(8 * mu.n) + 0.5) / (8 * mu.n)
-    s_star = golden_section_argmin(lambda s: _circle_shift_cost(mu, nu, s, levels), -1.0, 1.0)
-    images = wrap_unit(_unrolled_quantile(nu, q - s_star))
+    theta = circle_rotation(*atoms_1d(mu, 8, True), *atoms_1d(nu, 8, True), p=2.0)
+    images = wrap_unit(_quantile_of(nu, wrap_unit(q - theta), periodic))
     return TransportMap(nodes, images[:, None], route="monotone", grid=mu.grid)
 
 
@@ -708,10 +689,10 @@ def invert_map(s_map: TransportMap, target_grid: GridSpec) -> TransportMap:
 # stability experiment and monotonicity check
 # ---------------------------------------------------------------------------
 
-def _monge_map(mu: GridDensity, nu, cost: CostSpec, reg_epsilon: float = 1e-3) -> TransportMap:
+def _monge_map(mu: GridDensity, nu, cost: CostSpec) -> TransportMap:
     if mu.dim == 1:
         return monotone_map_1d(mu, nu, periodic=cost.periodic)
-    return brenier_map(mu, nu, reg_epsilon)
+    return brenier_map(mu, nu, BRENIER_EPSILON)
 
 
 def stability_experiment(mu: GridDensity, nu_seq, nu_limit, eps: float,

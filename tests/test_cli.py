@@ -8,6 +8,7 @@ import pytest
 from randmap.cli import main
 from randmap.measures import DiscreteMeasure, GridDensity
 from randmap.lift import write_manifold_atoms
+from randmap.moser import MIN_DENSITY
 
 
 @pytest.fixture()
@@ -233,14 +234,36 @@ def _bad_lift_atoms(workspace, text):
             "--atoms", str(workspace / "bad_circle.csv"), "--out", str(workspace / "lbad")]
 
 
-def _ragged_manifest(workspace):
-    text = (workspace / "kernel.txt").read_text().replace("0.25,meas_002", "meas_002")
-    (workspace / "ragged_kernel.txt").write_text(text)
-    return ["represent", "--kernel", str(workspace / "ragged_kernel.txt"),
-            "--out", str(workspace / "rbad")]
+def _edited_manifest(workspace, name, row):
+    """The workspace manifest, with the row of base point 0.25 replaced by `row`."""
+    text = (workspace / "kernel.txt").read_text().replace("0.25,meas_002", row)
+    (workspace / name).write_text(text)
+    return ["represent", "--kernel", str(workspace / name), "--out", str(workspace / "rbad")]
+
+
+def _bad_wdist_input(workspace, name, text):
+    (workspace / name).write_text(text)
+    return ["wdist", "--a", str(workspace / name), "--b", str(workspace / name),
+            "--out", str(workspace / "wbad")]
+
+
+def _density_with_value(workspace, token):
+    lines = (workspace / "uniform.csv").read_text().splitlines()
+    lines[4] = token
+    return _bad_wdist_input(workspace, "bad_density.csv", "\n".join(lines) + "\n")
 
 
 BAD_INPUTS = {
+    "wdist-nan-density": (lambda ws: _density_with_value(ws, "nan"), ["must be finite"]),
+    "wdist-inf-atom": (lambda ws: _bad_wdist_input(ws, "inf_atoms.csv",
+                                                   "x0,w\n0.2,0.5\ninf,0.5\n"),
+                       ["must be finite"]),
+    "wdist-empty-file": (lambda ws: _bad_wdist_input(ws, "empty.csv", ""),
+                         ["empty.csv: empty measure file"]),
+    "wdist-n12": (lambda ws: _bad_wdist_input(ws, "n12.csv", "dim,n\n1,12\n" + "1.0\n" * 12),
+                  ["power of two", "got 12"]),
+    "duplicate-base-points": (lambda ws: _edited_manifest(ws, "dup_kernel.txt", "0.125,meas_002"),
+                              ["base points must be distinct"]),
     "lift-atom-value": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2,abc\n"),
                         ["bad_circle.csv, line 3", "abc"]),
     "lift-atom-row": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2\n"),
@@ -252,7 +275,8 @@ BAD_INPUTS = {
                                       "--rho1", str(ws / "bump.csv"), "--checkpoints", "x",
                                       "--out", str(ws / "mc")],
                           ["--checkpoints", "'x'"]),
-    "manifest-row": (_ragged_manifest, ["ragged_kernel.txt, line 6", "expected 2 fields"]),
+    "manifest-row": (lambda ws: _edited_manifest(ws, "ragged_kernel.txt", "meas_002"),
+                     ["ragged_kernel.txt, line 6", "expected 2 fields"]),
 }
 
 
@@ -268,6 +292,17 @@ def test_bad_input_is_usage_error(workspace, capsys, case):
     assert "Traceback" not in err
     for needle in needles:
         assert needle in err
+
+
+def test_represent_accepts_density_at_positivity_floor(workspace):
+    vals = np.ones(64)
+    vals[0], vals[1] = MIN_DENSITY, 2.0 - MIN_DENSITY
+    floor = GridDensity(1, 64, vals)
+    assert floor.min_value == MIN_DENSITY
+    floor.to_csv(workspace / "meas_002.csv")
+    rc = main(["represent", "--kernel", str(workspace / "kernel.txt"),
+               "--route", "continuous", "--out", str(workspace / "rfloor")])
+    assert rc == 0
 
 
 def test_invalid_threads_env(workspace, monkeypatch, capsys):

@@ -123,8 +123,6 @@ def test_measurable_rejects_atomic_reference():
     kern = identity_kernel()
     with pytest.raises(KernelError, match="absolutely continuous"):
         build_measurable_representation(kern, DiscreteMeasure.dirac([0.0]))
-    with pytest.raises(KernelError, match="p must be"):
-        build_measurable_representation(kern, GridDensity.uniform(1, 32), p=0.5)
 
 
 def test_route_consistency():

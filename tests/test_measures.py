@@ -186,12 +186,6 @@ def test_grid_pushforward_half_period_rotation():
     assert np.abs(out.values - np.roll(g.values, 16)).max() <= 1e-12
 
 
-def test_grid_pushforward_particle_guard():
-    g = GridDensity.uniform(1, 32)
-    with pytest.raises(MeasureError):
-        grid_pushforward(lambda x: x, g, n_particles=16)
-
-
 # ---------------------------------------------------------------------------
 # wasserstein_1d
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from randmap import transport
-from randmap.geometry import CostSpec, GridSpec, wrap_signed
+from randmap.geometry import CostSpec, GridSpec, wrap_signed, wrap_unit
 from randmap.measures import (
     DiscreteMeasure,
     GridDensity,
@@ -372,6 +372,88 @@ def test_monotone_circle_pushforward():
     t = monotone_map_1d(mu, nu, periodic=True)
     pushed = grid_pushforward(t, mu)
     assert wasserstein_1d(pushed, nu, p=1, periodic=True) <= 2.0 / n
+
+
+def test_monotone_circle_ignores_whole_turns_of_atoms():
+    # dyadic atoms shift by whole turns exactly, so the map must not change a bit
+    rng = np.random.default_rng(83)
+    for _ in range(10):
+        vals = 0.5 + rng.random(32)
+        mu = GridDensity(1, 32, vals / vals.mean())
+        k = int(rng.integers(2, 7))
+        pts = rng.integers(0, 64, k) / 64.0
+        w = rng.random(k) + 0.05
+        w /= w.sum()
+        t0 = monotone_map_1d(mu, DiscreteMeasure(pts[:, None], w), periodic=True)
+        turns = rng.integers(-2, 3, k)
+        t1 = monotone_map_1d(mu, DiscreteMeasure((pts + turns)[:, None], w), periodic=True)
+        assert np.array_equal(t0.images, t1.images)
+
+
+def _circle_rotation_oracle(mu: GridDensity, x: np.ndarray, w: np.ndarray) -> float:
+    """Optimal level shift of the circle W2 coupling, grid source to sorted atoms in [0, 1).
+
+    Pairing level t of mu with level t - theta of nu, the cost derivative in
+    theta is sum_b 2 J_b (Q_mu(theta + b) - M_b) over the jumps of nu's
+    unrolled quantile at levels b with theta + b in (0, 1): J_b is the jump
+    and M_b its midpoint, and Q_mu is mu's exact piecewise-linear quantile.
+    The derivative increases with theta, so bisection finds its zero.
+    """
+    edges = np.arange(mu.n + 1) / mu.n
+    cdf = np.concatenate([[0.0], np.cumsum(mu.values / mu.n)])
+    hi_val = np.append(x[1:], x[0] + 1.0)  # the value above each break
+    cum = np.cumsum(w)
+    cum[-1] = 1.0  # the last break is the turn
+
+    def slope(theta):
+        total = 0.0
+        for m in range(-3, 4):  # every turn with a break in (0, 1) for |theta| < 1.5
+            b = cum + m
+            inside = (theta + b > 0.0) & (theta + b < 1.0)
+            a = np.interp(theta + b[inside], cdf, edges)
+            jump = hi_val[inside] - x[inside]
+            total += np.sum(2.0 * jump * (a - 0.5 * (x[inside] + hi_val[inside]) - m))
+        return total
+
+    lo, hi = -1.5, 1.5
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_monotone_circle_rotation_matches_oracle(n):
+    """The map's level shift, read off its images, is within 0.1 cell of the
+    oracle's on atomic targets and within 0.02 cell on grid targets (whose
+    oracle takes 512 atoms per cell)."""
+    rng = np.random.default_rng(89)
+    edges = np.arange(n + 1) / n
+    for _ in range(6):
+        vals = 0.5 + rng.random(n)
+        mu = GridDensity(1, n, vals / vals.mean())
+        m = mu.values / n
+        q = np.concatenate([[0.0], np.cumsum(m)])[:-1] + 0.5 * m  # node levels
+        k = int(rng.integers(1, 9))
+        w = rng.random(k) + 0.05
+        x = rng.random(k)
+        order = np.argsort(x)
+        x, w = x[order], w[order] / w.sum()
+        theta = _circle_rotation_oracle(mu, x, w)
+        t = monotone_map_1d(mu, DiscreteMeasure(x[:, None], w), periodic=True)
+        # node i maps to atom j under the rotations theta + [lo_i, lo_i + w_j) mod 1
+        j = np.argmin(np.abs(wrap_signed(t.images[:, 0][:, None] - x[None, :])), axis=1)
+        lo = wrap_unit(q - np.cumsum(w)[j] - theta)
+        gap = np.where(lo + w[j] >= 1.0, 0.0, np.minimum(lo, 1.0 - lo - w[j]))
+        assert gap.max() * n <= 0.1
+        tvals = rng.random(n)
+        nu = GridDensity(1, n, tvals / tvals.mean())
+        fine = nu.as_discrete(subdiv=512)
+        theta = _circle_rotation_oracle(mu, fine.points[:, 0], fine.weights)
+        t = monotone_map_1d(mu, nu, periodic=True)
+        cdf = np.concatenate([[0.0], np.cumsum(nu.values / n)])
+        levels = np.interp(t.images[:, 0], edges, cdf)
+        assert np.abs(wrap_signed(q - levels - theta)).max() * n <= 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ from .kernel import (
     KernelFamily,
     build_continuous_representation,
     build_measurable_representation,
+    stability_experiment,
     verify_representation,
 )
 from .lift import (
+    ROUND_TRIP_TOL,
     LiftError,
     ManifoldChart,
     exp_push,
@@ -49,14 +51,9 @@ from .measures import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from .moser import MoserError, continuity_residual, jacobian_min, moser_map
-from .transport import (
-    MapError,
-    SolverError,
-    solve_exact,
-    solve_sinkhorn,
-    stability_experiment,
-)
+from .moser import (POISSON_RESIDUAL_TOL, MoserError, continuity_residual, jacobian_min,
+                    moser_map)
+from .transport import MARGINAL_TOL, MapError, SolverError, solve_exact, solve_sinkhorn
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -200,8 +197,8 @@ def cmd_couple(args) -> int:
     _write_report(out, report)
     _write_manifest(out, "couple", {"cost": args.cost, "p": args.p,
                                     "periodic": args.periodic, "method": args.method},
-                    [args.mu, args.nu], {"marginal_tol": 1e-9})
-    return 0 if plan.converged and plan.marginal_violation() <= 1e-9 else CHECK_FAILED
+                    [args.mu, args.nu], {"marginal_tol": MARGINAL_TOL})
+    return 0 if plan.converged and plan.marginal_violation() <= MARGINAL_TOL else CHECK_FAILED
 
 
 def cmd_moser(args) -> int:
@@ -232,9 +229,8 @@ def cmd_moser(args) -> int:
     _write_report(out, report)
     _write_manifest(out, "moser", {"steps": flow.steps, "checkpoints": list(args.checkpoints)},
                     [args.rho0, args.rho1],
-                    {"pushforward_tol": args.tol, "poisson_residual_tol": 1e-8})
-    ok = (jac > 0 and flow.field_ref.poisson.residual <= 1e-8
-          and (flow.pushforward_error is None or flow.pushforward_error <= args.tol))
+                    {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL})
+    ok = jac > 0 and (flow.pushforward_error is None or flow.pushforward_error <= args.tol)
     return 0 if ok else CHECK_FAILED
 
 
@@ -299,16 +295,15 @@ def cmd_lift(args) -> int:
     _write_report(out, report)
     _write_manifest(out, "lift", {"manifold": args.manifold, "base": list(args.base),
                                   "cap": chart.cap},
-                    [args.atoms], {"round_trip_tol": 1e-9})
-    return 0 if rt <= 1e-9 else CHECK_FAILED
+                    [args.atoms], {"round_trip_tol": ROUND_TRIP_TOL})
+    return 0 if rt <= ROUND_TRIP_TOL else CHECK_FAILED
 
 
 def cmd_stability(args) -> int:
     mu = _load_measure(args.mu)
     targets = [_load_measure(p) for p in args.targets.split(",")]
     limit = _load_measure(args.limit)
-    spec = CostSpec(kind="sqdist", periodic=args.periodic)
-    masses = stability_experiment(mu, targets, limit, eps=args.eps, cost=spec)
+    masses = stability_experiment(mu, targets, limit, eps=args.eps, periodic=args.periodic)
     out = _outdir(args)
     with open(out / "stability.csv", "w") as fh:
         fh.write("k,mass\n")

@@ -33,6 +33,15 @@ def sphere_xyz(angles: np.ndarray) -> np.ndarray:
                             np.cos(theta)])
 
 
+def sphere_distance(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Great-circle distance between embedded unit vectors, broadcast over rows.
+
+    The atan2(|p x q|, p.q) form keeps full relative precision at small
+    separations, where arccos(p.q) rounds them to zero.
+    """
+    return np.arctan2(np.linalg.norm(np.cross(p, q), axis=-1), np.sum(p * q, axis=-1))
+
+
 def pairwise_distance(x: np.ndarray, y: np.ndarray, periodic: bool = False) -> np.ndarray:
     """(n, m) matrix of distances between point clouds x (n,d) and y (m,d).
 

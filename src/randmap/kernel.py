@@ -5,6 +5,9 @@ absolutely continuous reference (measurable route) and per-base-point Moser
 time-1 maps from the uniform density (continuous route). The statistical
 check draws shared reference points omega, evaluates every map at them, and
 compares the empirical law of f_omega(x_i) against mu_{x_i} in W1.
+The continuity modulus and the stability experiment (optimal maps converge
+in probability when their targets converge weakly) measure how the maps vary
+with their target; both compare maps node by node with one distance.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .geometry import pairwise_distance, sphere_xyz, wrap_signed
+from .geometry import pairwise_distance, sphere_distance, sphere_xyz, wrap_signed
 from .measures import (
     DiscreteMeasure,
     GridDensity,
@@ -43,8 +46,7 @@ def base_distance_matrix(space: str, pts: np.ndarray) -> np.ndarray:
         return pairwise_distance(pts, pts, periodic=True)
     if space == "sphere2-chart":
         xyz = sphere_xyz(pts)
-        dots = np.clip(xyz @ xyz.T, -1.0, 1.0)
-        return np.arccos(dots)
+        return sphere_distance(xyz[:, None, :], xyz[None, :, :])
     raise KernelError(f"unknown base space {space!r}")
 
 
@@ -183,6 +185,21 @@ def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,
     return RandomMapFamily(reference, tuple(maps), route, kernel, tol, tuple(errs))
 
 
+def _optimal_map(reference: GridDensity, target, periodic: bool) -> TransportMap:
+    """The measurable route's map: monotone rearrangement in 1D, Brenier in 2D."""
+    if reference.dim == 1:
+        return monotone_map_1d(reference, target, periodic=periodic)
+    return brenier_map(reference, target, reg_epsilon=BRENIER_EPSILON)
+
+
+def _node_distances(a: TransportMap, b: TransportMap, periodic: bool) -> np.ndarray:
+    """Distance between the images of two maps at each shared node."""
+    delta = a.images - b.images
+    if periodic:
+        delta = wrap_signed(delta)
+    return np.sqrt(np.sum(delta * delta, axis=1))
+
+
 def build_measurable_representation(kernel: KernelFamily,
                                     reference: GridDensity) -> RandomMapFamily:
     """Representation by per-base-point optimal maps from the reference.
@@ -197,10 +214,7 @@ def build_measurable_representation(kernel: KernelFamily,
     if reference.dim != kernel.target_dim:
         raise KernelError("reference dimension does not match kernel measures")
     periodic = kernel.target_periodic
-    if reference.dim == 1:
-        build_map = partial(monotone_map_1d, reference, periodic=periodic)
-    else:
-        build_map = partial(brenier_map, reference, reg_epsilon=BRENIER_EPSILON)
+    build_map = partial(_optimal_map, reference, periodic=periodic)
     return _validated_family("measurable", kernel, reference, build_map, periodic,
                              validate=True)
 
@@ -252,8 +266,7 @@ def sample_random_map(family: RandomMapFamily, seed: int) -> RandomMap:
     Evaluation away from the base points follows the family's interpolation
     rule: nearest base point, or rejection when the rule is 'none'.
     """
-    sample = draw_sample(family.reference, 1, seed)
-    return RandomMap(family, sample.draws, seed)
+    return RandomMap(family, draw_sample(family.reference, 1, seed), seed)
 
 
 @dataclass(frozen=True)
@@ -305,11 +318,11 @@ def verify_representation(family: RandomMapFamily, n_samples: int, tol: float,
     if n_samples < 100:
         raise KernelError("n_samples must be >= 100")
     kernel = family.kernel
-    sample = draw_sample(family.reference, n_samples, seed)
+    draws = draw_sample(family.reference, n_samples, seed)
     periodic = kernel.target_periodic
     w1 = np.empty(family.size)
     for i, t_map in enumerate(family.maps):
-        images = t_map.evaluate(sample.draws)
+        images = t_map.evaluate(draws)
         emp = DiscreteMeasure(images, np.full(len(images), 1.0 / len(images)))
         w1[i] = _w1(emp, kernel.measures[i], periodic, grid_subdiv=8)
     passed = w1 <= tol
@@ -334,8 +347,6 @@ def continuity_modulus(family: RandomMapFamily) -> ModulusTable:
     alpha in {0.25, 0.5, 0.75, 1}.
     """
     kernel = family.kernel
-    if kernel.size < 2:
-        raise KernelError("modulus needs at least two base points")
     grids = {(m.grid.dim, m.grid.n, m.grid.periodic) for m in family.maps}
     if len(grids) != 1:
         raise KernelError("modulus needs maps sampled on one common grid")
@@ -344,12 +355,9 @@ def continuity_modulus(family: RandomMapFamily) -> ModulusTable:
     base_d, map_d = [], []
     for i in range(kernel.size):
         for j in range(i + 1, kernel.size):
-            delta = family.maps[i].images - family.maps[j].images
-            if periodic:
-                delta = wrap_signed(delta)
-            sup = float(np.sqrt(np.sum(delta * delta, axis=1)).max())
+            sup = _node_distances(family.maps[i], family.maps[j], periodic).max()
             base_d.append(float(dmat[i, j]))
-            map_d.append(sup)
+            map_d.append(float(sup))
     base_arr = np.array(base_d)
     map_arr = np.array(map_d)
     order = np.argsort(base_arr, kind="stable")
@@ -360,3 +368,24 @@ def continuity_modulus(family: RandomMapFamily) -> ModulusTable:
             ratios = map_arr / base_arr ** alpha
         fits[alpha] = float(ratios.max())
     return ModulusTable(base_arr, map_arr, fits)
+
+
+def stability_experiment(mu: GridDensity, nu_seq, nu_limit, eps: float,
+                         periodic: bool = False) -> list[float]:
+    """mu-mass of {x : d(T_k(x), T(x)) >= eps} for each target in the sequence.
+
+    T_k and T are the measurable route's optimal maps from mu to nu_k and to
+    the limit target, compared at the grid nodes (the quantity of the
+    convergence-in-probability statement for optimal maps under weak
+    convergence of targets). periodic wraps the distance on the torus and
+    selects the circle rearrangement in 1D.
+    """
+    if eps <= 0:
+        raise KernelError("eps must be > 0")
+    t_lim = _optimal_map(mu, nu_limit, periodic)
+    masses = mu.cell_masses()
+    out = []
+    for nu_k in nu_seq:
+        dev = _node_distances(_optimal_map(mu, nu_k, periodic), t_lim, periodic)
+        out.append(float(masses[dev >= eps].sum()))
+    return out

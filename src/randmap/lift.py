@@ -13,7 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import GridSpec, deposit_linear, interp_grid, sphere_xyz, wrap_signed, wrap_unit
+from .geometry import (GridSpec, deposit_linear, interp_grid, sphere_distance, sphere_xyz,
+                       wrap_signed, wrap_unit)
 from .measures import (DiscreteMeasure, GridDensity, read_atom_rows, wasserstein_1d,
                        wasserstein_sinkhorn_upper, write_atom_rows)
 
@@ -86,14 +87,12 @@ class ManifoldChart:
             return v
         p, e1, e2 = self._sphere_frame()
         q = sphere_xyz(pts)
-        cosd = np.clip(q @ p, -1.0, 1.0)
-        # atan2 form stays well-conditioned where arccos loses digits
-        d = np.arctan2(np.linalg.norm(np.cross(q, p[None, :]), axis=1), cosd)
+        d = sphere_distance(q, p)
         bad = np.nonzero(d > self.cap + 1e-15)[0]
         if bad.size:
             raise LiftError(f"atom {pts[bad[0]].tolist()} lies outside the "
                             f"injectivity cap {self.cap}")
-        rest = q - cosd[:, None] * p[None, :]
+        rest = q - (q @ p)[:, None] * p[None, :]
         norm = np.sqrt(np.sum(rest * rest, axis=1))
         safe = np.where(norm > 1e-300, norm, 1.0)
         unit = rest / safe[:, None]

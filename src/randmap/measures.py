@@ -218,27 +218,8 @@ class GridDensity:
         return cls(dim, n, vals.reshape((n,) * dim))
 
 
-@dataclass(frozen=True)
-class EmpiricalSample:
-    """Seed-reproducible batch of draws from some source measure."""
-
-    draws: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        d = np.atleast_2d(np.asarray(self.draws, dtype=float))
-        if len(d) < 1:
-            raise MeasureError("sample must contain at least one draw")
-        object.__setattr__(self, "draws", d)
-        object.__setattr__(self, "seed", int(self.seed))
-
-    @property
-    def size(self) -> int:
-        return len(self.draws)
-
-
-def draw_sample(mu: DiscreteMeasure | GridDensity, n_draws: int, seed: int) -> EmpiricalSample:
-    """Draw n_draws i.i.d. points from mu, reproducibly from the seed.
+def draw_sample(mu: DiscreteMeasure | GridDensity, n_draws: int, seed: int) -> np.ndarray:
+    """(n_draws, d) array of i.i.d. draws from mu, reproducible from the seed.
 
     Grid densities are sampled exactly: pick a cell by its mass, then a
     uniform point inside the cell.
@@ -248,18 +229,19 @@ def draw_sample(mu: DiscreteMeasure | GridDensity, n_draws: int, seed: int) -> E
     rng = np.random.default_rng(seed)
     if isinstance(mu, DiscreteMeasure):
         idx = rng.choice(mu.size, size=n_draws, p=mu.weights / mu.weights.sum())
-        return EmpiricalSample(mu.points[idx], seed)
+        return mu.points[idx]
     masses = mu.cell_masses()
     idx = rng.choice(len(masses), size=n_draws, p=masses / masses.sum())
     offs = rng.random((n_draws, mu.dim)) / mu.n
     corners = np.column_stack(np.unravel_index(idx, (mu.n,) * mu.dim)) / mu.n
-    return EmpiricalSample(corners + offs, seed)
+    return corners + offs
 
 
-def empirical_measure(sample: EmpiricalSample) -> DiscreteMeasure:
-    """Atoms at the draws, weight 1/N each; coincident draws merge."""
-    n = sample.size
-    return DiscreteMeasure(sample.draws, np.full(n, 1.0 / n)).merged()
+def empirical_measure(draws: np.ndarray) -> DiscreteMeasure:
+    """Atoms at the (N, d) draws, weight 1/N each; coincident draws merge."""
+    if len(draws) < 1:
+        raise MeasureError("sample must contain at least one draw")
+    return DiscreteMeasure(draws, np.full(len(draws), 1.0 / len(draws))).merged()
 
 
 def _base_point(base, dim: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Optimal-coupling solvers: exact LP, entropic, 1D monotone, Brenier maps,
-Legendre duality, map inversion, and the map-stability experiment.
+Legendre duality, map inversion, and the cyclical-monotonicity check.
 
 The exact LP doubles as the optimality oracle for every other solver, so it
 is certified on return via dual feasibility and complementary slackness.
@@ -19,7 +19,6 @@ from .measures import (EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureEr
 
 MARGINAL_TOL = 1e-9
 DUAL_TOL = 1e-9
-CM_SLACK_FACTOR = 1e-6
 # entropic regularisation of every Brenier map the library builds itself
 BRENIER_EPSILON = 1e-3
 
@@ -686,37 +685,8 @@ def invert_map(s_map: TransportMap, target_grid: GridSpec) -> TransportMap:
 
 
 # ---------------------------------------------------------------------------
-# stability experiment and monotonicity check
+# monotonicity check and plan cost
 # ---------------------------------------------------------------------------
-
-def _monge_map(mu: GridDensity, nu, cost: CostSpec) -> TransportMap:
-    if mu.dim == 1:
-        return monotone_map_1d(mu, nu, periodic=cost.periodic)
-    return brenier_map(mu, nu, BRENIER_EPSILON)
-
-
-def stability_experiment(mu: GridDensity, nu_seq, nu_limit, eps: float,
-                         cost: CostSpec = CostSpec("sqdist")) -> list[float]:
-    """mu-mass of {x : d(T_k(x), T(x)) >= eps} for each target in the sequence.
-
-    T_k and T are the Monge maps from mu to nu_k and to the limit target,
-    evaluated at grid nodes (the quantity of the convergence-in-probability
-    statement for optimal maps under weak convergence of targets).
-    """
-    if eps <= 0:
-        raise MapError("eps must be > 0")
-    t_lim = _monge_map(mu, nu_limit, cost)
-    masses = mu.cell_masses()
-    out = []
-    for nu_k in nu_seq:
-        t_k = _monge_map(mu, nu_k, cost)
-        delta = t_k.images - t_lim.images
-        if cost.periodic:
-            delta = wrap_signed(delta)
-        dev = np.sqrt(np.sum(delta * delta, axis=1))
-        out.append(float(masses[dev >= eps].sum()))
-    return out
-
 
 def check_cyclical_monotonicity(t_map: TransportMap, n_pairs: int = 1000,
                                 seed: int = 0) -> float:

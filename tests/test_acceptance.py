@@ -14,6 +14,7 @@ from randmap.geometry import CostSpec, GridSpec, sphere_xyz, unit_torus_grid
 from randmap.kernel import (
     KernelFamily,
     build_continuous_representation,
+    stability_experiment,
     verify_representation,
 )
 from randmap.lift import (
@@ -50,7 +51,6 @@ from randmap.transport import (
     monotone_map_1d,
     solve_exact,
     solve_sinkhorn,
-    stability_experiment,
 )
 
 

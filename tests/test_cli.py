@@ -155,6 +155,48 @@ def test_stability_table(workspace):
     assert masses[0] == 1.0 and masses[-1] == 0.0
 
 
+def _stability_masses(workspace, mu, limit, targets, eps, *flags):
+    """Run `stability` on density files and return its deviation masses."""
+    out = workspace / "stab"
+    rc = main(["stability", "--mu", str(mu), "--limit", str(limit),
+               "--targets", ",".join(str(t) for t in targets),
+               "--eps", str(eps), *flags, "--out", str(out)])
+    assert rc == 0
+    return json.loads((out / "report.json").read_text())["deviation_masses"]
+
+
+def test_stability_circle_grid_targets(workspace):
+    x = (np.arange(64) + 0.5) / 64
+
+    def shifted(name, s):
+        GridDensity(1, 64, 1 + 0.4 * np.cos(2 * np.pi * (x - s))).to_csv(workspace / name)
+        return workspace / name
+
+    # the targets' bumps sit on both sides of the seam at 0
+    targets = [shifted(f"c{k}.csv", 0.9 + 0.2 / k) for k in (1, 2, 4, 8)]
+    masses = _stability_masses(workspace, workspace / "uniform.csv",
+                               shifted("climit.csv", 0.9), targets, 0.03, "--periodic")
+    assert masses == [0.71875, 0.203125, 0.0625, 0.0]
+
+
+@pytest.mark.parametrize("flags,masses", [((), [1.0, 0.8125, 0.0]),
+                                          (("--periodic",), [0.875, 0.8125, 0.0])])
+def test_stability_2d_grid_targets(workspace, flags, masses):
+    g = (np.arange(16) + 0.5) / 16
+    x0 = np.meshgrid(g, g, indexing="ij")[0]
+    GridDensity.uniform(2, 16).to_csv(workspace / "u2.csv")
+
+    def ridge(name, c):
+        vals = 0.02 + np.exp(-((x0 - c) / 0.2) ** 2)
+        GridDensity(2, 16, vals / vals.mean()).to_csv(workspace / name)
+        return workspace / name
+
+    # the k=1 images sit about 0.8 from the limit's, 0.2 once wrapped
+    targets = [ridge(f"r{k}.csv", 0.1 + 0.8 / k) for k in (1, 2, 4)]
+    assert _stability_masses(workspace, workspace / "u2.csv", ridge("rlimit.csv", 0.1),
+                             targets, 0.3, *flags) == masses
+
+
 def test_lift_roundtrip_command(workspace):
     atoms = DiscreteMeasure(np.array([[0.3, 0.1], [0.5, 1.0]]),
                             np.array([0.5, 0.5]))
@@ -277,6 +319,11 @@ BAD_INPUTS = {
                           ["--checkpoints", "'x'"]),
     "manifest-row": (lambda ws: _edited_manifest(ws, "ragged_kernel.txt", "meas_002"),
                      ["ragged_kernel.txt, line 6", "expected 2 fields"]),
+    "stability-eps": (lambda ws: ["stability", "--mu", str(ws / "uniform.csv"),
+                                  "--targets", str(ws / "atoms.csv"),
+                                  "--limit", str(ws / "atoms.csv"), "--eps", "0",
+                                  "--out", str(ws / "se")],
+                      ["eps must be > 0"]),
 }
 
 

@@ -13,6 +13,7 @@ from randmap.kernel import (
     KernelFamily,
     ModulusTable,
     RandomMapFamily,
+    base_distance_matrix,
     build_continuous_representation,
     build_measurable_representation,
     continuity_modulus,
@@ -80,6 +81,38 @@ def test_nearest_index_and_none_rule():
     assert strict.nearest_index([0.25]) == 1  # exact base point still resolves
     with pytest.raises(KernelError, match="none"):
         strict.nearest_index([0.26])
+
+
+def atom_family(space, base, interp="nearest"):
+    base = np.asarray(base, dtype=float)
+    measures = tuple(DiscreteMeasure.dirac([0.5]) for _ in base)
+    return KernelFamily(space, base, measures, interp=interp)
+
+
+def test_sphere_base_points_1e9_apart_are_distinct():
+    fam = atom_family("sphere2-chart", [[0.7, 1.2], [0.7 + 1e-9, 1.2]])
+    assert fam.nearest_index([0.7 + 1e-9, 1.2]) == 1
+
+
+def test_sphere_none_rule_rejects_a_point_1e9_off_a_base_point():
+    fam = atom_family("sphere2-chart", [[0.7, 1.2], [1.5, 0.3]], interp="none")
+    assert fam.nearest_index([0.7, 1.2]) == 0
+    with pytest.raises(KernelError, match="none"):
+        fam.nearest_index([0.7 + 1e-9, 1.2])
+
+
+@pytest.mark.parametrize("sep", [1e-6, 1e-3])
+def test_sphere_distance_along_a_meridian_is_the_colatitude_gap(sep):
+    pts = np.array([[0.7, 1.2], [0.7 + sep, 1.2]])
+    gap = pts[1, 0] - pts[0, 0]
+    dist = base_distance_matrix("sphere2-chart", pts)[0, 1]
+    assert dist == pytest.approx(gap, rel=1e-9)
+
+
+def test_interval_base_distance_does_not_wrap():
+    pts = np.array([[0.1], [0.9]])
+    assert base_distance_matrix("interval", pts)[0, 1] == pytest.approx(0.8, abs=1e-15)
+    assert base_distance_matrix("circle", pts)[0, 1] == pytest.approx(0.2, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from scipy.optimize import linear_sum_assignment
 from randmap.geometry import CostSpec, wrap_unit
 from randmap.measures import (
     DiscreteMeasure,
-    EmpiricalSample,
     GridDensity,
     MeasureError,
     draw_sample,
@@ -87,9 +86,9 @@ def test_empirical_sample_reproducible():
     g = GridDensity.uniform(1, 16)
     s1 = draw_sample(g, 50, seed=42)
     s2 = draw_sample(g, 50, seed=42)
-    assert np.array_equal(s1.draws, s2.draws)
+    assert np.array_equal(s1, s2)
     with pytest.raises(MeasureError):
-        EmpiricalSample(np.zeros((0, 1)), 1)
+        empirical_measure(np.zeros((0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +352,12 @@ def test_wexact_size_guard():
 # ---------------------------------------------------------------------------
 
 def test_empirical_single_draw():
-    s = EmpiricalSample(np.array([[0.3]]), seed=1)
-    m = empirical_measure(s)
+    m = empirical_measure(np.array([[0.3]]))
     assert m.size == 1 and m.weights[0] == 1.0
 
 
 def test_empirical_merges_duplicates():
-    s = EmpiricalSample(np.array([[0.3], [0.3]]), seed=1)
-    m = empirical_measure(s)
+    m = empirical_measure(np.array([[0.3], [0.3]]))
     assert m.size == 1 and m.weights[0] == pytest.approx(1.0, abs=1e-15)
 
 

@@ -12,6 +12,7 @@ from scipy.special import logsumexp
 
 from randmap import transport
 from randmap.geometry import CostSpec, GridSpec, wrap_signed, wrap_unit
+from randmap.kernel import stability_experiment
 from randmap.measures import (
     DiscreteMeasure,
     GridDensity,
@@ -36,7 +37,6 @@ from randmap.transport import (
     monotone_map_1d,
     solve_exact,
     solve_sinkhorn,
-    stability_experiment,
 )
 
 

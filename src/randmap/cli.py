@@ -51,12 +51,15 @@ from .measures import (
     wasserstein_1d,
     wasserstein_exact,
 )
-from .moser import (POISSON_RESIDUAL_TOL, MoserError, continuity_residual, jacobian_min,
-                    moser_map)
+from .moser import (FLOW_TOL, MIN_STEPS, POISSON_RESIDUAL_TOL, MoserError,
+                    continuity_residual, jacobian_min, moser_map)
 from .transport import MARGINAL_TOL, MapError, SolverError, solve_exact, solve_sinkhorn
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+
+STEPS_HELP = (f"RK4 step count (default: doubling from {MIN_STEPS} until the node "
+              f"estimate <= {FLOW_TOL:g}*h)")
 
 _ERRORS = (MeasureError, KernelError, MoserError, LiftError, MapError, SolverError)
 
@@ -225,11 +228,13 @@ def cmd_moser(args) -> int:
         "poisson_residual": flow.field_ref.poisson.residual,
         "continuity_residual": cont,
         "steps": flow.steps,
+        "flow_error_estimate": flow.flow_error,
     }
     _write_report(out, report)
     _write_manifest(out, "moser", {"steps": flow.steps, "checkpoints": list(args.checkpoints)},
                     [args.rho0, args.rho1],
-                    {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL})
+                    {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL,
+                     "flow_tol": FLOW_TOL / rho0.n if args.steps is None else None})
     ok = jac > 0 and (flow.pushforward_error is None or flow.pushforward_error <= args.tol)
     return 0 if ok else CHECK_FAILED
 
@@ -354,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("moser", help="Moser time-1 coupling of two grid densities")
     sp.add_argument("--rho0", required=True)
     sp.add_argument("--rho1", required=True)
-    sp.add_argument("--steps", type=int, default=None)
+    sp.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
     sp.add_argument("--checkpoints", type=_floats, default="")
     sp.add_argument("--tol", type=float, default=1e-2,
                     help="pushforward W1 tolerance for the pass/fail gate")
@@ -368,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="continuous")
         sp.add_argument("--reference", default="",
                         help="reference measure file (measurable route)")
-        sp.add_argument("--steps", type=int, default=None)
+        sp.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
         if name == "verify":
             sp.add_argument("--n", type=int, default=10000)
             sp.add_argument("--tol", type=float, default=0.05)

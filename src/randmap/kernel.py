@@ -224,7 +224,9 @@ def build_continuous_representation(kernel: KernelFamily,
     """Representation by Moser time-1 maps from the uniform density.
 
     Every kernel measure must be a strictly positive grid density (full
-    support is what makes the maps continuous). Continuity metadata is
+    support is what makes the maps continuous). Each map takes `steps` RK4
+    steps if given, else the step count that `moser_map`'s step doubling
+    accepts (node estimate at most FLOW_TOL * h). Continuity metadata is
     attached from the modulus table over all base-point pairs. Only 1D maps
     are validated: in 2D the pushforward errors are recorded as NaN.
     """

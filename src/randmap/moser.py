@@ -2,8 +2,16 @@
 
 Pipeline: spectral periodic Poisson solve for lap(u) = rho0 - rho1, the
 time-dependent field xi(t,x) = grad u(x) / ((1-t) rho0(x) + t rho1(x)),
-classical 4th-order integration of every grid node to t=1, plus the
+classical RK4 integration of every grid node to t=1, plus the
 diffeomorphism proxy (minimum Jacobian determinant of the time-1 map).
+
+The field is the multilinear interpolant of grid values, whose derivative
+jumps at cell faces, so RK4 on it converges at about 2nd order, not 4th.
+The step count is therefore chosen by step doubling (Hairer, Norsett &
+Wanner, Solving ODEs I, sec. II.4): integrate with s and 2s steps from
+s = MIN_STEPS and accept the 2s solution once the largest wrapped node
+deviation between the two is at most FLOW_TOL * h (h = 1/n); otherwise the
+2s solution becomes the coarse one and s doubles, up to MAX_STEPS_PER_CELL * n.
 
 The discrete calculus (Laplacian, gradient, divergence) is spectral
 throughout: that is what makes the continuity identity
@@ -24,6 +32,8 @@ POISSON_RESIDUAL_TOL = 1e-8
 ZERO_MEAN_TOL = 1e-10
 MIN_DENSITY = 1e-3
 MIN_STEPS = 16
+FLOW_TOL = 1e-3  # step-doubling tolerance on the node estimate, in cells
+MAX_STEPS_PER_CELL = 64  # step-doubling cap: 64 n steps
 
 
 class MoserError(ValueError):
@@ -136,6 +146,8 @@ class FlowMap:
 
     map: TransportMap
     steps: int
+    # accepted step-doubling estimate; None when the step count was given
+    flow_error: float | None = None
     checkpoints: dict = field(default_factory=dict)
     pushforward_error: float | None = None
     field_ref: MoserField | None = None
@@ -170,16 +182,70 @@ def integrate_flow(fld: MoserField, x0: np.ndarray, t0: float, t1: float,
     return x
 
 
+def _trajectory(fld: MoserField, nodes: np.ndarray, steps: int,
+                times: list[float]) -> tuple[np.ndarray, dict]:
+    """Integrate the nodes to t=1 through the checkpoint times.
+
+    Returns the unwrapped time-1 positions and the wrapped positions at each
+    checkpoint; each segment takes its share of the `steps` steps on [0, 1].
+    """
+    marks = {}
+    x = nodes
+    t_prev = 0.0
+    for t_mark in times:
+        x = integrate_flow(fld, x, t_prev, t_mark, max(1, round(steps * (t_mark - t_prev))))
+        marks[t_mark] = wrap_unit(x)
+        t_prev = t_mark
+    x = integrate_flow(fld, x, t_prev, 1.0, max(1, round(steps * (1.0 - t_prev))))
+    return x, marks
+
+
+def _trial(fld: MoserField, nodes: np.ndarray, steps: int,
+           times: list[float]) -> tuple[np.ndarray, dict] | None:
+    """One step-doubling trial; None when the blow-up guard trips."""
+    try:
+        return _trajectory(fld, nodes, steps, times)
+    except MoserError:
+        return None
+
+
+def _doubled_trajectory(fld: MoserField, nodes: np.ndarray, times: list[float],
+                        tol: float, cap: int) -> tuple[int, np.ndarray, dict, float]:
+    """Step doubling from MIN_STEPS: the first 2s-step trajectory within tol of the s-step one.
+
+    The estimate is the largest wrapped node deviation at t=1; a trial that
+    blows up counts as unresolved. Raises MoserError past `cap` steps.
+    """
+    steps = MIN_STEPS
+    coarse = _trial(fld, nodes, steps, times)
+    estimate = np.inf
+    while 2 * steps <= cap:
+        steps *= 2
+        fine = _trial(fld, nodes, steps, times)
+        estimate = (np.inf if coarse is None or fine is None
+                    else float(np.abs(wrap_signed(fine[0] - coarse[0])).max()))
+        if estimate <= tol:
+            return steps, fine[0], fine[1], estimate
+        coarse = fine
+    raise MoserError(f"flow not resolved at the cap of {steps} steps: doubling "
+                     f"estimate {estimate:.3e} exceeds {tol:.3e}")
+
+
 def moser_map(rho0: GridDensity, rho1: GridDensity, steps: int | None = None,
               checkpoints: tuple[float, ...] = (),
               check_pushforward: bool = True) -> FlowMap:
     """Deterministic coupling of rho0 and rho1 by the time-1 Moser flow.
 
     Both densities must be strictly positive (min >= 1e-3) on a common grid.
-    With check_pushforward (the default), a 1D map records the exact circle
-    W1(T_* rho0, rho1) as its pushforward error; False skips that check. A
-    2D map always records None: in 2D only the dense entropic upper bound is
-    available, and it is too slow to run per map.
+    Without `steps`, the RK4 step count is chosen by step doubling from
+    MIN_STEPS until the node estimate is at most FLOW_TOL * h, and the map
+    records that estimate as `flow_error`; past MAX_STEPS_PER_CELL * n steps
+    it raises MoserError. An explicit `steps` does exactly one integration
+    and records no estimate. Checkpoints split the same step count by
+    segment length. With check_pushforward (the default), a 1D map records
+    the exact circle W1(T_* rho0, rho1) as its pushforward error; False
+    skips that check. A 2D map always records None: in 2D only the dense
+    entropic upper bound is available, and it is too slow to run per map.
     """
     if rho0.n != rho1.n or rho0.dim != rho1.dim:
         raise MoserError("densities must share one grid")
@@ -187,32 +253,27 @@ def moser_map(rho0: GridDensity, rho1: GridDensity, steps: int | None = None,
         if rho.min_value < MIN_DENSITY:
             raise MoserError(f"{name} violates strict positivity: "
                              f"min {rho.min_value:.2e} < {MIN_DENSITY}")
-    n, dim = rho0.n, rho0.dim
-    if steps is None:
-        steps = 4 * n
-    if steps < MIN_STEPS:
+    if steps is not None and steps < MIN_STEPS:
         raise MoserError(f"step count {steps} below minimum {MIN_STEPS}")
+    times = sorted(set(checkpoints))
+    if any(not 0.0 < t < 1.0 for t in times):
+        raise MoserError("checkpoints must lie strictly inside (0, 1)")
+    n, dim = rho0.n, rho0.dim
     fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
     grid = fld.grid
     nodes = grid.nodes()
-    marks = {}
-    x = nodes
-    t_prev = 0.0
-    for t_mark in sorted(set(checkpoints)):
-        if not 0.0 < t_mark < 1.0:
-            raise MoserError("checkpoints must lie strictly inside (0, 1)")
-        seg = max(1, round(steps * (t_mark - t_prev)))
-        x = integrate_flow(fld, x, t_prev, t_mark, seg)
-        marks[t_mark] = wrap_unit(x)
-        t_prev = t_mark
-    seg = max(1, round(steps * (1.0 - t_prev)))
-    x = integrate_flow(fld, x, t_prev, 1.0, seg)
+    flow_error = None
+    if steps is None:
+        steps, x, marks, flow_error = _doubled_trajectory(
+            fld, nodes, times, FLOW_TOL / n, MAX_STEPS_PER_CELL * n)
+    else:
+        x, marks = _trajectory(fld, nodes, steps, times)
     tmap = TransportMap(nodes, wrap_unit(x), route="moser", grid=grid)
     err = None
     if check_pushforward and dim == 1:
         err = wasserstein_1d(grid_pushforward(tmap, rho0), rho1, p=1, periodic=True)
-    return FlowMap(tmap, steps=steps, checkpoints=marks, pushforward_error=err,
-                   field_ref=fld)
+    return FlowMap(tmap, steps=steps, flow_error=flow_error, checkpoints=marks,
+                   pushforward_error=err, field_ref=fld)
 
 
 def jacobian_min(flow: FlowMap | TransportMap) -> float:

@@ -8,7 +8,7 @@ import pytest
 from randmap.cli import main
 from randmap.measures import DiscreteMeasure, GridDensity
 from randmap.lift import write_manifold_atoms
-from randmap.moser import MIN_DENSITY
+from randmap.moser import FLOW_TOL, MIN_DENSITY
 
 
 @pytest.fixture()
@@ -69,8 +69,23 @@ def test_moser_writes_map_and_report(workspace):
     assert report["pushforward_w1"] <= 1e-2
     assert report["jacobian_min"] > 0
     assert report["poisson_residual"] <= 1e-8
+    assert 0 <= report["flow_error_estimate"] <= FLOW_TOL / 64
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tolerances"]["flow_tol"] == FLOW_TOL / 64
+    assert manifest["config"]["steps"] == report["steps"]
     assert (out / "map.csv").exists()
     assert (out / "checkpoint_0.5000.csv").exists()
+
+
+def test_moser_explicit_steps_records_no_estimate(workspace):
+    out = workspace / "mos32"
+    rc = main(["moser", "--rho0", str(workspace / "uniform.csv"),
+               "--rho1", str(workspace / "bump.csv"), "--steps", "32", "--out", str(out)])
+    assert rc == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["steps"] == 32 and report["flow_error_estimate"] is None
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tolerances"]["flow_tol"] is None
 
 
 def test_verify_pass_and_schema(workspace):
@@ -289,6 +304,19 @@ def _bad_wdist_input(workspace, name, text):
             "--out", str(workspace / "wbad")]
 
 
+def _unresolved_moser_flow(workspace):
+    # a narrow bump over the positivity floor on 16 cells: step doubling
+    # does not meet its tolerance by the cap of 64 * 16 steps
+    n = 16
+    x = (np.arange(n) + 0.5) / n
+    spike = np.exp(-((x - 0.5) ** 2) / (2 * 0.01 ** 2))
+    GridDensity.uniform(1, n).to_csv(workspace / "uniform16.csv")
+    GridDensity(1, n, MIN_DENSITY + (1 - MIN_DENSITY) / spike.mean() * spike).to_csv(
+        workspace / "spike16.csv")
+    return ["moser", "--rho0", str(workspace / "uniform16.csv"),
+            "--rho1", str(workspace / "spike16.csv"), "--out", str(workspace / "mu")]
+
+
 def _density_with_value(workspace, token):
     lines = (workspace / "uniform.csv").read_text().splitlines()
     lines[4] = token
@@ -317,6 +345,8 @@ BAD_INPUTS = {
                                       "--rho1", str(ws / "bump.csv"), "--checkpoints", "x",
                                       "--out", str(ws / "mc")],
                           ["--checkpoints", "'x'"]),
+    "moser-unresolved-flow": (_unresolved_moser_flow,
+                              ["cap of 1024 steps", "doubling estimate"]),
     "manifest-row": (lambda ws: _edited_manifest(ws, "ragged_kernel.txt", "meas_002"),
                      ["ragged_kernel.txt, line 6", "expected 2 fields"]),
     "stability-eps": (lambda ws: ["stability", "--mu", str(ws / "uniform.csv"),

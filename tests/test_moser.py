@@ -1,15 +1,21 @@
 """Tests for the periodic Poisson solve, Moser flow, and diffeomorphism proxy.
 
 Oracles: single-Fourier-mode closed forms for the Poisson equation, the 1D
-monotone (quantile) map for pushforward agreement, and analytic derivatives
-for the Jacobian checks.
+monotone (quantile) map for pushforward agreement, the closed-form 1D time-1
+map for node accuracy, a 64n-step reference for the step-doubling estimate,
+and analytic derivatives for the Jacobian checks.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randmap.geometry import unit_torus_grid
+from randmap.geometry import unit_torus_grid, wrap_signed, wrap_unit
 from randmap.measures import GridDensity, grid_pushforward, wasserstein_1d
 from randmap.moser import (
+    FLOW_TOL,
+    MAX_STEPS_PER_CELL,
+    MIN_STEPS,
     FlowMap,
     MoserError,
     MoserField,
@@ -27,6 +33,13 @@ from randmap.transport import TransportMap, monotone_map_1d
 def cosine_density(n, amp, shift=0.0):
     x = (np.arange(n) + 0.5) / n
     return GridDensity(1, n, 1 + amp * np.cos(2 * np.pi * (x - shift)))
+
+
+def spike_density(n, width):
+    """Gaussian bump at 0.5 over the positivity floor: the late-time field is steep."""
+    x = (np.arange(n) + 0.5) / n
+    spike = np.exp(-((x - 0.5) ** 2) / (2 * width ** 2))
+    return GridDensity(1, n, 1e-3 + (1 - 1e-3) / spike.mean() * spike)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +148,36 @@ def test_moser_blowup_guard_reports_step():
         moser_map(GridDensity.uniform(1, n), rho1, steps=16)
 
 
+def test_explicit_steps_is_one_plain_integration():
+    n = 64
+    rho0 = GridDensity.uniform(1, n)
+    rho1 = cosine_density(n, 0.5)
+    flow = moser_map(rho0, rho1, steps=4 * n)
+    fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
+    nodes = unit_torus_grid(1, n).nodes()
+    assert np.array_equal(flow.map.images, wrap_unit(integrate_flow(fld, nodes, 0, 1, 4 * n)))
+    assert flow.steps == 4 * n and flow.flow_error is None
+
+
+def test_doubling_passes_over_trial_blowups():
+    # the 16-step trial trips the blow-up guard; doubling goes on past it
+    n = 64
+    rho1 = spike_density(n, 0.03)
+    with pytest.raises(MoserError, match="blow-up"):
+        moser_map(GridDensity.uniform(1, n), rho1, steps=MIN_STEPS)
+    flow = moser_map(GridDensity.uniform(1, n), rho1)
+    assert MIN_STEPS < flow.steps <= MAX_STEPS_PER_CELL * n
+    assert flow.flow_error <= FLOW_TOL / n
+    assert flow.pushforward_error <= 2.0 / n
+
+
+def test_doubling_cap_reports_steps_and_estimate():
+    n = 32
+    with pytest.raises(MoserError, match=f"cap of {MAX_STEPS_PER_CELL * n} steps: "
+                                         r"doubling estimate \S+ exceeds"):
+        moser_map(GridDensity.uniform(1, n), spike_density(n, 0.01))
+
+
 def test_flow_semigroup_consistency():
     n = 64
     rho0 = GridDensity.uniform(1, n)
@@ -146,6 +189,81 @@ def test_flow_semigroup_consistency():
     half = integrate_flow(fld, nodes, 0.0, 0.5, steps // 2)
     two_stage = integrate_flow(fld, half, 0.5, 1.0, steps // 2)
     assert np.abs(direct - two_stage).max() <= 1e-8
+
+
+def _pl_cdf(rho, y):
+    """Lifted CDF, from the first node, of the periodic piecewise-linear interpolant."""
+    n, v = rho.n, rho.values
+    h = 1.0 / n
+    seg = h * (v + np.roll(v, -1)) / 2        # mass between nodes i and i+1
+    at_node = np.concatenate([[-seg[-1]], [0.0], np.cumsum(seg)])
+    turns = np.floor(y)
+    s = (y - turns) / h - 0.5
+    k = np.floor(s).astype(int)               # left node, -1 .. n-1
+    f = s - k
+    a, b = v[k % n], v[(k + 1) % n]
+    return turns * seg.sum() + at_node[k + 1] + h * (a * f + (b - a) * f * f / 2)
+
+
+def _pl_cdf_inverse(rho, level, lo, hi):
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        below = _pl_cdf(rho, mid) < level
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("amp", [0.4, 0.9])
+def test_moser_matches_closed_form_1d_map(n, amp):
+    # The 1D flow carries mass between trajectories, so the time-1 map is
+    # T(x) = F1^-1(F0(x) + c) with F the CDF of the interpolated density and
+    # c fixed by the trajectory of the first node (integrated at 16n steps).
+    # The field's flux is interpolated separately from the densities, so the
+    # map matches this form only up to O(h^2): measured worst 0.15 h^2 at
+    # n=32, amplitude 0.9, where the target density dips to 0.1.
+    rho0 = GridDensity.uniform(1, n)
+    rho1 = cosine_density(n, amp)
+    flow = moser_map(rho0, rho1)
+    x = flow.map.points[:, 0]
+    lift = x + wrap_signed(flow.map.images[:, 0] - x)
+    anchor = integrate_flow(flow.field_ref, flow.map.points[:1], 0.0, 1.0, 16 * n)[0, 0]
+    c = _pl_cdf(rho1, np.array([anchor]))[0] - _pl_cdf(rho0, x[:1])[0]
+    oracle = _pl_cdf_inverse(rho1, _pl_cdf(rho0, x) + c, x - 1.0, x + 1.0)
+    assert np.abs(lift - oracle).max() <= 0.25 / n ** 2
+
+
+@st.composite
+def cosine_targets(draw):
+    dim, n = draw(st.sampled_from([(1, 32), (1, 64), (2, 16)]))
+    x = (np.arange(n) + 0.5) / n
+    factors = []
+    for axis in range(dim):
+        amp = draw(st.floats(-0.9, 0.9)) if axis == 0 or draw(st.booleans()) else 0.0
+        shift = draw(st.floats(0.0, 1.0))
+        factors.append(1 + amp * np.cos(2 * np.pi * (x - shift)))
+    vals = factors[0] if dim == 1 else np.multiply.outer(factors[0], factors[1])
+    return GridDensity(dim, n, vals / vals.mean())
+
+
+@settings(max_examples=10)
+@given(cosine_targets())
+def test_doubling_estimate_bounds_node_error(rho1):
+    n, dim = rho1.n, rho1.dim
+    rho0 = GridDensity.uniform(dim, n)
+    flow = moser_map(rho0, rho1, check_pushforward=False)
+    ref = moser_map(rho0, rho1, steps=MAX_STEPS_PER_CELL * n, check_pushforward=False)
+    assert flow.flow_error <= FLOW_TOL / n
+    # 1e-12 covers the rounding of the reference's thousands of steps, which
+    # is all that is left when the target is nearly uniform
+    deviation = np.abs(wrap_signed(flow.map.images - ref.map.images)).max()
+    assert deviation <= flow.flow_error + 1e-12
+    marked = moser_map(rho0, rho1, checkpoints=(0.5,), check_pushforward=False)
+    assert marked.steps == flow.steps
+    replay = moser_map(rho0, rho1, steps=marked.steps, checkpoints=(0.5,),
+                       check_pushforward=False)
+    assert np.array_equal(marked.map.images, replay.map.images)
+    assert np.array_equal(marked.checkpoints[0.5], replay.checkpoints[0.5])
 
 
 def test_moser_checkpoints():

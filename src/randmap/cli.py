@@ -52,7 +52,7 @@ from .measures import (
     wasserstein_exact,
 )
 from .moser import (FLOW_TOL, MIN_STEPS, POISSON_RESIDUAL_TOL, MoserError,
-                    continuity_residual, jacobian_min, moser_map)
+                    continuity_residual, flow_tolerance, jacobian_min, moser_map)
 from .transport import MARGINAL_TOL, MapError, SolverError, solve_exact, solve_sinkhorn
 
 USAGE_ERROR = 2
@@ -234,7 +234,7 @@ def cmd_moser(args) -> int:
     _write_manifest(out, "moser", {"steps": flow.steps, "checkpoints": list(args.checkpoints)},
                     [args.rho0, args.rho1],
                     {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL,
-                     "flow_tol": FLOW_TOL / rho0.n if args.steps is None else None})
+                     "flow_tol": flow_tolerance(rho0.n) if args.steps is None else None})
     ok = jac > 0 and (flow.pushforward_error is None or flow.pushforward_error <= args.tol)
     return 0 if ok else CHECK_FAILED
 

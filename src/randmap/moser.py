@@ -182,6 +182,11 @@ def integrate_flow(fld: MoserField, x0: np.ndarray, t0: float, t1: float,
     return x
 
 
+def flow_tolerance(n: int) -> float:
+    """Step-doubling bound on the node estimate for an n-cell grid: FLOW_TOL * h."""
+    return FLOW_TOL / n
+
+
 def _trajectory(fld: MoserField, nodes: np.ndarray, steps: int,
                 times: list[float]) -> tuple[np.ndarray, dict]:
     """Integrate the nodes to t=1 through the checkpoint times.
@@ -265,7 +270,7 @@ def moser_map(rho0: GridDensity, rho1: GridDensity, steps: int | None = None,
     flow_error = None
     if steps is None:
         steps, x, marks, flow_error = _doubled_trajectory(
-            fld, nodes, times, FLOW_TOL / n, MAX_STEPS_PER_CELL * n)
+            fld, nodes, times, flow_tolerance(n), MAX_STEPS_PER_CELL * n)
     else:
         x, marks = _trajectory(fld, nodes, steps, times)
     tmap = TransportMap(nodes, wrap_unit(x), route="moser", grid=grid)

@@ -145,7 +145,8 @@ def unit_torus_grid(dim: int, n: int) -> GridSpec:
 def _stencil(points: np.ndarray, grid: GridSpec) -> list[tuple[tuple, list]]:
     """The 2^dim cell corners around each point, with per-axis linear weights.
 
-    Returns (index tuple, weight factors) per corner, axis 0 varying fastest.
+    Returns (index tuple, weight factors) per corner, axis 0 varying fastest;
+    indices and weights take the shape of the points without their last axis.
     Periodic grids wrap across the seam; box grids clamp to the edge cells.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -153,7 +154,7 @@ def _stencil(points: np.ndarray, grid: GridSpec) -> list[tuple[tuple, list]]:
     idx, wts = [], []
     for a in range(grid.dim):
         lo, hi = grid.bounds[a]
-        f = (pts[:, a] - lo) / (hi - lo) * n - 0.5
+        f = (pts[..., a] - lo) / (hi - lo) * n - 0.5
         if grid.periodic:
             i0 = np.floor(f).astype(int)
             w = f - i0
@@ -161,7 +162,7 @@ def _stencil(points: np.ndarray, grid: GridSpec) -> list[tuple[tuple, list]]:
             i1 = np.mod(i0 + 1, n)
         else:
             f = np.clip(f, 0.0, n - 1.0)
-            i0 = np.minimum(np.floor(f).astype(int), n - 2) if n > 1 else np.zeros(len(f), int)
+            i0 = np.minimum(np.floor(f).astype(int), n - 2) if n > 1 else np.zeros(f.shape, int)
             w = f - i0
             i1 = np.minimum(i0 + 1, n - 1)
         idx.append((i0, i1))
@@ -179,18 +180,28 @@ def interp_grid(values: np.ndarray, points: np.ndarray, grid: GridSpec) -> np.nd
 
     values has shape (n,)*dim, or (k,) + (n,)*dim for a stack of k fields
     that share one stencil and one gather; points (m, dim). Returns (m,) for
-    one field and (m, k) for a stack.
+    one field and (m, k) for a stack. A batch of B stacks, values of shape
+    (B, k) + (n,)*dim with points of shape (B, m, dim), returns (B, m, k):
+    stack b is read at its own m points, and one gather per corner serves the
+    whole batch, with the same values, bit for bit, as B separate calls.
     """
     values = np.asarray(values, dtype=float)
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 3 and len(points) == 1:  # a batch of one needs no batch index
+        return interp_grid(values[0], points[0], grid)[None]
+    batch = ()
+    if points.ndim == 3:
+        values = values.swapaxes(0, 1)  # (k, B) + (n,)*dim
+        batch = (np.arange(len(points))[:, None],)
     out = None
     for index, factors in _stencil(points, grid):
         weight = factors[0]
         for f in factors[1:]:
             weight = weight * f
-        term = weight * values[(Ellipsis,) + index]
+        term = weight * values[(Ellipsis,) + batch + index]
         out = term if out is None else out + term
     # points first and C-ordered, as a column_stack of one call per field
-    return np.ascontiguousarray(out.T)
+    return np.ascontiguousarray(out.transpose(1, 2, 0) if batch else out.T)
 
 
 def deposit_linear(points: np.ndarray, weights: np.ndarray, grid: GridSpec) -> np.ndarray:

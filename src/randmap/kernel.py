@@ -26,7 +26,7 @@ from .measures import (
     wasserstein_1d,
     wasserstein_sinkhorn_upper,
 )
-from .moser import MIN_DENSITY, moser_map
+from .moser import MIN_DENSITY, FlowMap, moser_map
 from .transport import BRENIER_EPSILON, TransportMap, brenier_map, monotone_map_1d
 
 BASE_SPACES = ("circle", "torus2", "interval", "sphere2-chart")
@@ -161,28 +161,36 @@ def _pushforward_error(t_map: TransportMap, reference: GridDensity, target,
 
 
 def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,
-                      build_map, periodic: bool, validate: bool) -> RandomMapFamily:
+                      maps, periodic: bool, validate: bool) -> RandomMapFamily:
     """One map per kernel measure, each checked by its pushforward W1.
 
-    build_map(target) returns the map from the reference to target. With
-    validate, a W1(T_* reference, target) above 2/n (1D) or 4/n (2D) is
-    rejected; without it every error is recorded as NaN.
+    maps yields, in base-point order, each measure's map from the reference
+    or the exception its construction raised; the first failure in that
+    order is raised, whether a construction or a check. With validate, a
+    W1(T_* reference, target) above 2/n (1D) or 4/n (2D) is rejected;
+    without it every error is recorded as NaN.
     """
     tol = (2.0 if reference.dim == 1 else 4.0) / reference.n
-    maps, errs = [], []
-    for i, target in enumerate(kernel.measures):
-        try:
-            t_map = build_map(target)
-        except Exception as exc:
-            raise KernelError(f"map construction failed at base point {i}: {exc}") from exc
+    built, errs = [], []
+    for i, (target, t_map) in enumerate(zip(kernel.measures, maps)):
+        if isinstance(t_map, Exception):
+            raise KernelError(f"map construction failed at base point {i}: {t_map}") from t_map
         err = (_pushforward_error(t_map, reference, target, periodic)
                if validate else float("nan"))
         if err > tol:
             raise KernelError(f"pushforward check failed at base point {i}: "
                               f"W1 = {err:.3e} > {tol:.3e}")
-        maps.append(t_map)
+        built.append(t_map)
         errs.append(err)
-    return RandomMapFamily(reference, tuple(maps), route, kernel, tol, tuple(errs))
+    return RandomMapFamily(reference, tuple(built), route, kernel, tol, tuple(errs))
+
+
+def _attempt(build_map, target):
+    """build_map(target), or the exception it raised."""
+    try:
+        return build_map(target)
+    except Exception as exc:
+        return exc
 
 
 def _optimal_map(reference: GridDensity, target, periodic: bool) -> TransportMap:
@@ -215,8 +223,9 @@ def build_measurable_representation(kernel: KernelFamily,
         raise KernelError("reference dimension does not match kernel measures")
     periodic = kernel.target_periodic
     build_map = partial(_optimal_map, reference, periodic=periodic)
-    return _validated_family("measurable", kernel, reference, build_map, periodic,
-                             validate=True)
+    # built lazily, so a failure stops the build where it occurs
+    maps = (_attempt(build_map, target) for target in kernel.measures)
+    return _validated_family("measurable", kernel, reference, maps, periodic, validate=True)
 
 
 def build_continuous_representation(kernel: KernelFamily,
@@ -224,9 +233,10 @@ def build_continuous_representation(kernel: KernelFamily,
     """Representation by Moser time-1 maps from the uniform density.
 
     Every kernel measure must be a strictly positive grid density (full
-    support is what makes the maps continuous). Each map takes `steps` RK4
-    steps if given, else the step count that `moser_map`'s step doubling
-    accepts (node estimate at most FLOW_TOL * h). Continuity metadata is
+    support is what makes the maps continuous). The family's flows are
+    integrated as one batch by one `moser_map` call; each map takes `steps`
+    RK4 steps if given, else the step count that step doubling accepts for
+    it alone (node estimate at most FLOW_TOL * h). Continuity metadata is
     attached from the modulus table over all base-point pairs. Only 1D maps
     are validated: in 2D the pushforward errors are recorded as NaN.
     """
@@ -239,10 +249,9 @@ def build_continuous_representation(kernel: KernelFamily,
     proto = kernel.measures[0]
     reference = GridDensity.uniform(proto.dim, proto.n)
 
-    def build_map(target):
-        return moser_map(reference, target, steps=steps, check_pushforward=False).map
-
-    family = _validated_family("continuous", kernel, reference, build_map, True,
+    flows = moser_map(reference, kernel.measures, steps=steps, check_pushforward=False)
+    maps = [flow.map if isinstance(flow, FlowMap) else flow for flow in flows]
+    family = _validated_family("continuous", kernel, reference, maps, True,
                                validate=proto.dim == 1)
     # the table reads the family it describes, so it is attached after the build
     object.__setattr__(family, "modulus", continuity_modulus(family))

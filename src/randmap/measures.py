@@ -331,16 +331,34 @@ def _quantile_cost(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
     """Cost of pairing level t of mu with level t - theta of nu (atoms sorted).
 
     nu's quantile is unrolled by Q(s + 1) = Q(s) + 1 for the circle; at
-    theta = 0 this is the exact quantile coupling on the line.
+    theta = 0 this is the exact quantile coupling on the line. Every break of
+    either step quantile is labelled with the atom its quantile takes past
+    it, and each level segment between the sorted breaks is charged to the
+    largest labels at or before its position. No level is looked up, so a
+    segment one ulp wide is charged to its own atoms whatever a lookup's tie
+    rule would do there.
     """
+    mu_size, nu_size = len(xu), len(xv)
     cu, cv = np.cumsum(wu), np.cumsum(wv)
-    # level segments between the breaks of both step quantiles
-    t = np.sort(np.concatenate([[0.0, 1.0], cu[:-1], wrap_unit(cv + theta)]))
-    mid = 0.5 * (t[:-1] + t[1:])
-    k = np.floor(mid - theta)
-    qu = step_quantile(xu, cu, mid)
-    qv = step_quantile(xv, cv, mid - theta - k) + k
-    return float(np.sum(np.diff(t) * np.abs(qu - qv) ** p))
+    # nu's breaks in t = s + theta: its inner cumulative weights, and the turn
+    # where its unrolled level s crosses an integer (the last weight is taken
+    # as 1, as mu's is by the break at t = 1); each is labelled with the
+    # unrolled atom count turn * len(xv) + atom past it
+    sv = np.append(cv[:-1], 0.0)
+    tv = wrap_unit(sv + theta)
+    gv = np.rint(tv - theta - sv).astype(int) * nu_size + np.append(np.arange(1, nu_size), 0)
+    t = np.concatenate([[0.0, 1.0], cu[:-1], tv])
+    # row 0: mu's atom past each break; row 1: nu's unrolled count, which
+    # before nu's first break is one below that break's
+    labels = np.zeros((2, len(t)), dtype=int)
+    labels[0, 2:mu_size + 1] = np.arange(1, mu_size)
+    labels[1, :mu_size + 1] = gv.min() - 1
+    labels[1, mu_size + 1:] = gv
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    iu, g = np.maximum.accumulate(labels[:, order], axis=1)[:, :-1]
+    qv = xv[g % nu_size] + g // nu_size
+    return float(np.sum(np.diff(t) * np.abs(xu[iu] - qv) ** p))
 
 
 def _circle_w1(xu, wu, xv, wv) -> float:

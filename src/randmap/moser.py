@@ -13,12 +13,20 @@ s = MIN_STEPS and accept the 2s solution once the largest wrapped node
 deviation between the two is at most FLOW_TOL * h (h = 1/n); otherwise the
 2s solution becomes the coarse one and s doubles, up to MAX_STEPS_PER_CELL * n.
 
+A kernel family's flows all start from the same uniform density on the
+same grid, so they are integrated as one batch: one RK4 loop moves every
+map's nodes, with one interpolation gather per cell corner for the whole
+batch. Each map keeps its own blow-up guard and its own step doubling (a
+resolved map leaves the batch, the rest double), so it gets bit for bit the
+images and the step count it would get alone.
+
 The discrete calculus (Laplacian, gradient, divergence) is spectral
 throughout: that is what makes the continuity identity
 d/dt rho_t + div(rho_t xi) = 0 hold at machine precision on the grid.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,13 +140,6 @@ class MoserField:
     def grid(self) -> GridSpec:
         return self.rho0.grid
 
-    def velocity(self, t: float, pts: np.ndarray) -> np.ndarray:
-        """Multilinear interpolation of grad u and the densities, then the ratio."""
-        vals = interp_grid(self.stack, pts, self.grid)
-        dim = self.rho0.dim
-        denom = (1.0 - t) * vals[:, dim] + t * vals[:, dim + 1]
-        return vals[:, :dim] / denom[:, None]
-
 
 @dataclass(frozen=True)
 class FlowMap:
@@ -163,22 +164,54 @@ class FlowMap:
         return self.map(x)
 
 
-def integrate_flow(fld: MoserField, x0: np.ndarray, t0: float, t1: float,
-                   steps: int) -> np.ndarray:
-    """Classical RK4 on dx/dt = xi(t, x); rejects steps that jump too far."""
+def _velocity(stacks: np.ndarray, grid: GridSpec, t: float, pts: np.ndarray) -> np.ndarray:
+    """xi(t, x) for a batch of fields: interpolate grad u and both densities, then divide."""
+    vals = interp_grid(stacks, pts, grid)
+    dim = grid.dim
+    denom = (1.0 - t) * vals[..., dim] + t * vals[..., dim + 1]
+    return vals[..., :dim] / denom[..., None]
+
+
+def integrate_flow(fld: MoserField | Sequence[MoserField], x0: np.ndarray, t0: float,
+                   t1: float, steps: int) -> np.ndarray:
+    """Classical RK4 on dx/dt = xi(t, x) for one field or a batch on one grid.
+
+    One MoserField moves x0 of shape (m, dim); a sequence of B fields moves
+    x0 of shape (B, m, dim), row b by field b, all in one loop. Every map
+    keeps its positions bit for bit as if it ran alone, and its own guard
+    against a step that moves a node more than half the domain: one field
+    raises MoserError naming the step; in a batch the map leaves the batch
+    and its rows come back NaN, and rows that enter as NaN stay out.
+    """
+    single = isinstance(fld, MoserField)
+    fields = [fld] if single else list(fld)
     x = np.array(x0, dtype=float)
+    rows = x[None] if single else x  # a view: writes to rows land in x
+    live = np.flatnonzero(~np.isnan(rows).any(axis=(1, 2)))
+    stacks = np.stack([fields[i].stack for i in live]) if live.size else None
+    grid = fields[0].grid
+    pos = rows[live]
     dt = (t1 - t0) / steps
     for k in range(steps):
+        if not live.size:
+            break
         t = t0 + k * dt
-        k1 = fld.velocity(t, x)
-        k2 = fld.velocity(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = fld.velocity(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = fld.velocity(t + dt, x + dt * k3)
+        k1 = _velocity(stacks, grid, t, pos)
+        k2 = _velocity(stacks, grid, t + 0.5 * dt, pos + 0.5 * dt * k1)
+        k3 = _velocity(stacks, grid, t + 0.5 * dt, pos + 0.5 * dt * k2)
+        k4 = _velocity(stacks, grid, t + dt, pos + dt * k3)
         delta = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.abs(delta).max() > 0.5:
-            raise MoserError(f"flow blow-up at step {k}: displacement "
-                             f"{np.abs(delta).max():.3f} exceeds half the domain")
-        x = x + delta
+        jump = np.abs(delta).max(axis=(1, 2))
+        blown = jump > 0.5
+        if blown.any():
+            if single:
+                raise MoserError(f"flow blow-up at step {k}: displacement "
+                                 f"{jump[0]:.3f} exceeds half the domain")
+            rows[live[blown]] = np.nan
+            keep = ~blown
+            live, stacks, pos, delta = live[keep], stacks[keep], pos[keep], delta[keep]
+        pos = pos + delta
+    rows[live] = pos
     return x
 
 
@@ -187,15 +220,19 @@ def flow_tolerance(n: int) -> float:
     return FLOW_TOL / n
 
 
-def _trajectory(fld: MoserField, nodes: np.ndarray, steps: int,
+def _trajectory(fld: MoserField | Sequence[MoserField], nodes: np.ndarray, steps: int,
                 times: list[float]) -> tuple[np.ndarray, dict]:
     """Integrate the nodes to t=1 through the checkpoint times.
 
     Returns the unwrapped time-1 positions and the wrapped positions at each
     checkpoint; each segment takes its share of the `steps` steps on [0, 1].
+    A batch of fields moves one copy of the nodes each and follows
+    `integrate_flow`: a map that blows up comes back NaN.
     """
     marks = {}
     x = nodes
+    if not isinstance(fld, MoserField):
+        x = np.broadcast_to(nodes, (len(fld),) + nodes.shape)
     t_prev = 0.0
     for t_mark in times:
         x = integrate_flow(fld, x, t_prev, t_mark, max(1, round(steps * (t_mark - t_prev))))
@@ -205,40 +242,104 @@ def _trajectory(fld: MoserField, nodes: np.ndarray, steps: int,
     return x, marks
 
 
-def _trial(fld: MoserField, nodes: np.ndarray, steps: int,
-           times: list[float]) -> tuple[np.ndarray, dict] | None:
-    """One step-doubling trial; None when the blow-up guard trips."""
-    try:
-        return _trajectory(fld, nodes, steps, times)
-    except MoserError:
-        return None
+def _row(marks: dict, b: int) -> dict:
+    """Map b's checkpoint positions out of a batch's."""
+    return {t: pos[b] for t, pos in marks.items()}
 
 
-def _doubled_trajectory(fld: MoserField, nodes: np.ndarray, times: list[float],
-                        tol: float, cap: int) -> tuple[int, np.ndarray, dict, float]:
-    """Step doubling from MIN_STEPS: the first 2s-step trajectory within tol of the s-step one.
+def _doubled_trajectory(fields: list[MoserField], nodes: np.ndarray, times: list[float],
+                        tol: float, cap: int) -> list:
+    """Step doubling from MIN_STEPS for a batch of fields, each map on its own.
 
-    The estimate is the largest wrapped node deviation at t=1; a trial that
-    blows up counts as unresolved. Raises MoserError past `cap` steps.
+    A map's estimate is the largest wrapped node deviation at t=1 between its
+    2s- and s-step trajectories; a trial in which it blows up counts as
+    unresolved. A map resolved within tol leaves the batch and the rest
+    double, so each gets the steps, positions and estimate it would get
+    alone. Returns per field (steps, time-1 positions, checkpoint marks,
+    estimate), or the MoserError of a map still unresolved at `cap` steps.
     """
+    out = [None] * len(fields)
+    live = list(range(len(fields)))
     steps = MIN_STEPS
-    coarse = _trial(fld, nodes, steps, times)
-    estimate = np.inf
-    while 2 * steps <= cap:
+    coarse, _ = _trajectory(fields, nodes, steps, times)
+    estimate = np.full(len(fields), np.inf)
+    while live and 2 * steps <= cap:
         steps *= 2
-        fine = _trial(fld, nodes, steps, times)
-        estimate = (np.inf if coarse is None or fine is None
-                    else float(np.abs(wrap_signed(fine[0] - coarse[0])).max()))
-        if estimate <= tol:
-            return steps, fine[0], fine[1], estimate
-        coarse = fine
-    raise MoserError(f"flow not resolved at the cap of {steps} steps: doubling "
-                     f"estimate {estimate:.3e} exceeds {tol:.3e}")
+        fine, marks = _trajectory([fields[i] for i in live], nodes, steps, times)
+        estimate = np.abs(wrap_signed(fine - coarse)).max(axis=(1, 2))
+        estimate[np.isnan(estimate)] = np.inf
+        done = estimate <= tol
+        for b in np.flatnonzero(done):
+            out[live[b]] = (steps, fine[b], _row(marks, b), float(estimate[b]))
+        live = [i for i, d in zip(live, done) if not d]
+        coarse, estimate = fine[~done], estimate[~done]
+    for i, est in zip(live, estimate):
+        out[i] = MoserError(f"flow not resolved at the cap of {steps} steps: doubling "
+                            f"estimate {est:.3e} exceeds {tol:.3e}")
+    return out
 
 
-def moser_map(rho0: GridDensity, rho1: GridDensity, steps: int | None = None,
-              checkpoints: tuple[float, ...] = (),
-              check_pushforward: bool = True) -> FlowMap:
+def _moser_field(rho0: GridDensity, rho1: GridDensity, steps: int | None,
+                 times: list[float]) -> MoserField:
+    """The field of one coupling once moser_map's preconditions hold."""
+    if rho0.n != rho1.n or rho0.dim != rho1.dim:
+        raise MoserError("densities must share one grid")
+    for name, rho in (("rho0", rho0), ("rho1", rho1)):
+        if rho.min_value < MIN_DENSITY:
+            raise MoserError(f"{name} violates strict positivity: "
+                             f"min {rho.min_value:.2e} < {MIN_DENSITY}")
+    if steps is not None and steps < MIN_STEPS:
+        raise MoserError(f"step count {steps} below minimum {MIN_STEPS}")
+    if any(not 0.0 < t < 1.0 for t in times):
+        raise MoserError("checkpoints must lie strictly inside (0, 1)")
+    return MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
+
+
+def _flows(fields: list[MoserField], steps: int | None, times: list[float]) -> list:
+    """Integrate a batch of fields on one grid from its nodes to t=1.
+
+    Returns per field (steps, time-1 positions, checkpoint marks, estimate)
+    or the MoserError its flow ended in. Without `steps` this is step
+    doubling; with it, one integration, after which a map that blew up is
+    integrated again on its own, which raises the error naming its step.
+    """
+    if not fields:
+        return []
+    n = fields[0].grid.n
+    nodes = fields[0].grid.nodes()
+    if steps is None:
+        return _doubled_trajectory(fields, nodes, times, flow_tolerance(n),
+                                   MAX_STEPS_PER_CELL * n)
+    x, marks = _trajectory(fields, nodes, steps, times)
+    out = []
+    for b, fld in enumerate(fields):
+        if not np.isnan(x[b]).any():
+            out.append((steps, x[b], _row(marks, b), None))
+            continue
+        try:
+            _trajectory(fld, nodes, steps, times)
+        except MoserError as exc:
+            out.append(exc)
+    return out
+
+
+def _flow_map(fld: MoserField, flow, check_pushforward: bool) -> FlowMap | MoserError:
+    """The FlowMap of one integrated field, or the MoserError its flow ended in."""
+    if isinstance(flow, MoserError):
+        return flow
+    steps, x, marks, flow_error = flow
+    grid = fld.grid
+    tmap = TransportMap(grid.nodes(), wrap_unit(x), route="moser", grid=grid)
+    err = None
+    if check_pushforward and grid.dim == 1:
+        err = wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True)
+    return FlowMap(tmap, steps=steps, flow_error=flow_error, checkpoints=marks,
+                   pushforward_error=err, field_ref=fld)
+
+
+def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
+              steps: int | None = None, checkpoints: tuple[float, ...] = (),
+              check_pushforward: bool = True) -> FlowMap | list:
     """Deterministic coupling of rho0 and rho1 by the time-1 Moser flow.
 
     Both densities must be strictly positive (min >= 1e-3) on a common grid.
@@ -251,34 +352,29 @@ def moser_map(rho0: GridDensity, rho1: GridDensity, steps: int | None = None,
     the exact circle W1(T_* rho0, rho1) as its pushforward error; False
     skips that check. A 2D map always records None: in 2D only the dense
     entropic upper bound is available, and it is too slow to run per map.
+
+    rho1 may also be a sequence of targets, such as a kernel family's. Their
+    flows are integrated as one batch, one RK4 loop over every map's nodes,
+    and each map keeps the step count, images and estimate it would get
+    alone. The result is then a list with, per target, its FlowMap or the
+    MoserError that its construction raised.
     """
-    if rho0.n != rho1.n or rho0.dim != rho1.dim:
-        raise MoserError("densities must share one grid")
-    for name, rho in (("rho0", rho0), ("rho1", rho1)):
-        if rho.min_value < MIN_DENSITY:
-            raise MoserError(f"{name} violates strict positivity: "
-                             f"min {rho.min_value:.2e} < {MIN_DENSITY}")
-    if steps is not None and steps < MIN_STEPS:
-        raise MoserError(f"step count {steps} below minimum {MIN_STEPS}")
+    single = isinstance(rho1, GridDensity)
     times = sorted(set(checkpoints))
-    if any(not 0.0 < t < 1.0 for t in times):
-        raise MoserError("checkpoints must lie strictly inside (0, 1)")
-    n, dim = rho0.n, rho0.dim
-    fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
-    grid = fld.grid
-    nodes = grid.nodes()
-    flow_error = None
-    if steps is None:
-        steps, x, marks, flow_error = _doubled_trajectory(
-            fld, nodes, times, flow_tolerance(n), MAX_STEPS_PER_CELL * n)
-    else:
-        x, marks = _trajectory(fld, nodes, steps, times)
-    tmap = TransportMap(nodes, wrap_unit(x), route="moser", grid=grid)
-    err = None
-    if check_pushforward and dim == 1:
-        err = wasserstein_1d(grid_pushforward(tmap, rho0), rho1, p=1, periodic=True)
-    return FlowMap(tmap, steps=steps, flow_error=flow_error, checkpoints=marks,
-                   pushforward_error=err, field_ref=fld)
+    built = []
+    for target in ([rho1] if single else rho1):
+        try:
+            built.append(_moser_field(rho0, target, steps, times))
+        except MoserError as exc:
+            built.append(exc)
+    flows = iter(_flows([f for f in built if isinstance(f, MoserField)], steps, times))
+    out = [f if isinstance(f, MoserError) else _flow_map(f, next(flows), check_pushforward)
+           for f in built]
+    if not single:
+        return out
+    if isinstance(out[0], MoserError):
+        raise out[0]
+    return out[0]
 
 
 def jacobian_min(flow: FlowMap | TransportMap) -> float:

@@ -44,6 +44,18 @@ def test_stacked_interp_equals_per_field_calls(grid):
         assert np.array_equal(stacked[:, k], interp_grid(fields[k], pts, grid))
 
 
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("grid", TORUS + BOX[:2], ids=lambda g: f"{g.dim}d-periodic={g.periodic}")
+def test_batched_interp_equals_per_stack_calls(grid, batch):
+    rng = np.random.default_rng(20 + grid.dim)
+    stacks = rng.normal(size=(batch, 3) + (grid.n,) * grid.dim)
+    pts = np.stack([_points(grid, 50, rng) for _ in range(batch)])
+    batched = interp_grid(stacks, pts, grid)
+    assert batched.shape == (batch, 50, 3) and batched.flags.c_contiguous
+    for b in range(batch):
+        assert np.array_equal(batched[b], interp_grid(stacks[b], pts[b], grid))
+
+
 @pytest.mark.parametrize("grid", BOX, ids=lambda g: f"{g.dim}d")
 def test_linear_deposit_is_adjoint_of_interpolation(grid):
     rng = np.random.default_rng(10 + grid.dim)

@@ -267,6 +267,22 @@ def test_w1d_matches_exact_lp(a, b, p, periodic):
     assert got == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("a,midpoint_at", [(0.3, "b"), (np.nextafter(0.3, 1.0), "a")])
+def test_w1d_charges_a_one_ulp_segment_to_its_own_atoms(a, midpoint_at):
+    # mu and nu put mass a and the next float b on 0, the rest on 1: only
+    # the one-ulp level segment [a, b] pairs 0 with 1, so W1 = b - a exactly.
+    # The segment's midpoint rounds onto b in one case and onto a in the
+    # other, so a lookup at the midpoint misses the segment in one of them
+    # whichever side its searchsorted takes.
+    b = np.nextafter(a, 1.0)
+    assert 0.5 * (a + b) == {"a": a, "b": b}[midpoint_at]
+    atoms = np.array([[0.0], [1.0]])
+    mu = DiscreteMeasure(atoms, np.array([a, 1.0 - a]))
+    nu = DiscreteMeasure(atoms, np.array([b, 1.0 - b]))
+    assert wasserstein_1d(mu, nu, p=1) == b - a
+    assert wasserstein_1d(nu, mu, p=1) == b - a
+
+
 def test_w1d_rejects_2d():
     m = DiscreteMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
     with pytest.raises(MeasureError):

@@ -3,14 +3,17 @@
 Oracles: single-Fourier-mode closed forms for the Poisson equation, the 1D
 monotone (quantile) map for pushforward agreement, the closed-form 1D time-1
 map for node accuracy, a 64n-step reference for the step-doubling estimate,
-and analytic derivatives for the Jacobian checks.
+analytic derivatives for the Jacobian checks, and single-target builds for
+the batched integration of a kernel family's flows.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randmap import moser
 from randmap.geometry import unit_torus_grid, wrap_signed, wrap_unit
+from randmap.kernel import KernelError, KernelFamily, build_continuous_representation
 from randmap.measures import GridDensity, grid_pushforward, wasserstein_1d
 from randmap.moser import (
     FLOW_TOL,
@@ -285,6 +288,104 @@ def test_flowmap_invariants():
         FlowMap(tmap, steps=8)
     with pytest.raises(MoserError, match="wrapped"):
         FlowMap(TransportMap(nodes, nodes + 1.0, route="moser", grid=grid), steps=32)
+
+
+# ---------------------------------------------------------------------------
+# a kernel family's flows, integrated as one batch
+# ---------------------------------------------------------------------------
+
+def product_cosine_density(n, amp):
+    x = (np.arange(n) + 0.5) / n
+    vals = np.multiply.outer(1 + amp * np.cos(2 * np.pi * x),
+                             1 + 0.3 * np.cos(2 * np.pi * (x - 0.2)))
+    return GridDensity(2, n, vals / vals.mean())
+
+
+def circle_family(measures):
+    return KernelFamily("circle", (np.arange(len(measures)) / len(measures))[:, None],
+                        tuple(measures))
+
+
+def assert_same_flows(batch, singles):
+    for got, want in zip(batch, singles, strict=True):
+        assert np.array_equal(got.map.images, want.map.images)
+        assert got.steps == want.steps and got.flow_error == want.flow_error
+        assert got.checkpoints.keys() == want.checkpoints.keys()
+        for t_mark in want.checkpoints:
+            assert np.array_equal(got.checkpoints[t_mark], want.checkpoints[t_mark])
+
+
+def test_batched_1d_family_matches_single_target_maps():
+    # the spike's 16-step trial blows up and it resolves only at 1,024
+    # steps, against 32 or 64 for the cosines: every map doubles on its own
+    n = 64
+    targets = [cosine_density(n, 0.3), cosine_density(n, 0.9, 0.25), spike_density(n, 0.03),
+               cosine_density(n, 0.5, 0.5)]
+    rho0 = GridDensity.uniform(1, n)
+    singles = [moser_map(rho0, rho1, check_pushforward=False) for rho1 in targets]
+    assert len({flow.steps for flow in singles}) == 3
+    family = build_continuous_representation(circle_family(targets))
+    for t_map, want in zip(family.maps, singles, strict=True):
+        assert np.array_equal(t_map.images, want.map.images)
+    assert_same_flows(moser_map(rho0, targets, check_pushforward=False), singles)
+    marked = [moser_map(rho0, rho1, checkpoints=(0.5,)) for rho1 in targets]
+    batch = moser_map(rho0, targets, checkpoints=(0.5,))
+    assert_same_flows(batch, marked)
+    assert [f.pushforward_error for f in batch] == [f.pushforward_error for f in marked]
+
+
+def test_batched_2d_family_matches_single_target_maps():
+    n = 16
+    targets = [product_cosine_density(n, amp) for amp in (0.2, 0.5, 0.8, 0.95)]
+    rho0 = GridDensity.uniform(2, n)
+    singles = [moser_map(rho0, rho1, check_pushforward=False) for rho1 in targets]
+    kern = KernelFamily("torus2", [[0.1, 0.2], [0.4, 0.2], [0.1, 0.7], [0.6, 0.6]],
+                        tuple(targets))
+    family = build_continuous_representation(kern)
+    for t_map, want in zip(family.maps, singles, strict=True):
+        assert np.array_equal(t_map.images, want.map.images)
+    assert_same_flows(moser_map(rho0, targets, check_pushforward=False), singles)
+
+
+def test_batched_explicit_steps_reports_the_first_blow_up_by_base_point():
+    n = 64
+    targets = [cosine_density(n, 0.3), cosine_density(n, 0.5), spike_density(n, 0.03),
+               spike_density(n, 0.03)]
+    with pytest.raises(KernelError, match="map construction failed at base point 2: "
+                                          "flow blow-up at step 15"):
+        build_continuous_representation(circle_family(targets), steps=16)
+    flows = moser_map(GridDensity.uniform(1, n), targets, steps=16)
+    assert [type(f) for f in flows] == [FlowMap, FlowMap, MoserError, MoserError]
+    assert str(flows[3]).startswith("flow blow-up at step 15:")
+
+
+def test_batched_construction_failure_stays_with_its_target():
+    n = 32
+    vals = np.ones(n)
+    vals[0] = 0.0
+    bad = GridDensity(1, n, vals / vals.mean())
+    flows = moser_map(GridDensity.uniform(1, n), [cosine_density(n, 0.3), bad,
+                                                  GridDensity.uniform(1, 16)])
+    assert isinstance(flows[0], FlowMap)
+    assert isinstance(flows[1], MoserError) and "positivity" in str(flows[1])
+    assert isinstance(flows[2], MoserError) and "grid" in str(flows[2])
+
+
+def test_family_build_integrates_every_map_in_one_batch(monkeypatch):
+    # 16 targets that all resolve at 32 steps: one 16-step and one 32-step
+    # trial for the whole family, where one integration per map would make 32
+    n = 64
+    targets = [cosine_density(n, 0.4, k / 16) for k in range(16)]
+    calls = []
+    integrate = moser.integrate_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(moser, "integrate_flow", counted)
+    build_continuous_representation(circle_family(targets))
+    assert calls == [MIN_STEPS, 2 * MIN_STEPS]
 
 
 # ---------------------------------------------------------------------------

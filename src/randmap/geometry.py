@@ -187,8 +187,6 @@ def interp_grid(values: np.ndarray, points: np.ndarray, grid: GridSpec) -> np.nd
     """
     values = np.asarray(values, dtype=float)
     points = np.asarray(points, dtype=float)
-    if points.ndim == 3 and len(points) == 1:  # a batch of one needs no batch index
-        return interp_grid(values[0], points[0], grid)[None]
     batch = ()
     if points.ndim == 3:
         values = values.swapaxes(0, 1)  # (k, B) + (n,)*dim

@@ -209,6 +209,10 @@ def cmd_moser(args) -> int:
     rho1 = _load_measure(args.rho1)
     if not isinstance(rho0, GridDensity) or not isinstance(rho1, GridDensity):
         raise CliError("moser requires grid-density inputs")
+    times = sorted(set(args.checkpoints))
+    for a, b in zip(times, times[1:]):  # rounding keeps order: clashes are neighbours
+        if f"{a:.4f}" == f"{b:.4f}":
+            raise CliError(f"checkpoints {a!r} and {b!r} both write checkpoint_{a:.4f}.csv")
     flow = moser_map(rho0, rho1, steps=args.steps, checkpoints=args.checkpoints)
     out = _outdir(args)
     flow.map.to_csv(out / "map.csv")

@@ -14,11 +14,11 @@ deviation between the two is at most FLOW_TOL * h (h = 1/n); otherwise the
 2s solution becomes the coarse one and s doubles, up to MAX_STEPS_PER_CELL * n.
 
 A kernel family's flows all start from the same uniform density on the
-same grid, so they are integrated as one batch: one RK4 loop moves every
-map's nodes, with one interpolation gather per cell corner for the whole
-batch. Each map keeps its own blow-up guard and its own step doubling (a
-resolved map leaves the batch, the rest double), so it gets bit for bit the
-images and the step count it would get alone.
+same grid, so the RK4 engine takes only batches: one loop moves every map's
+nodes, with one interpolation gather per cell corner, and one coupling is a
+batch of one. Each map keeps its own step doubling and its own blow-up
+guard, whose MoserError the loop records, so it gets bit for bit the images,
+step count and error it would get alone.
 
 The discrete calculus (Laplacian, gradient, divergence) is spectral
 throughout: that is what makes the continuity identity
@@ -114,27 +114,20 @@ class MoserField:
     """Time-dependent velocity field of the density interpolation.
 
     xi(t, x) = grad u(x) / ((1-t) rho0(x) + t rho1(x)); the denominator is
-    bounded below by min(min rho0, min rho1) for all t in [0, 1].
+    bounded below by min(min rho0, min rho1) for all t in [0, 1]. moser_map
+    builds it once both densities pass its checks (one grid, min >= MIN_DENSITY).
     """
 
     rho0: GridDensity
     rho1: GridDensity
     poisson: PoissonSolution
-    grad_u: tuple = field(init=False, default=())
     # grad u components, rho0 and rho1 stacked as (dim + 2, n, ...): every
     # velocity evaluation is one gather through one interpolation stencil
     stack: np.ndarray = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.rho0.n != self.rho1.n or self.rho0.dim != self.rho1.dim:
-            raise MoserError("densities must share one grid")
-        floor = min(self.rho0.min_value, self.rho1.min_value)
-        if floor <= 0.0:
-            raise MoserError(f"field denominator not positive (min density {floor})")
-        grad_u = tuple(spectral_gradient(self.poisson.u))
-        object.__setattr__(self, "grad_u", grad_u)
-        object.__setattr__(self, "stack",
-                           np.stack(grad_u + (self.rho0.values, self.rho1.values)))
+        object.__setattr__(self, "stack", np.stack([*spectral_gradient(self.poisson.u),
+                                                    self.rho0.values, self.rho1.values]))
 
     @cached_property
     def grid(self) -> GridSpec:
@@ -172,25 +165,22 @@ def _velocity(stacks: np.ndarray, grid: GridSpec, t: float, pts: np.ndarray) -> 
     return vals[..., :dim] / denom[..., None]
 
 
-def integrate_flow(fld: MoserField | Sequence[MoserField], x0: np.ndarray, t0: float,
-                   t1: float, steps: int) -> np.ndarray:
-    """Classical RK4 on dx/dt = xi(t, x) for one field or a batch on one grid.
+def integrate_flow(fields: Sequence[MoserField], x0: np.ndarray, t0: float, t1: float,
+                   steps: int) -> tuple[np.ndarray, dict[int, MoserError]]:
+    """Classical RK4 on dx/dt = xi(t, x) for B fields on one grid, all in one loop.
 
-    One MoserField moves x0 of shape (m, dim); a sequence of B fields moves
-    x0 of shape (B, m, dim), row b by field b, all in one loop. Every map
-    keeps its positions bit for bit as if it ran alone, and its own guard
-    against a step that moves a node more than half the domain: one field
-    raises MoserError naming the step; in a batch the map leaves the batch
-    and its rows come back NaN, and rows that enter as NaN stay out.
+    x0 has shape (B, m, dim) and row b moves by field b, bit for bit as if it
+    ran alone. A map whose step moves a node more than half the domain leaves
+    the batch and its row comes back NaN; rows that enter as NaN stay out.
+    Returns the positions and, by row, each blown map's MoserError, which
+    names the step counted from t0.
     """
-    single = isinstance(fld, MoserField)
-    fields = [fld] if single else list(fld)
     x = np.array(x0, dtype=float)
-    rows = x[None] if single else x  # a view: writes to rows land in x
-    live = np.flatnonzero(~np.isnan(rows).any(axis=(1, 2)))
+    live = np.flatnonzero(~np.isnan(x).any(axis=(1, 2)))
     stacks = np.stack([fields[i].stack for i in live]) if live.size else None
     grid = fields[0].grid
-    pos = rows[live]
+    pos = x[live]
+    blowups = {}
     dt = (t1 - t0) / steps
     for k in range(steps):
         if not live.size:
@@ -204,15 +194,15 @@ def integrate_flow(fld: MoserField | Sequence[MoserField], x0: np.ndarray, t0: f
         jump = np.abs(delta).max(axis=(1, 2))
         blown = jump > 0.5
         if blown.any():
-            if single:
-                raise MoserError(f"flow blow-up at step {k}: displacement "
-                                 f"{jump[0]:.3f} exceeds half the domain")
-            rows[live[blown]] = np.nan
+            for b, d in zip(live[blown], jump[blown]):
+                blowups[int(b)] = MoserError(f"flow blow-up at step {k}: displacement "
+                                             f"{d:.3f} exceeds half the domain")
+            x[live[blown]] = np.nan
             keep = ~blown
             live, stacks, pos, delta = live[keep], stacks[keep], pos[keep], delta[keep]
         pos = pos + delta
-    rows[live] = pos
-    return x
+    x[live] = pos
+    return x, blowups
 
 
 def flow_tolerance(n: int) -> float:
@@ -220,26 +210,26 @@ def flow_tolerance(n: int) -> float:
     return FLOW_TOL / n
 
 
-def _trajectory(fld: MoserField | Sequence[MoserField], nodes: np.ndarray, steps: int,
-                times: list[float]) -> tuple[np.ndarray, dict]:
-    """Integrate the nodes to t=1 through the checkpoint times.
+def _trajectory(fields: Sequence[MoserField], nodes: np.ndarray, steps: int,
+                times: list[float]) -> tuple[np.ndarray, dict, dict[int, MoserError]]:
+    """Integrate one copy of the nodes per field to t=1 through the checkpoint times.
 
-    Returns the unwrapped time-1 positions and the wrapped positions at each
-    checkpoint; each segment takes its share of the `steps` steps on [0, 1].
-    A batch of fields moves one copy of the nodes each and follows
-    `integrate_flow`: a map that blows up comes back NaN.
+    Returns the unwrapped time-1 positions, the wrapped positions at each
+    checkpoint and, by row, the blown maps' errors from `integrate_flow`
+    (each names a step of its segment). Each segment takes its share of the
+    `steps` steps on [0, 1]; a map that blew up sits out the rest as NaN.
     """
-    marks = {}
-    x = nodes
-    if not isinstance(fld, MoserField):
-        x = np.broadcast_to(nodes, (len(fld),) + nodes.shape)
+    marks, blowups = {}, {}
+    x = np.broadcast_to(nodes, (len(fields),) + nodes.shape)
     t_prev = 0.0
-    for t_mark in times:
-        x = integrate_flow(fld, x, t_prev, t_mark, max(1, round(steps * (t_mark - t_prev))))
-        marks[t_mark] = wrap_unit(x)
+    for t_mark in [*times, 1.0]:
+        x, blown = integrate_flow(fields, x, t_prev, t_mark,
+                                  max(1, round(steps * (t_mark - t_prev))))
+        blowups.update(blown)
+        if t_mark < 1.0:
+            marks[t_mark] = wrap_unit(x)
         t_prev = t_mark
-    x = integrate_flow(fld, x, t_prev, 1.0, max(1, round(steps * (1.0 - t_prev))))
-    return x, marks
+    return x, marks, blowups
 
 
 def _row(marks: dict, b: int) -> dict:
@@ -247,25 +237,44 @@ def _row(marks: dict, b: int) -> dict:
     return {t: pos[b] for t, pos in marks.items()}
 
 
-def _doubled_trajectory(fields: list[MoserField], nodes: np.ndarray, times: list[float],
-                        tol: float, cap: int) -> list:
-    """Step doubling from MIN_STEPS for a batch of fields, each map on its own.
+def _moser_field(rho0: GridDensity, rho1: GridDensity) -> MoserField:
+    """Check one coupling's densities (one grid, both >= MIN_DENSITY) and build its field."""
+    if rho0.n != rho1.n or rho0.dim != rho1.dim:
+        raise MoserError("densities must share one grid")
+    for name, rho in (("rho0", rho0), ("rho1", rho1)):
+        if rho.min_value < MIN_DENSITY:
+            raise MoserError(f"{name} violates strict positivity: "
+                             f"min {rho.min_value:.2e} < {MIN_DENSITY}")
+    return MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
 
-    A map's estimate is the largest wrapped node deviation at t=1 between its
-    2s- and s-step trajectories; a trial in which it blows up counts as
-    unresolved. A map resolved within tol leaves the batch and the rest
-    double, so each gets the steps, positions and estimate it would get
-    alone. Returns per field (steps, time-1 positions, checkpoint marks,
-    estimate), or the MoserError of a map still unresolved at `cap` steps.
+
+def _flows(fields: list[MoserField], steps: int | None, times: list[float]) -> list:
+    """Integrate a batch of fields on one grid from its nodes to t=1.
+
+    Returns per field (steps, time-1 positions, checkpoint marks, estimate)
+    or the MoserError its flow ended in. With `steps`, one integration: a map
+    that blew up ends in the error the RK4 loop recorded for it. Without,
+    step doubling as the module describes, each map on its own (a trial in
+    which it blows up counts as unresolved): a resolved map leaves the batch
+    and the rest double, so each gets the steps, positions and estimate it
+    would get alone, or the error of a map still unresolved at the cap.
     """
+    if not fields:
+        return []
+    n = fields[0].grid.n
+    nodes = fields[0].grid.nodes()
+    if steps is not None:
+        x, marks, blowups = _trajectory(fields, nodes, steps, times)
+        return [blowups.get(b, (steps, x[b], _row(marks, b), None)) for b in range(len(fields))]
+    tol, cap = flow_tolerance(n), MAX_STEPS_PER_CELL * n
     out = [None] * len(fields)
     live = list(range(len(fields)))
     steps = MIN_STEPS
-    coarse, _ = _trajectory(fields, nodes, steps, times)
+    coarse = _trajectory(fields, nodes, steps, times)[0]
     estimate = np.full(len(fields), np.inf)
     while live and 2 * steps <= cap:
         steps *= 2
-        fine, marks = _trajectory([fields[i] for i in live], nodes, steps, times)
+        fine, marks, _ = _trajectory([fields[i] for i in live], nodes, steps, times)
         estimate = np.abs(wrap_signed(fine - coarse)).max(axis=(1, 2))
         estimate[np.isnan(estimate)] = np.inf
         done = estimate <= tol
@@ -276,50 +285,6 @@ def _doubled_trajectory(fields: list[MoserField], nodes: np.ndarray, times: list
     for i, est in zip(live, estimate):
         out[i] = MoserError(f"flow not resolved at the cap of {steps} steps: doubling "
                             f"estimate {est:.3e} exceeds {tol:.3e}")
-    return out
-
-
-def _moser_field(rho0: GridDensity, rho1: GridDensity, steps: int | None,
-                 times: list[float]) -> MoserField:
-    """The field of one coupling once moser_map's preconditions hold."""
-    if rho0.n != rho1.n or rho0.dim != rho1.dim:
-        raise MoserError("densities must share one grid")
-    for name, rho in (("rho0", rho0), ("rho1", rho1)):
-        if rho.min_value < MIN_DENSITY:
-            raise MoserError(f"{name} violates strict positivity: "
-                             f"min {rho.min_value:.2e} < {MIN_DENSITY}")
-    if steps is not None and steps < MIN_STEPS:
-        raise MoserError(f"step count {steps} below minimum {MIN_STEPS}")
-    if any(not 0.0 < t < 1.0 for t in times):
-        raise MoserError("checkpoints must lie strictly inside (0, 1)")
-    return MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
-
-
-def _flows(fields: list[MoserField], steps: int | None, times: list[float]) -> list:
-    """Integrate a batch of fields on one grid from its nodes to t=1.
-
-    Returns per field (steps, time-1 positions, checkpoint marks, estimate)
-    or the MoserError its flow ended in. Without `steps` this is step
-    doubling; with it, one integration, after which a map that blew up is
-    integrated again on its own, which raises the error naming its step.
-    """
-    if not fields:
-        return []
-    n = fields[0].grid.n
-    nodes = fields[0].grid.nodes()
-    if steps is None:
-        return _doubled_trajectory(fields, nodes, times, flow_tolerance(n),
-                                   MAX_STEPS_PER_CELL * n)
-    x, marks = _trajectory(fields, nodes, steps, times)
-    out = []
-    for b, fld in enumerate(fields):
-        if not np.isnan(x[b]).any():
-            out.append((steps, x[b], _row(marks, b), None))
-            continue
-        try:
-            _trajectory(fld, nodes, steps, times)
-        except MoserError as exc:
-            out.append(exc)
     return out
 
 
@@ -357,14 +322,20 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     flows are integrated as one batch, one RK4 loop over every map's nodes,
     and each map keeps the step count, images and estimate it would get
     alone. The result is then a list with, per target, its FlowMap or the
-    MoserError that its construction raised.
+    MoserError it ended in: a density check, a blow-up that the RK4 loop
+    recorded, or unresolved doubling. `steps` and `checkpoints` are checked
+    once, before any target; a bad value raises MoserError.
     """
     single = isinstance(rho1, GridDensity)
     times = sorted(set(checkpoints))
+    if steps is not None and steps < MIN_STEPS:
+        raise MoserError(f"step count {steps} below minimum {MIN_STEPS}")
+    if any(not 0.0 < t < 1.0 for t in times):
+        raise MoserError("checkpoints must lie strictly inside (0, 1)")
     built = []
     for target in ([rho1] if single else rho1):
         try:
-            built.append(_moser_field(rho0, target, steps, times))
+            built.append(_moser_field(rho0, target))
         except MoserError as exc:
             built.append(exc)
     flows = iter(_flows([f for f in built if isinstance(f, MoserField)], steps, times))
@@ -418,7 +389,7 @@ def continuity_residual(fld: MoserField, t: float) -> float:
     if not 0.0 <= t <= 1.0:
         raise MoserError(f"time {t} outside [0, 1]")
     denom = (1.0 - t) * fld.rho0.values + t * fld.rho1.values
-    xi = [g / denom for g in fld.grad_u]
+    xi = [g / denom for g in fld.stack[:fld.grid.dim]]
     flux = [denom * comp for comp in xi]
     div = spectral_divergence(list(flux))
     dt_rho = fld.rho1.values - fld.rho0.values

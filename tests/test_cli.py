@@ -317,6 +317,18 @@ def _unresolved_moser_flow(workspace):
             "--rho1", str(workspace / "spike16.csv"), "--out", str(workspace / "mu")]
 
 
+def _kernel_below_floor(workspace):
+    vals = np.ones(64)
+    vals[0], vals[1] = MIN_DENSITY / 2, 2.0 - MIN_DENSITY / 2
+    GridDensity(1, 64, vals).to_csv(workspace / "low.csv")
+    return _edited_manifest(workspace, "low_kernel.txt", "0.25,low")
+
+
+def _moser_checkpoints(workspace, text):
+    return ["moser", "--rho0", str(workspace / "uniform.csv"), "--rho1",
+            str(workspace / "bump.csv"), "--checkpoints", text, "--out", str(workspace / "mc")]
+
+
 def _density_with_value(workspace, token):
     lines = (workspace / "uniform.csv").read_text().splitlines()
     lines[4] = token
@@ -341,10 +353,14 @@ BAD_INPUTS = {
     "lift-base": (lambda ws: ["lift", "--manifold", "circle", "--base", "x",
                               "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "lb")],
                   ["--base", "'x'"]),
-    "moser-checkpoints": (lambda ws: ["moser", "--rho0", str(ws / "uniform.csv"),
-                                      "--rho1", str(ws / "bump.csv"), "--checkpoints", "x",
-                                      "--out", str(ws / "mc")],
-                          ["--checkpoints", "'x'"]),
+    "moser-checkpoints": (lambda ws: _moser_checkpoints(ws, "x"), ["--checkpoints", "'x'"]),
+    "moser-checkpoint-range": (lambda ws: _moser_checkpoints(ws, "1.5"), ["strictly inside"]),
+    "moser-checkpoint-names": (lambda ws: _moser_checkpoints(ws, "0.50001,0.50004"),
+                               ["0.50001", "0.50004", "checkpoint_0.5000.csv"]),
+    "represent-steps": (lambda ws: ["represent", "--kernel", str(ws / "kernel.txt"),
+                                    "--steps", "8", "--out", str(ws / "rs")],
+                        ["below minimum 16"]),
+    "represent-below-floor": (_kernel_below_floor, ["base point 2", "positivity"]),
     "moser-unresolved-flow": (_unresolved_moser_flow,
                               ["cap of 1024 steps", "doubling estimate"]),
     "manifest-row": (lambda ws: _edited_manifest(ws, "ragged_kernel.txt", "meas_002"),

@@ -158,7 +158,8 @@ def test_explicit_steps_is_one_plain_integration():
     flow = moser_map(rho0, rho1, steps=4 * n)
     fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
     nodes = unit_torus_grid(1, n).nodes()
-    assert np.array_equal(flow.map.images, wrap_unit(integrate_flow(fld, nodes, 0, 1, 4 * n)))
+    images, blowups = integrate_flow([fld], nodes[None], 0, 1, 4 * n)
+    assert np.array_equal(flow.map.images, wrap_unit(images[0])) and not blowups
     assert flow.steps == 4 * n and flow.flow_error is None
 
 
@@ -188,9 +189,9 @@ def test_flow_semigroup_consistency():
     fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
     nodes = unit_torus_grid(1, n).nodes()
     steps = 64
-    direct = integrate_flow(fld, nodes, 0.0, 1.0, steps)
-    half = integrate_flow(fld, nodes, 0.0, 0.5, steps // 2)
-    two_stage = integrate_flow(fld, half, 0.5, 1.0, steps // 2)
+    direct, _ = integrate_flow([fld], nodes[None], 0.0, 1.0, steps)
+    half, _ = integrate_flow([fld], nodes[None], 0.0, 0.5, steps // 2)
+    two_stage, _ = integrate_flow([fld], half, 0.5, 1.0, steps // 2)
     assert np.abs(direct - two_stage).max() <= 1e-8
 
 
@@ -230,7 +231,8 @@ def test_moser_matches_closed_form_1d_map(n, amp):
     flow = moser_map(rho0, rho1)
     x = flow.map.points[:, 0]
     lift = x + wrap_signed(flow.map.images[:, 0] - x)
-    anchor = integrate_flow(flow.field_ref, flow.map.points[:1], 0.0, 1.0, 16 * n)[0, 0]
+    anchor = integrate_flow([flow.field_ref], flow.map.points[None, :1], 0.0, 1.0,
+                            16 * n)[0][0, 0, 0]
     c = _pl_cdf(rho1, np.array([anchor]))[0] - _pl_cdf(rho0, x[:1])[0]
     oracle = _pl_cdf_inverse(rho1, _pl_cdf(rho0, x) + c, x - 1.0, x + 1.0)
     assert np.abs(lift - oracle).max() <= 0.25 / n ** 2
@@ -347,16 +349,26 @@ def test_batched_2d_family_matches_single_target_maps():
     assert_same_flows(moser_map(rho0, targets, check_pushforward=False), singles)
 
 
-def test_batched_explicit_steps_reports_the_first_blow_up_by_base_point():
+@pytest.mark.parametrize("checkpoints, step", [((), 15), ((0.5,), 7)],
+                         ids=["one-segment", "two-segments"])
+def test_batched_explicit_steps_reports_the_first_blow_up_by_base_point(checkpoints, step):
+    # the spikes blow up in the last step of the last segment, and the step
+    # named is counted from the start of that segment
     n = 64
     targets = [cosine_density(n, 0.3), cosine_density(n, 0.5), spike_density(n, 0.03),
                spike_density(n, 0.03)]
-    with pytest.raises(KernelError, match="map construction failed at base point 2: "
-                                          "flow blow-up at step 15"):
-        build_continuous_representation(circle_family(targets), steps=16)
-    flows = moser_map(GridDensity.uniform(1, n), targets, steps=16)
+    if not checkpoints:
+        with pytest.raises(KernelError, match="map construction failed at base point 2: "
+                                              "flow blow-up at step 15"):
+            build_continuous_representation(circle_family(targets), steps=16)
+    rho0 = GridDensity.uniform(1, n)
+    flows = moser_map(rho0, targets, steps=16, checkpoints=checkpoints)
     assert [type(f) for f in flows] == [FlowMap, FlowMap, MoserError, MoserError]
-    assert str(flows[3]).startswith("flow blow-up at step 15:")
+    assert str(flows[3]).startswith(f"flow blow-up at step {step}:")
+    for got, rho1 in zip(flows[2:], targets[2:]):
+        with pytest.raises(MoserError) as alone:
+            moser_map(rho0, rho1, steps=16, checkpoints=checkpoints)
+        assert str(got) == str(alone.value)
 
 
 def test_batched_construction_failure_stays_with_its_target():
@@ -371,11 +383,9 @@ def test_batched_construction_failure_stays_with_its_target():
     assert isinstance(flows[2], MoserError) and "grid" in str(flows[2])
 
 
-def test_family_build_integrates_every_map_in_one_batch(monkeypatch):
-    # 16 targets that all resolve at 32 steps: one 16-step and one 32-step
-    # trial for the whole family, where one integration per map would make 32
-    n = 64
-    targets = [cosine_density(n, 0.4, k / 16) for k in range(16)]
+@pytest.fixture()
+def rk4_calls(monkeypatch):
+    """The step count of every integrate_flow call, in call order."""
     calls = []
     integrate = moser.integrate_flow
 
@@ -384,8 +394,27 @@ def test_family_build_integrates_every_map_in_one_batch(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(moser, "integrate_flow", counted)
+    return calls
+
+
+def test_family_build_integrates_every_map_in_one_batch(rk4_calls):
+    # 16 targets that all resolve at 32 steps: one 16-step and one 32-step
+    # trial for the whole family, where one integration per map would make 32
+    n = 64
+    targets = [cosine_density(n, 0.4, k / 16) for k in range(16)]
     build_continuous_representation(circle_family(targets))
-    assert calls == [MIN_STEPS, 2 * MIN_STEPS]
+    assert rk4_calls == [MIN_STEPS, 2 * MIN_STEPS]
+
+
+def test_explicit_steps_family_integrates_blown_maps_once(rk4_calls):
+    # two spikes blow up at 16 steps: their errors come from the one batched
+    # integration, with no second integration of either map on its own
+    n = 64
+    targets = [cosine_density(n, 0.3), spike_density(n, 0.03), cosine_density(n, 0.5),
+               spike_density(n, 0.03)]
+    with pytest.raises(KernelError, match="base point 1: flow blow-up at step 15"):
+        build_continuous_representation(circle_family(targets), steps=MIN_STEPS)
+    assert rk4_calls == [MIN_STEPS]
 
 
 # ---------------------------------------------------------------------------

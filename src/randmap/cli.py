@@ -88,7 +88,8 @@ def _load_measure(path: str):
     return DiscreteMeasure.from_csv(p)
 
 
-def _load_kernel_manifest(path: str) -> KernelFamily:
+def _load_kernel_manifest(path: str) -> tuple[KernelFamily, list[str]]:
+    """The family a kernel manifest names, and the manifest's and measures' paths."""
     p = Path(path)
     if not p.exists():
         raise CliError(f"kernel manifest not found: {path}")
@@ -105,7 +106,7 @@ def _load_kernel_manifest(path: str) -> KernelFamily:
         raise CliError(f"{path}: second line must be 'interp,<rule>'")
     interp = interp_line.split(",", 1)[1]
     fields = len(lines[2][1].split(","))
-    base_pts, measures = [], []
+    base_pts, measures, paths = [], [], [path]
     for no, ln in lines[3:]:
         parts = ln.split(",")
         if len(parts) != fields:
@@ -116,7 +117,8 @@ def _load_kernel_manifest(path: str) -> KernelFamily:
             mpath = str(p.parent / mpath)
         base_pts.append(coords)
         measures.append(_load_measure(mpath))
-    return KernelFamily(space, np.array(base_pts), tuple(measures), interp=interp)
+        paths.append(mpath)
+    return KernelFamily(space, np.array(base_pts), tuple(measures), interp=interp), paths
 
 
 def _write_manifest(outdir: Path, command: str, config: dict, inputs: list[str],
@@ -243,22 +245,24 @@ def cmd_moser(args) -> int:
     return 0 if ok else CHECK_FAILED
 
 
-def _build_family(args, kern: KernelFamily):
+def _build_family(args):
+    """The representation of the --kernel family, and the path of every file read."""
+    kern, inputs = _load_kernel_manifest(args.kernel)
     if args.route == "continuous":
-        return build_continuous_representation(kern, steps=args.steps)
+        return build_continuous_representation(kern, steps=args.steps), inputs
     if args.reference:
         reference = _load_measure(args.reference)
+        inputs.append(args.reference)
     else:
         proto = kern.measures[0]
         if not isinstance(proto, GridDensity):
             raise CliError("measurable route needs --reference for atomic kernels")
         reference = GridDensity.uniform(proto.dim, proto.n)
-    return build_measurable_representation(kern, reference)
+    return build_measurable_representation(kern, reference), inputs
 
 
 def cmd_represent(args) -> int:
-    kern = _load_kernel_manifest(args.kernel)
-    family = _build_family(args, kern)
+    family, inputs = _build_family(args)
     out = _outdir(args)
     for i, t_map in enumerate(family.maps):
         t_map.to_csv(out / f"map_{i:03d}.csv")
@@ -271,19 +275,18 @@ def cmd_represent(args) -> int:
     }
     _write_report(out, report)
     _write_manifest(out, "represent", {"route": args.route, "steps": args.steps},
-                    [args.kernel], {"pushforward_tol": family.pushforward_tol})
+                    inputs, {"pushforward_tol": family.pushforward_tol})
     return 0
 
 
 def cmd_verify(args) -> int:
-    kern = _load_kernel_manifest(args.kernel)
-    family = _build_family(args, kern)
+    family, inputs = _build_family(args)
     report = verify_representation(family, n_samples=args.n, tol=args.tol, seed=args.seed)
     out = _outdir(args)
     _write_report(out, report.to_dict())
     _write_manifest(out, "verify", {"route": args.route, "n": args.n,
                                     "tol": args.tol, "seed": args.seed},
-                    [args.kernel], {"tol": args.tol})
+                    inputs, {"tol": args.tol})
     return 0 if report.all_pass else CHECK_FAILED
 
 

@@ -67,6 +67,8 @@ class KernelFamily:
         pts = np.atleast_2d(np.asarray(self.base_points, dtype=float))
         if pts.shape[0] < 2:
             raise KernelError("a kernel family needs at least two base points")
+        if not np.isfinite(pts).all():
+            raise KernelError("base points must be finite")
         meas = tuple(self.measures)
         if len(meas) != pts.shape[0]:
             raise KernelError("one measure per base point required")

@@ -3,6 +3,9 @@ Legendre duality, map inversion, and the cyclical-monotonicity check.
 
 The exact LP doubles as the optimality oracle for every other solver, so it
 is certified on return via dual feasibility and complementary slackness.
+scipy (sparse matrices and the HiGHS LP) loads on the first exact solve, not
+with this module: no other solver, and neither of the paper's constructions,
+uses it, and its import would dominate every CLI command's start-up.
 """
 from __future__ import annotations
 
@@ -10,8 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .geometry import CostSpec, GridSpec, interp_grid, wrap_signed, wrap_unit
 from .measures import (EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError,
@@ -259,6 +260,9 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
     slackness of the potentials must hold within 1e-9 or the solve is
     rejected outright.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     m, n = mu.size, nu.size
     if m > EXACT_SIZE_GUARD or n > EXACT_SIZE_GUARD:
         raise MeasureError(f"support sizes ({m}, {n}) exceed LP guard {EXACT_SIZE_GUARD}")
@@ -315,7 +319,9 @@ class _StabilisedKernel:
 
     Against K, a log-domain Sinkhorn half-step is one matrix-vector product:
     f_i = f_bar_i - eps * log sum_j K_ij exp((g_j - g_bar_j)/eps + log b_j),
-    and the same through K.T for g.
+    and the same through K.T for g. Its methods run under the solver's
+    np.errstate(over="ignore", invalid="ignore"): an entry that overflows is
+    zeroed (idle pairs) or makes its sum non-finite, which iterate reports.
     """
 
     def __init__(self, c: np.ndarray, wa: np.ndarray, wb: np.ndarray):
@@ -330,10 +336,9 @@ class _StabilisedKernel:
         """Fold the potentials f, g into K at regularisation eps, in place."""
         self.f_bar, self.g_bar, self.eps = f, g, eps
         np.add(f[:, None], g[None, :], out=self.k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.k -= self.c
-            self.k /= eps
-            np.exp(self.k, out=self.k)
+        self.k -= self.c
+        self.k /= eps
+        np.exp(self.k, out=self.k)
         self.k[self.idle] = 0.0
 
     def iterate(self, g: np.ndarray, la: np.ndarray, lb: np.ndarray):
@@ -355,13 +360,18 @@ class _StabilisedKernel:
 
     def _half_step(self, kmat, bar, other, other_bar, log_w):
         """bar - eps * log(kmat @ exp((other - other_bar)/eps + log_w)), max-shifted."""
-        v = (other - other_bar) / self.eps + log_w
+        v = np.subtract(other, other_bar)
+        v /= self.eps
+        v += log_w
         shift = v.max()
-        with np.errstate(invalid="ignore"):
-            s = kmat @ np.exp(v - shift)
-        if not np.all((s > 0) & np.isfinite(s)):
+        v -= shift
+        s = kmat @ np.exp(v, out=v)
+        if not (s.min() > 0 and s.max() < np.inf):  # also False for NaN
             return None
-        return bar - self.eps * (np.log(s) + shift)
+        np.log(s, out=s)
+        s += shift
+        s *= self.eps
+        return np.subtract(bar, s, out=s)
 
     def _absorb_if_moved(self, f: np.ndarray, g: np.ndarray) -> None:
         moved = max(np.abs(f - self.f_bar).max(), np.abs(g - self.g_bar).max())
@@ -401,35 +411,41 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     total_iters = 0
     err = np.inf
     converged = False
-    for li, eps in enumerate(levels):
-        final = li == len(levels) - 1
-        warm_budget = 0 if final else min(warm_iters, max(1, max_iter // (2 * len(levels))))
-        kern.absorb(f, g, eps)
-        it = 0
-        while True:
-            step = kern.iterate(g, la, lb)
-            if step is None:
-                kern.absorb(f, g, eps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for li, eps in enumerate(levels):
+            final = li == len(levels) - 1
+            warm_budget = 0 if final else min(warm_iters, max(1, max_iter // (2 * len(levels))))
+            kern.absorb(f, g, eps)
+            it = 0
+            while True:
                 step = kern.iterate(g, la, lb)
                 if step is None:
-                    raise SolverError(f"Sinkhorn kernel sum underflowed or is not finite at "
-                                      f"epsilon {eps:g}, even after absorption")
-            f, g_new = step
-            with np.errstate(over="ignore", invalid="ignore"):
-                ratio = np.exp((g - g_new) / eps)
-            err = float(np.sum(np.abs(wb * np.where(np.isfinite(ratio), ratio, 1.0) - wb)))
-            g = g_new
-            it += 1
-            total_iters += 1
-            if final and err <= tol:
-                converged = True
+                    kern.absorb(f, g, eps)
+                    step = kern.iterate(g, la, lb)
+                    if step is None:
+                        raise SolverError(f"Sinkhorn kernel sum underflowed or is not finite "
+                                          f"at epsilon {eps:g}, even after absorption")
+                f, g_new = step
+                # |wb * ratio - wb| with ratio = exp((g - g_new)/eps), 1 where not finite
+                ratio = np.subtract(g, g_new)
+                ratio /= eps
+                np.exp(ratio, out=ratio)
+                ratio[~np.isfinite(ratio)] = 1.0
+                ratio *= wb
+                ratio -= wb
+                err = float(np.abs(ratio, out=ratio).sum())
+                g = g_new
+                it += 1
+                total_iters += 1
+                if final and err <= tol:
+                    converged = True
+                    break
+                if final and total_iters >= max_iter:
+                    break
+                if not final and it >= warm_budget:
+                    break
+            if final:
                 break
-            if final and total_iters >= max_iter:
-                break
-            if not final and it >= warm_budget:
-                break
-        if final:
-            break
     return f, g, converged, err, total_iters
 
 

@@ -1,14 +1,20 @@
 """End-to-end tests of the experiment runner: exit codes, report schemas,
 manifest isolation of the timestamp, and config-file dispatch."""
+import hashlib
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import randmap
 from randmap.cli import main
 from randmap.measures import DiscreteMeasure, GridDensity
 from randmap.lift import write_manifold_atoms
 from randmap.moser import FLOW_TOL, MIN_DENSITY
+from randmap.transport import MARGINAL_TOL
 
 
 @pytest.fixture()
@@ -31,6 +37,15 @@ def workspace(tmp_path):
         lines.append(f"{i / k},meas_{i:03d}.csv")
     (tmp_path / "kernel.txt").write_text("\n".join(lines) + "\n")
     return tmp_path
+
+
+def _hashes(*paths):
+    return {str(pth): hashlib.sha256(Path(pth).read_bytes()).hexdigest() for pth in paths}
+
+
+def _kernel_inputs(workspace):
+    """Hashes of the workspace's kernel manifest and the 8 measure files it names."""
+    return _hashes(workspace / "kernel.txt", *(workspace / f"meas_{i:03d}.csv" for i in range(8)))
 
 
 def test_wdist_identical_measures(workspace, capsys):
@@ -103,6 +118,7 @@ def test_verify_pass_and_schema(workspace):
     manifest = json.loads((out / "manifest.json").read_text())
     assert "timestamp" in manifest
     assert manifest["tolerances"] == {"tol": 0.05}
+    assert manifest["inputs"] == _kernel_inputs(workspace)
 
 
 def test_verify_reports_are_byte_identical(workspace):
@@ -136,6 +152,17 @@ def test_represent_writes_maps(workspace):
     report = json.loads((out / "report.json").read_text())
     assert report["route"] == "measurable"
     assert max(report["pushforward_errors"]) <= report["pushforward_tol"]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == _kernel_inputs(workspace)
+
+
+def test_represent_manifest_hashes_the_reference_file(workspace):
+    out = workspace / "rref"
+    rc = main(["represent", "--kernel", str(workspace / "kernel.txt"), "--route", "measurable",
+               "--reference", str(workspace / "uniform.csv"), "--out", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["inputs"] == _kernel_inputs(workspace) | _hashes(workspace / "uniform.csv")
 
 
 def test_couple_exact_writes_plan(workspace):
@@ -346,6 +373,10 @@ BAD_INPUTS = {
                   ["power of two", "got 12"]),
     "duplicate-base-points": (lambda ws: _edited_manifest(ws, "dup_kernel.txt", "0.125,meas_002"),
                               ["base points must be distinct"]),
+    "represent-nan-base-point": (lambda ws: _edited_manifest(ws, "nan_kernel.txt", "nan,meas_002"),
+                                 ["base points must be finite"]),
+    "represent-inf-base-point": (lambda ws: _edited_manifest(ws, "inf_kernel.txt", "inf,meas_002"),
+                                 ["base points must be finite"]),
     "lift-atom-value": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2,abc\n"),
                         ["bad_circle.csv, line 3", "abc"]),
     "lift-atom-row": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2\n"),
@@ -396,6 +427,67 @@ def test_represent_accepts_density_at_positivity_floor(workspace):
     rc = main(["represent", "--kernel", str(workspace / "kernel.txt"),
                "--route", "continuous", "--out", str(workspace / "rfloor")])
     assert rc == 0
+
+
+# Runs CLI commands in a fresh interpreter, since this test process has
+# imported scipy itself; prints the exit codes and the scipy modules loaded.
+_COLD_CLI = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from randmap.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("scipy"))]))
+"""
+
+
+def _cold_cli(*argvs):
+    src = str(Path(randmap.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", _COLD_CLI, src, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _family_manifest(path, space, densities):
+    lines = [f"space,{space}", "interp,nearest", "x0,path"]
+    for i, density in enumerate(densities):
+        density.to_csv(path.parent / f"{path.stem}_{i}.csv")
+        lines.append(f"{(i + 0.5) / len(densities)},{path.stem}_{i}.csv")
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_represent_and_verify_do_not_load_scipy(tmp_path):
+    x = (np.arange(32) + 0.5) / 32
+    circle = _family_manifest(tmp_path / "circle.txt", "circle", [
+        GridDensity(1, 32, 1 + 0.3 * np.cos(2 * np.pi * (x - c))) for c in (0.2, 0.6)])
+    g = (np.arange(8) + 0.5) / 8
+    xx, yy = np.meshgrid(g, g, indexing="ij")
+    bumps = [np.exp(-((xx - c) ** 2 + (yy - 0.5) ** 2) / (2 * 0.15 ** 2)) for c in (0.4, 0.6)]
+    box = _family_manifest(tmp_path / "box.txt", "interval", [
+        GridDensity(2, 8, 0.2 + 0.8 * b / b.mean()) for b in bumps])
+    argvs = []
+    for kernel, route in ((circle, "continuous"), (box, "measurable")):
+        for cmd in ("represent", "verify"):
+            # the tolerance clears the grid bias of the 8 x 8 box's W1 bound
+            checks = ["--n", "2000", "--tol", "0.1", "--seed", "0"] if cmd == "verify" else []
+            argvs.append([cmd, "--kernel", kernel, "--route", route, *checks,
+                          "--out", str(tmp_path / f"{route}-{cmd}")])
+    codes, loaded = _cold_cli(*argvs)
+    assert codes == [0, 0, 0, 0]
+    assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded, loaded
+
+
+def test_exact_coupling_loads_scipy_on_first_solve(workspace):
+    out = workspace / "cold"
+    codes, loaded = _cold_cli(["couple", "--mu", str(workspace / "atoms.csv"),
+                               "--nu", str(workspace / "uniform.csv"), "--method", "exact",
+                               "--out", str(out)])
+    assert codes == [0]
+    assert "scipy.optimize" in loaded
+    report = json.loads((out / "report.json").read_text())
+    assert report["converged"] and report["marginal_violation"] <= MARGINAL_TOL
+    assert (out / "plan.csv").read_text().startswith("i,j,gamma\n")
 
 
 def test_invalid_threads_env(workspace, monkeypatch, capsys):

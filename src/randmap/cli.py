@@ -50,6 +50,7 @@ from .measures import (
     parse_float,
     wasserstein_1d,
     wasserstein_exact,
+    write_rows,
 )
 from .moser import (FLOW_TOL, MIN_STEPS, POISSON_RESIDUAL_TOL, MoserError,
                     continuity_residual, flow_tolerance, jacobian_min, moser_map)
@@ -201,7 +202,9 @@ def cmd_couple(args) -> int:
     }
     _write_report(out, report)
     _write_manifest(out, "couple", {"cost": args.cost, "p": args.p,
-                                    "periodic": args.periodic, "method": args.method},
+                                    "periodic": args.periodic, "method": args.method,
+                                    "epsilon": args.epsilon, "max_iter": args.max_iter,
+                                    "tol": args.tol},
                     [args.mu, args.nu], {"marginal_tol": MARGINAL_TOL})
     return 0 if plan.converged and plan.marginal_violation() <= MARGINAL_TOL else CHECK_FAILED
 
@@ -219,13 +222,10 @@ def cmd_moser(args) -> int:
     out = _outdir(args)
     flow.map.to_csv(out / "map.csv")
     for t_mark, positions in flow.checkpoints.items():
-        with open(out / f"checkpoint_{t_mark:.4f}.csv", "w") as fh:
-            dim = positions.shape[1]
-            fh.write("t," + ",".join(f"x{a}" for a in range(dim))
-                     + "," + ",".join(f"Tx{a}" for a in range(dim)) + "\n")
-            for src, dst in zip(flow.map.points, positions):
-                fh.write(",".join([repr(float(t_mark))] + [repr(float(v)) for v in src]
-                                  + [repr(float(v)) for v in dst]) + "\n")
+        dim = positions.shape[1]
+        header = ["t"] + [f"x{a}" for a in range(dim)] + [f"Tx{a}" for a in range(dim)]
+        rows = np.column_stack([np.full(len(positions), t_mark), flow.map.points, positions])
+        write_rows(out / f"checkpoint_{t_mark:.4f}.csv", header, rows.tolist())
     jac = jacobian_min(flow)
     cont = continuity_residual(flow.field_ref, 0.5)
     report = {
@@ -284,7 +284,7 @@ def cmd_verify(args) -> int:
     report = verify_representation(family, n_samples=args.n, tol=args.tol, seed=args.seed)
     out = _outdir(args)
     _write_report(out, report.to_dict())
-    _write_manifest(out, "verify", {"route": args.route, "n": args.n,
+    _write_manifest(out, "verify", {"route": args.route, "steps": args.steps, "n": args.n,
                                     "tol": args.tol, "seed": args.seed},
                     inputs, {"tol": args.tol})
     return 0 if report.all_pass else CHECK_FAILED
@@ -317,10 +317,7 @@ def cmd_stability(args) -> int:
     limit = _load_measure(args.limit)
     masses = stability_experiment(mu, targets, limit, eps=args.eps, periodic=args.periodic)
     out = _outdir(args)
-    with open(out / "stability.csv", "w") as fh:
-        fh.write("k,mass\n")
-        for k, mass in enumerate(masses):
-            fh.write(f"{k},{mass!r}\n")
+    write_rows(out / "stability.csv", ["k", "mass"], enumerate(masses))
     _write_report(out, {"eps": args.eps, "deviation_masses": masses})
     _write_manifest(out, "stability", {"eps": args.eps, "periodic": args.periodic},
                     [args.mu, args.limit] + args.targets.split(","), {"eps": args.eps})

@@ -16,7 +16,7 @@ import numpy as np
 from .geometry import (GridSpec, deposit_linear, interp_grid, sphere_distance, sphere_xyz,
                        wrap_signed, wrap_unit)
 from .measures import (DiscreteMeasure, GridDensity, read_atom_rows, wasserstein_1d,
-                       wasserstein_sinkhorn_upper, write_atom_rows)
+                       wasserstein_sinkhorn_upper, write_rows)
 
 MANIFOLDS = ("circle", "torus2", "sphere2")
 ROUND_TRIP_TOL = 1e-9
@@ -357,7 +357,7 @@ def write_manifold_atoms(path, manifold: str, mu: DiscreteMeasure) -> None:
     header = _HEADERS[manifold]
     if mu.dim != len(header) - 1:
         raise LiftError(f"{manifold} atoms need {len(header) - 1} coordinates")
-    write_atom_rows(path, header, mu)
+    write_rows(path, header, np.column_stack([mu.points, mu.weights]).tolist())
 
 
 def read_manifold_atoms(path, manifold: str) -> DiscreteMeasure:

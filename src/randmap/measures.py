@@ -3,6 +3,9 @@
 Two concrete representations are supported: weighted point clouds in R^d
 (`DiscreteMeasure`) and periodic densities on the flat torus [0,1)^dim
 (`GridDensity`, stored relative to the normalized volume, mean 1).
+
+`write_rows` is the one CSV writer of the package: measures, plans, maps,
+manifold atoms and the CLI's tables all go through it.
 """
 from __future__ import annotations
 
@@ -59,13 +62,16 @@ def read_atom_rows(path) -> tuple[list[str], np.ndarray]:
     return header, np.array(data, dtype=float).reshape(-1, len(header))
 
 
-def write_atom_rows(path, header: list[str], mu: DiscreteMeasure) -> None:
-    """Write the header, then one row of coordinates and weight per atom."""
+def write_rows(path, header: list[str], rows) -> None:
+    """Write the header, then one line per row: the repr of each number, comma-joined.
+
+    Rows hold Python numbers (pass `ndarray.tolist()`), so every float prints
+    as the shortest text that reads back to the same double. Lines end in a
+    bare newline on every platform.
+    """
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for p, w in zip(mu.points, mu.weights):
-            writer.writerow([repr(float(v)) for v in p] + [repr(float(w))])
+        fh.write("\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -119,7 +125,8 @@ class DiscreteMeasure:
         return self
 
     def to_csv(self, path) -> None:
-        write_atom_rows(path, [f"x{i}" for i in range(self.dim)] + ["w"], self)
+        write_rows(path, [f"x{i}" for i in range(self.dim)] + ["w"],
+                   np.column_stack([self.points, self.weights]).tolist())
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteMeasure":
@@ -152,6 +159,7 @@ class GridDensity:
             raise MeasureError("density values must be finite and nonnegative")
         if abs(vals.mean() - 1.0) > MEAN_TOL:
             raise MeasureError(f"density mean must be 1 within {MEAN_TOL}, got {vals.mean()!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "values", vals)
         self.values.setflags(write=False)
@@ -195,11 +203,7 @@ class GridDensity:
         return DiscreteMeasure(pts, w[keep] / w[keep].sum())
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("dim,n\n")
-            fh.write(f"{self.dim},{self.n}\n")
-            for v in self.values.ravel():
-                fh.write(repr(float(v)) + "\n")
+        write_rows(path, ["dim", "n"], [[self.dim, self.n]] + self.values.reshape(-1, 1).tolist())
 
     @classmethod
     def from_csv(cls, path) -> "GridDensity":

@@ -146,13 +146,6 @@ class FlowMap:
     pushforward_error: float | None = None
     field_ref: MoserField | None = None
 
-    def __post_init__(self):
-        if self.steps < MIN_STEPS:
-            raise MoserError(f"step count {self.steps} below minimum {MIN_STEPS}")
-        img = self.map.images
-        if np.any(img < 0.0) or np.any(img >= 1.0):
-            raise MoserError("flow images must be wrapped to [0,1)^dim")
-
     def __call__(self, x) -> np.ndarray:
         return self.map(x)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .geometry import CostSpec, GridSpec, interp_grid, wrap_signed, wrap_unit
 from .measures import (EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError,
-                       atoms_1d, circle_rotation, step_quantile)
+                       atoms_1d, circle_rotation, step_quantile, write_rows)
 
 MARGINAL_TOL = 1e-9
 DUAL_TOL = 1e-9
@@ -71,11 +71,9 @@ class TransportPlan:
             raise SolverError(f"stored cost {self.cost} != recomputed {recomputed}")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("i,j,gamma\n")
-            rows, cols = np.nonzero(self.gamma > 0.0)
-            for i, j in zip(rows, cols):
-                fh.write(f"{i},{j},{float(self.gamma[i, j])!r}\n")
+        rows, cols = np.nonzero(self.gamma > 0.0)
+        write_rows(path, ["i", "j", "gamma"],
+                   zip(rows.tolist(), cols.tolist(), self.gamma[rows, cols].tolist()))
 
 
 @dataclass(frozen=True)
@@ -152,19 +150,13 @@ class TransportMap:
         return worst
 
     def to_csv(self, path) -> None:
-        dim_in = self.points.shape[1]
-        dim_out = self.images.shape[1]
-        with open(path, "w", newline="") as fh:
-            cols = [f"x{a}" for a in range(dim_in)] + [f"Tx{a}" for a in range(dim_out)]
-            if self.psi is not None:
-                cols.append("psi")
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self.points)):
-                row = ([repr(float(v)) for v in self.points[i]]
-                       + [repr(float(v)) for v in self.images[i]])
-                if self.psi is not None:
-                    row.append(repr(float(self.psi[i])))
-                fh.write(",".join(row) + "\n")
+        cols = ([f"x{a}" for a in range(self.points.shape[1])]
+                + [f"Tx{a}" for a in range(self.images.shape[1])])
+        parts = [self.points, self.images]
+        if self.psi is not None:
+            cols.append("psi")
+            parts.append(self.psi[:, None])
+        write_rows(path, cols, np.hstack(parts).tolist())
 
 
 @dataclass(frozen=True)
@@ -209,37 +201,26 @@ class PotentialGrid:
 # ---------------------------------------------------------------------------
 
 def _support_potentials(cost: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dual potentials from u_i + v_j = c_ij on the plan's support forest."""
-    m, n = cost.shape
-    u = np.full(m, np.nan)
-    v = np.full(n, np.nan)
-    support = gamma > 1e-12
-    rows_of_col = [np.nonzero(support[:, j])[0] for j in range(n)]
-    cols_of_row = [np.nonzero(support[i, :])[0] for i in range(m)]
-    for start in range(m):
-        if not np.isnan(u[start]):
-            continue
-        u[start] = 0.0
-        stack = [("r", start)]
-        while stack:
-            kind, k = stack.pop()
-            if kind == "r":
-                for j in cols_of_row[k]:
-                    if np.isnan(v[j]):
-                        v[j] = cost[k, j] - u[k]
-                        stack.append(("c", j))
-            else:
-                for i in rows_of_col[k]:
-                    if np.isnan(u[i]):
-                        u[i] = cost[i, k] - v[k]
-                        stack.append(("r", i))
-    u = np.nan_to_num(u, nan=0.0)
-    if np.any(np.isnan(v)):
-        # columns with no support mass: tight potential
-        for j in range(n):
-            if np.isnan(v[j]):
-                v[j] = (cost[:, j] - u).min()
-    return u, v
+    """Dual potentials of a plan from shortest paths on its residual graph.
+
+    Row i -> column j costs c_ij for every pair, and column j -> row i costs
+    -c_ij where the plan has mass. Bellman-Ford distances d from a source
+    joined to every node at cost 0 give u = -d(rows) and v = d(columns):
+    feasible everywhere and tight on the support, however many trees the
+    support forest has. A plan that is not optimal has a negative cycle: the
+    passes then run to the cap, and `_certify` judges what they leave.
+    """
+    back = np.where(gamma > 1e-12, -cost, np.inf)
+    d_row = np.zeros(cost.shape[0])
+    d_col = np.zeros(cost.shape[1])
+    for _ in range(sum(cost.shape) + 1):
+        new_col = np.minimum(d_col, (d_row[:, None] + cost).min(axis=0))
+        new_row = np.minimum(d_row, (new_col[None, :] + back).min(axis=1))
+        moved = max((d_col - new_col).max(), (d_row - new_row).max())
+        d_row, d_col = new_row, new_col
+        if moved <= 1e-12:
+            break
+    return -d_row, d_col
 
 
 def _certify(cost: np.ndarray, gamma: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -258,7 +239,8 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 
     Optimality is certified on return: dual feasibility and complementary
     slackness of the potentials must hold within 1e-9 or the solve is
-    rejected outright.
+    rejected outright. HiGHS's own duals are tried first; potentials are
+    rebuilt from the plan (`_support_potentials`) only when they fail.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -281,15 +263,11 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
     gamma = np.clip(res.x.reshape(m, n), 0.0, None)
     value = float(np.sum(gamma * c))
     duals = np.asarray(res.eqlin.marginals, dtype=float)
-    candidates = [(duals[:m], duals[m:]), (-duals[:m], -duals[m:]),
-                  _support_potentials(c, gamma)]
-    u = v = None
-    for cand_u, cand_v in candidates:
-        if _certify(c, gamma, cand_u, cand_v):
-            u, v = cand_u, cand_v
-            break
-    if u is None:
-        raise SolverError("optimality certification failed (dual potentials)")
+    u, v = duals[:m], duals[m:]
+    if not _certify(c, gamma, u, v):
+        u, v = _support_potentials(c, gamma)
+        if not _certify(c, gamma, u, v):
+            raise SolverError("optimality certification failed (dual potentials)")
     plan = TransportPlan(mu, nu, gamma, value, converged=True,
                          marginal_error=float(np.abs(a_eq @ res.x - b_eq).max()),
                          dual_u=u, dual_v=v)

@@ -165,6 +165,57 @@ def test_represent_manifest_hashes_the_reference_file(workspace):
     assert manifest["inputs"] == _kernel_inputs(workspace) | _hashes(workspace / "uniform.csv")
 
 
+# Each flag changes what its command writes, so two runs that differ in it
+# must not write equal manifest configs.
+FLAG_PAIRS = {
+    "verify-steps": (["verify", "--kernel", "kernel.txt", "--n", "500", "--seed", "0"],
+                     "--steps", ("16", "64")),
+    "couple-epsilon": (["couple", "--mu", "bump.csv", "--nu", "uniform.csv",
+                        "--method", "sinkhorn"], "--epsilon", ("0.05", "0.02")),
+    "couple-max-iter": (["couple", "--mu", "bump.csv", "--nu", "uniform.csv",
+                         "--method", "sinkhorn"], "--max-iter", ("3", "5000")),
+    "couple-tol": (["couple", "--mu", "bump.csv", "--nu", "uniform.csv",
+                    "--method", "sinkhorn"], "--tol", ("1e-3", "1e-9")),
+}
+
+
+@pytest.mark.parametrize("case", FLAG_PAIRS)
+def test_manifest_config_records_flags_that_change_outputs(workspace, case):
+    argv, flag, values = FLAG_PAIRS[case]
+    argv = [str(workspace / a) if a.endswith((".txt", ".csv")) else a for a in argv]
+    outputs, configs = [], []
+    for value in values:
+        out = workspace / f"{case}-{value}"
+        assert main(argv + [flag, value, "--out", str(out)]) in (0, 1)
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()
+                        if f.name != "manifest.json"})
+        configs.append(json.loads((out / "manifest.json").read_text())["config"])
+    assert outputs[0] != outputs[1]
+    key = flag[2:].replace("-", "_")
+    assert [c[key] for c in configs] == [float(v) for v in values]
+
+
+def test_every_csv_writer_ends_lines_in_bare_newlines(workspace):
+    sphere = workspace / "sphere_atoms.csv"
+    write_manifold_atoms(sphere, "sphere2", DiscreteMeasure(np.array([[0.3, 0.1], [0.5, 1.0]]),
+                                                           np.array([0.5, 0.5])))
+    runs = [["represent", "--kernel", str(workspace / "kernel.txt"), "--route", "measurable"],
+            ["moser", "--rho0", str(workspace / "uniform.csv"),
+             "--rho1", str(workspace / "bump.csv"), "--checkpoints", "0.5"],
+            ["couple", "--mu", str(workspace / "atoms.csv"), "--nu", str(workspace / "bump.csv")],
+            ["stability", "--mu", str(workspace / "uniform.csv"),
+             "--targets", str(workspace / "bump.csv"), "--limit", str(workspace / "atoms.csv"),
+             "--eps", "0.1"],
+            ["lift", "--manifold", "sphere2", "--base", "0.0,0.0", "--atoms", str(sphere)]]
+    for i, argv in enumerate(runs):
+        assert main(argv + ["--out", str(workspace / f"run{i}")]) == 0
+    files = sorted(workspace.rglob("*.csv"))
+    assert {"meas_000.csv", "atoms.csv", "map_000.csv", "map.csv", "checkpoint_0.5000.csv",
+            "plan.csv", "stability.csv", "tangent_atoms.csv",
+            "roundtrip_atoms.csv"} <= {f.name for f in files}
+    assert [f.name for f in files if b"\r" in f.read_bytes()] == []
+
+
 def test_couple_exact_writes_plan(workspace):
     out = workspace / "cpl"
     rc = main(["couple", "--mu", str(workspace / "atoms.csv"),

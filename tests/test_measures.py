@@ -20,6 +20,7 @@ from randmap.measures import (
     grid_pushforward,
     p_moment,
     pushforward,
+    read_atom_rows,
     wasserstein_1d,
     wasserstein_exact,
 )
@@ -418,6 +419,18 @@ def test_discrete_csv_round_trip(tmp_path):
     back = DiscreteMeasure.from_csv(path)
     assert np.array_equal(back.points, m.points)
     assert np.array_equal(back.weights, m.weights)
+
+
+def test_atom_csv_with_crlf_line_endings_still_reads(tmp_path):
+    # earlier versions wrote atom files through csv.writer, which ends lines in \r\n
+    path = tmp_path / "atoms.csv"
+    path.write_bytes(b"x0,x1,w\r\n0.1,0.2,0.25\r\n0.7,0.8,0.75\r\n")
+    header, data = read_atom_rows(path)
+    assert header == ["x0", "x1", "w"]
+    assert np.array_equal(data, [[0.1, 0.2, 0.25], [0.7, 0.8, 0.75]])
+    back = DiscreteMeasure.from_csv(path)
+    assert np.array_equal(back.points, [[0.1, 0.2], [0.7, 0.8]])
+    assert np.array_equal(back.weights, [0.25, 0.75])
 
 
 def test_grid_csv_round_trip(tmp_path):

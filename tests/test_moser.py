@@ -281,17 +281,6 @@ def test_moser_checkpoints():
         assert np.all((positions >= 0) & (positions < 1))
 
 
-def test_flowmap_invariants():
-    n = 32
-    grid = unit_torus_grid(1, n)
-    nodes = grid.nodes()
-    tmap = TransportMap(nodes, nodes, route="moser", grid=grid)
-    with pytest.raises(MoserError, match="step"):
-        FlowMap(tmap, steps=8)
-    with pytest.raises(MoserError, match="wrapped"):
-        FlowMap(TransportMap(nodes, nodes + 1.0, route="moser", grid=grid), steps=32)
-
-
 # ---------------------------------------------------------------------------
 # a kernel family's flows, integrated as one batch
 # ---------------------------------------------------------------------------

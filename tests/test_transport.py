@@ -23,6 +23,7 @@ from randmap.measures import (
     pushforward,
     wasserstein_1d,
 )
+from randmap.moser import moser_map
 from randmap.transport import (
     MapError,
     PotentialGrid,
@@ -128,6 +129,64 @@ def test_exact_certification_invariants():
         slack = c - plan.dual_u[:, None] - plan.dual_v[None, :]
         assert slack.min() >= -1e-9
         assert np.abs(slack[plan.gamma > 1e-12]).max() <= 1e-9
+
+
+def patch_linprog(monkeypatch, edit):
+    """Make solve_exact see every HiGHS result after `edit` has changed it in place."""
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+
+    def patched(*args, **kwargs):
+        res = real(*args, **kwargs)
+        edit(res)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", patched)
+
+
+def random_pair(seed, weights=rational_weights):
+    rng = np.random.default_rng(seed)
+    return (DiscreteMeasure(rng.random((5, 2)), weights(rng, 5)),
+            DiscreteMeasure(rng.random((6, 2)), weights(rng, 6)))
+
+
+def dirichlet_weights(rng, k):
+    return rng.dirichlet(np.ones(k))
+
+
+# Weights in sixteenths make the optimal plan degenerate: its support is a
+# forest of several trees, not one spanning tree of the 5 + 6 atoms.
+@pytest.mark.parametrize("weights,trees", [(rational_weights, 2), (dirichlet_weights, 1)],
+                         ids=["forest", "tree"])
+def test_exact_falls_back_to_support_forest_duals(monkeypatch, weights, trees):
+    a, b = random_pair(5, weights)
+    spec = CostSpec("sqdist")
+    want = solve_exact(a, b, spec)
+    assert np.count_nonzero(want.gamma > 1e-12) == a.size + b.size - trees
+
+    def zero_duals(res):
+        res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
+
+    patch_linprog(monkeypatch, zero_duals)
+    plan = solve_exact(a, b, spec)
+    assert plan.cost == want.cost
+    c = spec.matrix(a.points, b.points)
+    slack = c - plan.dual_u[:, None] - plan.dual_v[None, :]
+    assert slack.min() >= -1e-9
+    assert np.abs(slack[plan.gamma > 1e-12]).max() <= 1e-9
+
+
+def test_exact_raises_when_neither_dual_set_certifies(monkeypatch):
+    a, b = random_pair(6)
+
+    def product_plan_no_duals(res):  # feasible, not optimal, and no duals
+        res.x = np.outer(a.weights, b.weights).ravel()
+        res.eqlin.marginals = np.zeros_like(res.eqlin.marginals)
+
+    patch_linprog(monkeypatch, product_plan_no_duals)
+    with pytest.raises(SolverError, match="certification failed"):
+        solve_exact(a, b, CostSpec("sqdist"))
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +838,34 @@ def test_map_csv_round_trip_columns(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (16, 3)
     assert np.allclose(data[:, 0], t.points[:, 0])
+
+
+def periodic_moser_map():
+    x = (np.arange(16) + 0.5) / 16
+    vals = np.multiply.outer(1 + 0.4 * np.cos(2 * np.pi * x), 1 + 0.3 * np.sin(2 * np.pi * x))
+    return moser_map(GridDensity.uniform(2, 16), GridDensity(2, 16, vals / vals.mean())).map
+
+
+def brenier_grid_map():
+    x = (np.arange(16) + 0.5) / 16
+    vals = np.exp(-((x[:, None] - 0.4) ** 2 + (x[None, :] - 0.6) ** 2) / 0.1)
+    return brenier_map(GridDensity.uniform(2, 16), GridDensity(2, 16, vals / vals.mean()),
+                       reg_epsilon=1e-3)
+
+
+@pytest.mark.parametrize("make_map", [periodic_moser_map, brenier_grid_map])
+def test_map_csv_reads_back_bit_for_bit(tmp_path, make_map):
+    t = make_map()
+    path = tmp_path / "map.csv"
+    t.to_csv(path)
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    dim = t.dim
+    assert np.array_equal(data[:, :dim], t.points)
+    assert np.array_equal(data[:, dim:2 * dim], t.images)
+    if t.psi is None:
+        assert data.shape[1] == 2 * dim
+    else:
+        assert np.array_equal(data[:, 2 * dim], t.psi)
 
 
 def test_map_needs_one_point_and_image_per_grid_node():

@@ -161,6 +161,17 @@ def _floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(msg) from None
 
 
+def _positive(text: str) -> float:
+    """A flag value that must be a finite number > 0 (a tolerance or epsilon)."""
+    try:
+        val = float(text)
+    except ValueError:
+        val = np.nan
+    if not (np.isfinite(val) and val > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return val
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -354,9 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, default=2.0)
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--method", choices=["exact", "sinkhorn"], default="exact")
-    sp.add_argument("--epsilon", type=float, default=1e-2)
+    sp.add_argument("--epsilon", type=_positive, default=1e-2)
     sp.add_argument("--max-iter", type=int, default=5000)
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_positive, default=1e-9)
     add_out(sp)
     sp.set_defaults(func=cmd_couple)
 
@@ -365,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho1", required=True)
     sp.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
     sp.add_argument("--checkpoints", type=_floats, default="")
-    sp.add_argument("--tol", type=float, default=1e-2,
+    sp.add_argument("--tol", type=_positive, default=1e-2,
                     help="pushforward W1 tolerance for the pass/fail gate")
     add_out(sp)
     sp.set_defaults(func=cmd_moser)
@@ -380,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
         if name == "verify":
             sp.add_argument("--n", type=int, default=10000)
-            sp.add_argument("--tol", type=float, default=0.05)
+            sp.add_argument("--tol", type=_positive, default=0.05)
             sp.add_argument("--seed", type=int, required=True)
         add_out(sp)
         sp.set_defaults(func=handler)

@@ -276,7 +276,18 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 
 
 # ---------------------------------------------------------------------------
-# entropic solver (stabilised kernel, epsilon scaling, feasible rounding)
+# entropic solver (stabilised kernel, epsilon scaling, overrelaxation,
+# feasible rounding)
+#
+# The final epsilon level runs overrelaxed Sinkhorn (Thibault, Chizat,
+# Dossal & Papadakis 2017, arXiv:1711.01851; Lehmann, von Renesse, Sambale
+# & Uschmajew 2021, Optim. Lett.): each half-step moves a potential _OMEGA
+# times as far as plain Sinkhorn would. The fixed point is unchanged; near
+# it, plain Sinkhorn contracts linearly at some rate eta < 1, and the best
+# factor, 2 / (1 + sqrt(1 - eta)), contracts at that factor minus one. Every
+# _PLAIN_EVERY-th step is plain, and only plain steps measure the marginal
+# error and may stop the solve, so the stopping certificate is that of plain
+# Sinkhorn.
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 22
@@ -285,6 +296,17 @@ _CHUNK = 1 << 22
 # scaling factors then stay within e^30 of one, far above the underflow
 # threshold of the kernel entries that carry the mass.
 _ABSORB = 30.0
+# Overrelaxation factor of the final level. On 15 Brenier solves at n=16 and
+# epsilon 1e-3 (uniform source, Gaussian-bump targets), omega = 1, 1.5, 1.7,
+# 1.8, 1.85 and 1.9 took 17,615 / 8,982 / 6,686 / 5,670 / 5,630 / 6,398
+# iterations in all; 1.8 was the fastest in wall time.
+_OMEGA = 1.8
+# Every this-many-th step of the final level is plain (omega = 1).
+_PLAIN_EVERY = 8
+# A plain step whose marginal error exceeds the previous plain step's by more
+# than this relative margin ends the overrelaxation. The margin keeps rounding
+# noise on a stalled error (flat to 1e-12) from deciding the path.
+_RISE = 1e-6
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
@@ -296,8 +318,10 @@ class _StabilisedKernel:
     """K = exp((f_bar_i + g_bar_j - C_ij)/eps), with the potentials it was built from.
 
     Against K, a log-domain Sinkhorn half-step is one matrix-vector product:
-    f_i = f_bar_i - eps * log sum_j K_ij exp((g_j - g_bar_j)/eps + log b_j),
-    and the same through K.T for g. Its methods run under the solver's
+    SK_f(g)_i = f_bar_i - eps * log sum_j K_ij exp((g_j - g_bar_j)/eps + log b_j),
+    and the same through K.T for SK_g(f). An overrelaxed half-step with
+    factor omega returns f + omega * (SK_f(g) - f); at omega = 1 it returns
+    SK_f(g) itself. Its methods run under the solver's
     np.errstate(over="ignore", invalid="ignore"): an entry that overflows is
     zeroed (idle pairs) or makes its sum non-finite, which iterate reports.
     """
@@ -319,25 +343,28 @@ class _StabilisedKernel:
         np.exp(self.k, out=self.k)
         self.k[self.idle] = 0.0
 
-    def iterate(self, g: np.ndarray, la: np.ndarray, lb: np.ndarray):
-        """One Sinkhorn iteration, f from g and then g from that f, as (f, g).
+    def iterate(self, f: np.ndarray, g: np.ndarray, la: np.ndarray, lb: np.ndarray,
+                omega: float):
+        """One Sinkhorn iteration with factor omega, f from (f, g) and then g
+        from (g, that f), as new arrays (f, g).
 
         K is absorbed after each half-step that leaves a potential more than
         _ABSORB * eps from the one K holds. None if a kernel sum underflows
         to 0 or is not finite.
         """
-        f = self._half_step(self.k, self.f_bar, g, self.g_bar, lb)
+        f = self._half_step(self.k, self.f_bar, f, g, self.g_bar, lb, omega)
         if f is None:
             return None
         self._absorb_if_moved(f, g)
-        g = self._half_step(self.k.T, self.g_bar, f, self.f_bar, la)
+        g = self._half_step(self.k.T, self.g_bar, g, f, self.f_bar, la, omega)
         if g is None:
             return None
         self._absorb_if_moved(f, g)
         return f, g
 
-    def _half_step(self, kmat, bar, other, other_bar, log_w):
-        """bar - eps * log(kmat @ exp((other - other_bar)/eps + log_w)), max-shifted."""
+    def _half_step(self, kmat, bar, own, other, other_bar, log_w, omega):
+        """own + omega * (SK - own), SK = bar - eps * log(kmat @ exp((other -
+        other_bar)/eps + log_w)) computed max-shifted."""
         v = np.subtract(other, other_bar)
         v /= self.eps
         v += log_w
@@ -349,7 +376,12 @@ class _StabilisedKernel:
         np.log(s, out=s)
         s += shift
         s *= self.eps
-        return np.subtract(bar, s, out=s)
+        np.subtract(bar, s, out=s)
+        if omega != 1.0:
+            s -= own
+            s *= omega
+            s += own
+        return s
 
     def _absorb_if_moved(self, f: np.ndarray, g: np.ndarray) -> None:
         moved = max(np.abs(f - self.f_bar).max(), np.abs(g - self.g_bar).max())
@@ -360,21 +392,31 @@ class _StabilisedKernel:
 def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                          epsilon: float, max_iter: int, tol: float,
                          warm_iters: int = 25):
-    """Stabilised-kernel Sinkhorn with a halving epsilon schedule from 1.0 down.
+    """Stabilised-kernel Sinkhorn with a halving epsilon schedule from 1.0 down,
+    overrelaxed at the final epsilon.
 
-    The iterates are those of log-domain Sinkhorn (f = -eps lse_j[(g_j -
-    C_ij)/eps + log b_j], then g likewise from f), each half-step computed as
-    one matrix-vector product with the stabilised kernel
-    K = exp((f_bar + g_bar - C)/eps). K is built from the current potentials
-    at the start of every epsilon level, and the scalings are absorbed into
-    it (K rebuilt from the current potentials) whenever a potential moves
-    more than 30 eps from the one K was built with. When a kernel sum
-    underflows to 0 or is not finite, K is absorbed and the iteration redone;
-    a sum that still fails raises SolverError, so the potentials returned are
-    always finite. Entries between zero-weight atoms on both sides stay 0.
+    Each half-step is a log-domain Sinkhorn update (SK_f(g) = -eps lse_j[(g_j -
+    C_ij)/eps + log b_j], SK_g(f) likewise), computed as one matrix-vector
+    product with the stabilised kernel K = exp((f_bar + g_bar - C)/eps). The
+    warm levels run plain steps (f = SK_f(g), then g = SK_g(f)). The final
+    level runs overrelaxed steps f <- f + omega (SK_f(g) - f), then
+    g <- g + omega (SK_g(f) - g), with omega = _OMEGA, except that every
+    _PLAIN_EVERY-th step, and the step that reaches max_iter, is plain. Only
+    plain steps measure the marginal error and may stop the solve. If a plain
+    step's error exceeds the previous plain step's (by more than a relative
+    _RISE), the rest of the level runs plain (omega = 1).
 
-    Returns (f, g, converged, err, iterations); the marginal error is the L1
-    column violation of the (exactly row-feasible) iterate.
+    K is built from the current potentials at the start of every epsilon
+    level, and the scalings are absorbed into it (K rebuilt from the current
+    potentials) whenever a potential moves more than 30 eps from the one K was
+    built with. When a kernel sum underflows to 0 or is not finite, K is
+    absorbed and the iteration redone; a sum that still fails raises
+    SolverError, so the potentials returned are always finite. Entries between
+    zero-weight atoms on both sides stay 0.
+
+    Returns (f, g, converged, err, iterations). The returned iterate always
+    comes from a plain step, and err is the L1 column violation of that step's
+    (exactly row-feasible) plan exp((f + g_prev - C)/eps) a b.
     """
     la, lb = _log_weights(wa), _log_weights(wb)
     levels = [epsilon]
@@ -393,32 +435,39 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
         for li, eps in enumerate(levels):
             final = li == len(levels) - 1
             warm_budget = 0 if final else min(warm_iters, max(1, max_iter // (2 * len(levels))))
+            relax = _OMEGA if final else 1.0
             kern.absorb(f, g, eps)
             it = 0
             while True:
-                step = kern.iterate(g, la, lb)
+                it += 1
+                total_iters += 1
+                last = final and total_iters >= max_iter
+                plain = relax == 1.0 or it % _PLAIN_EVERY == 0 or last
+                omega = 1.0 if plain else relax
+                step = kern.iterate(f, g, la, lb, omega)
                 if step is None:
                     kern.absorb(f, g, eps)
-                    step = kern.iterate(g, la, lb)
+                    step = kern.iterate(f, g, la, lb, omega)
                     if step is None:
                         raise SolverError(f"Sinkhorn kernel sum underflowed or is not finite "
                                           f"at epsilon {eps:g}, even after absorption")
                 f, g_new = step
-                # |wb * ratio - wb| with ratio = exp((g - g_new)/eps), 1 where not finite
-                ratio = np.subtract(g, g_new)
-                ratio /= eps
-                np.exp(ratio, out=ratio)
-                ratio[~np.isfinite(ratio)] = 1.0
-                ratio *= wb
-                ratio -= wb
-                err = float(np.abs(ratio, out=ratio).sum())
+                if final and plain:
+                    # |wb * ratio - wb| with ratio = exp((g - g_new)/eps), 1 where not finite
+                    ratio = np.subtract(g, g_new)
+                    ratio /= eps
+                    np.exp(ratio, out=ratio)
+                    ratio[~np.isfinite(ratio)] = 1.0
+                    ratio *= wb
+                    ratio -= wb
+                    prev, err = err, float(np.abs(ratio, out=ratio).sum())
+                    if err > prev * (1 + _RISE):
+                        relax = 1.0
                 g = g_new
-                it += 1
-                total_iters += 1
                 if final and err <= tol:
                     converged = True
                     break
-                if final and total_iters >= max_iter:
+                if last:
                     break
                 if not final and it >= warm_budget:
                     break
@@ -455,8 +504,12 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     cost never falls below the LP optimum. A run that exhausts max_iter is
     returned with converged=False and its residual marginal error.
     """
-    if epsilon <= 0:
-        raise SolverError("epsilon must be > 0")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise SolverError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise SolverError(f"tol must be finite and > 0, got {tol!r}")
+    if max_iter < 1:
+        raise SolverError(f"max_iter must be >= 1, got {max_iter!r}")
     c = cost.matrix(mu.points, nu.points)
     f, g, converged, err, _ = _sinkhorn_potentials(c, mu.weights, nu.weights,
                                                    epsilon, max_iter, tol,

@@ -407,6 +407,16 @@ def _moser_checkpoints(workspace, text):
             str(workspace / "bump.csv"), "--checkpoints", text, "--out", str(workspace / "mc")]
 
 
+def _verify_tol(workspace, text):
+    return ["verify", "--kernel", str(workspace / "kernel.txt"), "--n", "200", "--tol", text,
+            "--seed", "0", "--out", str(workspace / "vt")]
+
+
+def _sinkhorn_couple(workspace, *flags):
+    return ["couple", "--mu", str(workspace / "atoms.csv"), "--nu", str(workspace / "uniform.csv"),
+            "--method", "sinkhorn", *flags, "--out", str(workspace / "cs")]
+
+
 def _density_with_value(workspace, token):
     lines = (workspace / "uniform.csv").read_text().splitlines()
     lines[4] = token
@@ -447,6 +457,20 @@ BAD_INPUTS = {
                               ["cap of 1024 steps", "doubling estimate"]),
     "manifest-row": (lambda ws: _edited_manifest(ws, "ragged_kernel.txt", "meas_002"),
                      ["ragged_kernel.txt, line 6", "expected 2 fields"]),
+    "verify-tol-inf": (lambda ws: _verify_tol(ws, "inf"),
+                       ["--tol", "finite number > 0", "'inf'"]),
+    "verify-tol-nan": (lambda ws: _verify_tol(ws, "nan"),
+                       ["--tol", "finite number > 0", "'nan'"]),
+    "moser-tol-inf": (lambda ws: _moser_checkpoints(ws, "") + ["--tol", "inf"],
+                      ["--tol", "finite number > 0", "'inf'"]),
+    "couple-epsilon-nan": (lambda ws: _sinkhorn_couple(ws, "--epsilon", "nan"),
+                           ["--epsilon", "finite number > 0", "'nan'"]),
+    "couple-tol-nan": (lambda ws: _sinkhorn_couple(ws, "--tol", "nan"),
+                       ["--tol", "finite number > 0", "'nan'"]),
+    "couple-tol-zero": (lambda ws: _sinkhorn_couple(ws, "--tol", "0", "--max-iter", "50"),
+                        ["--tol", "finite number > 0", "'0'"]),
+    "couple-max-iter": (lambda ws: _sinkhorn_couple(ws, "--max-iter", "-5"),
+                        ["max_iter must be >= 1", "-5"]),
     "stability-eps": (lambda ws: ["stability", "--mu", str(ws / "uniform.csv"),
                                   "--targets", str(ws / "atoms.csv"),
                                   "--limit", str(ws / "atoms.csv"), "--eps", "0",

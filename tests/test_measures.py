@@ -23,6 +23,7 @@ from randmap.measures import (
     read_atom_rows,
     wasserstein_1d,
     wasserstein_exact,
+    wasserstein_sinkhorn_upper,
 )
 
 
@@ -362,6 +363,29 @@ def test_wexact_size_guard():
     small = DiscreteMeasure.dirac([0.5])
     with pytest.raises(MeasureError, match="guard"):
         wasserstein_exact(big, small, p=1)
+
+
+@st.composite
+def support_pairs(draw):
+    """Two measures of 1-8 atoms in [0, 1)^dim, dim 1 or 2, with seeded points."""
+    dim = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def measure():
+        k = draw(st.integers(1, 8))
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        return DiscreteMeasure(rng.random((k, dim)), w / w.sum())
+
+    return measure(), measure()
+
+
+@given(support_pairs(), st.booleans(), st.sampled_from([3, 20, 200]))
+def test_sinkhorn_w1_bounds_the_exact_w1_from_above(pair, periodic, max_iter):
+    # the rounded plan is feasible whether or not the solve converged, so
+    # its cost is at least the LP optimum
+    a, b = pair
+    upper = wasserstein_sinkhorn_upper(a, b, p=1, periodic=periodic, max_iter=max_iter)
+    assert upper >= wasserstein_exact(a, b, p=1, periodic=periodic) - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -237,9 +237,20 @@ def test_sinkhorn_rejects_bad_epsilon():
         solve_sinkhorn(m, m, CostSpec("sqdist"), epsilon=0.0)
 
 
+@pytest.mark.parametrize("name,value", [("epsilon", np.nan), ("epsilon", np.inf),
+                                        ("tol", 0.0), ("tol", np.nan), ("tol", np.inf),
+                                        ("max_iter", 0), ("max_iter", -5)])
+def test_sinkhorn_rejects_non_finite_or_non_positive_settings(name, value):
+    m = DiscreteMeasure.dirac([0.0])
+    settings = {"epsilon": 1e-2, name: value}
+    with pytest.raises(SolverError, match=name):
+        solve_sinkhorn(m, m, CostSpec("sqdist"), **settings)
+
+
 def reference_potentials(c, wa, wb, epsilon, max_iter, tol, warm_iters=25):
     """Log-domain Sinkhorn, each half-step a full logsumexp over the cost
-    matrix, with the schedule, budgets and stopping rule of the solver."""
+    matrix, with the schedule, budgets, overrelaxation, plain-step cadence,
+    safeguard and stopping rule of the solver."""
     with np.errstate(divide="ignore"):
         la, lb = np.log(wa), np.log(wb)
     levels = [epsilon]
@@ -253,26 +264,43 @@ def reference_potentials(c, wa, wb, epsilon, max_iter, tol, warm_iters=25):
     for li, eps in enumerate(levels):
         final = li == len(levels) - 1
         budget = 0 if final else min(warm_iters, max(1, max_iter // (2 * len(levels))))
+        relax = transport._OMEGA if final else 1.0
         it = 0
         while True:
-            f = -eps * logsumexp((g[None, :] - c) / eps + lb[None, :], axis=1)
-            g_new = -eps * logsumexp((f[:, None] - c) / eps + la[:, None], axis=0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                ratio = np.exp((g - g_new) / eps)
-            err = float(np.sum(np.abs(wb * np.where(np.isfinite(ratio), ratio, 1.0) - wb)))
-            g = g_new
             it += 1
             iters += 1
+            last = final and iters >= max_iter
+            plain = relax == 1.0 or it % transport._PLAIN_EVERY == 0 or last
+            sk_f = -eps * logsumexp((g[None, :] - c) / eps + lb[None, :], axis=1)
+            f = sk_f if plain else f + relax * (sk_f - f)
+            sk_g = -eps * logsumexp((f[:, None] - c) / eps + la[:, None], axis=0)
+            g_new = sk_g if plain else g + relax * (sk_g - g)
+            if final and plain:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ratio = np.exp((g - g_new) / eps)
+                prev = err
+                err = float(np.sum(np.abs(wb * np.where(np.isfinite(ratio), ratio, 1.0) - wb)))
+                if err > prev * (1 + transport._RISE):
+                    relax = 1.0
+            g = g_new
             if final and err <= tol:
                 converged = True
                 break
-            if final and iters >= max_iter:
-                break
-            if not final and it >= budget:
+            if last or (not final and it >= budget):
                 break
         if final:
             break
     return f, g, converged, err, iters
+
+
+def row_normalised_column_error(c, wa, wb, g, eps):
+    """L1 column violation of the plan a_i softmax_j((g_j - C_ij)/eps + log b_j),
+    by logsumexp: the row-feasible plan of the potential g alone."""
+    with np.errstate(divide="ignore"):
+        lb = np.log(wb)
+    logits = (g[None, :] - c) / eps + lb[None, :]
+    plan = wa[:, None] * np.exp(logits - logsumexp(logits, axis=1)[:, None])
+    return float(np.abs(plan.sum(axis=0) - wb).sum())
 
 
 def _weights(draw, k):
@@ -312,6 +340,8 @@ def test_sinkhorn_potentials_match_log_domain_reference(case):
     assert (iters, converged) == (r_iters, r_converged)
     assert np.abs(f - rf).max() <= 1e-10 * max(1.0, np.abs(rf).max())
     assert np.abs(g - rg).max() <= 1e-10 * max(1.0, np.abs(rg).max())
+    if converged:  # the certificate does not depend on the path to g
+        assert row_normalised_column_error(c, wa, wb, g, epsilon) <= tol
 
 
 def test_sinkhorn_absorbs_within_a_level_and_matches_reference(monkeypatch):
@@ -570,6 +600,33 @@ def test_brenier_single_atom_constant_map():
     assert np.abs(t.images - 0.3).max() <= 1e-12
     assert t.potential_consistency() <= 1e-8  # psi is exactly affine-quadratic here
     assert t.route == "brenier"
+
+
+@pytest.fixture()
+def sinkhorn_iters(monkeypatch):
+    """The iteration count of every _sinkhorn_potentials call, in call order."""
+    calls = []
+    solve = transport._sinkhorn_potentials
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        calls.append(result[4])
+        return result
+
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", counted)
+    return calls
+
+
+def test_brenier_solve_is_overrelaxed(sinkhorn_iters):
+    # a box-brenier-like target: an off-centre Gaussian bump over a 0.2
+    # floor. Plain Sinkhorn needs 1,224 iterations to reach 1e-10 here.
+    x = (np.arange(16) + 0.5) / 16
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    bump = np.exp(-((xx - (0.3 + 0.4 / 6)) ** 2 + (yy - 0.5) ** 2) / (2 * 0.15 ** 2))
+    target = GridDensity(2, 16, 0.2 + 0.8 * bump / bump.mean())
+    brenier_map(GridDensity.uniform(2, 16), target, reg_epsilon=transport.BRENIER_EPSILON)
+    assert len(sinkhorn_iters) == 1
+    assert sinkhorn_iters[0] <= 600
 
 
 def test_brenier_rejects_atomic_source():

@@ -11,17 +11,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Entries per block of the blocked in-place passes over (n, m) arrays.
+_BLOCK = 1 << 16
+
 
 def wrap_unit(x: np.ndarray | float) -> np.ndarray:
-    """Map coordinates into the fundamental domain [0, 1)."""
-    y = np.mod(x, 1.0)
-    # np.mod rounds inputs in about (-5.6e-17, 0) up to exactly 1.0
+    """Map coordinates into the fundamental domain [0, 1).
+
+    x - floor(x) is np.mod(x, 1.0) bit for bit: both round the same real
+    number once (np.mod adds 1 to the exact fmod remainder of a negative x).
+    """
+    x = np.asarray(x, dtype=float)
+    y = x - np.floor(x)
+    # x - floor(x) rounds inputs in about (-5.6e-17, 0) up to exactly 1.0
     return np.where(y == 1.0, 0.0, y)
 
 
 def wrap_signed(x: np.ndarray | float) -> np.ndarray:
-    """Wrap displacements to the nearest lift in [-0.5, 0.5)."""
-    return np.mod(np.asarray(x, dtype=float) + 0.5, 1.0) - 0.5
+    """Wrap displacements to the nearest lift in [-0.5, 0.5).
+
+    This is np.mod(x + 0.5, 1.0) - 0.5 bit for bit, in the floor form of
+    wrap_unit.
+    """
+    t = np.asarray(x, dtype=float) + 0.5
+    t -= np.floor(t)
+    t -= 0.5
+    return t
 
 
 def sphere_xyz(angles: np.ndarray) -> np.ndarray:
@@ -49,18 +64,28 @@ def pairwise_distance(x: np.ndarray, y: np.ndarray, periodic: bool = False) -> n
     to the nearest lift before the Euclidean norm. The squared deltas are
     summed axis by axis into one (n, m) array, in the order a sum over a
     (n, m, d) array of deltas would add them, so no (n, m, d) array is built.
+    The rows are done in blocks of at most _BLOCK entries: axis 0's squared
+    delta is written into the block of the result itself, and each further
+    axis goes through one block-sized buffer, so the call holds the (n, m)
+    result and no other (n, m) array.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     out = np.zeros((len(x), len(y)))
-    for a in range(x.shape[1]):
-        delta = np.subtract.outer(x[:, a], y[:, a])
-        if periodic:  # wrap_signed, in place
-            delta += 0.5
-            np.mod(delta, 1.0, out=delta)
-            delta -= 0.5
-        delta *= delta
-        out += delta
+    rows = max(1, _BLOCK // max(1, len(y)))
+    buf = np.empty((min(rows, len(x)), len(y))) if x.shape[1] > 1 else None
+    for i0 in range(0, len(x), rows):
+        acc = out[i0:i0 + rows]
+        for a in range(x.shape[1]):
+            delta = buf[:len(acc)] if a else acc
+            np.subtract.outer(x[i0:i0 + rows, a], y[:, a], out=delta)
+            if periodic:  # wrap_signed, in place
+                delta += 0.5
+                delta -= np.floor(delta)
+                delta -= 0.5
+            delta *= delta
+            if a:
+                acc += delta
     return np.sqrt(out, out=out)
 
 
@@ -158,8 +183,9 @@ def _stencil(points: np.ndarray, grid: GridSpec) -> list[tuple[tuple, list]]:
         if grid.periodic:
             i0 = np.floor(f).astype(int)
             w = f - i0
-            i0 = np.mod(i0, n)
-            i1 = np.mod(i0 + 1, n)
+            i0 %= n
+            i1 = i0 + 1
+            i1[i1 == n] = 0
         else:
             f = np.clip(f, 0.0, n - 1.0)
             i0 = np.minimum(np.floor(f).astype(int), n - 2) if n > 1 else np.zeros(f.shape, int)
@@ -184,22 +210,40 @@ def interp_grid(values: np.ndarray, points: np.ndarray, grid: GridSpec) -> np.nd
     (B, k) + (n,)*dim with points of shape (B, m, dim), returns (B, m, k):
     stack b is read at its own m points, and one gather per corner serves the
     whole batch, with the same values, bit for bit, as B separate calls.
+
+    Each corner is one np.take from the flat values: the corner's row-major
+    cell index plus the offset of each (stack, field) block. The gather runs
+    fields before points, so every elementwise pass has the points as its
+    long inner axis, and one transpose at the end puts the points first. The
+    stencil keeps every index inside the grid, so the take's "clip" mode
+    never acts; it only spares the per-element bounds check.
     """
     values = np.asarray(values, dtype=float)
     points = np.asarray(points, dtype=float)
-    batch = ()
-    if points.ndim == 3:
-        values = values.swapaxes(0, 1)  # (k, B) + (n,)*dim
-        batch = (np.arange(len(points))[:, None],)
+    cells = grid.n ** grid.dim
+    if points.ndim == 3:  # (B, 1, m) + (B, k, 1) -> (B, k, m)
+        offsets = (np.arange(values.size // cells) * cells).reshape(len(points), -1, 1)
+    elif values.ndim > grid.dim:  # (m,) + (k, 1) -> (k, m)
+        offsets = (np.arange(len(values)) * cells)[:, None]
+    else:
+        offsets = None
+    flat = values.reshape(-1)
     out = None
     for index, factors in _stencil(points, grid):
         weight = factors[0]
         for f in factors[1:]:
             weight = weight * f
-        term = weight * values[(Ellipsis,) + batch + index]
-        out = term if out is None else out + term
+        cell = index[0]
+        for i in index[1:]:
+            cell = cell * grid.n + i
+        if offsets is not None:
+            cell = cell[..., None, :] + offsets
+            weight = weight[..., None, :]
+        term = np.take(flat, cell, mode="clip")
+        term *= weight
+        out = term if out is None else np.add(out, term, out=out)
     # points first and C-ordered, as a column_stack of one call per field
-    return np.ascontiguousarray(out.transpose(1, 2, 0) if batch else out.T)
+    return out if offsets is None else np.ascontiguousarray(out.swapaxes(-1, -2))
 
 
 def deposit_linear(points: np.ndarray, weights: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -390,8 +390,8 @@ def stability_experiment(mu: GridDensity, nu_seq, nu_limit, eps: float,
     convergence of targets). periodic wraps the distance on the torus and
     selects the circle rearrangement in 1D.
     """
-    if eps <= 0:
-        raise KernelError("eps must be > 0")
+    if not (np.isfinite(eps) and eps > 0):
+        raise KernelError(f"eps must be > 0 and finite, got {eps!r}")
     t_lim = _optimal_map(mu, nu_limit, periodic)
     masses = mu.cell_masses()
     out = []

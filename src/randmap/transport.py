@@ -291,6 +291,9 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 22
+# Entries per block of the rank-one patch in _round_to_feasible: small
+# enough that the patch adds no plan-sized temporary.
+_PATCH_BLOCK = 1 << 16
 # A potential may move this many epsilons away from the one the kernel was
 # built with before the scalings are folded back into the kernel: the
 # scaling factors then stay within e^30 of one, far above the underflow
@@ -477,7 +480,11 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
 
 
 def _round_to_feasible(gamma: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> None:
-    """Scale rows then columns down, then restore mass with a rank-one patch, in place."""
+    """Scale rows then columns down, then restore mass with a rank-one patch, in place.
+
+    The patch is elementwise, so it runs in row blocks of at most
+    _PATCH_BLOCK entries and the rounding allocates no plan-sized array.
+    """
     r = gamma.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.where(r > 0, np.minimum(wa / np.where(r > 0, r, 1.0), 1.0), 0.0)
@@ -490,7 +497,7 @@ def _round_to_feasible(gamma: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> Non
     ec = wb - gamma.sum(axis=0)
     mass = er.sum()
     if mass > 0:
-        block = max(1, _CHUNK // max(1, gamma.shape[1]))
+        block = max(1, _PATCH_BLOCK // max(1, gamma.shape[1]))
         for i0 in range(0, gamma.shape[0], block):
             gamma[i0:i0 + block] += np.outer(er[i0:i0 + block], ec) / mass
 
@@ -622,9 +629,11 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     src = mu.as_discrete()
     tgt = nu.as_discrete()
     cost = CostSpec("sqdist", periodic=False)
-    c = 0.5 * cost.matrix(src.points, tgt.points)
+    c = cost.matrix(src.points, tgt.points)
+    c *= 0.5  # in place: scaling by a power of two is exact
     _, g, converged, err, iters = _sinkhorn_potentials(c, src.weights, tgt.weights,
                                                        reg_epsilon, max_iter=4000, tol=1e-10)
+    del c  # the projection below needs only g, so it runs without the cost
     if not converged:
         raise SolverError(f"Brenier Sinkhorn solve did not converge in {iters} iterations "
                           f"(marginal error {err:.3e} > 1e-10)")

@@ -417,6 +417,12 @@ def _sinkhorn_couple(workspace, *flags):
             "--method", "sinkhorn", *flags, "--out", str(workspace / "cs")]
 
 
+def _stability_eps(workspace, eps):
+    return ["stability", "--mu", str(workspace / "uniform.csv"),
+            "--targets", str(workspace / "atoms.csv"), "--limit", str(workspace / "atoms.csv"),
+            "--eps", eps, "--out", str(workspace / "se")]
+
+
 def _density_with_value(workspace, token):
     lines = (workspace / "uniform.csv").read_text().splitlines()
     lines[4] = token
@@ -476,6 +482,8 @@ BAD_INPUTS = {
                                   "--limit", str(ws / "atoms.csv"), "--eps", "0",
                                   "--out", str(ws / "se")],
                       ["eps must be > 0"]),
+    "stability-eps-nan": (lambda ws: _stability_eps(ws, "nan"), ["eps must be > 0", "nan"]),
+    "stability-eps-inf": (lambda ws: _stability_eps(ws, "inf"), ["eps must be > 0", "inf"]),
 }
 
 

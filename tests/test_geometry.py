@@ -1,13 +1,18 @@
 """Tests for the shared grid stencil: a stack of fields is gathered with the
-same arithmetic as one call per field, and the linear deposit is the exact
-adjoint of interpolation. Also: torus wrapping stays inside [0, 1), every
-grid-backed object builds its grid once, and pairwise distances are the
-broadcast formula's, bit for bit."""
+same arithmetic as one call per field, the flat gather returns what a
+multi-array fancy-index gather returns, bit for bit, and the linear deposit
+is the exact adjoint of interpolation. Also: torus wrapping stays inside
+[0, 1) and equals the np.mod formulas bit for bit, every grid-backed object
+builds its grid once, and pairwise distances are the broadcast formula's,
+bit for bit."""
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from randmap.geometry import (
     GridSpec,
+    _stencil,
     deposit_linear,
     interp_grid,
     pairwise_distance,
@@ -56,6 +61,47 @@ def test_batched_interp_equals_per_stack_calls(grid, batch):
         assert np.array_equal(batched[b], interp_grid(stacks[b], pts[b], grid))
 
 
+def _fancy_index_interp(values, points, grid):
+    """Reference gather: one multi-array fancy index per stencil corner, with
+    a (k, B) + (n,)*dim view of a batch, then a transpose to points first."""
+    values = np.asarray(values, dtype=float)
+    points = np.asarray(points, dtype=float)
+    batch = ()
+    if points.ndim == 3:
+        values = values.swapaxes(0, 1)
+        batch = (np.arange(len(points))[:, None],)
+    out = None
+    for index, factors in _stencil(points, grid):
+        weight = factors[0]
+        for f in factors[1:]:
+            weight = weight * f
+        term = weight * values[(Ellipsis,) + batch + index]
+        out = term if out is None else out + term
+    return np.ascontiguousarray(out.transpose(1, 2, 0) if batch else out.T)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", ["field", "stack", "batch1", "batch4"])
+@pytest.mark.parametrize("grid", TORUS + BOX[:2], ids=lambda g: f"{g.dim}d-periodic={g.periodic}")
+def test_flat_gather_equals_fancy_index_gather(grid, shape):
+    rng = np.random.default_rng(30 + grid.dim + 2 * grid.periodic)
+    nodes = (grid.n,) * grid.dim
+    if shape == "field":
+        values, pts = rng.normal(size=nodes), _points(grid, 200, rng)
+    elif shape == "stack":
+        values, pts = rng.normal(size=(3,) + nodes), _points(grid, 200, rng)
+    else:
+        batch = int(shape[-1])
+        values = rng.normal(size=(batch, 3) + nodes)
+        pts = np.stack([_points(grid, 60, rng) for _ in range(batch)])
+    got = interp_grid(values, pts, grid)
+    assert got.flags.c_contiguous
+    assert _same_bits(got, _fancy_index_interp(values, pts, grid))
+
+
 @pytest.mark.parametrize("grid", BOX, ids=lambda g: f"{g.dim}d")
 def test_linear_deposit_is_adjoint_of_interpolation(grid):
     rng = np.random.default_rng(10 + grid.dim)
@@ -75,6 +121,44 @@ def test_wrap_unit_never_returns_one():
     assert wrap_unit(-1e-18) == 0.0
     x = np.random.default_rng(0).normal(size=1000)
     assert np.array_equal(wrap_unit(x), np.mod(x, 1.0))
+
+
+def _wrap_unit_by_mod(x):
+    y = np.mod(x, 1.0)
+    return np.where(y == 1.0, 0.0, y)
+
+
+def _assert_wraps_match_mod(x):
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    assert _same_bits(np.atleast_1d(wrap_unit(x)), _wrap_unit_by_mod(x))
+    assert _same_bits(np.atleast_1d(wrap_signed(x)), np.mod(x + 0.5, 1.0) - 0.5)
+
+
+_WRAP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-18, -1e-18,
+               -5.6e-17, 1.0, -1.0, 0.5, -0.5, 1.5, -1.5, 1 - 2.0 ** -53, -(1 - 2.0 ** -53),
+               1 + 2.0 ** -52, -(1 + 2.0 ** -52), 2.0 ** 52 + 0.5, -(2.0 ** 52 + 0.5), 2.0 ** 52 - 0.5,
+               -(2.0 ** 52 - 0.5), 2.0 ** 53, -(2.0 ** 53), 1e300, -1e300, 1.7976931348623157e308,
+               -1.7976931348623157e308]
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(-5e-324)
+@example(-(1 - 2.0 ** -53))
+@example(-(2.0 ** 52 - 0.5))
+def test_wraps_equal_mod_formulas_bit_for_bit(x):
+    # an independent reference: signed zeros and subnormals count, since the
+    # comparison is on the bits
+    _assert_wraps_match_mod(x)
+
+
+def test_wraps_equal_mod_formulas_on_edges_and_random_bits():
+    rng = np.random.default_rng(0)
+    x = rng.integers(-2 ** 63, 2 ** 63, size=200_000, dtype=np.int64).view(np.float64)
+    # random bit patterns are mostly huge or tiny; add values at every scale
+    # from 1e-17 to 1e3, where the fractional part is rounded
+    scaled = rng.normal(size=200_000) * 10.0 ** rng.uniform(-17, 3, size=200_000)
+    _assert_wraps_match_mod(np.concatenate([_WRAP_EDGES, x[np.isfinite(x)], scaled]))
 
 
 def _moser_field():

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from randmap.geometry import CostSpec, wrap_unit
+from randmap.geometry import CostSpec, pairwise_distance, wrap_unit
 from randmap.measures import (
     DiscreteMeasure,
     GridDensity,
@@ -386,6 +386,23 @@ def test_sinkhorn_w1_bounds_the_exact_w1_from_above(pair, periodic, max_iter):
     a, b = pair
     upper = wasserstein_sinkhorn_upper(a, b, p=1, periodic=periodic, max_iter=max_iter)
     assert upper >= wasserstein_exact(a, b, p=1, periodic=periodic) - 1e-12
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("call", ["pairwise_distance", "wasserstein_sinkhorn_upper"])
+def test_dense_w1_path_holds_at_most_two_cost_sized_arrays(peak_traced_bytes, call, periodic):
+    # 500 draws against a 32x32 density: the cost matrix is 500 x 1024. The
+    # solve needs the cost and the stabilised kernel; a third full-size
+    # temporary (a second axis delta, an outer-product patch) breaks the bound.
+    v = np.random.default_rng(5).random((32, 32)) + 0.5
+    rho = GridDensity(2, 32, v / v.mean())
+    draws = draw_sample(rho, 500, seed=6)
+    sample = empirical_measure(draws)
+    nodes = rho.nodes()
+    fn = {"pairwise_distance": lambda: pairwise_distance(draws, nodes, periodic),
+          "wasserstein_sinkhorn_upper":
+              lambda: wasserstein_sinkhorn_upper(sample, rho, p=1, periodic=periodic)}[call]
+    assert peak_traced_bytes(fn) <= 2.5 * 500 * 1024 * 8
 
 
 # ---------------------------------------------------------------------------

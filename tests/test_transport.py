@@ -629,6 +629,15 @@ def test_brenier_solve_is_overrelaxed(sinkhorn_iters):
     assert sinkhorn_iters[0] <= 600
 
 
+def test_brenier_map_holds_at_most_two_cost_sized_arrays(peak_traced_bytes):
+    # n=32: the cost and the stabilised kernel are 1024 x 1024, and the solve
+    # needs both. A third full-size array breaks the bound: a temporary while
+    # the cost is built or halved, or the cost kept through the projection.
+    g = GridDensity.uniform(2, 32)
+    peak = peak_traced_bytes(lambda: brenier_map(g, g, reg_epsilon=1e-3))
+    assert peak <= 2.5 * 1024 * 1024 * 8
+
+
 def test_brenier_rejects_atomic_source():
     nu = DiscreteMeasure.dirac([0.3])
     with pytest.raises(MapError):

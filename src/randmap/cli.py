@@ -52,15 +52,12 @@ from .measures import (
     wasserstein_exact,
     write_rows,
 )
-from .moser import (FLOW_TOL, MIN_STEPS, POISSON_RESIDUAL_TOL, MoserError,
-                    continuity_residual, flow_tolerance, jacobian_min, moser_map)
+from .moser import (POISSON_RESIDUAL_TOL, MoserError, continuity_residual, flow_tolerance,
+                    jacobian_min, moser_map)
 from .transport import MARGINAL_TOL, MapError, SolverError, solve_exact, solve_sinkhorn
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
-
-STEPS_HELP = (f"RK4 step count (default: doubling from {MIN_STEPS} until the node "
-              f"estimate <= {FLOW_TOL:g}*h)")
 
 _ERRORS = (MeasureError, KernelError, MoserError, LiftError, MapError, SolverError)
 
@@ -134,12 +131,12 @@ def _write_manifest(outdir: Path, command: str, config: dict, inputs: list[str],
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
     with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
+        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _write_report(outdir: Path, payload: dict) -> None:
     with open(outdir / "report.json", "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _outdir(args) -> Path:
@@ -161,15 +158,23 @@ def _floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(msg) from None
 
 
-def _positive(text: str) -> float:
-    """A flag value that must be a finite number > 0 (a tolerance or epsilon)."""
-    try:
-        val = float(text)
-    except ValueError:
-        val = np.nan
-    if not (np.isfinite(val) and val > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
-    return val
+def _finite_at_least(low: float, strict: bool):
+    """An argparse type: a finite number > low (strict) or >= low."""
+    bound = f"{'>' if strict else '>='} {low:g}"
+
+    def parse(text: str) -> float:
+        try:
+            val = float(text)
+        except ValueError:
+            val = np.nan
+        if not (np.isfinite(val) and (val > low if strict else val >= low)):
+            raise argparse.ArgumentTypeError(f"expected a finite number {bound}, got {text!r}")
+        return val
+    return parse
+
+
+_positive = _finite_at_least(0.0, strict=True)  # a tolerance, epsilon or cap
+_order = _finite_at_least(1.0, strict=False)  # a Wasserstein order or cost exponent
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +234,7 @@ def cmd_moser(args) -> int:
     for a, b in zip(times, times[1:]):  # rounding keeps order: clashes are neighbours
         if f"{a:.4f}" == f"{b:.4f}":
             raise CliError(f"checkpoints {a!r} and {b!r} both write checkpoint_{a:.4f}.csv")
-    flow = moser_map(rho0, rho1, steps=args.steps, checkpoints=args.checkpoints)
+    flow = moser_map(rho0, rho1, checkpoints=args.checkpoints)
     out = _outdir(args)
     flow.map.to_csv(out / "map.csv")
     for t_mark, positions in flow.checkpoints.items():
@@ -251,7 +256,7 @@ def cmd_moser(args) -> int:
     _write_manifest(out, "moser", {"steps": flow.steps, "checkpoints": list(args.checkpoints)},
                     [args.rho0, args.rho1],
                     {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL,
-                     "flow_tol": flow_tolerance(rho0.n) if args.steps is None else None})
+                     "flow_tol": flow_tolerance(rho0.n)})
     ok = jac > 0 and (flow.pushforward_error is None or flow.pushforward_error <= args.tol)
     return 0 if ok else CHECK_FAILED
 
@@ -260,7 +265,10 @@ def _build_family(args):
     """The representation of the --kernel family, and the path of every file read."""
     kern, inputs = _load_kernel_manifest(args.kernel)
     if args.route == "continuous":
-        return build_continuous_representation(kern, steps=args.steps), inputs
+        if args.reference:
+            raise CliError("--reference applies to the measurable route only: the "
+                           "continuous route's reference is the uniform density")
+        return build_continuous_representation(kern), inputs
     if args.reference:
         reference = _load_measure(args.reference)
         inputs.append(args.reference)
@@ -285,7 +293,7 @@ def cmd_represent(args) -> int:
         "modulus": family.modulus.as_records() if family.modulus else [],
     }
     _write_report(out, report)
-    _write_manifest(out, "represent", {"route": args.route, "steps": args.steps},
+    _write_manifest(out, "represent", {"route": args.route},
                     inputs, {"pushforward_tol": family.pushforward_tol})
     return 0
 
@@ -295,8 +303,8 @@ def cmd_verify(args) -> int:
     report = verify_representation(family, n_samples=args.n, tol=args.tol, seed=args.seed)
     out = _outdir(args)
     _write_report(out, report.to_dict())
-    _write_manifest(out, "verify", {"route": args.route, "steps": args.steps, "n": args.n,
-                                    "tol": args.tol, "seed": args.seed},
+    _write_manifest(out, "verify", {"route": args.route, "n": args.n, "tol": args.tol,
+                                    "seed": args.seed},
                     inputs, {"tol": args.tol})
     return 0 if report.all_pass else CHECK_FAILED
 
@@ -352,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("wdist", help="Wasserstein distance between two measure files")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
-    sp.add_argument("--p", type=float, default=1.0)
+    sp.add_argument("--p", type=_order, default=1.0)
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--method", choices=["quantile", "exact"], default="quantile")
     add_out(sp)
@@ -362,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", required=True)
     sp.add_argument("--nu", required=True)
     sp.add_argument("--cost", choices=["sqdist", "dist_p", "negdot"], default="sqdist")
-    sp.add_argument("--p", type=float, default=2.0)
+    sp.add_argument("--p", type=_order, default=2.0)
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--method", choices=["exact", "sinkhorn"], default="exact")
     sp.add_argument("--epsilon", type=_positive, default=1e-2)
@@ -374,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("moser", help="Moser time-1 coupling of two grid densities")
     sp.add_argument("--rho0", required=True)
     sp.add_argument("--rho1", required=True)
-    sp.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
     sp.add_argument("--checkpoints", type=_floats, default="")
     sp.add_argument("--tol", type=_positive, default=1e-2,
                     help="pushforward W1 tolerance for the pass/fail gate")
@@ -388,7 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="continuous")
         sp.add_argument("--reference", default="",
                         help="reference measure file (measurable route)")
-        sp.add_argument("--steps", type=int, default=None, help=STEPS_HELP)
         if name == "verify":
             sp.add_argument("--n", type=int, default=10000)
             sp.add_argument("--tol", type=_positive, default=0.05)
@@ -401,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--base", type=_floats, required=True,
                     help="chart base point, comma-separated")
     sp.add_argument("--atoms", required=True)
-    sp.add_argument("--cap", type=float, default=None)
+    sp.add_argument("--cap", type=_positive, default=None)
     add_out(sp)
     sp.set_defaults(func=cmd_lift)
 

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Entries per block of the blocked in-place passes over (n, m) arrays.
-_BLOCK = 1 << 16
+# Entries per block of the blocked in-place passes over (n, m) arrays (here
+# and in transport's rounding): small enough that a pass adds no (n, m)
+# temporary.
+BLOCK_ENTRIES = 1 << 16
 
 
 def wrap_unit(x: np.ndarray | float) -> np.ndarray:
@@ -64,15 +66,15 @@ def pairwise_distance(x: np.ndarray, y: np.ndarray, periodic: bool = False) -> n
     to the nearest lift before the Euclidean norm. The squared deltas are
     summed axis by axis into one (n, m) array, in the order a sum over a
     (n, m, d) array of deltas would add them, so no (n, m, d) array is built.
-    The rows are done in blocks of at most _BLOCK entries: axis 0's squared
-    delta is written into the block of the result itself, and each further
-    axis goes through one block-sized buffer, so the call holds the (n, m)
-    result and no other (n, m) array.
+    The rows are done in blocks of at most BLOCK_ENTRIES entries: axis 0's
+    squared delta is written into the block of the result itself, and each
+    further axis goes through one block-sized buffer, so the call holds the
+    (n, m) result and no other (n, m) array.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     out = np.zeros((len(x), len(y)))
-    rows = max(1, _BLOCK // max(1, len(y)))
+    rows = max(1, BLOCK_ENTRIES // max(1, len(y)))
     buf = np.empty((min(rows, len(x)), len(y))) if x.shape[1] > 1 else None
     for i0 in range(0, len(x), rows):
         acc = out[i0:i0 + rows]
@@ -104,6 +106,8 @@ class CostSpec:
     def __post_init__(self):
         if self.kind not in ("sqdist", "dist_p", "negdot"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
+        if not np.isfinite(self.p):
+            raise ValueError(f"cost exponent p must be finite, got {self.p!r}")
         if self.kind == "dist_p" and self.p < 1:
             raise ValueError("cost exponent p must be >= 1")
 

@@ -230,25 +230,24 @@ def build_measurable_representation(kernel: KernelFamily,
     return _validated_family("measurable", kernel, reference, maps, periodic, validate=True)
 
 
-def build_continuous_representation(kernel: KernelFamily,
-                                    steps: int | None = None) -> RandomMapFamily:
+def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
     """Representation by Moser time-1 maps from the uniform density.
 
     Every kernel measure must be a grid density at least moser's MIN_DENSITY
     (full support is what makes the maps continuous); `moser_map` checks each
     one, and a failure names its base point. The family's flows are
-    integrated as one batch by one `moser_map` call; each map takes `steps`
-    RK4 steps if given, else the step count that step doubling accepts for
-    it alone (node estimate at most FLOW_TOL * h). Continuity metadata is
-    attached from the modulus table over all base-point pairs. Only 1D maps
-    are validated: in 2D the pushforward errors are recorded as NaN.
+    integrated as one batch by one `moser_map` call; each map takes the step
+    count that step doubling accepts for it alone (node estimate at most
+    FLOW_TOL * h). Continuity metadata is attached from the modulus table
+    over all base-point pairs. Only 1D maps are validated: in 2D the
+    pushforward errors are recorded as NaN.
     """
     if not isinstance(kernel.measures[0], GridDensity):
         raise KernelError("continuous route needs grid-density kernel measures")
     proto = kernel.measures[0]
     reference = GridDensity.uniform(proto.dim, proto.n)
 
-    flows = moser_map(reference, kernel.measures, steps=steps, check_pushforward=False)
+    flows = moser_map(reference, kernel.measures, check_pushforward=False)
     maps = [flow.map if isinstance(flow, FlowMap) else flow for flow in flows]
     family = _validated_family("continuous", kernel, reference, maps, True,
                                validate=proto.dim == 1)

@@ -56,6 +56,8 @@ class ManifoldChart:
         cap = self.cap
         if cap is None:
             cap = 0.5 if self.manifold in ("circle", "torus2") else SPHERE_CAP
+        if not (np.isfinite(cap) and cap > 0):
+            raise LiftError(f"chart cap must be a finite number > 0, got {cap!r}")
         if self.manifold == "sphere2" and cap >= np.pi:
             raise LiftError("sphere chart cap must stay below the cut locus pi")
         object.__setattr__(self, "base_point", p)

@@ -426,8 +426,8 @@ def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
     shared with `transport.monotone_map_1d`). Grid densities enter through
     midpoint quadrature at subcell resolution `grid_subdiv`.
     """
-    if p < 1:
-        raise MeasureError("order p must be >= 1")
+    if not (np.isfinite(p) and p >= 1):
+        raise MeasureError(f"order p must be finite and >= 1, got {p!r}")
     xu, wu = atoms_1d(mu, grid_subdiv, periodic)
     xv, wv = atoms_1d(nu, grid_subdiv, periodic)
     if not periodic:

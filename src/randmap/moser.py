@@ -17,8 +17,8 @@ A kernel family's flows all start from the same uniform density on the
 same grid, so the RK4 engine takes only batches: one loop moves every map's
 nodes, with one interpolation gather per cell corner, and one coupling is a
 batch of one. Each map keeps its own step doubling and its own blow-up
-guard, whose MoserError the loop records, so it gets bit for bit the images,
-step count and error it would get alone.
+guard, so it gets bit for bit the images, step count and estimate it would
+get alone.
 
 The discrete calculus (Laplacian, gradient, divergence) is spectral
 throughout: that is what makes the continuity identity
@@ -45,7 +45,7 @@ MAX_STEPS_PER_CELL = 64  # step-doubling cap: 64 n steps
 
 
 class MoserError(ValueError):
-    """Moser-coupling precondition violated (positivity, mean, blow-up)."""
+    """Moser-coupling precondition violated (positivity, mean, unresolved flow)."""
 
 
 def _wavenumbers(shape: tuple[int, ...]) -> list[np.ndarray]:
@@ -140,8 +140,7 @@ class FlowMap:
 
     map: TransportMap
     steps: int
-    # accepted step-doubling estimate; None when the step count was given
-    flow_error: float | None = None
+    flow_error: float  # accepted step-doubling estimate of the node error
     checkpoints: dict = field(default_factory=dict)
     pushforward_error: float | None = None
     field_ref: MoserField | None = None
@@ -159,21 +158,19 @@ def _velocity(stacks: np.ndarray, grid: GridSpec, t: float, pts: np.ndarray) -> 
 
 
 def integrate_flow(fields: Sequence[MoserField], x0: np.ndarray, t0: float, t1: float,
-                   steps: int) -> tuple[np.ndarray, dict[int, MoserError]]:
+                   steps: int) -> np.ndarray:
     """Classical RK4 on dx/dt = xi(t, x) for B fields on one grid, all in one loop.
 
     x0 has shape (B, m, dim) and row b moves by field b, bit for bit as if it
     ran alone. A map whose step moves a node more than half the domain leaves
     the batch and its row comes back NaN; rows that enter as NaN stay out.
-    Returns the positions and, by row, each blown map's MoserError, which
-    names the step counted from t0.
+    Returns the positions.
     """
     x = np.array(x0, dtype=float)
     live = np.flatnonzero(~np.isnan(x).any(axis=(1, 2)))
     stacks = np.stack([fields[i].stack for i in live]) if live.size else None
     grid = fields[0].grid
     pos = x[live]
-    blowups = {}
     dt = (t1 - t0) / steps
     for k in range(steps):
         if not live.size:
@@ -184,18 +181,14 @@ def integrate_flow(fields: Sequence[MoserField], x0: np.ndarray, t0: float, t1: 
         k3 = _velocity(stacks, grid, t + 0.5 * dt, pos + 0.5 * dt * k2)
         k4 = _velocity(stacks, grid, t + dt, pos + dt * k3)
         delta = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        jump = np.abs(delta).max(axis=(1, 2))
-        blown = jump > 0.5
+        blown = np.abs(delta).max(axis=(1, 2)) > 0.5
         if blown.any():
-            for b, d in zip(live[blown], jump[blown]):
-                blowups[int(b)] = MoserError(f"flow blow-up at step {k}: displacement "
-                                             f"{d:.3f} exceeds half the domain")
             x[live[blown]] = np.nan
             keep = ~blown
             live, stacks, pos, delta = live[keep], stacks[keep], pos[keep], delta[keep]
         pos = pos + delta
     x[live] = pos
-    return x, blowups
+    return x
 
 
 def flow_tolerance(n: int) -> float:
@@ -204,30 +197,22 @@ def flow_tolerance(n: int) -> float:
 
 
 def _trajectory(fields: Sequence[MoserField], nodes: np.ndarray, steps: int,
-                times: list[float]) -> tuple[np.ndarray, dict, dict[int, MoserError]]:
+                times: list[float]) -> tuple[np.ndarray, dict]:
     """Integrate one copy of the nodes per field to t=1 through the checkpoint times.
 
-    Returns the unwrapped time-1 positions, the wrapped positions at each
-    checkpoint and, by row, the blown maps' errors from `integrate_flow`
-    (each names a step of its segment). Each segment takes its share of the
-    `steps` steps on [0, 1]; a map that blew up sits out the rest as NaN.
+    Returns the unwrapped time-1 positions and the wrapped positions at each
+    checkpoint. Each segment takes its share of the `steps` steps on [0, 1];
+    a map that blew up sits out the rest as NaN.
     """
-    marks, blowups = {}, {}
+    marks = {}
     x = np.broadcast_to(nodes, (len(fields),) + nodes.shape)
     t_prev = 0.0
     for t_mark in [*times, 1.0]:
-        x, blown = integrate_flow(fields, x, t_prev, t_mark,
-                                  max(1, round(steps * (t_mark - t_prev))))
-        blowups.update(blown)
+        x = integrate_flow(fields, x, t_prev, t_mark, max(1, round(steps * (t_mark - t_prev))))
         if t_mark < 1.0:
             marks[t_mark] = wrap_unit(x)
         t_prev = t_mark
-    return x, marks, blowups
-
-
-def _row(marks: dict, b: int) -> dict:
-    """Map b's checkpoint positions out of a batch's."""
-    return {t: pos[b] for t, pos in marks.items()}
+    return x, marks
 
 
 def _moser_field(rho0: GridDensity, rho1: GridDensity) -> MoserField:
@@ -241,24 +226,20 @@ def _moser_field(rho0: GridDensity, rho1: GridDensity) -> MoserField:
     return MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
 
 
-def _flows(fields: list[MoserField], steps: int | None, times: list[float]) -> list:
+def _flows(fields: list[MoserField], times: list[float]) -> list:
     """Integrate a batch of fields on one grid from its nodes to t=1.
 
     Returns per field (steps, time-1 positions, checkpoint marks, estimate)
-    or the MoserError its flow ended in. With `steps`, one integration: a map
-    that blew up ends in the error the RK4 loop recorded for it. Without,
-    step doubling as the module describes, each map on its own (a trial in
-    which it blows up counts as unresolved): a resolved map leaves the batch
-    and the rest double, so each gets the steps, positions and estimate it
-    would get alone, or the error of a map still unresolved at the cap.
+    or the MoserError its flow ended in. Step doubling runs as the module
+    describes, each map on its own (a trial in which it blows up counts as
+    unresolved): a resolved map leaves the batch and the rest double, so each
+    gets the steps, positions and estimate it would get alone, or the error
+    of a map still unresolved at the cap.
     """
     if not fields:
         return []
     n = fields[0].grid.n
     nodes = fields[0].grid.nodes()
-    if steps is not None:
-        x, marks, blowups = _trajectory(fields, nodes, steps, times)
-        return [blowups.get(b, (steps, x[b], _row(marks, b), None)) for b in range(len(fields))]
     tol, cap = flow_tolerance(n), MAX_STEPS_PER_CELL * n
     out = [None] * len(fields)
     live = list(range(len(fields)))
@@ -267,12 +248,13 @@ def _flows(fields: list[MoserField], steps: int | None, times: list[float]) -> l
     estimate = np.full(len(fields), np.inf)
     while live and 2 * steps <= cap:
         steps *= 2
-        fine, marks, _ = _trajectory([fields[i] for i in live], nodes, steps, times)
+        fine, marks = _trajectory([fields[i] for i in live], nodes, steps, times)
         estimate = np.abs(wrap_signed(fine - coarse)).max(axis=(1, 2))
         estimate[np.isnan(estimate)] = np.inf
         done = estimate <= tol
         for b in np.flatnonzero(done):
-            out[live[b]] = (steps, fine[b], _row(marks, b), float(estimate[b]))
+            row_marks = {t: pos[b] for t, pos in marks.items()}
+            out[live[b]] = (steps, fine[b], row_marks, float(estimate[b]))
         live = [i for i, d in zip(live, done) if not d]
         coarse, estimate = fine[~done], estimate[~done]
     for i, est in zip(live, estimate):
@@ -296,33 +278,30 @@ def _flow_map(fld: MoserField, flow, check_pushforward: bool) -> FlowMap | Moser
 
 
 def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
-              steps: int | None = None, checkpoints: tuple[float, ...] = (),
+              checkpoints: tuple[float, ...] = (),
               check_pushforward: bool = True) -> FlowMap | list:
     """Deterministic coupling of rho0 and rho1 by the time-1 Moser flow.
 
     Both densities must be strictly positive (min >= 1e-3) on a common grid.
-    Without `steps`, the RK4 step count is chosen by step doubling from
-    MIN_STEPS until the node estimate is at most FLOW_TOL * h, and the map
-    records that estimate as `flow_error`; past MAX_STEPS_PER_CELL * n steps
-    it raises MoserError. An explicit `steps` does exactly one integration
-    and records no estimate. Checkpoints split the same step count by
-    segment length. With check_pushforward (the default), a 1D map records
-    the exact circle W1(T_* rho0, rho1) as its pushforward error; False
-    skips that check. A 2D map always records None: in 2D only the dense
-    entropic upper bound is available, and it is too slow to run per map.
+    The RK4 step count is chosen by step doubling from MIN_STEPS until the
+    node estimate is at most FLOW_TOL * h, and the map records that estimate
+    as `flow_error`; past MAX_STEPS_PER_CELL * n steps it raises MoserError.
+    Checkpoints split the same step count by segment length. With
+    check_pushforward (the default), a 1D map records the exact circle
+    W1(T_* rho0, rho1) as its pushforward error; False skips that check. A
+    2D map always records None: in 2D only the dense entropic upper bound is
+    available, and it is too slow to run per map.
 
     rho1 may also be a sequence of targets, such as a kernel family's. Their
     flows are integrated as one batch, one RK4 loop over every map's nodes,
     and each map keeps the step count, images and estimate it would get
     alone. The result is then a list with, per target, its FlowMap or the
-    MoserError it ended in: a density check, a blow-up that the RK4 loop
-    recorded, or unresolved doubling. `steps` and `checkpoints` are checked
-    once, before any target; a bad value raises MoserError.
+    MoserError it ended in: a density check or unresolved doubling.
+    `checkpoints` are checked once, before any target; a bad value raises
+    MoserError.
     """
     single = isinstance(rho1, GridDensity)
     times = sorted(set(checkpoints))
-    if steps is not None and steps < MIN_STEPS:
-        raise MoserError(f"step count {steps} below minimum {MIN_STEPS}")
     if any(not 0.0 < t < 1.0 for t in times):
         raise MoserError("checkpoints must lie strictly inside (0, 1)")
     built = []
@@ -331,7 +310,7 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
             built.append(_moser_field(rho0, target))
         except MoserError as exc:
             built.append(exc)
-    flows = iter(_flows([f for f in built if isinstance(f, MoserField)], steps, times))
+    flows = iter(_flows([f for f in built if isinstance(f, MoserField)], times))
     out = [f if isinstance(f, MoserError) else _flow_map(f, next(flows), check_pushforward)
            for f in built]
     if not single:

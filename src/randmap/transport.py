@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import CostSpec, GridSpec, interp_grid, wrap_signed, wrap_unit
+from .geometry import BLOCK_ENTRIES, CostSpec, GridSpec, interp_grid, wrap_signed, wrap_unit
 from .measures import (EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError,
                        atoms_1d, circle_rotation, step_quantile, write_rows)
 
@@ -291,9 +291,6 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 22
-# Entries per block of the rank-one patch in _round_to_feasible: small
-# enough that the patch adds no plan-sized temporary.
-_PATCH_BLOCK = 1 << 16
 # A potential may move this many epsilons away from the one the kernel was
 # built with before the scalings are folded back into the kernel: the
 # scaling factors then stay within e^30 of one, far above the underflow
@@ -483,7 +480,7 @@ def _round_to_feasible(gamma: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> Non
     """Scale rows then columns down, then restore mass with a rank-one patch, in place.
 
     The patch is elementwise, so it runs in row blocks of at most
-    _PATCH_BLOCK entries and the rounding allocates no plan-sized array.
+    BLOCK_ENTRIES entries and the rounding allocates no plan-sized array.
     """
     r = gamma.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -497,7 +494,7 @@ def _round_to_feasible(gamma: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> Non
     ec = wb - gamma.sum(axis=0)
     mass = er.sum()
     if mass > 0:
-        block = max(1, _PATCH_BLOCK // max(1, gamma.shape[1]))
+        block = max(1, BLOCK_ENTRIES // max(1, gamma.shape[1]))
         for i0 in range(0, gamma.shape[0], block):
             gamma[i0:i0 + block] += np.outer(er[i0:i0 + block], ec) / mass
 

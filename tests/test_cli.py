@@ -92,17 +92,6 @@ def test_moser_writes_map_and_report(workspace):
     assert (out / "checkpoint_0.5000.csv").exists()
 
 
-def test_moser_explicit_steps_records_no_estimate(workspace):
-    out = workspace / "mos32"
-    rc = main(["moser", "--rho0", str(workspace / "uniform.csv"),
-               "--rho1", str(workspace / "bump.csv"), "--steps", "32", "--out", str(out)])
-    assert rc == 0
-    report = json.loads((out / "report.json").read_text())
-    assert report["steps"] == 32 and report["flow_error_estimate"] is None
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["tolerances"]["flow_tol"] is None
-
-
 def test_verify_pass_and_schema(workspace):
     out = workspace / "ver"
     rc = main(["verify", "--kernel", str(workspace / "kernel.txt"),
@@ -168,8 +157,6 @@ def test_represent_manifest_hashes_the_reference_file(workspace):
 # Each flag changes what its command writes, so two runs that differ in it
 # must not write equal manifest configs.
 FLAG_PAIRS = {
-    "verify-steps": (["verify", "--kernel", "kernel.txt", "--n", "500", "--seed", "0"],
-                     "--steps", ("16", "64")),
     "couple-epsilon": (["couple", "--mu", "bump.csv", "--nu", "uniform.csv",
                         "--method", "sinkhorn"], "--epsilon", ("0.05", "0.02")),
     "couple-max-iter": (["couple", "--mu", "bump.csv", "--nu", "uniform.csv",
@@ -423,6 +410,16 @@ def _stability_eps(workspace, eps):
             "--eps", eps, "--out", str(workspace / "se")]
 
 
+def _couple_p(workspace, p, *flags):
+    return ["couple", "--mu", str(workspace / "atoms.csv"), "--nu", str(workspace / "atoms.csv"),
+            "--p", p, *flags, "--out", str(workspace / "cp")]
+
+
+def _wdist_p(workspace, p, *flags):
+    return ["wdist", "--a", str(workspace / "atoms.csv"), "--b", str(workspace / "atoms.csv"),
+            "--p", p, *flags, "--out", str(workspace / "wp")]
+
+
 def _density_with_value(workspace, token):
     lines = (workspace / "uniform.csv").read_text().splitlines()
     lines[4] = token
@@ -457,7 +454,19 @@ BAD_INPUTS = {
                                ["0.50001", "0.50004", "checkpoint_0.5000.csv"]),
     "represent-steps": (lambda ws: ["represent", "--kernel", str(ws / "kernel.txt"),
                                     "--steps", "8", "--out", str(ws / "rs")],
-                        ["below minimum 16"]),
+                        ["unrecognized arguments", "--steps"]),
+    "measurable-represent-steps": (lambda ws: ["represent", "--kernel", str(ws / "kernel.txt"),
+                                               "--route", "measurable", "--steps", "8",
+                                               "--out", str(ws / "rms")],
+                                   ["unrecognized arguments", "--steps"]),
+    "moser-steps": (lambda ws: _moser_checkpoints(ws, "") + ["--steps", "32"],
+                    ["unrecognized arguments", "--steps"]),
+    "verify-steps": (lambda ws: _verify_tol(ws, "0.05") + ["--steps", "64"],
+                     ["unrecognized arguments", "--steps"]),
+    "continuous-reference": (lambda ws: ["represent", "--kernel", str(ws / "kernel.txt"),
+                                         "--route", "continuous", "--reference",
+                                         str(ws / "nope.csv"), "--out", str(ws / "rcr")],
+                             ["--reference", "measurable route only"]),
     "represent-below-floor": (_kernel_below_floor, ["base point 2", "positivity"]),
     "moser-unresolved-flow": (_unresolved_moser_flow,
                               ["cap of 1024 steps", "doubling estimate"]),
@@ -482,6 +491,16 @@ BAD_INPUTS = {
                                   "--limit", str(ws / "atoms.csv"), "--eps", "0",
                                   "--out", str(ws / "se")],
                       ["eps must be > 0"]),
+    "couple-p-below-one": (lambda ws: _couple_p(ws, "0.5", "--cost", "dist_p"),
+                           ["--p", "finite number >= 1", "'0.5'"]),
+    "couple-p-nan": (lambda ws: _couple_p(ws, "nan"), ["--p", "finite number >= 1", "'nan'"]),
+    "wdist-exact-p-nan": (lambda ws: _wdist_p(ws, "nan", "--method", "exact"),
+                          ["--p", "finite number >= 1", "'nan'"]),
+    "wdist-p-nan": (lambda ws: _wdist_p(ws, "nan"), ["--p", "finite number >= 1", "'nan'"]),
+    "wdist-p-inf": (lambda ws: _wdist_p(ws, "inf"), ["--p", "finite number >= 1", "'inf'"]),
+    "lift-cap-nan": (lambda ws: ["lift", "--manifold", "circle", "--base", "0.0", "--atoms",
+                                 str(ws / "atoms.csv"), "--cap", "nan", "--out", str(ws / "lc")],
+                     ["--cap", "finite number > 0", "'nan'"]),
     "stability-eps-nan": (lambda ws: _stability_eps(ws, "nan"), ["eps must be > 0", "nan"]),
     "stability-eps-inf": (lambda ws: _stability_eps(ws, "inf"), ["eps must be > 0", "inf"]),
 }

@@ -98,6 +98,14 @@ def test_sphere_cap_must_stay_below_cut_locus():
         ManifoldChart("sphere2", [0.0, 0.0], cap=np.pi)
 
 
+@pytest.mark.parametrize("manifold, base, cap", [
+    ("circle", [0.0], np.nan), ("circle", [0.0], np.inf), ("circle", [0.0], 0.0),
+    ("torus2", [0.0, 0.0], -0.1), ("sphere2", [0.5, 0.5], np.nan)])
+def test_chart_cap_must_be_finite_and_positive(manifold, base, cap):
+    with pytest.raises(LiftError, match="finite number > 0"):
+        ManifoldChart(manifold, base, cap=cap)
+
+
 def test_lift_preserves_mass_and_distances():
     # support radius < 0.25 keeps the circle chart isometric on all pairs
     rng = np.random.default_rng(101)

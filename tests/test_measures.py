@@ -291,6 +291,19 @@ def test_w1d_rejects_2d():
         wasserstein_1d(m, m, p=1)
 
 
+@pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
+def test_w1d_rejects_order_outside_finite_range(p):
+    m = DiscreteMeasure(np.array([[0.2], [0.8]]), np.array([0.5, 0.5]))
+    with pytest.raises(MeasureError, match="order p must be finite and >= 1"):
+        wasserstein_1d(m, m, p=p)
+
+
+@pytest.mark.parametrize("kind, p", [("dist_p", np.nan), ("dist_p", np.inf), ("sqdist", np.nan)])
+def test_cost_spec_rejects_non_finite_exponent(kind, p):
+    with pytest.raises(ValueError, match="must be finite"):
+        CostSpec(kind, p=p)
+
+
 # ---------------------------------------------------------------------------
 # wasserstein_exact
 # ---------------------------------------------------------------------------

@@ -45,6 +45,10 @@ def spike_density(n, width):
     return GridDensity(1, n, 1e-3 + (1 - 1e-3) / spike.mean() * spike)
 
 
+def moser_field(rho0, rho1):
+    return MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
+
+
 # ---------------------------------------------------------------------------
 # Poisson solve
 # ---------------------------------------------------------------------------
@@ -138,38 +142,33 @@ def test_moser_rejects_mismatched_grids():
         moser_map(GridDensity.uniform(1, 32), GridDensity.uniform(1, 64))
 
 
-def test_moser_blowup_guard_reports_step():
-    # near-delta target with the density floor pinned at the positivity
-    # threshold: 16 steps cannot resolve the late-time field and the
-    # integrator must bail out naming the offending step
-    n = 64
-    x = (np.arange(n) + 0.5) / n
-    spike = np.exp(-((x - 0.5) ** 2) / (2 * 0.01 ** 2))
-    vals = 1e-3 + (1 - 1e-3) / spike.mean() * spike
-    rho1 = GridDensity(1, n, vals)
-    with pytest.raises(MoserError, match="step 15"):
-        moser_map(GridDensity.uniform(1, n), rho1, steps=16)
-
-
-def test_explicit_steps_is_one_plain_integration():
+def test_blowup_guard_leaves_only_the_blown_row_nan():
+    # at 16 steps the spike's late-time field moves a node more than half
+    # the domain in one step: its row leaves the batch as NaN, and the
+    # other rows get bit for bit what each gets alone
     n = 64
     rho0 = GridDensity.uniform(1, n)
-    rho1 = cosine_density(n, 0.5)
-    flow = moser_map(rho0, rho1, steps=4 * n)
-    fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
+    fields = [moser_field(rho0, rho1) for rho1 in
+              (cosine_density(n, 0.3), spike_density(n, 0.03), cosine_density(n, 0.5, 0.5))]
     nodes = unit_torus_grid(1, n).nodes()
-    images, blowups = integrate_flow([fld], nodes[None], 0, 1, 4 * n)
-    assert np.array_equal(flow.map.images, wrap_unit(images[0])) and not blowups
-    assert flow.steps == 4 * n and flow.flow_error is None
+    batch = integrate_flow(fields, np.broadcast_to(nodes, (3,) + nodes.shape), 0.0, 1.0,
+                           MIN_STEPS)
+    assert [bool(np.isnan(row).any()) for row in batch] == [False, True, False]
+    assert np.isnan(batch[1]).all()
+    for b in (0, 2):
+        alone = integrate_flow([fields[b]], nodes[None], 0.0, 1.0, MIN_STEPS)
+        assert np.array_equal(batch[b], alone[0])
 
 
 def test_doubling_passes_over_trial_blowups():
     # the 16-step trial trips the blow-up guard; doubling goes on past it
     n = 64
     rho1 = spike_density(n, 0.03)
-    with pytest.raises(MoserError, match="blow-up"):
-        moser_map(GridDensity.uniform(1, n), rho1, steps=MIN_STEPS)
-    flow = moser_map(GridDensity.uniform(1, n), rho1)
+    rho0 = GridDensity.uniform(1, n)
+    nodes = unit_torus_grid(1, n).nodes()
+    assert np.isnan(integrate_flow([moser_field(rho0, rho1)], nodes[None], 0.0, 1.0,
+                                   MIN_STEPS)).all()
+    flow = moser_map(rho0, rho1)
     assert MIN_STEPS < flow.steps <= MAX_STEPS_PER_CELL * n
     assert flow.flow_error <= FLOW_TOL / n
     assert flow.pushforward_error <= 2.0 / n
@@ -186,12 +185,12 @@ def test_flow_semigroup_consistency():
     n = 64
     rho0 = GridDensity.uniform(1, n)
     rho1 = cosine_density(n, 0.4)
-    fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
+    fld = moser_field(rho0, rho1)
     nodes = unit_torus_grid(1, n).nodes()
     steps = 64
-    direct, _ = integrate_flow([fld], nodes[None], 0.0, 1.0, steps)
-    half, _ = integrate_flow([fld], nodes[None], 0.0, 0.5, steps // 2)
-    two_stage, _ = integrate_flow([fld], half, 0.5, 1.0, steps // 2)
+    direct = integrate_flow([fld], nodes[None], 0.0, 1.0, steps)
+    half = integrate_flow([fld], nodes[None], 0.0, 0.5, steps // 2)
+    two_stage = integrate_flow([fld], half, 0.5, 1.0, steps // 2)
     assert np.abs(direct - two_stage).max() <= 1e-8
 
 
@@ -232,7 +231,7 @@ def test_moser_matches_closed_form_1d_map(n, amp):
     x = flow.map.points[:, 0]
     lift = x + wrap_signed(flow.map.images[:, 0] - x)
     anchor = integrate_flow([flow.field_ref], flow.map.points[None, :1], 0.0, 1.0,
-                            16 * n)[0][0, 0, 0]
+                            16 * n)[0, 0, 0]
     c = _pl_cdf(rho1, np.array([anchor]))[0] - _pl_cdf(rho0, x[:1])[0]
     oracle = _pl_cdf_inverse(rho1, _pl_cdf(rho0, x) + c, x - 1.0, x + 1.0)
     assert np.abs(lift - oracle).max() <= 0.25 / n ** 2
@@ -257,18 +256,20 @@ def test_doubling_estimate_bounds_node_error(rho1):
     n, dim = rho1.n, rho1.dim
     rho0 = GridDensity.uniform(dim, n)
     flow = moser_map(rho0, rho1, check_pushforward=False)
-    ref = moser_map(rho0, rho1, steps=MAX_STEPS_PER_CELL * n, check_pushforward=False)
+    nodes = flow.map.points[None]
+    ref = integrate_flow([flow.field_ref], nodes, 0.0, 1.0, MAX_STEPS_PER_CELL * n)[0]
     assert flow.flow_error <= FLOW_TOL / n
     # 1e-12 covers the rounding of the reference's thousands of steps, which
     # is all that is left when the target is nearly uniform
-    deviation = np.abs(wrap_signed(flow.map.images - ref.map.images)).max()
+    deviation = np.abs(wrap_signed(flow.map.images - ref)).max()
     assert deviation <= flow.flow_error + 1e-12
     marked = moser_map(rho0, rho1, checkpoints=(0.5,), check_pushforward=False)
     assert marked.steps == flow.steps
-    replay = moser_map(rho0, rho1, steps=marked.steps, checkpoints=(0.5,),
-                       check_pushforward=False)
-    assert np.array_equal(marked.map.images, replay.map.images)
-    assert np.array_equal(marked.checkpoints[0.5], replay.checkpoints[0.5])
+    # the same step count, split over the two segments, by hand
+    half = integrate_flow([flow.field_ref], nodes, 0.0, 0.5, marked.steps // 2)
+    replay = integrate_flow([flow.field_ref], half, 0.5, 1.0, marked.steps // 2)
+    assert np.array_equal(marked.map.images, wrap_unit(replay[0]))
+    assert np.array_equal(marked.checkpoints[0.5], wrap_unit(half[0]))
 
 
 def test_moser_checkpoints():
@@ -338,25 +339,23 @@ def test_batched_2d_family_matches_single_target_maps():
     assert_same_flows(moser_map(rho0, targets, check_pushforward=False), singles)
 
 
-@pytest.mark.parametrize("checkpoints, step", [((), 15), ((0.5,), 7)],
-                         ids=["one-segment", "two-segments"])
-def test_batched_explicit_steps_reports_the_first_blow_up_by_base_point(checkpoints, step):
-    # the spikes blow up in the last step of the last segment, and the step
-    # named is counted from the start of that segment
-    n = 64
-    targets = [cosine_density(n, 0.3), cosine_density(n, 0.5), spike_density(n, 0.03),
-               spike_density(n, 0.03)]
+@pytest.mark.parametrize("checkpoints", [(), (0.5,)], ids=["one-segment", "two-segments"])
+def test_batched_unresolved_flows_report_the_first_by_base_point(checkpoints):
+    # the spikes are still unresolved at the cap of 64 n steps, while the
+    # cosines leave the batch early; each spike ends in the error it gets alone
+    n = 16
+    targets = [cosine_density(n, 0.3), cosine_density(n, 0.5), spike_density(n, 0.01),
+               spike_density(n, 0.02)]
     if not checkpoints:
         with pytest.raises(KernelError, match="map construction failed at base point 2: "
-                                              "flow blow-up at step 15"):
-            build_continuous_representation(circle_family(targets), steps=16)
+                                              "flow not resolved at the cap of 1024 steps"):
+            build_continuous_representation(circle_family(targets))
     rho0 = GridDensity.uniform(1, n)
-    flows = moser_map(rho0, targets, steps=16, checkpoints=checkpoints)
+    flows = moser_map(rho0, targets, checkpoints=checkpoints)
     assert [type(f) for f in flows] == [FlowMap, FlowMap, MoserError, MoserError]
-    assert str(flows[3]).startswith(f"flow blow-up at step {step}:")
     for got, rho1 in zip(flows[2:], targets[2:]):
         with pytest.raises(MoserError) as alone:
-            moser_map(rho0, rho1, steps=16, checkpoints=checkpoints)
+            moser_map(rho0, rho1, checkpoints=checkpoints)
         assert str(got) == str(alone.value)
 
 
@@ -393,17 +392,6 @@ def test_family_build_integrates_every_map_in_one_batch(rk4_calls):
     targets = [cosine_density(n, 0.4, k / 16) for k in range(16)]
     build_continuous_representation(circle_family(targets))
     assert rk4_calls == [MIN_STEPS, 2 * MIN_STEPS]
-
-
-def test_explicit_steps_family_integrates_blown_maps_once(rk4_calls):
-    # two spikes blow up at 16 steps: their errors come from the one batched
-    # integration, with no second integration of either map on its own
-    n = 64
-    targets = [cosine_density(n, 0.3), spike_density(n, 0.03), cosine_density(n, 0.5),
-               spike_density(n, 0.03)]
-    with pytest.raises(KernelError, match="base point 1: flow blow-up at step 15"):
-        build_continuous_representation(circle_family(targets), steps=MIN_STEPS)
-    assert rk4_calls == [MIN_STEPS]
 
 
 # ---------------------------------------------------------------------------

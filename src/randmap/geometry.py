@@ -123,6 +123,33 @@ class CostSpec:
             d **= self.p
         return d
 
+    def scaled_matrix(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+        """(C / s, s) for the cost matrix C, where s is the largest absolute
+        entry of C if that is below 1, and 1 otherwise.
+
+        A solver with absolute tolerances then resolves small costs as finely
+        as costs of order 1. The distance kinds divide the distances by the
+        largest one before the power, so no entry of C / s underflows to 0
+        merely because p is large; s itself may.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        if self.kind == "negdot":
+            c = -(x @ y.T)
+        else:
+            c = pairwise_distance(x, y, periodic=self.periodic)
+        top = float(np.abs(c).max(initial=0.0))
+        if not 0.0 < top < 1.0:
+            top = 1.0
+        c /= top
+        if self.kind == "sqdist":
+            c *= c
+            top *= top
+        elif self.kind == "dist_p":
+            c **= self.p
+            top **= self.p
+        return c, top
+
 
 @dataclass(frozen=True)
 class GridSpec:

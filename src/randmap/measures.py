@@ -331,8 +331,24 @@ def step_quantile(x: np.ndarray, cum: np.ndarray, q) -> np.ndarray:
     return x[np.minimum(np.searchsorted(cum, q), len(x) - 1)]
 
 
-def _quantile_cost(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
-    """Cost of pairing level t of mu with level t - theta of nu (atoms sorted).
+def _power_mean(d: np.ndarray, w: np.ndarray, p: float) -> float:
+    """(sum w d^p)^(1/p) for distances d >= 0 with weights w >= 0.
+
+    Taken as d_max (sum w (d / d_max)^p)^(1/p), d_max the largest distance of
+    positive weight: that term's power is 1, so no order p, however large,
+    underflows the sum to 0 (W_p of two 2-atom measures at p = 1000 would
+    otherwise read 0).
+    """
+    d = d[w > 0]
+    d_max = float(d.max(initial=0.0))
+    if d_max == 0.0:
+        return 0.0
+    return d_max * float(np.sum(w[w > 0] * (d / d_max) ** p)) ** (1.0 / p)
+
+
+def _quantile_distance(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
+    """Order-p distance of pairing level t of mu with level t - theta of nu
+    (atoms sorted): the p-th root of the pairing's cost.
 
     nu's quantile is unrolled by Q(s + 1) = Q(s) + 1 for the circle; at
     theta = 0 this is the exact quantile coupling on the line. Every break of
@@ -362,7 +378,7 @@ def _quantile_cost(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
     t = t[order]
     iu, g = np.maximum.accumulate(labels[:, order], axis=1)[:, :-1]
     qv = xv[g % nu_size] + g // nu_size
-    return float(np.sum(np.diff(t) * np.abs(xu[iu] - qv) ** p))
+    return _power_mean(np.abs(xu[iu] - qv), np.diff(t), p)
 
 
 def _circle_w1(xu, wu, xv, wv) -> float:
@@ -410,10 +426,12 @@ def circle_rotation(xu, wu, xv, wv, p: float) -> float:
 
     Level t of mu goes with level t - theta of nu, nu's quantile unrolled by
     Q(s + 1) = Q(s) + 1 (Delon, Salomon & Sobolevski 2010). The cost is
-    convex in theta, and at the optimum no displacement exceeds 1/2, so a
-    golden-section search over (-1.5, 1.5) finds it.
+    convex in theta, so its p-th root is unimodal, and at the optimum no
+    displacement exceeds 1/2, so a golden-section search over (-1.5, 1.5)
+    finds it.
     """
-    return _golden_section_argmin(lambda th: _quantile_cost(xu, wu, xv, wv, p, th), -1.5, 1.5)
+    return _golden_section_argmin(lambda th: _quantile_distance(xu, wu, xv, wv, p, th),
+                                  -1.5, 1.5)
 
 
 def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
@@ -431,22 +449,27 @@ def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
     xu, wu = atoms_1d(mu, grid_subdiv, periodic)
     xv, wv = atoms_1d(nu, grid_subdiv, periodic)
     if not periodic:
-        return _quantile_cost(xu, wu, xv, wv, p) ** (1.0 / p)
+        return _quantile_distance(xu, wu, xv, wv, p)
     if p == 1.0:
         return _circle_w1(xu, wu, xv, wv)
     theta = circle_rotation(xu, wu, xv, wv, p)
-    return _quantile_cost(xu, wu, xv, wv, p, theta) ** (1.0 / p)
+    return _quantile_distance(xu, wu, xv, wv, p, theta)
 
 
 def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0,
                       periodic: bool = False) -> float:
-    """Order-p Wasserstein distance via the exact coupling LP (cost d^p)."""
+    """Order-p Wasserstein distance via the exact coupling LP (cost d^p).
+
+    The p-th root of the optimal plan's cost is taken as a power mean of its
+    distances (`_power_mean`), so it stays exact where d^p underflows.
+    """
     from . import transport
 
     if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
         raise MeasureError("wasserstein_exact operates on discrete measures")
     plan = transport.solve_exact(mu, nu, CostSpec("dist_p", p=p, periodic=periodic))
-    return float(max(plan.cost, 0.0) ** (1.0 / p))
+    d = pairwise_distance(mu.points, nu.points, periodic=periodic)
+    return _power_mean(d, plan.gamma, p)
 
 
 def wasserstein_sinkhorn_upper(mu, nu, p: float = 1.0, periodic: bool = False,
@@ -457,15 +480,16 @@ def wasserstein_sinkhorn_upper(mu, nu, p: float = 1.0, periodic: bool = False,
     The rounded plan is feasible, so its cost can only exceed the optimum;
     useful where the exact LP is out of reach (e.g. 2D grid densities).
     Loose convergence settings only slacken the bound, never invalidate it.
-    The solve's final epsilon level is overrelaxed Sinkhorn (see
-    `transport._sinkhorn_potentials`), and the plan is built from the
-    potentials of its last step, which is always a plain one; within the
-    max_iter budget this gives a tighter bound than plain Sinkhorn would.
+    The solve (`transport._sinkhorn_potentials`) leaves each warm epsilon
+    level as soon as its marginal error is small, so most of the max_iter
+    budget goes to the final level. That level is overrelaxed Sinkhorn, and
+    the plan is built from the potentials of its last step, which is always
+    a plain one; within the budget this gives a tighter bound than plain
+    Sinkhorn would.
     """
     from . import transport
 
     plan = transport.solve_sinkhorn(mu.as_discrete(), nu.as_discrete(),
                                     CostSpec("dist_p", p=p, periodic=periodic),
-                                    epsilon=epsilon, max_iter=max_iter, tol=tol,
-                                    warm_iters=8)
+                                    epsilon=epsilon, max_iter=max_iter, tol=tol)
     return float(max(plan.cost, 0.0) ** (1.0 / p))

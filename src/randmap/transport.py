@@ -237,10 +237,15 @@ def _certify(cost: np.ndarray, gamma: np.ndarray, u: np.ndarray, v: np.ndarray,
 def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> TransportPlan:
     """Optimal coupling of two discrete measures by the exact LP.
 
-    Optimality is certified on return: dual feasibility and complementary
-    slackness of the potentials must hold within 1e-9 or the solve is
-    rejected outright. HiGHS's own duals are tried first; potentials are
-    rebuilt from the plan (`_support_potentials`) only when they fail.
+    Costs whose largest entry s is below 1 are divided by it before the LP
+    (`CostSpec.scaled_matrix`), so a large order p cannot push every cost
+    below the solver's tolerances; the plan's cost and potentials are
+    scaled back by s. Optimality is certified on return, in the units of
+    the LP: dual feasibility and complementary slackness of the potentials
+    must hold within 1e-9, that is within 1e-9 * min(1, s) in the original
+    units, or the solve is rejected outright. HiGHS's own duals are tried
+    first; potentials are rebuilt from the plan (`_support_potentials`)
+    only when they fail.
     """
     from scipy import sparse
     from scipy.optimize import linprog
@@ -248,7 +253,7 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
     m, n = mu.size, nu.size
     if m > EXACT_SIZE_GUARD or n > EXACT_SIZE_GUARD:
         raise MeasureError(f"support sizes ({m}, {n}) exceed LP guard {EXACT_SIZE_GUARD}")
-    c = cost.matrix(mu.points, nu.points)
+    c, scale = cost.scaled_matrix(mu.points, nu.points)
     var = np.arange(m * n)
     row_idx = np.concatenate([var // n, m + (var % n)])
     col_idx = np.concatenate([var, var])
@@ -261,16 +266,15 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
     if not res.success:
         raise SolverError(f"LP solver failed: {res.message}")
     gamma = np.clip(res.x.reshape(m, n), 0.0, None)
-    value = float(np.sum(gamma * c))
     duals = np.asarray(res.eqlin.marginals, dtype=float)
     u, v = duals[:m], duals[m:]
     if not _certify(c, gamma, u, v):
         u, v = _support_potentials(c, gamma)
         if not _certify(c, gamma, u, v):
             raise SolverError("optimality certification failed (dual potentials)")
-    plan = TransportPlan(mu, nu, gamma, value, converged=True,
+    plan = TransportPlan(mu, nu, gamma, scale * float(np.sum(gamma * c)), converged=True,
                          marginal_error=float(np.abs(a_eq @ res.x - b_eq).max()),
-                         dual_u=u, dual_v=v)
+                         dual_u=scale * u, dual_v=scale * v)
     plan.validate(cost)
     return plan
 
@@ -307,6 +311,15 @@ _PLAIN_EVERY = 8
 # than this relative margin ends the overrelaxation. The margin keeps rounding
 # noise on a stalled error (flat to 1e-12) from deciding the path.
 _RISE = 1e-6
+# A warm epsilon level ends at its first step whose marginal error is at most
+# _WARM_TOL, or after _WARM_MAX steps (fewer when max_iter is small). The
+# level only has to hand the next one a start close to its marginals. On 900
+# seeded small problems (see CHANGES.md), 3e-3 kept every solve that
+# converged with 25 steps per warm level, slowed none of them, and took 18.5%
+# fewer iterations in all; 1e-2 lost 3 converged solves, 0.1 lost 14, and a
+# single step per level lost 42.
+_WARM_TOL = 3e-3
+_WARM_MAX = 25
 
 
 def _log_weights(w: np.ndarray) -> np.ndarray:
@@ -337,6 +350,7 @@ class _StabilisedKernel:
     def absorb(self, f: np.ndarray, g: np.ndarray, eps: float) -> None:
         """Fold the potentials f, g into K at regularisation eps, in place."""
         self.f_bar, self.g_bar, self.eps = f, g, eps
+        self.f_drift = self.g_drift = 0.0
         np.add(f[:, None], g[None, :], out=self.k)
         self.k -= self.c
         self.k /= eps
@@ -349,16 +363,20 @@ class _StabilisedKernel:
         from (g, that f), as new arrays (f, g).
 
         K is absorbed after each half-step that leaves a potential more than
-        _ABSORB * eps from the one K holds. None if a kernel sum underflows
-        to 0 or is not finite.
+        _ABSORB * eps from the one K holds. Each half-step moves one
+        potential, so only that one's drift is measured again; the other's
+        is kept from its own half-step. None if a kernel sum underflows to 0
+        or is not finite.
         """
         f = self._half_step(self.k, self.f_bar, f, g, self.g_bar, lb, omega)
         if f is None:
             return None
+        self.f_drift = np.abs(f - self.f_bar).max()
         self._absorb_if_moved(f, g)
         g = self._half_step(self.k.T, self.g_bar, g, f, self.f_bar, la, omega)
         if g is None:
             return None
+        self.g_drift = np.abs(g - self.g_bar).max()
         self._absorb_if_moved(f, g)
         return f, g
 
@@ -384,27 +402,43 @@ class _StabilisedKernel:
         return s
 
     def _absorb_if_moved(self, f: np.ndarray, g: np.ndarray) -> None:
-        moved = max(np.abs(f - self.f_bar).max(), np.abs(g - self.g_bar).max())
-        if moved > _ABSORB * self.eps:
+        if max(self.f_drift, self.g_drift) > _ABSORB * self.eps:
             self.absorb(f, g, self.eps)
 
 
+def _column_error(g: np.ndarray, g_new: np.ndarray, wb: np.ndarray, eps: float) -> float:
+    """L1 column violation of the row-feasible plan exp((f + g - C)/eps) a b
+    whose f came from g, with g_new the column update that f gives:
+    sum_j |b_j exp((g_j - g_new_j)/eps) - b_j|, a non-finite ratio read as 1."""
+    ratio = np.subtract(g, g_new)
+    ratio /= eps
+    np.exp(ratio, out=ratio)
+    ratio[~np.isfinite(ratio)] = 1.0
+    ratio *= wb
+    ratio -= wb
+    return float(np.abs(ratio, out=ratio).sum())
+
+
 def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
-                         epsilon: float, max_iter: int, tol: float,
-                         warm_iters: int = 25):
+                         epsilon: float, max_iter: int, tol: float):
     """Stabilised-kernel Sinkhorn with a halving epsilon schedule from 1.0 down,
     overrelaxed at the final epsilon.
 
     Each half-step is a log-domain Sinkhorn update (SK_f(g) = -eps lse_j[(g_j -
     C_ij)/eps + log b_j], SK_g(f) likewise), computed as one matrix-vector
-    product with the stabilised kernel K = exp((f_bar + g_bar - C)/eps). The
-    warm levels run plain steps (f = SK_f(g), then g = SK_g(f)). The final
-    level runs overrelaxed steps f <- f + omega (SK_f(g) - f), then
+    product with the stabilised kernel K = exp((f_bar + g_bar - C)/eps). Every
+    step measures the marginal error err of its plan (`_column_error`), except
+    the overrelaxed steps below.
+
+    The warm levels run plain steps (f = SK_f(g), then g = SK_g(f)), and each
+    ends at its first step with err <= _WARM_TOL, or after
+    min(_WARM_MAX, max(1, max_iter // (2 * levels))) steps. The final level
+    runs overrelaxed steps f <- f + omega (SK_f(g) - f), then
     g <- g + omega (SK_g(f) - g), with omega = _OMEGA, except that every
     _PLAIN_EVERY-th step, and the step that reaches max_iter, is plain. Only
-    plain steps measure the marginal error and may stop the solve. If a plain
-    step's error exceeds the previous plain step's (by more than a relative
-    _RISE), the rest of the level runs plain (omega = 1).
+    plain steps measure err there, and the solve stops at the first one with
+    err <= tol. If a plain step's err exceeds the previous plain step's (by
+    more than a relative _RISE), the rest of the level runs plain (omega = 1).
 
     K is built from the current potentials at the start of every epsilon
     level, and the scalings are absorbed into it (K rebuilt from the current
@@ -425,17 +459,17 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
         levels.append(lvl)
         lvl *= 0.5
     levels = sorted(set(levels), reverse=True)
+    warm_budget = min(_WARM_MAX, max(1, max_iter // (2 * len(levels))))
     kern = _StabilisedKernel(c, wa, wb)
     f = np.zeros(len(wa))
     g = np.zeros(len(wb))
     total_iters = 0
-    err = np.inf
     converged = False
     with np.errstate(over="ignore", invalid="ignore"):
         for li, eps in enumerate(levels):
             final = li == len(levels) - 1
-            warm_budget = 0 if final else min(warm_iters, max(1, max_iter // (2 * len(levels))))
             relax = _OMEGA if final else 1.0
+            err = np.inf
             kern.absorb(f, g, eps)
             it = 0
             while True:
@@ -452,27 +486,19 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                         raise SolverError(f"Sinkhorn kernel sum underflowed or is not finite "
                                           f"at epsilon {eps:g}, even after absorption")
                 f, g_new = step
-                if final and plain:
-                    # |wb * ratio - wb| with ratio = exp((g - g_new)/eps), 1 where not finite
-                    ratio = np.subtract(g, g_new)
-                    ratio /= eps
-                    np.exp(ratio, out=ratio)
-                    ratio[~np.isfinite(ratio)] = 1.0
-                    ratio *= wb
-                    ratio -= wb
-                    prev, err = err, float(np.abs(ratio, out=ratio).sum())
+                if plain:
+                    prev, err = err, _column_error(g, g_new, wb, eps)
                     if err > prev * (1 + _RISE):
                         relax = 1.0
                 g = g_new
-                if final and err <= tol:
+                if not final:
+                    if err <= _WARM_TOL or it >= warm_budget:
+                        break
+                elif err <= tol:
                     converged = True
                     break
-                if last:
+                elif last:
                     break
-                if not final and it >= warm_budget:
-                    break
-            if final:
-                break
     return f, g, converged, err, total_iters
 
 
@@ -500,12 +526,14 @@ def _round_to_feasible(gamma: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> Non
 
 
 def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
-                   epsilon: float, max_iter: int = 5000, tol: float = 1e-9,
-                   warm_iters: int = 25) -> TransportPlan:
+                   epsilon: float, max_iter: int = 5000, tol: float = 1e-9) -> TransportPlan:
     """Entropic coupling, rounded to an exactly feasible plan.
 
-    The rounded plan satisfies both marginals to machine precision, so its
-    cost never falls below the LP optimum. A run that exhausts max_iter is
+    The potentials come from `_sinkhorn_potentials`: epsilon scaling whose
+    warm levels each stop once their marginal error is at most _WARM_TOL,
+    then overrelaxed steps at epsilon until the error is at most tol. The
+    rounded plan satisfies both marginals to machine precision, so its cost
+    never falls below the LP optimum. A run that exhausts max_iter is
     returned with converged=False and its residual marginal error.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
@@ -516,8 +544,7 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         raise SolverError(f"max_iter must be >= 1, got {max_iter!r}")
     c = cost.matrix(mu.points, nu.points)
     f, g, converged, err, _ = _sinkhorn_potentials(c, mu.weights, nu.weights,
-                                                   epsilon, max_iter, tol,
-                                                   warm_iters=warm_iters)
+                                                   epsilon, max_iter, tol)
     la, lb = _log_weights(mu.weights), _log_weights(nu.weights)
     gamma = np.add(f[:, None], g[None, :])
     gamma -= c

@@ -66,6 +66,19 @@ def test_wdist_exact_method(workspace, capsys):
     assert float(capsys.readouterr().out.strip()) <= 1e-9
 
 
+@pytest.mark.parametrize("method", ["quantile", "exact"])
+@pytest.mark.parametrize("p", ["50", "1000"])
+def test_wdist_at_large_p_reads_the_distance_every_coupling_moves(workspace, capsys, method, p):
+    # every coupling of {0.2, 0.8} and {0.4, 0.6} moves all mass by 0.2
+    DiscreteMeasure(np.array([[0.4], [0.6]]), np.array([0.5, 0.5])).to_csv(
+        workspace / "inner.csv")
+    rc = main(["wdist", "--a", str(workspace / "atoms.csv"),
+               "--b", str(workspace / "inner.csv"), "--method", method, "--p", p,
+               "--out", str(workspace / "wp")])
+    assert rc == 0
+    assert float(capsys.readouterr().out.strip()) == pytest.approx(0.2, rel=1e-15)
+
+
 def test_moser_rejects_nonpositive_density(workspace, capsys):
     rc = main(["moser", "--rho0", str(workspace / "uniform.csv"),
                "--rho1", str(workspace / "vanishing.csv"),

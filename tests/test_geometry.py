@@ -3,14 +3,16 @@ same arithmetic as one call per field, the flat gather returns what a
 multi-array fancy-index gather returns, bit for bit, and the linear deposit
 is the exact adjoint of interpolation. Also: torus wrapping stays inside
 [0, 1) and equals the np.mod formulas bit for bit, every grid-backed object
-builds its grid once, and pairwise distances are the broadcast formula's,
-bit for bit."""
+builds its grid once, pairwise distances are the broadcast formula's,
+bit for bit, and a scaled cost matrix is the cost itself unless its largest
+entry is below 1."""
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from randmap.geometry import (
+    CostSpec,
     GridSpec,
     _stencil,
     deposit_linear,
@@ -187,3 +189,31 @@ def test_pairwise_distance_equals_broadcast_formula_bit_for_bit(dim, periodic):
         delta = wrap_signed(delta)
     expected = np.sqrt(np.sum(delta * delta, axis=-1))
     assert np.array_equal(pairwise_distance(x, y, periodic=periodic), expected)
+
+
+COSTS = [CostSpec("sqdist"), CostSpec("dist_p", p=1.5), CostSpec("negdot")]
+
+
+@pytest.mark.parametrize("spec", COSTS, ids=lambda s: s.kind)
+def test_scaled_cost_is_the_cost_itself_when_its_largest_entry_reaches_one(spec):
+    rng = np.random.default_rng(7)
+    x, y = 3 * rng.random((9, 2)), 3 * rng.random((7, 2))
+    c, s = spec.scaled_matrix(x, y)
+    assert s == 1.0 and np.array_equal(c, spec.matrix(x, y))
+
+
+@pytest.mark.parametrize("spec", COSTS + [CostSpec("dist_p", p=1.5, periodic=True)],
+                         ids=["sqdist", "dist_p", "negdot", "dist_p-torus"])
+def test_scaled_cost_has_largest_entry_one_when_the_cost_is_small(spec):
+    rng = np.random.default_rng(8)
+    x, y = 0.1 * rng.random((9, 2)), 0.1 * rng.random((7, 2))
+    c, s = spec.scaled_matrix(x, y)
+    assert 0.0 < s < 1.0 and np.abs(c).max() == pytest.approx(1.0, rel=1e-15)
+    assert np.allclose(s * c, spec.matrix(x, y), rtol=1e-14, atol=0.0)
+
+
+def test_scaled_cost_keeps_distance_ratios_where_the_powers_underflow():
+    # 0.2^1000 and 0.4^1000 are both 0.0 as doubles; their ratio is 2^-1000
+    c, s = CostSpec("dist_p", p=1000.0).scaled_matrix([[0.2], [0.8]], [[0.4], [0.6]])
+    assert s == 0.0
+    assert np.allclose(c, [[2.0 ** -1000, 1.0], [1.0, 2.0 ** -1000]], rtol=1e-12, atol=0.0)

@@ -253,10 +253,12 @@ def test_w1d_circle_p2_searches_every_level_shift():
 
 
 @st.composite
-def atom_measures(draw):
-    """A 1D measure of 1-6 atoms anywhere in [-1, 2] with real-valued weights."""
+def atom_measures(draw, cells=None):
+    """A 1D measure of 1-6 atoms with real-valued weights: anywhere in [-1, 2],
+    or, given cells, at multiples of 1/cells in [0, 1]."""
     k = draw(st.integers(1, 6))
-    x = draw(st.lists(st.floats(-1.0, 2.0), min_size=k, max_size=k))
+    at = st.floats(-1.0, 2.0) if cells is None else st.integers(0, cells).map(lambda i: i / cells)
+    x = draw(st.lists(at, min_size=k, max_size=k))
     w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
     return DiscreteMeasure(np.array(x)[:, None], w / w.sum())
 
@@ -283,6 +285,39 @@ def test_w1d_charges_a_one_ulp_segment_to_its_own_atoms(a, midpoint_at):
     nu = DiscreteMeasure(atoms, np.array([b, 1.0 - b]))
     assert wasserstein_1d(mu, nu, p=1) == b - a
     assert wasserstein_1d(nu, mu, p=1) == b - a
+
+
+TWO_ATOM_PAIR = (DiscreteMeasure(np.array([[0.2], [0.8]]), np.array([0.5, 0.5])),
+                 DiscreteMeasure(np.array([[0.4], [0.6]]), np.array([0.5, 0.5])))
+
+
+@pytest.mark.parametrize("p", [50.0, 400.0, 1000.0])
+@pytest.mark.parametrize("periodic", [False, True])
+def test_wp_at_large_p_keeps_the_distance_every_coupling_moves(p, periodic):
+    # every coupling of {0.2, 0.8} and {0.4, 0.6} moves all mass by 0.2, so
+    # W_p = 0.2 for every p; 0.2^p underflows at p = 1000, and at p = 50 it
+    # is below the LP's tolerances, where an arbitrary plan would certify
+    a, b = TWO_ATOM_PAIR
+    d = abs(0.8 - 0.6)  # the float distances are 0.2 and this, a few ulps above
+    assert wasserstein_1d(a, b, p=p, periodic=periodic) == pytest.approx(d, rel=1e-15)
+    assert wasserstein_exact(a, b, p=p, periodic=periodic) == pytest.approx(d, rel=1e-15)
+
+
+@given(atom_measures(cells=1024), atom_measures(cells=1024))
+def test_wp_grows_with_p_up_to_the_largest_distance(a, b):
+    d_max = np.abs(a.points - b.points.T).max()
+    orders = [1.0, 2.0, 3.0, 50.0, 1000.0]
+    exact = [wasserstein_1d(a, b, p=p) for p in orders]
+    lp = [wasserstein_exact(a, b, p=p) for p in orders]
+    for lo, hi in zip(exact, exact[1:]):
+        assert lo <= hi * (1 + 1e-12)
+    assert exact[-1] <= d_max * (1 + 1e-12)
+    for p, want, got in zip(orders, exact, lp):
+        # the LP's plan is feasible, so it never beats the quantile coupling,
+        # and it moves no mass further than the largest distance
+        assert want * (1 - 1e-12) <= got <= d_max * (1 + 1e-9)
+        if p <= 3:  # the LP is certified to 1e-9 of the largest cost
+            assert got ** p == pytest.approx(want ** p, abs=1e-9)
 
 
 def test_w1d_rejects_2d():

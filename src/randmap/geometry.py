@@ -63,32 +63,40 @@ def pairwise_distance(x: np.ndarray, y: np.ndarray, periodic: bool = False) -> n
     """(n, m) matrix of distances between point clouds x (n,d) and y (m,d).
 
     periodic selects the torus quotient metric: per-axis deltas are wrapped
-    to the nearest lift before the Euclidean norm. The squared deltas are
-    summed axis by axis into one (n, m) array, in the order a sum over a
-    (n, m, d) array of deltas would add them, so no (n, m, d) array is built.
-    The rows are done in blocks of at most BLOCK_ENTRIES entries: axis 0's
-    squared delta is written into the block of the result itself, and each
-    further axis goes through one block-sized buffer, so the call holds the
-    (n, m) result and no other (n, m) array.
+    to the nearest lift before the Euclidean norm. In one dimension the
+    distance is |delta| itself, which is sqrt(delta^2) bit for bit wherever
+    delta^2 neither underflows nor overflows, and exact where it does. In
+    more dimensions the squared deltas are summed axis by axis into one
+    (n, m) array, in the order a sum over a (n, m, d) array of deltas would
+    add them, so no (n, m, d) array is built; distances below about 1.5e-154
+    then read 0 and those above about 1.3e154 read inf (np.hypot would scale
+    them, at about three times the cost). The rows are done in blocks of at
+    most BLOCK_ENTRIES entries: axis 0's delta is written into the block of
+    the result itself, and each further axis goes through one block-sized
+    buffer, so the call holds the (n, m) result and no other (n, m) array.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
+    dim = x.shape[1]
     out = np.zeros((len(x), len(y)))
     rows = max(1, BLOCK_ENTRIES // max(1, len(y)))
-    buf = np.empty((min(rows, len(x)), len(y))) if x.shape[1] > 1 else None
+    buf = np.empty((min(rows, len(x)), len(y))) if dim > 1 else None
     for i0 in range(0, len(x), rows):
         acc = out[i0:i0 + rows]
-        for a in range(x.shape[1]):
+        for a in range(dim):
             delta = buf[:len(acc)] if a else acc
             np.subtract.outer(x[i0:i0 + rows, a], y[:, a], out=delta)
             if periodic:  # wrap_signed, in place
                 delta += 0.5
                 delta -= np.floor(delta)
                 delta -= 0.5
-            delta *= delta
-            if a:
-                acc += delta
-    return np.sqrt(out, out=out)
+            if dim == 1:
+                np.abs(delta, out=delta)
+            else:
+                delta *= delta
+                if a:
+                    acc += delta
+    return out if dim == 1 else np.sqrt(out, out=out)
 
 
 @dataclass(frozen=True)
@@ -119,7 +127,7 @@ class CostSpec:
         d = pairwise_distance(x, y, periodic=self.periodic)
         if self.kind == "sqdist":
             d *= d
-        else:
+        elif self.p != 1:  # d ** 1.0 is d
             d **= self.p
         return d
 

@@ -20,6 +20,7 @@ from .geometry import (
     deposit_grid,
     pairwise_distance,
     unit_torus_grid,
+    wrap_signed,
     wrap_unit,
 )
 
@@ -348,7 +349,15 @@ def _power_mean(d: np.ndarray, w: np.ndarray, p: float) -> float:
 
 def _quantile_distance(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
     """Order-p distance of pairing level t of mu with level t - theta of nu
-    (atoms sorted): the p-th root of the pairing's cost.
+    (atoms sorted, see `_quantile_pairing`): the p-th root of the pairing's
+    cost."""
+    return _power_mean(*_quantile_pairing(xu, wu, xv, wv, theta), p)
+
+
+def _quantile_pairing(xu, wu, xv, wv, theta: float = 0.0,
+                      kink: tuple[int, float] | None = None):
+    """(distances, level widths) of the level segments of pairing level t of
+    mu with level t - theta of nu (atoms sorted).
 
     nu's quantile is unrolled by Q(s + 1) = Q(s) + 1 for the circle; at
     theta = 0 this is the exact quantile coupling on the line. Every break of
@@ -356,7 +365,11 @@ def _quantile_distance(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
     it, and each level segment between the sorted breaks is charged to the
     largest labels at or before its position. No level is looked up, so a
     segment one ulp wide is charged to its own atoms whatever a lookup's tie
-    rule would do there.
+    rule would do there. kink = (j, b) puts nu's break j (in the order of
+    sv below, the turn last) at level b exactly, for a theta that places it
+    there up to rounding (see `_circle_kinks`), so that no segment of
+    rounding width is left between it and mu's break at b. The distances are
+    those of nu's unrolled atoms, so on the circle of the lift paired.
     """
     mu_size, nu_size = len(xu), len(xv)
     cu, cv = np.cumsum(wu), np.cumsum(wv)
@@ -366,6 +379,8 @@ def _quantile_distance(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
     # unrolled atom count turn * len(xv) + atom past it
     sv = np.append(cv[:-1], 0.0)
     tv = wrap_unit(sv + theta)
+    if kink is not None:
+        tv[kink[0]] = wrap_unit(kink[1])
     gv = np.rint(tv - theta - sv).astype(int) * nu_size + np.append(np.arange(1, nu_size), 0)
     t = np.concatenate([[0.0, 1.0], cu[:-1], tv])
     # row 0: mu's atom past each break; row 1: nu's unrolled count, which
@@ -378,7 +393,7 @@ def _quantile_distance(xu, wu, xv, wv, p: float, theta: float = 0.0) -> float:
     t = t[order]
     iu, g = np.maximum.accumulate(labels[:, order], axis=1)[:, :-1]
     qv = xv[g % nu_size] + g // nu_size
-    return _power_mean(np.abs(xu[iu] - qv), np.diff(t), p)
+    return np.abs(xu[iu] - qv), np.diff(t)
 
 
 def _circle_w1(xu, wu, xv, wv) -> float:
@@ -434,6 +449,27 @@ def circle_rotation(xu, wu, xv, wv, p: float) -> float:
                                   -1.5, 1.5)
 
 
+def _circle_kinks(wu, wv, theta: float) -> list[tuple[float, tuple[int, float]]]:
+    """The kinks nearest theta, below and above, of the circle cost in the
+    level shift (weights of sorted atoms), each as (shift, kink) arguments
+    of `_quantile_pairing`.
+
+    A kink is a shift at which a break of nu's shifted quantile meets a
+    break b of mu's. Between two kinks every level segment pairs the same
+    atoms and only the segment lengths move, so the cost is linear there and
+    least at one of the two ends.
+    """
+    bu = np.concatenate([[0.0], np.cumsum(wu)[:-1], [1.0]])
+    sv = np.append(np.cumsum(wv)[:-1], 0.0)
+    shifted = sv + theta
+    tv = wrap_unit(shifted)
+    turn = np.rint(shifted - tv)
+    i = np.clip(np.searchsorted(bu, tv, side="right"), 1, len(bu) - 1)
+    lo = np.argmax(bu[i - 1] + turn - sv)
+    hi = np.argmin(bu[i] + turn - sv)
+    return [(bu[k] + turn[j] - sv[j], (j, bu[k])) for j, k in ((lo, i[lo] - 1), (hi, i[hi]))]
+
+
 def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
                    grid_subdiv: int = 1) -> float:
     """Exact order-p Wasserstein distance between 1D measures.
@@ -441,8 +477,18 @@ def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
     On the line this is the quantile-function coupling. On the circle it is
     the quantile coupling rotated by the best level shift: the weighted-median
     formula for p=1, `circle_rotation` otherwise (the one rotation search,
-    shared with `transport.monotone_map_1d`). Grid densities enter through
-    midpoint quadrature at subcell resolution `grid_subdiv`.
+    shared with `transport.monotone_map_1d`), and then the least of the
+    costs at the search's shift and at the two kinks that bracket it
+    (`_circle_kinks`), where the breaks that meet are placed at one level.
+    The cost is least at a kink, and there rounding can leave the search's
+    shift with a one-ulp level segment that pairs a far lift, which
+    dominates at large p. Each pair of atoms is charged its circle distance,
+    which is the lift's wherever the coupling is optimal and at most 1/2 on
+    a segment of rounding width (where breaks that should coincide, such as
+    sums of the same weights in another order, differ by rounding). Each
+    candidate is the cost of a coupling, so the least is never above the
+    search's. Grid densities enter through midpoint quadrature at subcell
+    resolution `grid_subdiv`.
     """
     if not (np.isfinite(p) and p >= 1):
         raise MeasureError(f"order p must be finite and >= 1, got {p!r}")
@@ -453,7 +499,9 @@ def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
     if p == 1.0:
         return _circle_w1(xu, wu, xv, wv)
     theta = circle_rotation(xu, wu, xv, wv, p)
-    return _quantile_distance(xu, wu, xv, wv, p, theta)
+    pairings = (_quantile_pairing(xu, wu, xv, wv, th, kink)
+                for th, kink in [(theta, None), *_circle_kinks(wu, wv, theta)])
+    return min(_power_mean(np.abs(wrap_signed(d)), w, p) for d, w in pairings)
 
 
 def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0,
@@ -482,10 +530,13 @@ def wasserstein_sinkhorn_upper(mu, nu, p: float = 1.0, periodic: bool = False,
     Loose convergence settings only slacken the bound, never invalidate it.
     The solve (`transport._sinkhorn_potentials`) leaves each warm epsilon
     level as soon as its marginal error is small, so most of the max_iter
-    budget goes to the final level. That level is overrelaxed Sinkhorn, and
-    the plan is built from the potentials of its last step, which is always
-    a plain one; within the budget this gives a tighter bound than plain
-    Sinkhorn would.
+    budget goes to the final level. Each warm level after the first starts
+    from the kernel of the level before, squared, so the kernel is built
+    from the cost at the first and the final level, and again only when a
+    potential drifts. The final level is overrelaxed Sinkhorn, and the plan
+    is built from the potentials of its last step, which is always a plain
+    one; within the budget this gives a tighter bound than plain Sinkhorn
+    would.
     """
     from . import transport
 

@@ -334,9 +334,13 @@ class _StabilisedKernel:
     SK_f(g)_i = f_bar_i - eps * log sum_j K_ij exp((g_j - g_bar_j)/eps + log b_j),
     and the same through K.T for SK_g(f). An overrelaxed half-step with
     factor omega returns f + omega * (SK_f(g) - f); at omega = 1 it returns
-    SK_f(g) itself. Its methods run under the solver's
-    np.errstate(over="ignore", invalid="ignore"): an entry that overflows is
-    zeroed (idle pairs) or makes its sum non-finite, which iterate reports.
+    SK_f(g) itself. K is built from the cost by `absorb`, or moved to half
+    its epsilon by `halve`, which squares it: exp(x/eps)^2 = exp(x/(eps/2)),
+    around the same f_bar, g_bar, with no cost read and no exp. Its methods
+    run under the solver's np.errstate(over="ignore", invalid="ignore",
+    divide="ignore"): an entry that overflows is zeroed (idle pairs) or makes
+    its sum non-finite, and a sum that is 0 or not finite makes the
+    potential, and so its drift, non-finite, which iterate reports.
     """
 
     def __init__(self, c: np.ndarray, wa: np.ndarray, wb: np.ndarray):
@@ -351,11 +355,21 @@ class _StabilisedKernel:
         """Fold the potentials f, g into K at regularisation eps, in place."""
         self.f_bar, self.g_bar, self.eps = f, g, eps
         self.f_drift = self.g_drift = 0.0
-        np.add(f[:, None], g[None, :], out=self.k)
+        self.k[...] = g  # g_j + f_i is f_i + g_j bit for bit
+        self.k += f[:, None]
         self.k -= self.c
         self.k /= eps
         np.exp(self.k, out=self.k)
         self.k[self.idle] = 0.0
+
+    def halve(self) -> None:
+        """Move K to regularisation eps/2 around the same f_bar, g_bar, in place.
+
+        The drifts are kept: they are measured from f_bar, g_bar, which stay.
+        Idle entries stay 0.
+        """
+        self.k *= self.k
+        self.eps *= 0.5
 
     def iterate(self, f: np.ndarray, g: np.ndarray, la: np.ndarray, lb: np.ndarray,
                 omega: float):
@@ -365,18 +379,18 @@ class _StabilisedKernel:
         K is absorbed after each half-step that leaves a potential more than
         _ABSORB * eps from the one K holds. Each half-step moves one
         potential, so only that one's drift is measured again; the other's
-        is kept from its own half-step. None if a kernel sum underflows to 0
-        or is not finite.
+        is kept from its own half-step. None if a potential is not finite,
+        which is how a kernel sum that underflows to 0 or is not finite shows.
         """
         f = self._half_step(self.k, self.f_bar, f, g, self.g_bar, lb, omega)
-        if f is None:
-            return None
         self.f_drift = np.abs(f - self.f_bar).max()
+        if not np.isfinite(self.f_drift):
+            return None
         self._absorb_if_moved(f, g)
         g = self._half_step(self.k.T, self.g_bar, g, f, self.f_bar, la, omega)
-        if g is None:
-            return None
         self.g_drift = np.abs(g - self.g_bar).max()
+        if not np.isfinite(self.g_drift):
+            return None
         self._absorb_if_moved(f, g)
         return f, g
 
@@ -389,8 +403,6 @@ class _StabilisedKernel:
         shift = v.max()
         v -= shift
         s = kmat @ np.exp(v, out=v)
-        if not (s.min() > 0 and s.max() < np.inf):  # also False for NaN
-            return None
         np.log(s, out=s)
         s += shift
         s *= self.eps
@@ -440,13 +452,17 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     err <= tol. If a plain step's err exceeds the previous plain step's (by
     more than a relative _RISE), the rest of the level runs plain (omega = 1).
 
-    K is built from the current potentials at the start of every epsilon
-    level, and the scalings are absorbed into it (K rebuilt from the current
-    potentials) whenever a potential moves more than 30 eps from the one K was
-    built with. When a kernel sum underflows to 0 or is not finite, K is
-    absorbed and the iteration redone; a sum that still fails raises
-    SolverError, so the potentials returned are always finite. Entries between
-    zero-weight atoms on both sides stay 0.
+    K is built from the current potentials at the start of the first and the
+    final level. Every warm level after the first halves epsilon, and starts
+    from the previous level's K squared (`_StabilisedKernel.halve`) when
+    neither potential has moved more than _ABSORB eps (at the halved eps) from
+    the one K holds, and from a K built from the current potentials
+    otherwise. Within a level the scalings are absorbed into K (K rebuilt from
+    the current potentials) whenever a potential moves more than _ABSORB eps
+    from the one K was built with. When a kernel sum underflows to 0 or is not
+    finite, K is absorbed and the iteration redone; a sum that still fails
+    raises SolverError, so the potentials returned are always finite. Entries
+    between zero-weight atoms on both sides stay 0.
 
     Returns (f, g, converged, err, iterations). The returned iterate always
     comes from a plain step, and err is the L1 column violation of that step's
@@ -465,12 +481,17 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     g = np.zeros(len(wb))
     total_iters = 0
     converged = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for li, eps in enumerate(levels):
             final = li == len(levels) - 1
             relax = _OMEGA if final else 1.0
             err = np.inf
-            kern.absorb(f, g, eps)
+            # the warm levels are 1, 1/2, 1/4, ...: each after the first is
+            # exactly half the one before
+            if li == 0 or final or max(kern.f_drift, kern.g_drift) > _ABSORB * eps:
+                kern.absorb(f, g, eps)
+            else:
+                kern.halve()
             it = 0
             while True:
                 it += 1
@@ -546,7 +567,9 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     f, g, converged, err, _ = _sinkhorn_potentials(c, mu.weights, nu.weights,
                                                    epsilon, max_iter, tol)
     la, lb = _log_weights(mu.weights), _log_weights(nu.weights)
-    gamma = np.add(f[:, None], g[None, :])
+    gamma = np.empty_like(c)
+    gamma[...] = g  # g_j + f_i is f_i + g_j bit for bit
+    gamma += f[:, None]
     gamma -= c
     gamma /= epsilon
     gamma += la[:, None]

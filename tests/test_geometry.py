@@ -4,7 +4,8 @@ multi-array fancy-index gather returns, bit for bit, and the linear deposit
 is the exact adjoint of interpolation. Also: torus wrapping stays inside
 [0, 1) and equals the np.mod formulas bit for bit, every grid-backed object
 builds its grid once, pairwise distances are the broadcast formula's,
-bit for bit, and a scaled cost matrix is the cost itself unless its largest
+bit for bit (in 1D the absolute delta, also where its square underflows),
+and a scaled cost matrix is the cost itself unless its largest
 entry is below 1."""
 import numpy as np
 import pytest
@@ -189,6 +190,21 @@ def test_pairwise_distance_equals_broadcast_formula_bit_for_bit(dim, periodic):
         delta = wrap_signed(delta)
     expected = np.sqrt(np.sum(delta * delta, axis=-1))
     assert np.array_equal(pairwise_distance(x, y, periodic=periodic), expected)
+
+
+@given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6),
+       st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6), st.booleans())
+@example([0.0], [2.6e-168], False)
+def test_1d_distance_is_the_absolute_delta_and_the_root_of_its_square(x, y, periodic):
+    x, y = np.array(x)[:, None], np.array(y)[:, None]
+    delta = x - y.T
+    if periodic:
+        delta = wrap_signed(delta)
+    got = pairwise_distance(x, y, periodic=periodic)
+    assert np.array_equal(got, np.abs(delta))
+    square = delta * delta
+    normal = (square >= np.finfo(float).tiny) & np.isfinite(square)
+    assert np.array_equal(got[normal], np.sqrt(square[normal]))
 
 
 COSTS = [CostSpec("sqdist"), CostSpec("dist_p", p=1.5), CostSpec("negdot")]

@@ -6,7 +6,7 @@ weights), and seeded Monte Carlo for the empirical-measure bound.
 """
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -320,6 +320,49 @@ def test_wp_grows_with_p_up_to_the_largest_distance(a, b):
             assert got ** p == pytest.approx(want ** p, abs=1e-9)
 
 
+@pytest.mark.parametrize("p", [50.0, 400.0, 1000.0])
+def test_circle_wp_at_large_p_of_two_single_atoms_is_their_distance(p):
+    # the search's shift ends a rounding width from the kink, where a level
+    # segment of that width pairs 0.5 with the far lift 1.25 and read 0.7229
+    # at p = 1000
+    a, b = DiscreteMeasure.dirac([0.5]), DiscreteMeasure.dirac([0.25])
+    assert wasserstein_1d(a, b, p=p, periodic=True) == 0.25
+
+
+# Found by a seeded search over random circle pairs: at the optimal kink,
+# nu's break cannot be shifted onto mu's in floating point, so unless the
+# kink is evaluated with the two breaks at one level, W_1000 reads 0.70.
+_THREE_ATOMS_AND_ONE = (
+    DiscreteMeasure(np.array([[0.9090719628493051], [0.4033915375960583], [0.8203077943609558]]),
+                    np.array([0.8126006098634461, 0.14330908460419292, 0.044090305532361054])),
+    DiscreteMeasure.dirac([0.18033608654568278]), 2.0)
+
+
+# Found by this test at 2,000 examples: both measures list the same weights,
+# in another order, so breaks that should coincide differ by rounding, and
+# at the optimal kink a segment of rounding width paired 0 with 0.67 by its
+# far lift: W_1000 read 0.647 unless each pair is charged its circle distance.
+_SAME_WEIGHTS = np.array([0.14556641797213526, 0.1547165850042652, 0.13040090926338152,
+                          0.19759500967156715, 0.19759500967156715, 0.1741260684170837])
+_SAME_WEIGHTS_REORDERED = (
+    DiscreteMeasure(np.array([[2.2250738585e-313], [2.0], [-2.225073858507203e-309],
+                              [2.2250738585e-313], [2.0], [1.671542312566375]]), _SAME_WEIGHTS),
+    DiscreteMeasure(np.array([[2.2250738585e-313], [2.0], [1.671542312566375],
+                              [2.2250738585e-313], [2.0], [1.671542312566375]]), _SAME_WEIGHTS),
+    1.5)
+
+
+@given(atom_measures(), atom_measures(), st.sampled_from([1.5, 2.0, 3.0]))
+@example(*_THREE_ATOMS_AND_ONE)
+@example(*_SAME_WEIGHTS_REORDERED)
+def test_circle_wp_matches_exact_lp_and_stays_within_half_at_large_p(a, b, p):
+    got = wasserstein_1d(a, b, p=p, periodic=True)
+    want = wasserstein_exact(a, b, p=p, periodic=True)
+    assert got ** p == pytest.approx(want ** p, abs=1e-9)  # the LP's certificate
+    # no two points of the circle are more than 1/2 apart
+    assert wasserstein_1d(a, b, p=1000.0, periodic=True) <= 0.5 * (1 + 1e-12)
+
+
 def test_w1d_rejects_2d():
     m = DiscreteMeasure(np.array([[0.0, 0.0]]), np.array([1.0]))
     with pytest.raises(MeasureError):
@@ -404,6 +447,12 @@ def test_order_monotonicity():
         w3 = wasserstein_exact(a, b, p=3)
         assert w1 <= w2 + 1e-9
         assert w2 <= w3 + 1e-9
+
+
+def test_wexact_of_atoms_closer_than_the_square_underflow():
+    # 2.6e-168 squared underflows to 0
+    a, b = DiscreteMeasure.dirac([0.0]), DiscreteMeasure.dirac([2.6e-168])
+    assert wasserstein_exact(a, b) == 2.6e-168
 
 
 def test_wexact_size_guard():

@@ -22,6 +22,7 @@ from randmap.measures import (
     grid_pushforward,
     pushforward,
     wasserstein_1d,
+    wasserstein_sinkhorn_upper,
 )
 from randmap.moser import moser_map
 from randmap.transport import (
@@ -348,26 +349,66 @@ def test_sinkhorn_potentials_match_log_domain_reference(case):
         assert row_normalised_column_error(c, wa, wb, g, epsilon) <= tol
 
 
+def _recorded_absorbs(monkeypatch):
+    """Patch _StabilisedKernel.absorb to record (eps, at a level start) per
+    call: a call at a level start changes the kernel's epsilon, a drift
+    absorption or an underflow retry within a level keeps it."""
+    calls = []
+    absorb = transport._StabilisedKernel.absorb
+
+    def recorded(self, f, g, eps):
+        calls.append((eps, getattr(self, "eps", None) != eps))
+        absorb(self, f, g, eps)
+
+    monkeypatch.setattr(transport._StabilisedKernel, "absorb", recorded)
+    return calls
+
+
 def test_sinkhorn_absorbs_within_a_level_and_matches_reference(monkeypatch):
     rng = np.random.default_rng(59)
     x, y = rng.random((30, 2)), rng.random((25, 2))
     c = CostSpec("sqdist").matrix(x, y)
     wa, wb = rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(25))
-    absorbed = []
-    absorb = transport._StabilisedKernel.absorb
-
-    def counted(self, f, g, eps):
-        absorbed.append(eps)
-        absorb(self, f, g, eps)
-
-    monkeypatch.setattr(transport._StabilisedKernel, "absorb", counted)
+    absorbed = _recorded_absorbs(monkeypatch)
     f, g, converged, _, iters = transport._sinkhorn_potentials(c, wa, wb, 1e-4, 2000, 1e-9)
     rf, rg, r_converged, _, r_iters = reference_potentials(c, wa, wb, 1e-4, 2000, 1e-9)
-    # more kernel builds than epsilon levels: some were absorptions mid-level
-    assert len(absorbed) > len(set(absorbed))
+    assert any(not at_start for _, at_start in absorbed)  # some were mid-level
     assert (iters, converged) == (r_iters, r_converged)
     assert np.abs(f - rf).max() <= 1e-10 * max(1.0, np.abs(rf).max())
     assert np.abs(g - rg).max() <= 1e-10 * max(1.0, np.abs(rg).max())
+
+
+def test_halved_kernel_matches_a_kernel_built_at_half_the_epsilon():
+    rng = np.random.default_rng(61)
+    c = CostSpec("sqdist").matrix(rng.random((20, 2)), rng.random((15, 2)))
+    wa, wb = rng.dirichlet(np.ones(20)), rng.dirichlet(np.ones(15))
+    wa[:3] = wb[:2] = 0.0
+    f, g = 0.05 * rng.normal(size=20), 0.05 * rng.normal(size=15)
+    f[:3] = g[:2] = 0.6  # idle entries would be far above 1
+    halved = transport._StabilisedKernel(c, wa, wb)
+    fresh = transport._StabilisedKernel(c, wa, wb)
+    with np.errstate(over="ignore"):  # as in the solver
+        halved.absorb(f, g, 2.0 ** -8)
+        halved.halve()
+        fresh.absorb(f, g, 2.0 ** -9)
+    assert halved.eps == fresh.eps
+    assert np.all(halved.k[:3, :2] == 0.0)
+    held = fresh.k > 1e-300
+    assert 0 < held.sum() < held.size - 6  # some entries underflow at eps = 2^-9
+    assert np.array_equal(halved.k > 1e-300, held)
+    assert np.abs(halved.k[held] / fresh.k[held] - 1.0).max() <= 1e-13
+
+
+def test_w1_bound_builds_its_kernel_from_the_cost_at_the_first_and_final_level_only(
+        monkeypatch):
+    rho = GridDensity(2, 16, 1.0 + 0.5 * np.cos(2 * np.pi * GridDensity.uniform(2, 16)
+                                                 .nodes()[:, 0]).reshape(16, 16))
+    sample = empirical_measure(draw_sample(rho, 300, seed=3))
+    absorbed = _recorded_absorbs(monkeypatch)
+    wasserstein_sinkhorn_upper(sample, rho, p=1, periodic=True)
+    # the defaults run 9 levels, 1 down to 1/256 and then 4e-3: the warm
+    # levels after the first start from the kernel before them, squared
+    assert [eps for eps, at_start in absorbed if at_start] == [1.0, 4e-3]
 
 
 def test_sinkhorn_caches_the_drift_of_the_potential_a_half_step_left_alone(monkeypatch):
@@ -804,7 +845,6 @@ def test_invert_roundtrip_2d_brenier():
     atoms = g.as_discrete()
     composed = t.evaluate(s.evaluate(atoms.points))
     roundtrip = DiscreteMeasure(composed, atoms.weights)
-    from randmap.measures import wasserstein_sinkhorn_upper
     w1 = wasserstein_sinkhorn_upper(roundtrip, atoms, p=1, epsilon=2e-3)
     assert w1 <= 3.0 / n
 

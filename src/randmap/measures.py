@@ -314,12 +314,16 @@ def grid_pushforward(T, rho: GridDensity) -> GridDensity:
 # ---------------------------------------------------------------------------
 
 def atoms_1d(mu: DiscreteMeasure | GridDensity, subdiv: int, periodic: bool):
-    """Atom positions (wrapped to [0, 1) on the circle) in sorted order, with weights."""
+    """Atom positions (wrapped to [0, 1) on the circle) in sorted order, with weights.
+
+    Coincident atoms are ordered by weight, so a measure listed in any order
+    gives the same arrays, and so the same cumulative weights bit for bit.
+    """
     if mu.dim != 1:
         raise MeasureError("wasserstein_1d requires one-dimensional measures")
     dm = mu.as_discrete(subdiv=subdiv)
     x = wrap_unit(dm.points[:, 0]) if periodic else dm.points[:, 0]
-    order = np.argsort(x, kind="stable")
+    order = np.lexsort((dm.weights, x))
     return x[order], dm.weights[order]
 
 
@@ -528,15 +532,18 @@ def wasserstein_sinkhorn_upper(mu, nu, p: float = 1.0, periodic: bool = False,
     The rounded plan is feasible, so its cost can only exceed the optimum;
     useful where the exact LP is out of reach (e.g. 2D grid densities).
     Loose convergence settings only slacken the bound, never invalidate it.
-    The solve (`transport._sinkhorn_potentials`) leaves each warm epsilon
-    level as soon as its marginal error is small, so most of the max_iter
-    budget goes to the final level. Each warm level after the first starts
-    from the kernel of the level before, squared, so the kernel is built
-    from the cost at the first and the final level, and again only when a
-    potential drifts. The final level is overrelaxed Sinkhorn, and the plan
-    is built from the potentials of its last step, which is always a plain
-    one; within the budget this gives a tighter bound than plain Sinkhorn
-    would.
+    The solve (`transport._sinkhorn_potentials`) iterates scalings against
+    a stabilised kernel and leaves each warm epsilon level as soon as its
+    marginal error is small, so most of the max_iter budget goes to the
+    final level. Each warm level after the first starts from the kernel and
+    scalings of the level before, squared, so the kernel is built from the
+    cost at the first and the final level, and again only when a scaling
+    drifts out of its band. The final level is overrelaxed Sinkhorn, and the
+    plan is built from the potentials of its last step, which is always a
+    plain one; within the budget this gives a tighter bound than plain
+    Sinkhorn would. The cost and the kernel are stored with their longer
+    axis contiguous, and the plan is rounded to feasible with vectors and
+    in place, so the bound holds at most two plan-sized arrays at once.
     """
     from . import transport
 

@@ -280,26 +280,42 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 
 
 # ---------------------------------------------------------------------------
-# entropic solver (stabilised kernel, epsilon scaling, overrelaxation,
+# entropic solver (stabilised scaling, epsilon scaling, overrelaxation,
 # feasible rounding)
+#
+# The iteration is Schmitzer's stabilised scaling algorithm (2019, SIAM J.
+# Sci. Comput., Alg. 2). The potentials are split as f = f_bar + eps log u
+# and g = g_bar + eps log v: f_bar, g_bar are folded into a kernel
+# K = exp((f_bar + g_bar - C)/eps), and a Sinkhorn half-step touches only the
+# scalings, u <- 1 / (K (b v)), one matrix-vector product and one divide.
+# When a scaling leaves [e^-_ABSORB, e^_ABSORB], the potentials are formed
+# and folded into a new K. K is stored with its longer axis contiguous, so
+# both products, through K and through K.T, read it along long runs.
 #
 # The final epsilon level runs overrelaxed Sinkhorn (Thibault, Chizat,
 # Dossal & Papadakis 2017, arXiv:1711.01851; Lehmann, von Renesse, Sambale
 # & Uschmajew 2021, Optim. Lett.): each half-step moves a potential _OMEGA
-# times as far as plain Sinkhorn would. The fixed point is unchanged; near
-# it, plain Sinkhorn contracts linearly at some rate eta < 1, and the best
-# factor, 2 / (1 + sqrt(1 - eta)), contracts at that factor minus one. Every
+# times as far as plain Sinkhorn would, which in scalings is
+# u <- u (u K (b v))^-omega. The fixed point is unchanged; near it, plain
+# Sinkhorn contracts linearly at some rate eta < 1, and the best factor,
+# 2 / (1 + sqrt(1 - eta)), contracts at that factor minus one. Every
 # _PLAIN_EVERY-th step is plain, and only plain steps measure the marginal
 # error and may stop the solve, so the stopping certificate is that of plain
 # Sinkhorn.
+#
+# The plan is rounded to exactly feasible as Altschuler, Weed & Rigollet
+# (2017, NeurIPS, Alg. 2) do: scale rows down, then columns, then add a
+# rank-one patch. All three come from matrix-vector products with the
+# unrounded plan, so the rounding is vectors until it is applied.
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 22
-# A potential may move this many epsilons away from the one the kernel was
-# built with before the scalings are folded back into the kernel: the
-# scaling factors then stay within e^30 of one, far above the underflow
-# threshold of the kernel entries that carry the mass.
+# A scaling may move as far as e^+-_ABSORB from 1 (its potential this many
+# epsilons from the one the kernel was built with) before the potentials are
+# folded back into the kernel: far inside the range of floats, and far above
+# the underflow threshold of the kernel entries that carry the mass.
 _ABSORB = 30.0
+_BAND = (np.exp(-_ABSORB), np.exp(_ABSORB))
 # Overrelaxation factor of the final level. On 15 Brenier solves at n=16 and
 # epsilon 1e-3 (uniform source, Gaussian-bump targets), omega = 1, 1.5, 1.7,
 # 1.8, 1.85 and 1.9 took 17,615 / 8,982 / 6,686 / 5,670 / 5,630 / 6,398
@@ -327,104 +343,146 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
     return np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
 
 
-class _StabilisedKernel:
-    """K = exp((f_bar_i + g_bar_j - C_ij)/eps), with the potentials it was built from.
+def _cost_matrix(cost: CostSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """cost.matrix(x, y) with its longer axis contiguous, as the kernel stores
+    it: in Fortran order when x has more points than y, built as the
+    transpose of the cost from -y to -x. For the distance kinds that is the
+    same matrix bit for bit, since (-y_j) - (-x_i) is x_i - y_j exactly."""
+    if len(x) > len(y):
+        return cost.matrix(-np.asarray(y, dtype=float), -np.asarray(x, dtype=float)).T
+    return cost.matrix(x, y)
 
-    Against K, a log-domain Sinkhorn half-step is one matrix-vector product:
-    SK_f(g)_i = f_bar_i - eps * log sum_j K_ij exp((g_j - g_bar_j)/eps + log b_j),
-    and the same through K.T for SK_g(f). An overrelaxed half-step with
-    factor omega returns f + omega * (SK_f(g) - f); at omega = 1 it returns
-    SK_f(g) itself. K is built from the cost by `absorb`, or moved to half
-    its epsilon by `halve`, which squares it: exp(x/eps)^2 = exp(x/(eps/2)),
-    around the same f_bar, g_bar, with no cost read and no exp. Its methods
-    run under the solver's np.errstate(over="ignore", invalid="ignore",
-    divide="ignore"): an entry that overflows is zeroed (idle pairs) or makes
-    its sum non-finite, and a sum that is 0 or not finite makes the
-    potential, and so its drift, non-finite, which iterate reports.
+
+def _blocks(a: np.ndarray) -> list[tuple[slice, slice]]:
+    """(rows, cols) index pairs that cut a into blocks of at most
+    BLOCK_ENTRIES entries along its contiguous axis: blocks of whole rows
+    when a is C-contiguous, of whole columns otherwise."""
+    if a.flags.c_contiguous:
+        step = max(1, BLOCK_ENTRIES // max(1, a.shape[1]))
+        return [(slice(i, i + step), slice(None)) for i in range(0, a.shape[0], step)]
+    step = max(1, BLOCK_ENTRIES // max(1, a.shape[0]))
+    return [(slice(None), slice(j, j + step)) for j in range(0, a.shape[1], step)]
+
+
+def _fill_exp(out: np.ndarray, f: np.ndarray, g: np.ndarray, c: np.ndarray,
+              eps: float) -> None:
+    """out_ij = exp((f_i + g_j - c_ij)/eps), block by block along out's
+    contiguous axis (`_blocks`), each block in cache from one read of the
+    cost, with no temporary."""
+    for rows, cols in _blocks(out):
+        block = out[rows, cols]
+        np.add.outer(f[rows], g[cols], out=block)
+        block -= c[rows, cols]
+        block /= eps
+        np.exp(block, out=block)
+
+
+def _in_band(s: np.ndarray) -> bool:
+    """e^-_ABSORB <= min s <= max s <= e^_ABSORB; False for NaN or inf."""
+    return bool(_BAND[0] <= s.min() and s.max() <= _BAND[1])
+
+
+class _StabilisedKernel:
+    """K = exp((f_bar_i + g_bar_j - C_ij)/eps) and the scalings u, v of the
+    potentials f = f_bar + eps log u, g = g_bar + eps log v.
+
+    A Sinkhorn half-step is u <- 1 / (K (b v)), or overrelaxed with factor
+    omega, u <- u (u K (b v))^-omega (f <- f + omega (SK_f(g) - f) in
+    potentials); v likewise through K.T and a u. K is built from the cost and
+    the potentials by `absorb`, which resets both scalings to 1, or moved to
+    half its epsilon by `halve`, which squares K, u and v:
+    exp(x/eps)^2 = exp(x/(eps/2)), around the same f_bar, g_bar, with no cost
+    read and no exp. K's longer axis is contiguous (Fortran order when it has
+    more rows than columns). Its methods run under the solver's
+    np.errstate(over="ignore", invalid="ignore", divide="ignore"): a kernel
+    sum that is 0 or not finite makes its scaling inf, 0 or NaN, which
+    iterate reports.
     """
 
     def __init__(self, c: np.ndarray, wa: np.ndarray, wb: np.ndarray):
-        self.c = c
-        self.k = np.empty_like(c)
+        self.c, self.wa, self.wb = c, wa, wb
+        self.k = np.empty(c.shape, order="F" if c.shape[0] > c.shape[1] else "C")
         # An entry between a zero-weight row and a zero-weight column always
-        # meets an exact zero scaling, and no update bounds its exponent, so
+        # meets an exact zero weight, and no update bounds its exponent, so
         # it is kept at 0 rather than left to overflow to inf (inf * 0 = NaN).
         self.idle = np.ix_(wa == 0, wb == 0)
 
     def absorb(self, f: np.ndarray, g: np.ndarray, eps: float) -> None:
-        """Fold the potentials f, g into K at regularisation eps, in place."""
+        """Fold the potentials f, g into K at regularisation eps, in place
+        and block by block (`_fill_exp`), and set both scalings to 1."""
         self.f_bar, self.g_bar, self.eps = f, g, eps
-        self.f_drift = self.g_drift = 0.0
-        self.k[...] = g  # g_j + f_i is f_i + g_j bit for bit
-        self.k += f[:, None]
-        self.k -= self.c
-        self.k /= eps
-        np.exp(self.k, out=self.k)
+        self.u, self.v = np.ones(len(f)), np.ones(len(g))
+        _fill_exp(self.k, f, g, self.c, eps)
         self.k[self.idle] = 0.0
 
-    def halve(self) -> None:
-        """Move K to regularisation eps/2 around the same f_bar, g_bar, in place.
-
-        The drifts are kept: they are measured from f_bar, g_bar, which stay.
-        Idle entries stay 0.
-        """
+    def halve(self) -> bool:
+        """Move K, u and v to regularisation eps/2 around the same f_bar,
+        g_bar, in place, and return True; or change nothing and return False
+        when a squared scaling would leave the band, so that K must be built
+        from the potentials instead. Idle entries stay 0."""
+        u, v = self.u * self.u, self.v * self.v
+        if not (_in_band(u) and _in_band(v)):
+            return False
         self.k *= self.k
-        self.eps *= 0.5
+        self.u, self.v, self.eps = u, v, 0.5 * self.eps
+        return True
 
-    def iterate(self, f: np.ndarray, g: np.ndarray, la: np.ndarray, lb: np.ndarray,
-                omega: float):
-        """One Sinkhorn iteration with factor omega, f from (f, g) and then g
-        from (g, that f), as new arrays (f, g).
+    def potentials(self) -> tuple[np.ndarray, np.ndarray]:
+        """(f, g) = (f_bar + eps log u, g_bar + eps log v), as new arrays."""
+        return self.f_bar + self.eps * np.log(self.u), self.g_bar + self.eps * np.log(self.v)
 
-        K is absorbed after each half-step that leaves a potential more than
-        _ABSORB * eps from the one K holds. Each half-step moves one
-        potential, so only that one's drift is measured again; the other's
-        is kept from its own half-step. None if a potential is not finite,
-        which is how a kernel sum that underflows to 0 or is not finite shows.
+    def iterate(self, omega: float):
+        """One Sinkhorn iteration with factor omega, u from v and then v from
+        that u, in place.
+
+        K is absorbed after each half-step whose scaling leaves the band;
+        each half-step moves one scaling, so only that one is tested.
+        Returns (v, v_new), the column scalings before and after, both
+        relative to the same g_bar: v / v_new = exp((g - g_new)/eps). None if
+        a scaling is not finite and positive, which is how a kernel sum that
+        underflows to 0 or is not finite shows; the state is then that of
+        the start of the iteration.
         """
-        f = self._half_step(self.k, self.f_bar, f, g, self.g_bar, lb, omega)
-        self.f_drift = np.abs(f - self.f_bar).max()
-        if not np.isfinite(self.f_drift):
-            return None
-        self._absorb_if_moved(f, g)
-        g = self._half_step(self.k.T, self.g_bar, g, f, self.f_bar, la, omega)
-        self.g_drift = np.abs(g - self.g_bar).max()
-        if not np.isfinite(self.g_drift):
-            return None
-        self._absorb_if_moved(f, g)
-        return f, g
+        start = self.f_bar, self.g_bar, self.u, self.v
+        self.u = _scale(self.k, self.u, self.v, self.wb, omega)
+        if self._settle(self.u):
+            v = self.v
+            self.v = v_new = _scale(self.k.T, self.v, self.u, self.wa, omega)
+            if self._settle(v_new):
+                return v, v_new
+        self.f_bar, self.g_bar, self.u, self.v = start
+        return None
 
-    def _half_step(self, kmat, bar, own, other, other_bar, log_w, omega):
-        """own + omega * (SK - own), SK = bar - eps * log(kmat @ exp((other -
-        other_bar)/eps + log_w)) computed max-shifted."""
-        v = np.subtract(other, other_bar)
-        v /= self.eps
-        v += log_w
-        shift = v.max()
-        v -= shift
-        s = kmat @ np.exp(v, out=v)
-        np.log(s, out=s)
-        s += shift
-        s *= self.eps
-        np.subtract(bar, s, out=s)
-        if omega != 1.0:
-            s -= own
-            s *= omega
-            s += own
-        return s
-
-    def _absorb_if_moved(self, f: np.ndarray, g: np.ndarray) -> None:
-        if max(self.f_drift, self.g_drift) > _ABSORB * self.eps:
-            self.absorb(f, g, self.eps)
+    def _settle(self, s: np.ndarray) -> bool:
+        """Absorb K if the scaling s just moved has left the band; False if s
+        is not finite and positive."""
+        if _in_band(s):
+            return True
+        if not (0.0 < s.min() and s.max() < np.inf):
+            return False
+        self.absorb(*self.potentials(), self.eps)
+        return True
 
 
-def _column_error(g: np.ndarray, g_new: np.ndarray, wb: np.ndarray, eps: float) -> float:
+def _scale(kmat: np.ndarray, own: np.ndarray, other: np.ndarray, w: np.ndarray,
+           omega: float) -> np.ndarray:
+    """1 / (kmat (w other)) at omega = 1, own (own kmat (w other))^-omega
+    otherwise, as a new array."""
+    s = kmat @ (w * other)
+    if omega == 1.0:
+        return np.divide(1.0, s, out=s)
+    s *= own
+    np.power(s, -omega, out=s)
+    s *= own
+    return s
+
+
+def _column_error(v: np.ndarray, v_new: np.ndarray, wb: np.ndarray) -> float:
     """L1 column violation of the row-feasible plan exp((f + g - C)/eps) a b
-    whose f came from g, with g_new the column update that f gives:
-    sum_j |b_j exp((g_j - g_new_j)/eps) - b_j|, a non-finite ratio read as 1."""
-    ratio = np.subtract(g, g_new)
-    ratio /= eps
-    np.exp(ratio, out=ratio)
+    whose f came from g, with v / v_new = exp((g - g_new)/eps) and g_new the
+    column update that f gives: sum_j |b_j v_j / v_new_j - b_j|, a non-finite
+    ratio read as 1."""
+    ratio = np.divide(v, v_new)
     ratio[~np.isfinite(ratio)] = 1.0
     ratio *= wb
     ratio -= wb
@@ -433,14 +491,15 @@ def _column_error(g: np.ndarray, g_new: np.ndarray, wb: np.ndarray, eps: float) 
 
 def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                          epsilon: float, max_iter: int, tol: float):
-    """Stabilised-kernel Sinkhorn with a halving epsilon schedule from 1.0 down,
-    overrelaxed at the final epsilon.
+    """Stabilised-scaling Sinkhorn with a halving epsilon schedule from 1.0
+    down, overrelaxed at the final epsilon.
 
-    Each half-step is a log-domain Sinkhorn update (SK_f(g) = -eps lse_j[(g_j -
-    C_ij)/eps + log b_j], SK_g(f) likewise), computed as one matrix-vector
-    product with the stabilised kernel K = exp((f_bar + g_bar - C)/eps). Every
-    step measures the marginal error err of its plan (`_column_error`), except
-    the overrelaxed steps below.
+    Each half-step is a Sinkhorn update (SK_f(g) = -eps lse_j[(g_j -
+    C_ij)/eps + log b_j], SK_g(f) likewise) taken in scalings against the
+    stabilised kernel K = exp((f_bar + g_bar - C)/eps): one matrix-vector
+    product and one divide (`_StabilisedKernel`). Every step measures the
+    marginal error err of its plan (`_column_error`), except the overrelaxed
+    steps below.
 
     The warm levels run plain steps (f = SK_f(g), then g = SK_g(f)), and each
     ends at its first step with err <= _WARM_TOL, or after
@@ -454,21 +513,20 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
 
     K is built from the current potentials at the start of the first and the
     final level. Every warm level after the first halves epsilon, and starts
-    from the previous level's K squared (`_StabilisedKernel.halve`) when
-    neither potential has moved more than _ABSORB eps (at the halved eps) from
-    the one K holds, and from a K built from the current potentials
-    otherwise. Within a level the scalings are absorbed into K (K rebuilt from
-    the current potentials) whenever a potential moves more than _ABSORB eps
-    from the one K was built with. When a kernel sum underflows to 0 or is not
-    finite, K is absorbed and the iteration redone; a sum that still fails
-    raises SolverError, so the potentials returned are always finite. Entries
-    between zero-weight atoms on both sides stay 0.
+    from the previous level's K and scalings squared
+    (`_StabilisedKernel.halve`) when both squared scalings stay within
+    [e^-_ABSORB, e^_ABSORB], and from a K built from the current potentials
+    otherwise. Within a level the potentials are formed and folded into K
+    whenever a scaling leaves that band. When a kernel sum underflows to 0 or
+    is not finite, K is built from the potentials of the iteration's start
+    and the iteration redone; a sum that still fails raises SolverError, so
+    the potentials returned are always finite. Entries between zero-weight
+    atoms on both sides stay 0.
 
     Returns (f, g, converged, err, iterations). The returned iterate always
     comes from a plain step, and err is the L1 column violation of that step's
     (exactly row-feasible) plan exp((f + g_prev - C)/eps) a b.
     """
-    la, lb = _log_weights(wa), _log_weights(wb)
     levels = [epsilon]
     lvl = 1.0
     while lvl > epsilon:
@@ -477,8 +535,6 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     levels = sorted(set(levels), reverse=True)
     warm_budget = min(_WARM_MAX, max(1, max_iter // (2 * len(levels))))
     kern = _StabilisedKernel(c, wa, wb)
-    f = np.zeros(len(wa))
-    g = np.zeros(len(wb))
     total_iters = 0
     converged = False
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -488,10 +544,10 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
             err = np.inf
             # the warm levels are 1, 1/2, 1/4, ...: each after the first is
             # exactly half the one before
-            if li == 0 or final or max(kern.f_drift, kern.g_drift) > _ABSORB * eps:
-                kern.absorb(f, g, eps)
-            else:
-                kern.halve()
+            if li == 0:
+                kern.absorb(np.zeros(len(wa)), np.zeros(len(wb)), eps)
+            elif final or not kern.halve():
+                kern.absorb(*kern.potentials(), eps)
             it = 0
             while True:
                 it += 1
@@ -499,19 +555,17 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                 last = final and total_iters >= max_iter
                 plain = relax == 1.0 or it % _PLAIN_EVERY == 0 or last
                 omega = 1.0 if plain else relax
-                step = kern.iterate(f, g, la, lb, omega)
+                step = kern.iterate(omega)
                 if step is None:
-                    kern.absorb(f, g, eps)
-                    step = kern.iterate(f, g, la, lb, omega)
+                    kern.absorb(*kern.potentials(), eps)
+                    step = kern.iterate(omega)
                     if step is None:
                         raise SolverError(f"Sinkhorn kernel sum underflowed or is not finite "
                                           f"at epsilon {eps:g}, even after absorption")
-                f, g_new = step
                 if plain:
-                    prev, err = err, _column_error(g, g_new, wb, eps)
+                    prev, err = err, _column_error(*step, wb)
                     if err > prev * (1 + _RISE):
                         relax = 1.0
-                g = g_new
                 if not final:
                     if err <= _WARM_TOL or it >= warm_budget:
                         break
@@ -520,30 +574,51 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
                     break
                 elif last:
                     break
+        f, g = kern.potentials()
     return f, g, converged, err, total_iters
 
 
-def _round_to_feasible(gamma: np.ndarray, wa: np.ndarray, wb: np.ndarray) -> None:
-    """Scale rows then columns down, then restore mass with a rank-one patch, in place.
+def _rounded_plan(c: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float,
+                  wa: np.ndarray, wb: np.ndarray) -> tuple[np.ndarray, float]:
+    """The plan P = exp((f + g - C)/eps) a b rounded to be exactly feasible,
+    and its cost; c is used as scratch and left overwritten.
 
-    The patch is elementwise, so it runs in row blocks of at most
-    BLOCK_ENTRIES entries and the rounding allocates no plan-sized array.
+    P is built once, as exp((f + eps log a + g + eps log b - C)/eps) by
+    `_fill_exp`, so rows and columns of zero weight are exactly 0. With
+    r = P 1, the rows scale by x = min(a / r, 1) and the columns by
+    y = min(b / (P^T x), 1), and the residuals e_r = a - x (P y) and
+    e_c = b - y (P^T x) come back as the rank-one patch e_r e_c^T / |e_r|_1
+    (Altschuler, Weed & Rigollet 2017, Alg. 2): all vectors, from three
+    matrix-vector products with P. The cost,
+    sum x_i C_ij P_ij y_j + e_r^T C e_c / |e_r|_1, is summed block by block
+    as the plan is scaled and patched in place. The scalings x y^T and the
+    patch are formed in the cost's own block once that block's share of the
+    cost is taken, so no array beside the cost and the plan is larger than a
+    vector.
     """
-    r = gamma.sum(axis=1)
+    plan = np.empty_like(c)
+    _fill_exp(plan, f + eps * _log_weights(wa), g + eps * _log_weights(wb), c, eps)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(r > 0, np.minimum(wa / np.where(r > 0, r, 1.0), 1.0), 0.0)
-    gamma *= s[:, None]
-    cmarg = gamma.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(cmarg > 0, np.minimum(wb / np.where(cmarg > 0, cmarg, 1.0), 1.0), 0.0)
-    gamma *= t[None, :]
-    er = wa - gamma.sum(axis=1)
-    ec = wb - gamma.sum(axis=0)
+        r = plan @ np.ones(len(wb))
+        x = np.where(r > 0, np.minimum(wa / r, 1.0), 0.0)
+        col = x @ plan
+        y = np.where(col > 0, np.minimum(wb / col, 1.0), 0.0)
+    er = wa - x * (plan @ y)
+    ec = wb - y * col
     mass = er.sum()
-    if mass > 0:
-        block = max(1, BLOCK_ENTRIES // max(1, gamma.shape[1]))
-        for i0 in range(0, gamma.shape[0], block):
-            gamma[i0:i0 + block] += np.outer(er[i0:i0 + block], ec) / mass
+    patched = mass > 0
+    value = er @ (c @ ec) / mass if patched else 0.0
+    ec_mass = ec / mass if patched else None
+    for rows, cols in _blocks(c):
+        block, scratch = plan[rows, cols], c[rows, cols]
+        scratch *= block
+        value += x[rows] @ (scratch @ y[cols])
+        np.multiply.outer(x[rows], y[cols], out=scratch)
+        block *= scratch
+        if patched:
+            np.multiply.outer(er[rows], ec_mass[cols], out=scratch)
+            block += scratch
+    return plan, float(value)
 
 
 def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
@@ -553,8 +628,10 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     The potentials come from `_sinkhorn_potentials`: epsilon scaling whose
     warm levels each stop once their marginal error is at most _WARM_TOL,
     then overrelaxed steps at epsilon until the error is at most tol. The
-    rounded plan satisfies both marginals to machine precision, so its cost
-    never falls below the LP optimum. A run that exhausts max_iter is
+    plan they give is rounded by two diagonal scalings and a rank-one patch
+    (`_rounded_plan`), so it satisfies both marginals to machine precision
+    and its cost never falls below the LP optimum. The cost and the plan are
+    the only plan-sized arrays held at once. A run that exhausts max_iter is
     returned with converged=False and its residual marginal error.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
@@ -563,24 +640,11 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
         raise SolverError(f"tol must be finite and > 0, got {tol!r}")
     if max_iter < 1:
         raise SolverError(f"max_iter must be >= 1, got {max_iter!r}")
-    c = cost.matrix(mu.points, nu.points)
+    c = _cost_matrix(cost, mu.points, nu.points)
     f, g, converged, err, _ = _sinkhorn_potentials(c, mu.weights, nu.weights,
                                                    epsilon, max_iter, tol)
-    la, lb = _log_weights(mu.weights), _log_weights(nu.weights)
-    gamma = np.empty_like(c)
-    gamma[...] = g  # g_j + f_i is f_i + g_j bit for bit
-    gamma += f[:, None]
-    gamma -= c
-    gamma /= epsilon
-    gamma += la[:, None]
-    gamma += lb[None, :]
-    np.exp(gamma, out=gamma)
-    _round_to_feasible(gamma, mu.weights, nu.weights)
-    c *= gamma  # c is not used again: its products with gamma give the cost
-    value = float(np.sum(c))
-    plan = TransportPlan(mu, nu, gamma, value, converged=converged,
-                         marginal_error=err)
-    return plan
+    gamma, value = _rounded_plan(c, f, g, epsilon, mu.weights, nu.weights)
+    return TransportPlan(mu, nu, gamma, value, converged=converged, marginal_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +740,7 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     src = mu.as_discrete()
     tgt = nu.as_discrete()
     cost = CostSpec("sqdist", periodic=False)
-    c = cost.matrix(src.points, tgt.points)
+    c = _cost_matrix(cost, src.points, tgt.points)
     c *= 0.5  # in place: scaling by a power of two is exact
     _, g, converged, err, iters = _sinkhorn_potentials(c, src.weights, tgt.weights,
                                                        reg_epsilon, max_iter=4000, tol=1e-10)

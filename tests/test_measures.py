@@ -263,6 +263,37 @@ def atom_measures(draw, cells=None):
     return DiscreteMeasure(np.array(x)[:, None], w / w.sum())
 
 
+@st.composite
+def reordered_measures(draw):
+    """A 1D measure with 2-5 coincident atoms and 0-3 others, at multiples
+    of 1/10 in [0, 1), and the same measure listed in another order."""
+    k = draw(st.integers(2, 5))
+    tenths = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4))
+    x = np.array([tenths[0]] * (k - 1) + tenths) / 10
+    w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=len(x), max_size=len(x))))
+    perm = np.array(draw(st.permutations(range(len(x)))))
+    return (DiscreteMeasure(x[:, None], w / w.sum()),
+            DiscreteMeasure(x[perm, None], w[perm] / w.sum()))
+
+
+# three atoms at 0 and one at 0.4: with coincident atoms taken in list order,
+# the two listings' cumulative weights differ by rounding, and the level
+# segment between them paired 0 with 0.4 (W_1000 read 0.386)
+_REORDERED = (DiscreteMeasure(np.array([[0.0], [0.0], [0.0], [0.4]]),
+                              np.array([0.8, 0.5, 0.2, 0.2]) / 1.7),
+              DiscreteMeasure(np.array([[0.0], [0.0], [0.4], [0.0]]),
+                              np.array([0.2, 0.8, 0.2, 0.5]) / 1.7))
+
+
+@given(reordered_measures(), st.sampled_from([1.0, 2.0, 1000.0]), st.booleans())
+@example(_REORDERED, 1000.0, False)
+@example(_REORDERED, 1000.0, True)
+def test_wp_between_a_measure_and_itself_reordered_is_zero(pair, p, periodic):
+    a, b = pair
+    assert wasserstein_1d(a, b, p=p, periodic=periodic) == 0.0
+    assert wasserstein_1d(b, a, p=p, periodic=periodic) == 0.0
+
+
 @given(atom_measures(), atom_measures(), st.sampled_from([1.0, 2.0, 3.0]), st.booleans())
 def test_w1d_matches_exact_lp(a, b, p, periodic):
     got = wasserstein_1d(a, b, p=p, periodic=periodic) ** p
@@ -500,6 +531,21 @@ def test_dense_w1_path_holds_at_most_two_cost_sized_arrays(peak_traced_bytes, ca
           "wasserstein_sinkhorn_upper":
               lambda: wasserstein_sinkhorn_upper(sample, rho, p=1, periodic=periodic)}[call]
     assert peak_traced_bytes(fn) <= 2.5 * 500 * 1024 * 8
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_tall_w1_bound_holds_at_most_two_cost_sized_arrays(peak_traced_bytes, periodic):
+    # 2048 draws against a 16x16 density: the cost is 2048 x 256, stored
+    # with its columns contiguous, as is the stabilised kernel. The solve
+    # needs both, and the rounding the cost and the plan; a third full-size
+    # array (a kernel kept past the solve, a copy of the cost in the other
+    # layout) breaks the bound.
+    v = np.random.default_rng(7).random((16, 16)) + 0.5
+    rho = GridDensity(2, 16, v / v.mean())
+    sample = empirical_measure(draw_sample(rho, 2048, seed=8))
+    peak = peak_traced_bytes(lambda: wasserstein_sinkhorn_upper(sample, rho, p=1,
+                                                                periodic=periodic))
+    assert peak <= 2.5 * 2048 * 256 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -248,6 +248,37 @@ def test_sinkhorn_rejects_non_finite_or_non_positive_settings(name, value):
         solve_sinkhorn(m, m, CostSpec("sqdist"), **settings)
 
 
+@pytest.mark.parametrize("max_iter", [5, 5000], ids=["unconverged", "converged"])
+@pytest.mark.parametrize("shape", [(40, 9), (9, 40)], ids=["tall", "wide"])
+def test_sinkhorn_plan_is_feasible_and_keeps_its_cost_on_tall_and_wide_supports(
+        shape, max_iter):
+    # zero weights on both sides; the rounding works in blocks along the
+    # contiguous axis, which is the columns of a tall plan and the rows of a
+    # wide one
+    rng = np.random.default_rng(73)
+    wa, wb = rng.dirichlet(np.ones(shape[0])), rng.dirichlet(np.ones(shape[1]))
+    wa[[0, 4]] = wb[[1, 2]] = 0.0
+    mu = DiscreteMeasure(rng.random((shape[0], 2)), wa / wa.sum())
+    nu = DiscreteMeasure(rng.random((shape[1], 2)), wb / wb.sum())
+    spec = CostSpec("dist_p", p=1, periodic=True)
+    plan = solve_sinkhorn(mu, nu, spec, epsilon=1e-2, max_iter=max_iter)
+    assert plan.converged == (max_iter > 5)
+    plan.validate(spec)  # marginals within MARGINAL_TOL, cost = sum(gamma * C)
+    assert np.all(plan.gamma[[0, 4]] == 0.0) and np.all(plan.gamma[:, [1, 2]] == 0.0)
+
+
+def test_sinkhorn_plan_of_the_zero_weight_pair_is_feasible():
+    # the geometry of _ZERO_WEIGHT_PAIR: the entry between the two
+    # zero-weight atoms has (f_1 + g_1 - c_11)/eps = 2000, which overflows
+    # unless the zero weights enter the plan's exponent as log 0 = -inf
+    mu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.0, 0.0]))
+    nu = DiscreteMeasure(np.array([[1.0], [2.0]]), np.array([1.0, 0.0]))
+    spec = CostSpec("sqdist")
+    plan = solve_sinkhorn(mu, nu, spec, epsilon=1e-3)
+    plan.validate(spec)
+    assert np.array_equal(plan.gamma, [[1.0, 0.0], [0.0, 0.0]])
+
+
 def reference_potentials(c, wa, wb, epsilon, max_iter, tol):
     """Log-domain Sinkhorn, each half-step a full logsumexp over the cost
     matrix, with the schedule, warm-level stopping rule, overrelaxation,
@@ -336,8 +367,21 @@ _ZERO_WEIGHT_PAIR = (CostSpec("sqdist").matrix(np.array([[0.0], [1.0]]),
                      np.array([1.0, 0.0]), np.array([1.0, 0.0]), 1e-3, 1e-9)
 
 
+def _tall_torus_w1():
+    """W1 on the torus with more rows than columns and a zero-weight row, the
+    cost in Fortran order as solve_sinkhorn builds it for a tall problem, so
+    that the kernel's columns are contiguous."""
+    rng = np.random.default_rng(67)
+    wa = rng.dirichlet(np.ones(40))
+    wa[5] = 0.0
+    c = np.asfortranarray(CostSpec("dist_p", p=1, periodic=True)
+                          .matrix(rng.random((40, 2)), rng.random((9, 2))))
+    return c, wa / wa.sum(), rng.dirichlet(np.ones(9)), 1e-3, 1e-9
+
+
 @given(sinkhorn_cases())
 @example(_ZERO_WEIGHT_PAIR)
+@example(_tall_torus_w1())
 def test_sinkhorn_potentials_match_log_domain_reference(case):
     c, wa, wb, epsilon, tol = case
     f, g, converged, _, iters = transport._sinkhorn_potentials(c, wa, wb, epsilon, 300, tol)
@@ -352,13 +396,17 @@ def test_sinkhorn_potentials_match_log_domain_reference(case):
 def _recorded_absorbs(monkeypatch):
     """Patch _StabilisedKernel.absorb to record (eps, at a level start) per
     call: a call at a level start changes the kernel's epsilon, a drift
-    absorption or an underflow retry within a level keeps it."""
+    absorption or an underflow retry within a level keeps it. Every call
+    must leave both scalings at 1, so the potentials it was given are the
+    ones the kernel state gives back."""
     calls = []
     absorb = transport._StabilisedKernel.absorb
 
     def recorded(self, f, g, eps):
         calls.append((eps, getattr(self, "eps", None) != eps))
         absorb(self, f, g, eps)
+        assert np.all(self.u == 1.0) and np.all(self.v == 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(self.potentials(), (f, g)))
 
     monkeypatch.setattr(transport._StabilisedKernel, "absorb", recorded)
     return calls
@@ -385,13 +433,19 @@ def test_halved_kernel_matches_a_kernel_built_at_half_the_epsilon():
     wa[:3] = wb[:2] = 0.0
     f, g = 0.05 * rng.normal(size=20), 0.05 * rng.normal(size=15)
     f[:3] = g[:2] = 0.6  # idle entries would be far above 1
+    df, dg = 1e-3 * rng.normal(size=20), 1e-3 * rng.normal(size=15)
     halved = transport._StabilisedKernel(c, wa, wb)
     fresh = transport._StabilisedKernel(c, wa, wb)
     with np.errstate(over="ignore"):  # as in the solver
         halved.absorb(f, g, 2.0 ** -8)
-        halved.halve()
+        # the potentials f + df, g + dg, held as scalings against that kernel
+        halved.u, halved.v = np.exp(df / 2.0 ** -8), np.exp(dg / 2.0 ** -8)
+        assert halved.halve()
         fresh.absorb(f, g, 2.0 ** -9)
     assert halved.eps == fresh.eps
+    # the squared scalings hold the same potentials at half the epsilon
+    hf, hg = halved.potentials()
+    assert np.abs(hf - (f + df)).max() <= 1e-15 and np.abs(hg - (g + dg)).max() <= 1e-15
     assert np.all(halved.k[:3, :2] == 0.0)
     held = fresh.k > 1e-300
     assert 0 < held.sum() < held.size - 6  # some entries underflow at eps = 2^-9
@@ -412,21 +466,25 @@ def test_w1_bound_builds_its_kernel_from_the_cost_at_the_first_and_final_level_o
 
 
 def test_sinkhorn_caches_the_drift_of_the_potential_a_half_step_left_alone(monkeypatch):
-    # the solve of the test above, with mid-level absorptions: at every check
-    # the cached drifts are those of the potentials against the kernel's
+    # the solve of the test above, with mid-level absorptions: each half-step
+    # tests only the scaling it moved against the band, so at every test the
+    # scaling it left alone must already be within the band, that is its
+    # potential within _ABSORB eps of the kernel's
     rng = np.random.default_rng(59)
     x, y = rng.random((30, 2)), rng.random((25, 2))
     c = CostSpec("sqdist").matrix(x, y)
     wa, wb = rng.dirichlet(np.ones(30)), rng.dirichlet(np.ones(25))
     checks = []
-    check = transport._StabilisedKernel._absorb_if_moved
+    settle = transport._StabilisedKernel._settle
+    lo, hi = np.exp(-transport._ABSORB), np.exp(transport._ABSORB)
 
-    def recomputed(self, f, g):
-        checks.append((self.f_drift, self.g_drift) == (np.abs(f - self.f_bar).max(),
-                                                       np.abs(g - self.g_bar).max()))
-        check(self, f, g)
+    def recomputed(self, s):
+        assert s is self.u or s is self.v
+        left = self.v if s is self.u else self.u
+        checks.append(bool(lo <= left.min() and left.max() <= hi))
+        return settle(self, s)
 
-    monkeypatch.setattr(transport._StabilisedKernel, "_absorb_if_moved", recomputed)
+    monkeypatch.setattr(transport._StabilisedKernel, "_settle", recomputed)
     transport._sinkhorn_potentials(c, wa, wb, 1e-4, 2000, 1e-9)
     assert len(checks) > 100 and all(checks)
 

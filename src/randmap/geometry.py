@@ -11,10 +11,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Entries per block of the blocked in-place passes over (n, m) arrays (here
-# and in transport's rounding): small enough that a pass adds no (n, m)
-# temporary.
+# Entries per block of every blocked pass over an (n, m) array, stored
+# (`_blocks`) or not (`_row_blocks`), here and in transport: small enough
+# that a pass adds no (n, m) temporary.
 BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """Slices that cut rows of cols entries each into blocks of whole rows,
+    at most BLOCK_ENTRIES entries (and at least one row) per block."""
+    step = max(1, BLOCK_ENTRIES // max(1, cols))
+    return [slice(i, i + step) for i in range(0, rows, step)]
+
+
+def _blocks(a: np.ndarray) -> list[tuple[slice, slice]]:
+    """(rows, cols) index pairs that cut a into blocks of at most
+    BLOCK_ENTRIES entries along its contiguous axis: blocks of whole rows
+    when a is C-contiguous, of whole columns otherwise."""
+    if a.flags.c_contiguous:
+        return [(rows, slice(None)) for rows in _row_blocks(*a.shape)]
+    return [(slice(None), cols) for cols in _row_blocks(a.shape[1], a.shape[0])]
 
 
 def wrap_unit(x: np.ndarray | float) -> np.ndarray:
@@ -70,22 +86,23 @@ def pairwise_distance(x: np.ndarray, y: np.ndarray, periodic: bool = False) -> n
     (n, m) array, in the order a sum over a (n, m, d) array of deltas would
     add them, so no (n, m, d) array is built; distances below about 1.5e-154
     then read 0 and those above about 1.3e154 read inf (np.hypot would scale
-    them, at about three times the cost). The rows are done in blocks of at
-    most BLOCK_ENTRIES entries: axis 0's delta is written into the block of
-    the result itself, and each further axis goes through one block-sized
-    buffer, so the call holds the (n, m) result and no other (n, m) array.
+    them, at about three times the cost). The result has its longer axis
+    contiguous (Fortran order when n > m), and is filled in blocks along it
+    (`_blocks`): axis 0's delta is written into the block of the result
+    itself, and each further axis goes through one block-sized buffer, so
+    the call holds the (n, m) result and no other (n, m) array.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     dim = x.shape[1]
-    out = np.zeros((len(x), len(y)))
-    rows = max(1, BLOCK_ENTRIES // max(1, len(y)))
-    buf = np.empty((min(rows, len(x)), len(y))) if dim > 1 else None
-    for i0 in range(0, len(x), rows):
-        acc = out[i0:i0 + rows]
+    out = np.zeros((len(x), len(y)), order="F" if len(x) > len(y) else "C")
+    blocks = _blocks(out)
+    buf = np.empty_like(out[blocks[0]]) if dim > 1 and blocks else None
+    for rows, cols in blocks:
+        acc = out[rows, cols]
         for a in range(dim):
-            delta = buf[:len(acc)] if a else acc
-            np.subtract.outer(x[i0:i0 + rows, a], y[:, a], out=delta)
+            delta = buf[:acc.shape[0], :acc.shape[1]] if a else acc
+            np.subtract.outer(x[rows, a], y[cols, a], out=delta)
             if periodic:  # wrap_signed, in place
                 delta += 0.5
                 delta -= np.floor(delta)
@@ -120,16 +137,8 @@ class CostSpec:
             raise ValueError("cost exponent p must be >= 1")
 
     def matrix(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        if self.kind == "negdot":
-            return -(x @ y.T)
-        d = pairwise_distance(x, y, periodic=self.periodic)
-        if self.kind == "sqdist":
-            d *= d
-        elif self.p != 1:  # d ** 1.0 is d
-            d **= self.p
-        return d
+        """The (n, m) cost matrix; C-ordered for negdot, else as `pairwise_distance` lays it out."""
+        return self._matrix(x, y, scaled=False)[0]
 
     def scaled_matrix(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
         """(C / s, s) for the cost matrix C, where s is the largest absolute
@@ -140,20 +149,25 @@ class CostSpec:
         largest one before the power, so no entry of C / s underflows to 0
         merely because p is large; s itself may.
         """
+        return self._matrix(x, y, scaled=True)
+
+    def _matrix(self, x: np.ndarray, y: np.ndarray, scaled: bool) -> tuple[np.ndarray, float]:
+        """(C / s, s) as `scaled_matrix` gives it if scaled, else (C, 1.0); never C / 1."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if self.kind == "negdot":
             c = -(x @ y.T)
         else:
             c = pairwise_distance(x, y, periodic=self.periodic)
-        top = float(np.abs(c).max(initial=0.0))
-        if not 0.0 < top < 1.0:
+        top = float(np.abs(c).max(initial=0.0)) if scaled else 1.0
+        if 0.0 < top < 1.0:
+            c /= top
+        else:
             top = 1.0
-        c /= top
         if self.kind == "sqdist":
             c *= c
             top *= top
-        elif self.kind == "dist_p":
+        elif self.kind == "dist_p" and self.p != 1:  # d ** 1.0 is d
             c **= self.p
             top **= self.p
         return c, top

@@ -541,9 +541,10 @@ def wasserstein_sinkhorn_upper(mu, nu, p: float = 1.0, periodic: bool = False,
     drifts out of its band. The final level is overrelaxed Sinkhorn, and the
     plan is built from the potentials of its last step, which is always a
     plain one; within the budget this gives a tighter bound than plain
-    Sinkhorn would. The cost and the kernel are stored with their longer
-    axis contiguous, and the plan is rounded to feasible with vectors and
-    in place, so the bound holds at most two plan-sized arrays at once.
+    Sinkhorn would. The cost is built with its longer axis contiguous
+    (`geometry.pairwise_distance`), the kernel and the plan take its layout,
+    and the plan is rounded to feasible with vectors and in place, so the
+    bound holds at most two plan-sized arrays at once.
     """
     from . import transport
 

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import BLOCK_ENTRIES, CostSpec, GridSpec, interp_grid, wrap_signed, wrap_unit
+from .geometry import (CostSpec, GridSpec, _blocks, _row_blocks, interp_grid, wrap_signed,
+                       wrap_unit)
 from .measures import (EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError,
                        atoms_1d, circle_rotation, step_quantile, write_rows)
 
@@ -250,6 +251,8 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
     from scipy import sparse
     from scipy.optimize import linprog
 
+    if mu.dim != nu.dim:
+        raise MeasureError(f"cannot couple measures of dimension {mu.dim} and {nu.dim}")
     m, n = mu.size, nu.size
     if m > EXACT_SIZE_GUARD or n > EXACT_SIZE_GUARD:
         raise MeasureError(f"support sizes ({m}, {n}) exceed LP guard {EXACT_SIZE_GUARD}")
@@ -289,8 +292,9 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 # K = exp((f_bar + g_bar - C)/eps), and a Sinkhorn half-step touches only the
 # scalings, u <- 1 / (K (b v)), one matrix-vector product and one divide.
 # When a scaling leaves [e^-_ABSORB, e^_ABSORB], the potentials are formed
-# and folded into a new K. K is stored with its longer axis contiguous, so
-# both products, through K and through K.T, read it along long runs.
+# and folded into a new K. K takes the cost's layout, which for the distance
+# kinds is `pairwise_distance`'s, longer axis contiguous, so both products,
+# through K and through K.T, read it along long runs.
 #
 # The final epsilon level runs overrelaxed Sinkhorn (Thibault, Chizat,
 # Dossal & Papadakis 2017, arXiv:1711.01851; Lehmann, von Renesse, Sambale
@@ -309,7 +313,6 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 # unrounded plan, so the rounding is vectors until it is applied.
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 22
 # A scaling may move as far as e^+-_ABSORB from 1 (its potential this many
 # epsilons from the one the kernel was built with) before the potentials are
 # folded back into the kernel: far inside the range of floats, and far above
@@ -343,27 +346,6 @@ def _log_weights(w: np.ndarray) -> np.ndarray:
     return np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), -np.inf)
 
 
-def _cost_matrix(cost: CostSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """cost.matrix(x, y) with its longer axis contiguous, as the kernel stores
-    it: in Fortran order when x has more points than y, built as the
-    transpose of the cost from -y to -x. For the distance kinds that is the
-    same matrix bit for bit, since (-y_j) - (-x_i) is x_i - y_j exactly."""
-    if len(x) > len(y):
-        return cost.matrix(-np.asarray(y, dtype=float), -np.asarray(x, dtype=float)).T
-    return cost.matrix(x, y)
-
-
-def _blocks(a: np.ndarray) -> list[tuple[slice, slice]]:
-    """(rows, cols) index pairs that cut a into blocks of at most
-    BLOCK_ENTRIES entries along its contiguous axis: blocks of whole rows
-    when a is C-contiguous, of whole columns otherwise."""
-    if a.flags.c_contiguous:
-        step = max(1, BLOCK_ENTRIES // max(1, a.shape[1]))
-        return [(slice(i, i + step), slice(None)) for i in range(0, a.shape[0], step)]
-    step = max(1, BLOCK_ENTRIES // max(1, a.shape[0]))
-    return [(slice(None), slice(j, j + step)) for j in range(0, a.shape[1], step)]
-
-
 def _fill_exp(out: np.ndarray, f: np.ndarray, g: np.ndarray, c: np.ndarray,
               eps: float) -> None:
     """out_ij = exp((f_i + g_j - c_ij)/eps), block by block along out's
@@ -392,16 +374,16 @@ class _StabilisedKernel:
     the potentials by `absorb`, which resets both scalings to 1, or moved to
     half its epsilon by `halve`, which squares K, u and v:
     exp(x/eps)^2 = exp(x/(eps/2)), around the same f_bar, g_bar, with no cost
-    read and no exp. K's longer axis is contiguous (Fortran order when it has
-    more rows than columns). Its methods run under the solver's
-    np.errstate(over="ignore", invalid="ignore", divide="ignore"): a kernel
-    sum that is 0 or not finite makes its scaling inf, 0 or NaN, which
+    read and no exp. K is laid out as the cost is (`np.empty_like`) and built
+    along its contiguous axis (`_fill_exp`). Its methods run under the
+    solver's np.errstate(over="ignore", invalid="ignore", divide="ignore"): a
+    kernel sum that is 0 or not finite makes its scaling inf, 0 or NaN, which
     iterate reports.
     """
 
     def __init__(self, c: np.ndarray, wa: np.ndarray, wb: np.ndarray):
         self.c, self.wa, self.wb = c, wa, wb
-        self.k = np.empty(c.shape, order="F" if c.shape[0] > c.shape[1] else "C")
+        self.k = np.empty_like(c)
         # An entry between a zero-weight row and a zero-weight column always
         # meets an exact zero weight, and no update bounds its exponent, so
         # it is kept at 0 rather than left to overflow to inf (inf * 0 = NaN).
@@ -527,6 +509,12 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     comes from a plain step, and err is the L1 column violation of that step's
     (exactly row-feasible) plan exp((f + g_prev - C)/eps) a b.
     """
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise SolverError(f"epsilon must be finite and > 0, got {epsilon!r}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise SolverError(f"tol must be finite and > 0, got {tol!r}")
+    if max_iter < 1:
+        raise SolverError(f"max_iter must be >= 1, got {max_iter!r}")
     levels = [epsilon]
     lvl = 1.0
     while lvl > epsilon:
@@ -634,13 +622,9 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     the only plan-sized arrays held at once. A run that exhausts max_iter is
     returned with converged=False and its residual marginal error.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise SolverError(f"epsilon must be finite and > 0, got {epsilon!r}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise SolverError(f"tol must be finite and > 0, got {tol!r}")
-    if max_iter < 1:
-        raise SolverError(f"max_iter must be >= 1, got {max_iter!r}")
-    c = _cost_matrix(cost, mu.points, nu.points)
+    if mu.dim != nu.dim:
+        raise MeasureError(f"cannot couple measures of dimension {mu.dim} and {nu.dim}")
+    c = cost.matrix(mu.points, nu.points)
     f, g, converged, err, _ = _sinkhorn_potentials(c, mu.weights, nu.weights,
                                                    epsilon, max_iter, tol)
     gamma, value = _rounded_plan(c, f, g, epsilon, mu.weights, nu.weights)
@@ -735,12 +719,11 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     """
     if not isinstance(mu, GridDensity):
         raise MapError("brenier_map requires an absolutely continuous (grid) source")
-    if reg_epsilon <= 0:
-        raise SolverError("reg_epsilon must be > 0")
     src = mu.as_discrete()
     tgt = nu.as_discrete()
-    cost = CostSpec("sqdist", periodic=False)
-    c = _cost_matrix(cost, src.points, tgt.points)
+    if src.dim != tgt.dim:
+        raise MapError(f"cannot map a measure of dimension {src.dim} to dimension {tgt.dim}")
+    c = CostSpec("sqdist", periodic=False).matrix(src.points, tgt.points)
     c *= 0.5  # in place: scaling by a power of two is exact
     _, g, converged, err, iters = _sinkhorn_potentials(c, src.weights, tgt.weights,
                                                        reg_epsilon, max_iter=4000, tol=1e-10)
@@ -753,13 +736,12 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     affine = (g - 0.5 * np.sum(y * y, axis=1) + reg_epsilon * lb) / reg_epsilon
     nodes = mu.nodes()
     images = np.empty((len(nodes), y.shape[1]))
-    block = max(1, _CHUNK // max(1, len(y)))
-    for i0 in range(0, len(nodes), block):
-        logits = nodes[i0:i0 + block] @ y.T / reg_epsilon + affine[None, :]
+    for rows in _row_blocks(len(nodes), len(y)):
+        logits = nodes[rows] @ y.T / reg_epsilon + affine[None, :]
         logits -= logits.max(axis=1, keepdims=True)
         w = np.exp(logits)
         w /= w.sum(axis=1, keepdims=True)
-        images[i0:i0 + block] = w @ y
+        images[rows] = w @ y
     gspec = GridSpec(mu.dim, mu.n, periodic=False)
     psi = _integrate_potential(images - nodes, gspec)
     return TransportMap(nodes, images, psi=psi, route="brenier", grid=gspec)
@@ -810,12 +792,11 @@ def _argmax_conjugate_map(phi: PotentialGrid, target: GridSpec):
     y = target.nodes()
     images = np.empty((len(y), nodes.shape[1]))
     conj = np.empty(len(y))
-    block = max(1, _CHUNK // max(1, len(nodes)))
-    for j0 in range(0, len(y), block):
-        scores = y[j0:j0 + block] @ nodes.T - vals[None, :]
+    for rows in _row_blocks(len(y), len(nodes)):
+        scores = y[rows] @ nodes.T - vals[None, :]
         best = scores.argmax(axis=1)
-        images[j0:j0 + block] = nodes[best]
-        conj[j0:j0 + block] = scores[np.arange(len(best)), best]
+        images[rows] = nodes[best]
+        conj[rows] = scores[np.arange(len(best)), best]
     return images, conj
 
 

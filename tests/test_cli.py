@@ -433,6 +433,19 @@ def _wdist_p(workspace, p, *flags):
             "--p", p, *flags, "--out", str(workspace / "wp")]
 
 
+def _mixed_dimensions(workspace, command, first, second, *flags):
+    """argv of command from the file first to the file second, where b2.csv
+    (two 2D atoms) and g2.csv (a uniform 2D grid) join the workspace's 1D
+    files."""
+    DiscreteMeasure(np.array([[0.1, 0.7], [0.9, 0.2]]), np.array([0.5, 0.5])).to_csv(
+        workspace / "b2.csv")
+    GridDensity.uniform(2, 8).to_csv(workspace / "g2.csv")
+    a, b = {"couple": ("--mu", "--nu"), "wdist": ("--a", "--b"),
+            "stability": ("--mu", "--targets")}[command]
+    return [command, a, str(workspace / first), b, str(workspace / second), *flags,
+            "--out", str(workspace / "md")]
+
+
 def _density_with_value(workspace, token):
     lines = (workspace / "uniform.csv").read_text().splitlines()
     lines[4] = token
@@ -516,6 +529,20 @@ BAD_INPUTS = {
                      ["--cap", "finite number > 0", "'nan'"]),
     "stability-eps-nan": (lambda ws: _stability_eps(ws, "nan"), ["eps must be > 0", "nan"]),
     "stability-eps-inf": (lambda ws: _stability_eps(ws, "inf"), ["eps must be > 0", "inf"]),
+    "couple-exact-dims": (lambda ws: _mixed_dimensions(ws, "couple", "atoms.csv", "b2.csv"),
+                          ["dimension 1 and 2"]),
+    "couple-sinkhorn-dims": (lambda ws: _mixed_dimensions(ws, "couple", "atoms.csv", "b2.csv",
+                                                          "--method", "sinkhorn"),
+                             ["dimension 1 and 2"]),
+    "couple-exact-dims-reversed": (
+        lambda ws: _mixed_dimensions(ws, "couple", "b2.csv", "atoms.csv"), ["dimension 2 and 1"]),
+    "wdist-exact-dims": (lambda ws: _mixed_dimensions(ws, "wdist", "atoms.csv", "b2.csv",
+                                                      "--method", "exact"),
+                         ["dimension 1 and 2"]),
+    "stability-dims": (lambda ws: _mixed_dimensions(ws, "stability", "g2.csv", "uniform.csv",
+                                                    "--limit", str(ws / "uniform.csv"),
+                                                    "--eps", "0.1"),
+                       ["dimension 2 to dimension 1"]),
 }
 
 

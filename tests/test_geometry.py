@@ -4,9 +4,9 @@ multi-array fancy-index gather returns, bit for bit, and the linear deposit
 is the exact adjoint of interpolation. Also: torus wrapping stays inside
 [0, 1) and equals the np.mod formulas bit for bit, every grid-backed object
 builds its grid once, pairwise distances are the broadcast formula's,
-bit for bit (in 1D the absolute delta, also where its square underflows),
-and a scaled cost matrix is the cost itself unless its largest
-entry is below 1."""
+bit for bit and longer axis contiguous (in 1D the absolute delta, also
+where its square underflows), and a scaled cost matrix is the cost itself
+unless its largest entry is below 1."""
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -180,16 +180,23 @@ def test_grid_is_built_once(make):
     assert obj.grid is obj.grid
 
 
-@pytest.mark.parametrize("periodic", [False, True])
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_pairwise_distance_equals_broadcast_formula_bit_for_bit(dim, periodic):
+# 40 x 33 is one block; 700 x 200 and 200 x 700 are three along the long
+# axis, the last one partial
+@pytest.mark.parametrize("dim,periodic,n,m", [
+    pytest.param(dim, periodic, n, m,
+                 id=f"{dim}-{periodic}" + ("" if n == 40 else f"-{n}x{m}"))
+    for dim, n, m in [(1, 40, 33), (2, 40, 33), (3, 40, 33), (2, 700, 200), (2, 200, 700)]
+    for periodic in (False, True)])
+def test_pairwise_distance_equals_broadcast_formula_bit_for_bit(dim, periodic, n, m):
     rng = np.random.default_rng(10 * dim + periodic)
-    x, y = 3 * rng.random((40, dim)) - 1, 3 * rng.random((33, dim)) - 1
+    x, y = 3 * rng.random((n, dim)) - 1, 3 * rng.random((m, dim)) - 1
     delta = x[:, None, :] - y[None, :, :]
     if periodic:
         delta = wrap_signed(delta)
     expected = np.sqrt(np.sum(delta * delta, axis=-1))
-    assert np.array_equal(pairwise_distance(x, y, periodic=periodic), expected)
+    got = pairwise_distance(x, y, periodic=periodic)
+    assert np.array_equal(got, expected)
+    assert (got.flags.f_contiguous, got.flags.c_contiguous) == (n > m, n <= m)
 
 
 @given(st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6),

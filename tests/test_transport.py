@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from randmap import transport
-from randmap.geometry import CostSpec, GridSpec, wrap_signed, wrap_unit
+from randmap.geometry import CostSpec, GridSpec, _row_blocks, wrap_signed, wrap_unit
 from randmap.kernel import stability_experiment
 from randmap.measures import (
     DiscreteMeasure,
@@ -369,8 +369,8 @@ _ZERO_WEIGHT_PAIR = (CostSpec("sqdist").matrix(np.array([[0.0], [1.0]]),
 
 def _tall_torus_w1():
     """W1 on the torus with more rows than columns and a zero-weight row, the
-    cost in Fortran order as solve_sinkhorn builds it for a tall problem, so
-    that the kernel's columns are contiguous."""
+    cost in Fortran order as `pairwise_distance` builds it for a tall
+    problem, so that the kernel's columns are contiguous."""
     rng = np.random.default_rng(67)
     wa = rng.dirichlet(np.ones(40))
     wa[5] = 0.0
@@ -787,6 +787,13 @@ def test_brenier_rejects_atomic_source():
         brenier_map(nu, nu, reg_epsilon=1e-2)
 
 
+@pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1.0])
+def test_brenier_rejects_an_epsilon_that_is_not_finite_and_positive(eps):
+    g = GridDensity.uniform(2, 8)
+    with pytest.raises(SolverError, match="epsilon must be finite and > 0"):
+        brenier_map(g, g, reg_epsilon=eps)
+
+
 def test_brenier_rejects_unconverged_sinkhorn(monkeypatch):
     from randmap import transport
 
@@ -866,6 +873,18 @@ def test_legendre_double_transform_is_envelope():
     back = legendre_transform(star, dual_bounds=((-1.0, 1.0),), dual_n=n)
     assert np.all(back.values <= vals + 1e-10)
     assert back.midpoint_convexity_violation() <= 1e-10
+
+
+def test_legendre_transform_is_the_full_score_maximum_across_row_blocks():
+    # 512 dual nodes of 512 scores each span four blocks of BLOCK_ENTRIES;
+    # in 1D each score is one product and one difference, so the blocked
+    # argmax must give the full matrix's maxima bit for bit
+    n = 512
+    assert len(_row_blocks(n, n)) >= 3
+    phi = PotentialGrid(np.random.default_rng(83).random(n), ((0.0, 1.0),))
+    star = legendre_transform(phi, dual_bounds=((-2.0, 2.0),), dual_n=n)
+    scores = star.grid.nodes() @ phi.grid.nodes().T - phi.values[None, :]
+    assert np.array_equal(star.values, scores.max(axis=1))
 
 
 # ---------------------------------------------------------------------------

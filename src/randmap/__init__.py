@@ -2,12 +2,12 @@
 
 Modules
 -------
-geometry   torus/box grids, the shared interpolation/deposit stencil, distances
-measures   measure representations, moments, pushforwards, Wasserstein metrics
-transport  exact/entropic coupling solvers, monotone and Brenier maps, duality
+geometry   torus/box grids, interpolation and deposit on them, distances, costs
+measures   measure representations, grid pushforwards, Wasserstein metrics
+transport  exact/entropic coupling solvers, monotone and Brenier maps
 moser      Moser coupling on the flat torus (Poisson solve, flow integration)
 kernel     kernel families, representation builders, statistical verification
-lift       exponential-map and trivial-bundle lifting between manifolds and R^k
+lift       exponential-map charts of the circle, torus and sphere; atom CSVs
 cli        config-driven experiment runner
 """
 

@@ -177,6 +177,17 @@ _positive = _finite_at_least(0.0, strict=True)  # a tolerance, epsilon or cap
 _order = _finite_at_least(1.0, strict=False)  # a Wasserstein order or cost exponent
 
 
+def _seed(text: str) -> int:
+    """An argparse type: an integer >= 0, as numpy's generators take."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = -1
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return val
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -398,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "verify":
             sp.add_argument("--n", type=int, default=10000)
             sp.add_argument("--tol", type=_positive, default=0.05)
-            sp.add_argument("--seed", type=int, required=True)
+            sp.add_argument("--seed", type=_seed, required=True)
         add_out(sp)
         sp.set_defaults(func=handler)
 
@@ -432,8 +443,15 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
+        if not isinstance(cfg, dict):
+            print(f"config error: {args.config} must be a JSON object", file=sys.stderr)
+            return USAGE_ERROR
         if "cmd" not in cfg:
             print("config error: missing field 'cmd'", file=sys.stderr)
+            return USAGE_ERROR
+        if not isinstance(cfg["cmd"], str):
+            print(f"config error: field 'cmd' must be a command name, got {cfg['cmd']!r}",
+                  file=sys.stderr)
             return USAGE_ERROR
         flags = [cfg["cmd"]]
         for key, val in cfg.items():

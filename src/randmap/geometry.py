@@ -2,7 +2,8 @@
 
 Grid quantities live on the flat torus [0,1)^d (cell-centered nodes),
 bounded-box charts use the same cell-centered layout without wrapping.
-One stencil serves both linear interpolation and the linear deposit.
+`interp_grid` is the one (multi)linear interpolation; `deposit_grid` bins
+particles to their nearest cell.
 """
 from __future__ import annotations
 
@@ -201,10 +202,6 @@ class GridSpec:
     def spacing(self) -> np.ndarray:
         return np.array([(hi - lo) / self.n for lo, hi in self.bounds])
 
-    @property
-    def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
-
     def axis_nodes(self, axis: int) -> np.ndarray:
         lo, hi = self.bounds[axis]
         h = (hi - lo) / self.n
@@ -297,21 +294,6 @@ def interp_grid(values: np.ndarray, points: np.ndarray, grid: GridSpec) -> np.nd
         out = term if out is None else np.add(out, term, out=out)
     # points first and C-ordered, as a column_stack of one call per field
     return out if offsets is None else np.ascontiguousarray(out.swapaxes(-1, -2))
-
-
-def deposit_linear(points: np.ndarray, weights: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Linear (cloud-in-cell) deposit of weighted particles onto a grid.
-
-    It shares interp_grid's stencil, so it is that interpolation's exact
-    adjoint: sum_i w_i interp(v, x_i) = sum over cells of v * deposit(x, w).
-    """
-    out = np.zeros((grid.n,) * grid.dim)
-    for index, factors in _stencil(points, grid):
-        mass = np.asarray(weights, dtype=float)
-        for f in factors:
-            mass = mass * f
-        np.add.at(out, index, mass)
-    return out
 
 
 def deposit_grid(points: np.ndarray, weights: np.ndarray, n: int, dim: int) -> np.ndarray:

@@ -11,7 +11,6 @@ with their target; both compare maps node by node with one distance.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 
@@ -127,10 +126,6 @@ class ModulusTable:
     def as_records(self) -> list[dict]:
         return [{"dx": float(dx), "dT": float(dt)}
                 for dx, dt in zip(self.base_dists, self.map_dists)]
-
-    @property
-    def lipschitz(self) -> float:
-        return self.fits[1.0]
 
 
 @dataclass(frozen=True)
@@ -258,7 +253,13 @@ def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
 
 @dataclass(frozen=True)
 class RandomMap:
-    """One sampled map f_omega: evaluates T_x at the shared draw omega."""
+    """One sampled map f_omega: evaluates T_x at the shared draw omega.
+
+    Between base points it follows the family's interpolation rule (the
+    kernel manifest's `interp` row): nearest base point, or rejection when
+    the rule is 'none'. No command samples single maps yet; this class is
+    kept as the one definition of what that rule means.
+    """
 
     family: RandomMapFamily
     omega: np.ndarray
@@ -267,15 +268,6 @@ class RandomMap:
     def __call__(self, x) -> np.ndarray:
         idx = self.family.kernel.nearest_index(x)
         return self.family.maps[idx].evaluate(self.omega)[0]
-
-
-def sample_random_map(family: RandomMapFamily, seed: int) -> RandomMap:
-    """Draw omega ~ nu once (seeded) and return the map x -> T_x(omega).
-
-    Evaluation away from the base points follows the family's interpolation
-    rule: nearest base point, or rejection when the rule is 'none'.
-    """
-    return RandomMap(family, draw_sample(family.reference, 1, seed), seed)
 
 
 @dataclass(frozen=True)
@@ -309,9 +301,6 @@ class VerificationReport:
             "modulus": self.modulus.as_records() if self.modulus is not None else [],
         }
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
 def verify_representation(family: RandomMapFamily, n_samples: int, tol: float,

@@ -1,4 +1,4 @@
-"""Measure representations, moments, pushforwards, and Wasserstein distances.
+"""Measure representations, grid pushforwards, and Wasserstein distances.
 
 Two concrete representations are supported: weighted point clouds in R^d
 (`DiscreteMeasure`) and periodic densities on the flat torus [0,1)^dim
@@ -26,7 +26,6 @@ from .geometry import (
 
 WEIGHT_TOL = 1e-12
 MEAN_TOL = 1e-10
-MERGE_TOL = 1e-12
 EXACT_SIZE_GUARD = 4096
 
 
@@ -108,19 +107,6 @@ class DiscreteMeasure:
     def size(self) -> int:
         return len(self.weights)
 
-    @classmethod
-    def dirac(cls, point) -> "DiscreteMeasure":
-        return cls(np.atleast_2d(np.asarray(point, dtype=float)), np.array([1.0]))
-
-    def merged(self, tol: float = MERGE_TOL) -> "DiscreteMeasure":
-        """Merge atoms whose coordinates agree within tol (sums their weights)."""
-        key = np.round(self.points / tol).astype(np.int64)
-        uniq, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
-        w = np.zeros(len(uniq))
-        np.add.at(w, inverse.ravel(), self.weights)
-        pts = self.points[first]
-        return DiscreteMeasure(pts, w / w.sum())
-
     def as_discrete(self, subdiv: int = 1) -> "DiscreteMeasure":
         """The measure itself: it is already atomic at every resolution."""
         return self
@@ -176,12 +162,6 @@ class GridDensity:
     @property
     def min_value(self) -> float:
         return float(self.values.min())
-
-    def is_positive(self, kappa: float) -> bool:
-        """Positive-density flag: min value >= kappa > 0."""
-        if kappa <= 0:
-            raise MeasureError("positivity threshold kappa must be > 0")
-        return self.min_value >= kappa
 
     def nodes(self) -> np.ndarray:
         return self.grid.nodes()
@@ -240,55 +220,6 @@ def draw_sample(mu: DiscreteMeasure | GridDensity, n_draws: int, seed: int) -> n
     offs = rng.random((n_draws, mu.dim)) / mu.n
     corners = np.column_stack(np.unravel_index(idx, (mu.n,) * mu.dim)) / mu.n
     return corners + offs
-
-
-def empirical_measure(draws: np.ndarray) -> DiscreteMeasure:
-    """Atoms at the (N, d) draws, weight 1/N each; coincident draws merge."""
-    if len(draws) < 1:
-        raise MeasureError("sample must contain at least one draw")
-    return DiscreteMeasure(draws, np.full(len(draws), 1.0 / len(draws))).merged()
-
-
-def _base_point(base, dim: int) -> np.ndarray:
-    b = np.asarray(base, dtype=float).ravel()
-    if len(b) != dim:
-        raise MeasureError(f"base point dimension {len(b)} != measure dimension {dim}")
-    return b
-
-
-def p_moment(mu: DiscreteMeasure | GridDensity, p: float, base) -> float:
-    """p-th moment around `base`: integral of d(base, x)^p dmu(x).
-
-    Discrete measures use exact summation with the Euclidean metric; grid
-    densities use midpoint quadrature with the torus quotient metric.
-    """
-    if p < 1:
-        raise MeasureError("moment order p must be >= 1")
-    b = _base_point(base, mu.dim)
-    if isinstance(mu, DiscreteMeasure):
-        d = pairwise_distance(mu.points, b[None, :])[:, 0]
-        return float(np.sum(mu.weights * d ** p))
-    d = pairwise_distance(mu.nodes(), b[None, :], periodic=True)[:, 0]
-    return float(np.sum(mu.cell_masses() * d ** p))
-
-
-def pushforward(T, mu: DiscreteMeasure) -> DiscreteMeasure:
-    """Image measure T_* mu: atoms move, weights are untouched, images merge.
-
-    The map is called once per atom, on a (1, d) array: a plain callable may
-    handle one point at a time, and the per-atom call is what lets the error
-    name the support point where the map is undefined.
-    """
-    images = []
-    for pt in mu.points:
-        try:
-            y = np.asarray(T(pt[None, :]), dtype=float).reshape(-1)
-        except Exception as exc:
-            raise MeasureError(f"map undefined at support point {pt.tolist()}: {exc}") from exc
-        if not np.all(np.isfinite(y)):
-            raise MeasureError(f"map undefined at support point {pt.tolist()}")
-        images.append(y)
-    return DiscreteMeasure(np.vstack(images), mu.weights).merged()
 
 
 def grid_pushforward(T, rho: GridDensity) -> GridDensity:
@@ -529,22 +460,10 @@ def wasserstein_sinkhorn_upper(mu, nu, p: float = 1.0, periodic: bool = False,
                                tol: float = 1e-4) -> float:
     """Certified upper bound on W_p from a rounded entropic plan.
 
-    The rounded plan is feasible, so its cost can only exceed the optimum;
-    useful where the exact LP is out of reach (e.g. 2D grid densities).
-    Loose convergence settings only slacken the bound, never invalidate it.
-    The solve (`transport._sinkhorn_potentials`) iterates scalings against
-    a stabilised kernel and leaves each warm epsilon level as soon as its
-    marginal error is small, so most of the max_iter budget goes to the
-    final level. Each warm level after the first starts from the kernel and
-    scalings of the level before, squared, so the kernel is built from the
-    cost at the first and the final level, and again only when a scaling
-    drifts out of its band. The final level is overrelaxed Sinkhorn, and the
-    plan is built from the potentials of its last step, which is always a
-    plain one; within the budget this gives a tighter bound than plain
-    Sinkhorn would. The cost is built with its longer axis contiguous
-    (`geometry.pairwise_distance`), the kernel and the plan take its layout,
-    and the plan is rounded to feasible with vectors and in place, so the
-    bound holds at most two plan-sized arrays at once.
+    `transport.solve_sinkhorn` rounds its plan to be exactly feasible, so the
+    plan's cost can only exceed the optimum: loose settings (by default
+    epsilon 4e-3, max_iter 200, tol 1e-4) slacken the bound, never
+    invalidate it. Grid densities enter as one atom per cell.
     """
     from . import transport
 

@@ -343,15 +343,6 @@ def jacobian_min(flow: FlowMap | TransportMap) -> float:
     return float(det.min())
 
 
-def interpolate_density(rho0: GridDensity, rho1: GridDensity, t: float) -> GridDensity:
-    """Linear density interpolation rho_t = (1-t) rho0 + t rho1."""
-    if not 0.0 <= t <= 1.0:
-        raise MoserError(f"interpolation time {t} outside [0, 1]")
-    if rho0.n != rho1.n or rho0.dim != rho1.dim:
-        raise MoserError("densities must share one grid")
-    return GridDensity(rho0.dim, rho0.n, (1.0 - t) * rho0.values + t * rho1.values)
-
-
 def continuity_residual(fld: MoserField, t: float) -> float:
     """Sup-norm of d/dt rho_t + div(rho_t xi) at grid nodes (spectral div).
 

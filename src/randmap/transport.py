@@ -1,5 +1,5 @@
-"""Optimal-coupling solvers: exact LP, entropic, 1D monotone, Brenier maps,
-Legendre duality, map inversion, and the cyclical-monotonicity check.
+"""Optimal-coupling solvers (exact LP, entropic) and the optimal maps of the
+measurable route: 1D monotone rearrangements and 2D Brenier maps.
 
 The exact LP doubles as the optimality oracle for every other solver, so it
 is certified on return via dual feasibility and complementary slackness.
@@ -10,7 +10,6 @@ uses it, and its import would dominate every CLI command's start-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -121,35 +120,6 @@ class TransportMap:
     def __call__(self, x) -> np.ndarray:
         return self.evaluate(x)
 
-    def potential_consistency(self) -> float:
-        """Max deviation of images from x + centered-difference grad(psi).
-
-        Exact (machine precision) whenever the displacement field is affine;
-        interior nodes only on box charts, wrapped stencil on the torus.
-        """
-        if self.psi is None:
-            raise MapError("map carries no potential")
-        n, dim = self.grid.n, self.grid.dim
-        psi = self.psi.reshape((n,) * dim)
-        disp = self.images - self.points
-        if self.grid.periodic:
-            disp = wrap_signed(disp)
-        worst = 0.0
-        for a in range(dim):
-            h = self.grid.spacing[a]
-            if self.grid.periodic:
-                grad = (np.roll(psi, -1, axis=a) - np.roll(psi, 1, axis=a)) / (2 * h)
-                diff = np.abs(grad - disp[:, a].reshape(psi.shape))
-            else:
-                sl_lo = [slice(None)] * dim
-                sl_hi = [slice(None)] * dim
-                sl_in = [slice(None)] * dim
-                sl_lo[a], sl_hi[a], sl_in[a] = slice(0, -2), slice(2, None), slice(1, -1)
-                grad = (psi[tuple(sl_hi)] - psi[tuple(sl_lo)]) / (2 * h)
-                diff = np.abs(grad - disp[:, a].reshape(psi.shape)[tuple(sl_in)])
-            worst = max(worst, float(diff.max()))
-        return worst
-
     def to_csv(self, path) -> None:
         cols = ([f"x{a}" for a in range(self.points.shape[1])]
                 + [f"Tx{a}" for a in range(self.images.shape[1])])
@@ -158,43 +128,6 @@ class TransportMap:
             cols.append("psi")
             parts.append(self.psi[:, None])
         write_rows(path, cols, np.hstack(parts).tolist())
-
-
-@dataclass(frozen=True)
-class PotentialGrid:
-    """Scalar potential sampled at cell-centered nodes of a box chart."""
-
-    values: np.ndarray
-    bounds: tuple
-    convexified: bool = False
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise MapError("potential values must be finite")
-        bounds = tuple(tuple(map(float, b)) for b in self.bounds)
-        if vals.ndim != len(bounds):
-            raise MapError("bounds must give one (lo, hi) pair per axis")
-        if len(set(vals.shape)) != 1:
-            raise MapError("potential grid needs the same node count on every axis")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "bounds", bounds)
-
-    @cached_property
-    def grid(self) -> GridSpec:
-        return GridSpec(dim=self.values.ndim, n=self.values.shape[0], bounds=self.bounds,
-                        periodic=False)
-
-    def midpoint_convexity_violation(self) -> float:
-        """Largest violation of phi((x+y)/2) <= (phi(x)+phi(y))/2 on grid triples."""
-        worst = 0.0
-        v = self.values
-        for a in range(v.ndim):
-            left = np.take(v, range(0, v.shape[a] - 2), axis=a)
-            mid = np.take(v, range(1, v.shape[a] - 1), axis=a)
-            right = np.take(v, range(2, v.shape[a]), axis=a)
-            worst = max(worst, float((mid - 0.5 * (left + right)).max(initial=0.0)))
-        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -745,122 +678,3 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     gspec = GridSpec(mu.dim, mu.n, periodic=False)
     psi = _integrate_potential(images - nodes, gspec)
     return TransportMap(nodes, images, psi=psi, route="brenier", grid=gspec)
-
-
-# ---------------------------------------------------------------------------
-# Legendre duality and map inversion
-# ---------------------------------------------------------------------------
-
-def legendre_transform(phi: PotentialGrid, dual_bounds=None, dual_n: int | None = None) -> PotentialGrid:
-    """Discrete Legendre transform phi*(y) = max_x (x.y - phi(x)) on a dual grid.
-
-    The default dual grid spans the forward-difference slope range of phi
-    with the same node count. Values are capped at the finite sentinel
-    10 * diam(domain) * max(1, gradient bound) so extended-real transforms
-    of affine inputs stay representable.
-    """
-    grid = phi.grid
-    grads = []
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        slopes = np.diff(phi.values, axis=a) / h
-        grads.append(slopes)
-    if dual_bounds is None:
-        dual_bounds = []
-        for s in grads:
-            lo, hi = float(s.min()), float(s.max())
-            if hi - lo < 1e-12:
-                pad = max(grid.spacing.max(), 1e-6)
-                lo, hi = lo - pad, hi + pad
-            dual_bounds.append((lo, hi))
-        dual_bounds = tuple(dual_bounds)
-    if dual_n is None:
-        dual_n = grid.n
-    dual = GridSpec(dim=grid.dim, n=dual_n, bounds=tuple(dual_bounds), periodic=False)
-    _, out = _argmax_conjugate_map(phi, dual)
-    diam = float(np.sqrt(sum((hi - lo) ** 2 for lo, hi in phi.bounds)))
-    gradbound = max(1.0, max(float(np.abs(s).max()) for s in grads))
-    sentinel = 10.0 * diam * gradbound
-    out = np.minimum(out, sentinel)
-    return PotentialGrid(out.reshape((dual_n,) * dual.dim), dual.bounds, convexified=True)
-
-
-def _argmax_conjugate_map(phi: PotentialGrid, target: GridSpec):
-    """Subgradient selection of phi*: y -> argmax_x (x.y - phi(x)), lowest index wins."""
-    nodes = phi.grid.nodes()
-    vals = phi.values.ravel()
-    y = target.nodes()
-    images = np.empty((len(y), nodes.shape[1]))
-    conj = np.empty(len(y))
-    for rows in _row_blocks(len(y), len(nodes)):
-        scores = y[rows] @ nodes.T - vals[None, :]
-        best = scores.argmax(axis=1)
-        images[rows] = nodes[best]
-        conj[rows] = scores[np.arange(len(best)), best]
-    return images, conj
-
-
-def invert_map(s_map: TransportMap, target_grid: GridSpec) -> TransportMap:
-    """Inverse transport map on a target chart.
-
-    1D monotone maps invert by exact interpolation of the node samples.
-    2D maps require a potential: the inverse is the subgradient selection of
-    the Legendre transform of the convex potential |x|^2/2 + psi, which is
-    cyclically monotone by construction.
-    """
-    y_nodes = target_grid.nodes()
-    if s_map.dim == 1:
-        x = s_map.points[:, 0]
-        t = s_map.images[:, 0]
-        order = np.argsort(x, kind="stable")
-        x, t = x[order], t[order]
-        if np.all(np.diff(t) >= -1e-12):
-            images = np.interp(y_nodes[:, 0], t, x)[:, None]
-            psi = _integrate_potential(images - y_nodes, target_grid)
-            return TransportMap(y_nodes, images, psi=psi, route="composed",
-                                grid=target_grid)
-        if s_map.psi is None:
-            raise MapError("cannot invert a non-monotone map without a potential")
-    if s_map.psi is None:
-        raise MapError("2D inversion requires a gradient-of-convex map with potential")
-    nodes = s_map.points
-    phi_vals = 0.5 * np.sum(nodes * nodes, axis=1) + s_map.psi
-    phi = PotentialGrid(phi_vals.reshape((s_map.grid.n,) * s_map.grid.dim),
-                        s_map.grid.bounds)
-    images, conj = _argmax_conjugate_map(phi, target_grid)
-    psi_t = conj - 0.5 * np.sum(y_nodes * y_nodes, axis=1)
-    return TransportMap(y_nodes, images, psi=psi_t, route="composed", grid=target_grid)
-
-
-# ---------------------------------------------------------------------------
-# monotonicity check and plan cost
-# ---------------------------------------------------------------------------
-
-def check_cyclical_monotonicity(t_map: TransportMap, n_pairs: int = 1000,
-                                seed: int = 0) -> float:
-    """Worst pairwise slack (x_i - x_j).(T(x_i) - T(x_j)) over sampled node pairs.
-
-    Nonnegative (within roundoff) for monotone rearrangements and gradients
-    of convex potentials; decisively negative for non-optimal maps.
-    """
-    rng = np.random.default_rng(seed)
-    npts = len(t_map.points)
-    i = rng.integers(0, npts, size=n_pairs)
-    j = rng.integers(0, npts, size=n_pairs)
-    dx = t_map.points[i] - t_map.points[j]
-    dt = t_map.images[i] - t_map.images[j]
-    return float(np.sum(dx * dt, axis=1).min())
-
-
-def deterministic_plan_cost(t_map: TransportMap, mu: DiscreteMeasure, cost: CostSpec) -> float:
-    """Cost of the plan (id x T)_* mu, i.e. sum_i w_i c(x_i, T(x_i))."""
-    images = t_map.evaluate(mu.points)
-    if cost.kind == "negdot":
-        vals = -np.sum(mu.points * images, axis=1)
-    else:
-        delta = mu.points - images
-        if cost.periodic:
-            delta = wrap_signed(delta)
-        d = np.sqrt(np.sum(delta * delta, axis=1))
-        vals = d * d if cost.kind == "sqdist" else d ** cost.p
-    return float(np.sum(mu.weights * vals))

@@ -1,0 +1,76 @@
+"""Every public name in randmap has a caller outside the tests.
+
+The walk reads each module of src/randmap with `ast` and collects its
+public top-level functions and classes and the public methods of those
+classes. A name counts as called when it appears as an import alias or an
+attribute in another module of src/randmap or in the benchmark harness
+(perfbench/*.py), or as a name or attribute in its own module outside its
+own def. Docstrings and other strings do not count. Code that only tests
+compare against belongs in tests/oracles.py, not in the package.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "randmap"
+
+# Kept without a caller: RandomMap defines what the kernel manifest's
+# `interp` row means (nearest base point, or rejection under 'none'), by
+# evaluating the family's maps at one shared draw omega.
+ALLOWED = {"kernel.RandomMap"}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, def node) of each public top-level
+    function and class and each public method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("_")):
+                        yield f"{node.name}.{item.name}", item.name, item
+
+
+def _references(tree: ast.AST, names: bool, skip: ast.AST | None = None) -> set[str]:
+    """Import aliases and attributes in tree (and bare names too, if names),
+    leaving out the subtree skip."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif names and isinstance(node, ast.Name):
+            found.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def uncalled_names(package: Path, harness: Path) -> list[str]:
+    """module.name of every public name in package with no caller (see above)."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    imported = {stem: _references(tree, names=False) for stem, tree in modules.items()}
+    harness_refs = set().union(*(_references(ast.parse(path.read_text()), names=False)
+                                 for path in sorted(harness.glob("*.py"))))
+    missing = []
+    for stem, tree in modules.items():
+        elsewhere = set().union(harness_refs, *(refs for other, refs in imported.items()
+                                                if other != stem))
+        for qualname, name, node in _definitions(tree):
+            if name in elsewhere or name in _references(tree, names=True, skip=node):
+                continue
+            missing.append(f"{stem}.{qualname}")
+    return missing
+
+
+def test_every_public_name_has_a_non_test_caller():
+    uncalled = set(uncalled_names(PACKAGE, ROOT / "perfbench"))
+    assert uncalled == ALLOWED, (
+        f"public names with no caller outside the tests: {sorted(uncalled - ALLOWED)}; "
+        f"allowed names that have a caller now: {sorted(ALLOWED - uncalled)}")

@@ -324,6 +324,19 @@ def test_config_missing_cmd_field(workspace, capsys):
     assert "cmd" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, needle", [
+    ("5", "must be a JSON object"), ('["cmd"]', "must be a JSON object"),
+    ('{"cmd": 5}', "'cmd' must be a command name")], ids=["number", "list", "cmd-number"])
+def test_config_of_the_wrong_shape_is_usage_error(workspace, capsys, text, needle):
+    cfg_path = workspace / "wrong_shape.json"
+    cfg_path.write_text(text)
+    rc = main(["--config", str(cfg_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "config error" in err and needle in err
+
+
 def test_missing_input_file_is_usage_error(workspace, capsys):
     rc = main(["wdist", "--a", str(workspace / "nope.csv"),
                "--b", str(workspace / "uniform.csv"),
@@ -474,6 +487,12 @@ BAD_INPUTS = {
     "lift-base": (lambda ws: ["lift", "--manifold", "circle", "--base", "x",
                               "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "lb")],
                   ["--base", "'x'"]),
+    "lift-base-inf": (lambda ws: ["lift", "--manifold", "circle", "--base", "inf",
+                                  "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "lbi")],
+                      ["base point must be finite", "inf"]),
+    "lift-base-nan": (lambda ws: ["lift", "--manifold", "torus2", "--base", "0.5,nan",
+                                  "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "lbn")],
+                      ["base point must be finite", "nan"]),
     "moser-checkpoints": (lambda ws: _moser_checkpoints(ws, "x"), ["--checkpoints", "'x'"]),
     "moser-checkpoint-range": (lambda ws: _moser_checkpoints(ws, "1.5"), ["strictly inside"]),
     "moser-checkpoint-names": (lambda ws: _moser_checkpoints(ws, "0.50001,0.50004"),
@@ -502,6 +521,9 @@ BAD_INPUTS = {
                        ["--tol", "finite number > 0", "'inf'"]),
     "verify-tol-nan": (lambda ws: _verify_tol(ws, "nan"),
                        ["--tol", "finite number > 0", "'nan'"]),
+    "verify-seed-negative": (lambda ws: ["verify", "--kernel", str(ws / "kernel.txt"),
+                                         "--n", "200", "--seed", "-1", "--out", str(ws / "vs")],
+                             ["--seed", "integer >= 0", "'-1'"]),
     "moser-tol-inf": (lambda ws: _moser_checkpoints(ws, "") + ["--tol", "inf"],
                       ["--tol", "finite number > 0", "'inf'"]),
     "couple-epsilon-nan": (lambda ws: _sinkhorn_couple(ws, "--epsilon", "nan"),

@@ -16,16 +16,15 @@ from randmap.geometry import (
     CostSpec,
     GridSpec,
     _stencil,
-    deposit_linear,
     interp_grid,
     pairwise_distance,
     wrap_signed,
     wrap_unit,
 )
-from randmap.lift import BoxDensity
 from randmap.measures import GridDensity
 from randmap.moser import MoserField, PoissonSolution
-from randmap.transport import PotentialGrid
+
+from oracles import BoxDensity, PotentialGrid, deposit_linear
 
 TORUS = [GridSpec(1, 16), GridSpec(2, 8)]
 BOX = [GridSpec(1, 16, ((-1.0, 2.0),), periodic=False),

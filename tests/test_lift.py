@@ -1,4 +1,6 @@
-"""Tests for exponential-map charts, trivial-bundle lifts, and projections.
+"""Tests for exponential-map charts and the manifold atom CSV format, and
+for the trivial-bundle lifts, projections and density comparison that
+acceptance criterion 8 uses (tests/oracles.py).
 
 Oracles: closed-form sphere log/exp (verified through round trips), the
 analytic sin(r)/r Jacobian envelope, and fiberwise product structure of the
@@ -9,21 +11,25 @@ import pytest
 
 from randmap.geometry import sphere_xyz, wrap_signed
 from randmap.lift import (
-    BoxDensity,
-    BundleLift,
     LiftError,
     ManifoldChart,
-    bump_profile,
-    bundle_lift,
-    density_lift_compare,
     exp_push,
-    fiber_w1,
     log_lift,
-    project_density,
     read_manifold_atoms,
     write_manifold_atoms,
 )
 from randmap.measures import DiscreteMeasure, GridDensity, wasserstein_1d
+
+from oracles import (
+    BoxDensity,
+    BundleLift,
+    bump_profile,
+    bundle_lift,
+    density_lift_compare,
+    dirac,
+    fiber_w1,
+    project_density,
+)
 
 
 def sphere_dist(a, b):
@@ -37,7 +43,7 @@ def sphere_dist(a, b):
 
 def test_circle_log_is_arc_length():
     chart = ManifoldChart("circle", [0.0])
-    mu = DiscreteMeasure.dirac([0.1])
+    mu = dirac([0.1])
     lifted = log_lift(chart, mu)
     assert lifted.points[0, 0] == pytest.approx(0.1, abs=1e-15)
     assert np.array_equal(lifted.weights, mu.weights)
@@ -47,13 +53,13 @@ def test_base_point_lifts_to_origin():
     for mani, base in (("circle", [0.3]), ("torus2", [0.2, 0.7]),
                        ("sphere2", [0.8, 1.5])):
         chart = ManifoldChart(mani, base)
-        lifted = log_lift(chart, DiscreteMeasure.dirac(base))
+        lifted = log_lift(chart, dirac(base))
         assert np.abs(lifted.points).max() <= 1e-12
 
 
 def test_sphere_north_pole_example():
     chart = ManifoldChart("sphere2", [0.0, 0.0])
-    mu = DiscreteMeasure.dirac([0.3, 0.0])
+    mu = dirac([0.3, 0.0])
     lifted = log_lift(chart, mu)
     assert lifted.points[0, 0] == pytest.approx(0.3, abs=1e-12)
     assert lifted.points[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -64,7 +70,7 @@ def test_sphere_north_pole_example():
 def test_round_trip_100_atoms(mani, base):
     rng = np.random.default_rng(sum(int(100 * b) for b in base))
     chart = ManifoldChart(mani, base)
-    d = chart.tangent_dim
+    d = len(chart.base_point)
     v = rng.uniform(-1, 1, (100, d))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     v *= rng.uniform(0, 0.95 * chart.cap, (100, 1))
@@ -90,7 +96,7 @@ def test_log_rejects_atom_beyond_cap():
         chart.log(np.array([[3.1, 0.0]]))
     small = ManifoldChart("torus2", [0.0, 0.0], cap=0.3)
     with pytest.raises(LiftError, match="cap"):
-        log_lift(small, DiscreteMeasure.dirac([0.4, 0.2]))
+        log_lift(small, dirac([0.4, 0.2]))
 
 
 def test_sphere_cap_must_stay_below_cut_locus():
@@ -104,6 +110,13 @@ def test_sphere_cap_must_stay_below_cut_locus():
 def test_chart_cap_must_be_finite_and_positive(manifold, base, cap):
     with pytest.raises(LiftError, match="finite number > 0"):
         ManifoldChart(manifold, base, cap=cap)
+
+
+@pytest.mark.parametrize("manifold, base", [
+    ("circle", [np.inf]), ("torus2", [0.5, np.nan]), ("sphere2", [-np.inf, 0.5])])
+def test_chart_base_point_must_be_finite(manifold, base):
+    with pytest.raises(LiftError, match="base point must be finite"):
+        ManifoldChart(manifold, base)
 
 
 def test_lift_preserves_mass_and_distances():
@@ -297,7 +310,7 @@ def test_manifold_atom_csv_round_trip(tmp_path):
     back = read_manifold_atoms(path, "sphere2")
     assert np.array_equal(back.points, atoms.points)
     circ = tmp_path / "circle_atoms.csv"
-    write_manifold_atoms(circ, "circle", DiscreteMeasure.dirac([0.25]))
+    write_manifold_atoms(circ, "circle", dirac([0.25]))
     assert circ.read_text().splitlines()[0] == "theta,w"
     with pytest.raises(LiftError, match="header"):
         read_manifold_atoms(path, "circle")

@@ -25,7 +25,6 @@ from randmap.moser import (
     PoissonSolution,
     continuity_residual,
     integrate_flow,
-    interpolate_density,
     jacobian_min,
     moser_map,
     solve_poisson_periodic,
@@ -440,28 +439,8 @@ def test_jacobian_positive_for_tame_densities():
 
 
 # ---------------------------------------------------------------------------
-# density interpolation and the continuity identity
+# the continuity identity
 # ---------------------------------------------------------------------------
-
-def test_interpolate_density_endpoints():
-    rho0 = cosine_density(32, 0.2)
-    rho1 = cosine_density(32, 0.4, shift=0.3)
-    assert np.array_equal(interpolate_density(rho0, rho1, 0.0).values, rho0.values)
-    assert np.array_equal(interpolate_density(rho0, rho1, 1.0).values, rho1.values)
-
-
-def test_interpolate_density_symmetric_cancellation():
-    rho0 = cosine_density(32, -0.3)
-    rho1 = cosine_density(32, 0.3)
-    mid = interpolate_density(rho0, rho1, 0.5)
-    assert np.abs(mid.values - 1.0).max() <= 1e-12
-
-
-def test_interpolate_density_rejects_bad_time():
-    rho = cosine_density(32, 0.2)
-    with pytest.raises(MoserError):
-        interpolate_density(rho, rho, 1.5)
-
 
 def test_continuity_identity_machine_precision():
     n = 64

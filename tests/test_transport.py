@@ -1,4 +1,5 @@
-"""Tests for the coupling solvers, monotone/Brenier maps, and duality.
+"""Tests for the coupling solvers and monotone/Brenier maps, and for the
+Legendre transform and map inversion of tests/oracles.py.
 
 Oracles: recursive vertex enumeration of the transportation polytope
 (independent of the LP library), the Hungarian assignment expansion,
@@ -18,27 +19,32 @@ from randmap.measures import (
     GridDensity,
     MeasureError,
     draw_sample,
-    empirical_measure,
     grid_pushforward,
-    pushforward,
     wasserstein_1d,
     wasserstein_sinkhorn_upper,
 )
 from randmap.moser import moser_map
 from randmap.transport import (
     MapError,
-    PotentialGrid,
     SolverError,
     TransportMap,
     TransportPlan,
     brenier_map,
-    check_cyclical_monotonicity,
-    deterministic_plan_cost,
-    invert_map,
-    legendre_transform,
     monotone_map_1d,
     solve_exact,
     solve_sinkhorn,
+)
+
+from oracles import (
+    PotentialGrid,
+    check_cyclical_monotonicity,
+    deterministic_plan_cost,
+    dirac,
+    empirical_measure,
+    invert_map,
+    legendre_transform,
+    potential_consistency,
+    pushforward,
 )
 
 
@@ -90,7 +96,7 @@ def rational_weights(rng, k, denom=16):
 # ---------------------------------------------------------------------------
 
 def test_exact_dirac_pair():
-    d = DiscreteMeasure.dirac([0.0])
+    d = dirac([0.0])
     plan = solve_exact(d, d, CostSpec("sqdist"))
     assert plan.gamma.shape == (1, 1)
     assert plan.gamma[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -233,7 +239,7 @@ def test_sinkhorn_flags_non_convergence():
 
 
 def test_sinkhorn_rejects_bad_epsilon():
-    m = DiscreteMeasure.dirac([0.0])
+    m = dirac([0.0])
     with pytest.raises(SolverError):
         solve_sinkhorn(m, m, CostSpec("sqdist"), epsilon=0.0)
 
@@ -242,7 +248,7 @@ def test_sinkhorn_rejects_bad_epsilon():
                                         ("tol", 0.0), ("tol", np.nan), ("tol", np.inf),
                                         ("max_iter", 0), ("max_iter", -5)])
 def test_sinkhorn_rejects_non_finite_or_non_positive_settings(name, value):
-    m = DiscreteMeasure.dirac([0.0])
+    m = dirac([0.0])
     settings = {"epsilon": 1e-2, name: value}
     with pytest.raises(SolverError, match=name):
         solve_sinkhorn(m, m, CostSpec("sqdist"), **settings)
@@ -538,7 +544,7 @@ def test_monotone_affine_contraction():
     t = monotone_map_1d(g, nu)
     want = 0.25 + 0.5 * t.points[:, 0]
     assert np.abs(t.images[:, 0] - want).max() <= 1e-9
-    assert t.potential_consistency() <= 1e-8
+    assert potential_consistency(t) <= 1e-8
 
 
 def test_monotone_step_to_atoms():
@@ -551,7 +557,7 @@ def test_monotone_step_to_atoms():
 
 
 def test_monotone_rejects_atomic_source():
-    nu = DiscreteMeasure.dirac([0.5])
+    nu = dirac([0.5])
     with pytest.raises(MapError, match="deterministic"):
         monotone_map_1d(nu, nu)
 
@@ -736,10 +742,10 @@ def test_brenier_separable_scaling():
 
 def test_brenier_single_atom_constant_map():
     g = GridDensity.uniform(1, 32)
-    nu = DiscreteMeasure.dirac([0.3])
+    nu = dirac([0.3])
     t = brenier_map(g, nu, reg_epsilon=1e-2)
     assert np.abs(t.images - 0.3).max() <= 1e-12
-    assert t.potential_consistency() <= 1e-8  # psi is exactly affine-quadratic here
+    assert potential_consistency(t) <= 1e-8  # psi is exactly affine-quadratic here
     assert t.route == "brenier"
 
 
@@ -782,7 +788,7 @@ def test_brenier_map_holds_at_most_two_cost_sized_arrays(peak_traced_bytes):
 
 
 def test_brenier_rejects_atomic_source():
-    nu = DiscreteMeasure.dirac([0.3])
+    nu = dirac([0.3])
     with pytest.raises(MapError):
         brenier_map(nu, nu, reg_epsilon=1e-2)
 
@@ -906,7 +912,7 @@ def test_invert_linear_closed_form():
     target = GridSpec(1, 64, ((0.0, 2.0),), periodic=False)
     t = invert_map(s, target)
     assert np.abs(t.images[:, 0] - 0.5 * t.points[:, 0]).max() <= 1e-9
-    assert t.potential_consistency() <= 1e-8
+    assert potential_consistency(t) <= 1e-8
 
 
 def test_invert_roundtrip_2d_brenier():

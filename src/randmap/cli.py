@@ -74,26 +74,41 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _read(path: str, load, what: str = "input file"):
+    """load(Path(path)); a path that names no regular file, or a file that is
+    not text, is a CliError naming the path."""
+    p = Path(path)
+    if not p.is_file():
+        raise CliError(f"{what} not found: {path}" if not p.exists()
+                       else f"{what} {path!r} is not a regular file")
+    try:
+        return load(p)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} {path} is not text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_measure(path: str):
     """Grid densities start with a 'dim,n' line; anything else is atoms."""
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"input file not found: {path}")
+    def load(p: Path):
+        with open(p) as fh:
+            first = fh.readline().strip().replace(" ", "")
+        if first == "dim,n" or (first and first[0].isdigit()):
+            return GridDensity.from_csv(p)
+        return DiscreteMeasure.from_csv(p)
+    return _read(path, load)
+
+
+def _manifest_lines(p: Path) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line that is not blank or a comment."""
     with open(p) as fh:
-        first = fh.readline().strip().replace(" ", "")
-    if first == "dim,n" or (first and first[0].isdigit()):
-        return GridDensity.from_csv(p)
-    return DiscreteMeasure.from_csv(p)
+        return [(no, ln.strip()) for no, ln in enumerate(fh, start=1)
+                if ln.strip() and not ln.startswith("#")]
 
 
 def _load_kernel_manifest(path: str) -> tuple[KernelFamily, list[str]]:
     """The family a kernel manifest names, and the manifest's and measures' paths."""
     p = Path(path)
-    if not p.exists():
-        raise CliError(f"kernel manifest not found: {path}")
-    with open(p) as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1)
-                 if ln.strip() and not ln.startswith("#")]
+    lines = _read(path, _manifest_lines, "kernel manifest")
     if len(lines) < 4:
         raise CliError(f"{path}: manifest needs space, interp, header, and rows")
     (_, space_line), (_, interp_line) = lines[:2]
@@ -141,7 +156,10 @@ def _write_report(outdir: Path, payload: dict) -> None:
 
 def _outdir(args) -> Path:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot make output directory {args.out}: {exc.strerror}") from None
     return out
 
 
@@ -322,7 +340,7 @@ def cmd_verify(args) -> int:
 
 def cmd_lift(args) -> int:
     chart = ManifoldChart(args.manifold, args.base, cap=args.cap)
-    atoms = read_manifold_atoms(args.atoms, args.manifold)
+    atoms = _read(args.atoms, lambda p: read_manifold_atoms(p, args.manifold))
     lifted = log_lift(chart, atoms)
     back = exp_push(chart, lifted)
     if args.manifold == "sphere2":
@@ -438,9 +456,8 @@ def main(argv=None) -> int:
     args, extra = parser.parse_known_args(argv)
     if args.config:
         try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            cfg = _read(args.config, lambda p: json.loads(p.read_text()), "config file")
+        except (CliError, OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
         if not isinstance(cfg, dict):

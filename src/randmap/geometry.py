@@ -7,7 +7,6 @@ particles to their nearest cell.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,16 +216,18 @@ def unit_torus_grid(dim: int, n: int) -> GridSpec:
     return GridSpec(dim=dim, n=n, bounds=((0.0, 1.0),) * dim, periodic=True)
 
 
-def _stencil(points: np.ndarray, grid: GridSpec) -> list[tuple[tuple, list]]:
-    """The 2^dim cell corners around each point, with per-axis linear weights.
+def _stencil(points: np.ndarray, grid: GridSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 2^dim cell corners around each point, as (flat index, weight) pairs.
 
-    Returns (index tuple, weight factors) per corner, axis 0 varying fastest;
-    indices and weights take the shape of the points without their last axis.
-    Periodic grids wrap across the seam; box grids clamp to the edge cells.
+    A corner's flat index is its row-major cell index, i_0 n^(dim-1) + ... +
+    i_(dim-1), and its weight the product of its per-axis linear factors,
+    axis 0's first; both take the shape of the points without their last
+    axis. Corners run with axis 0 varying fastest. Periodic grids wrap
+    across the seam; box grids clamp to the edge cells.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
     n = grid.n
-    idx, wts = [], []
+    corners = None
     for a in range(grid.dim):
         lo, hi = grid.bounds[a]
         f = (pts[..., a] - lo) / (hi - lo) * n - 0.5
@@ -241,59 +242,37 @@ def _stencil(points: np.ndarray, grid: GridSpec) -> list[tuple[tuple, list]]:
             i0 = np.minimum(np.floor(f).astype(int), n - 2) if n > 1 else np.zeros(f.shape, int)
             w = f - i0
             i1 = np.minimum(i0 + 1, n - 1)
-        idx.append((i0, i1))
-        wts.append((1 - w, w))
-    corners = []
-    for bits in itertools.product((0, 1), repeat=grid.dim):
-        bits = bits[::-1]
-        corners.append((tuple(idx[a][b] for a, b in enumerate(bits)),
-                        [wts[a][b] for a, b in enumerate(bits)]))
+        axis = [(i0, 1 - w), (i1, w)]
+        corners = axis if corners is None else [(cell * n + i, weight * factor)
+                                                for i, factor in axis for cell, weight in corners]
     return corners
 
 
 def interp_grid(values: np.ndarray, points: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """(Multi)linear interpolation of node values at arbitrary points.
+    """(Multi)linear interpolation of a batch of field stacks at points.
 
-    values has shape (n,)*dim, or (k,) + (n,)*dim for a stack of k fields
-    that share one stencil and one gather; points (m, dim). Returns (m,) for
-    one field and (m, k) for a stack. A batch of B stacks, values of shape
-    (B, k) + (n,)*dim with points of shape (B, m, dim), returns (B, m, k):
-    stack b is read at its own m points, and one gather per corner serves the
-    whole batch, with the same values, bit for bit, as B separate calls.
-
-    Each corner is one np.take from the flat values: the corner's row-major
-    cell index plus the offset of each (stack, field) block. The gather runs
-    fields before points, so every elementwise pass has the points as its
-    long inner axis, and one transpose at the end puts the points first. The
-    stencil keeps every index inside the grid, so the take's "clip" mode
-    never acts; it only spares the per-element bounds check.
+    values has shape (B, k) + (n,)*dim, B stacks of k fields each, and
+    points (B, m, dim); returns (B, m, k), stack b read at its own m points
+    and, bit for bit, as in a batch of its own. One field or one stack is a
+    batch of one. Each corner is one np.take from the flat values, serving
+    the whole batch: the corner's flat cell index plus the offset of each
+    (stack, field) block. The gather runs fields before points, so every
+    elementwise pass has the points as its long inner axis, and one
+    transpose at the end puts the points first. The stencil keeps every
+    index inside the grid, so the take's "clip" mode never acts; it only
+    spares the per-element bounds check.
     """
     values = np.asarray(values, dtype=float)
-    points = np.asarray(points, dtype=float)
     cells = grid.n ** grid.dim
-    if points.ndim == 3:  # (B, 1, m) + (B, k, 1) -> (B, k, m)
-        offsets = (np.arange(values.size // cells) * cells).reshape(len(points), -1, 1)
-    elif values.ndim > grid.dim:  # (m,) + (k, 1) -> (k, m)
-        offsets = (np.arange(len(values)) * cells)[:, None]
-    else:
-        offsets = None
+    # (B, 1, m) cell + (B, k, 1) block offset -> (B, k, m) flat index
+    offsets = (np.arange(values.size // cells) * cells).reshape(len(points), -1, 1)
     flat = values.reshape(-1)
     out = None
-    for index, factors in _stencil(points, grid):
-        weight = factors[0]
-        for f in factors[1:]:
-            weight = weight * f
-        cell = index[0]
-        for i in index[1:]:
-            cell = cell * grid.n + i
-        if offsets is not None:
-            cell = cell[..., None, :] + offsets
-            weight = weight[..., None, :]
-        term = np.take(flat, cell, mode="clip")
-        term *= weight
+    for cell, weight in _stencil(points, grid):
+        term = np.take(flat, cell[:, None, :] + offsets, mode="clip")
+        term *= weight[:, None, :]
         out = term if out is None else np.add(out, term, out=out)
-    # points first and C-ordered, as a column_stack of one call per field
-    return out if offsets is None else np.ascontiguousarray(out.swapaxes(-1, -2))
+    return np.ascontiguousarray(out.swapaxes(1, 2))
 
 
 def deposit_grid(points: np.ndarray, weights: np.ndarray, n: int, dim: int) -> np.ndarray:

@@ -341,8 +341,8 @@ def continuity_modulus(family: RandomMapFamily) -> ModulusTable:
     """All-pairs table (base distance, sup-norm map distance) with envelope fits.
 
     The sup norm runs over the shared evaluation grid with the target-space
-    metric; envelope constants C_alpha = max dT / dx^alpha are reported for
-    alpha in {0.25, 0.5, 0.75, 1}.
+    metric. The envelope constants C_alpha = max dT / dx^alpha for alpha in
+    {0.25, 0.5, 0.75, 1} stay on the table (`fits`); no report writes them.
     """
     kernel = family.kernel
     grids = {(m.grid.dim, m.grid.n, m.grid.periodic) for m in family.maps}

@@ -439,17 +439,16 @@ def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
     return min(_power_mean(np.abs(wrap_signed(d)), w, p) for d, w in pairings)
 
 
-def wasserstein_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0,
-                      periodic: bool = False) -> float:
+def wasserstein_exact(mu, nu, p: float = 1.0, periodic: bool = False) -> float:
     """Order-p Wasserstein distance via the exact coupling LP (cost d^p).
 
-    The p-th root of the optimal plan's cost is taken as a power mean of its
-    distances (`_power_mean`), so it stays exact where d^p underflows.
+    Grid densities enter as one atom per cell. The p-th root of the optimal
+    plan's cost is taken as a power mean of its distances (`_power_mean`),
+    so it stays exact where d^p underflows.
     """
     from . import transport
 
-    if not isinstance(mu, DiscreteMeasure) or not isinstance(nu, DiscreteMeasure):
-        raise MeasureError("wasserstein_exact operates on discrete measures")
+    mu, nu = mu.as_discrete(), nu.as_discrete()
     plan = transport.solve_exact(mu, nu, CostSpec("dist_p", p=p, periodic=periodic))
     d = pairwise_distance(mu.points, nu.points, periodic=periodic)
     return _power_mean(d, plan.gamma, p)

@@ -45,7 +45,6 @@ class TransportPlan:
     gamma: np.ndarray
     cost: float
     converged: bool = True
-    marginal_error: float = 0.0
     dual_u: np.ndarray | None = None
     dual_v: np.ndarray | None = None
 
@@ -114,7 +113,7 @@ class TransportMap:
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         at_nodes = wrap_signed(self.images - self.points) if self.grid.periodic else self.images
         stack = at_nodes.T.reshape((at_nodes.shape[1],) + (self.grid.n,) * self.grid.dim)
-        vals = interp_grid(stack, pts, self.grid)
+        vals = interp_grid(stack[None], pts[None], self.grid)[0]
         return wrap_unit(pts + vals) if self.grid.periodic else vals
 
     def __call__(self, x) -> np.ndarray:
@@ -209,7 +208,6 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
         if not _certify(c, gamma, u, v):
             raise SolverError("optimality certification failed (dual potentials)")
     plan = TransportPlan(mu, nu, gamma, scale * float(np.sum(gamma * c)), converged=True,
-                         marginal_error=float(np.abs(a_eq @ res.x - b_eq).max()),
                          dual_u=scale * u, dual_v=scale * v)
     plan.validate(cost)
     return plan
@@ -553,15 +551,15 @@ def solve_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec,
     (`_rounded_plan`), so it satisfies both marginals to machine precision
     and its cost never falls below the LP optimum. The cost and the plan are
     the only plan-sized arrays held at once. A run that exhausts max_iter is
-    returned with converged=False and its residual marginal error.
+    returned with converged=False.
     """
     if mu.dim != nu.dim:
         raise MeasureError(f"cannot couple measures of dimension {mu.dim} and {nu.dim}")
     c = cost.matrix(mu.points, nu.points)
-    f, g, converged, err, _ = _sinkhorn_potentials(c, mu.weights, nu.weights,
-                                                   epsilon, max_iter, tol)
+    f, g, converged, _, _ = _sinkhorn_potentials(c, mu.weights, nu.weights,
+                                                 epsilon, max_iter, tol)
     gamma, value = _rounded_plan(c, f, g, epsilon, mu.weights, nu.weights)
-    return TransportPlan(mu, nu, gamma, value, converged=converged, marginal_error=err)
+    return TransportPlan(mu, nu, gamma, value, converged=converged)
 
 
 # ---------------------------------------------------------------------------

@@ -270,13 +270,11 @@ def deposit_linear(points: np.ndarray, weights: np.ndarray, grid: GridSpec) -> n
     It shares interp_grid's stencil, so it is that interpolation's exact
     adjoint: sum_i w_i interp(v, x_i) = sum over cells of v * deposit(x, w).
     """
-    out = np.zeros((grid.n,) * grid.dim)
-    for index, factors in _stencil(points, grid):
-        mass = np.asarray(weights, dtype=float)
-        for f in factors:
-            mass = mass * f
-        np.add.at(out, index, mass)
-    return out
+    weights = np.asarray(weights, dtype=float)
+    out = np.zeros(grid.n ** grid.dim)
+    for cell, weight in _stencil(points, grid):
+        np.add.at(out, cell, weights * weight)
+    return out.reshape((grid.n,) * grid.dim)
 
 
 def bump_profile(t: np.ndarray) -> np.ndarray:
@@ -405,7 +403,8 @@ def bundle_lift(lift: BundleLift, mu_tilde: BoxDensity) -> BoxDensity:
     g = np.where(support, mu_tilde.values / np.where(nu_r > 0, nu_r, 1.0), 0.0)
     nu = lift.reference_box()
     proj_pts = nu.grid.nodes() @ lift.projection.T
-    hat_vals = interp_grid(g, proj_pts, mu_tilde.grid) * nu.values.ravel()
+    at_proj = interp_grid(g[None, None], proj_pts[None], mu_tilde.grid)[0, :, 0]
+    hat_vals = at_proj * nu.values.ravel()
     hat = BoxDensity(hat_vals.reshape(nu.values.shape), nu.bounds)
     total = hat.integral()
     target_mass = mu_tilde.integral()

@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from randmap.geometry import CostSpec, GridSpec, sphere_xyz, unit_torus_grid
 from randmap.kernel import (

@@ -1,12 +1,16 @@
-"""Every public name in randmap has a caller outside the tests.
+"""Every public name in randmap has a caller outside the tests, and no
+module of randmap or of the tests imports a name it never uses.
 
-The walk reads each module of src/randmap with `ast` and collects its
+The first walk reads each module of src/randmap with `ast` and collects its
 public top-level functions and classes and the public methods of those
 classes. A name counts as called when it appears as an import alias or an
 attribute in another module of src/randmap or in the benchmark harness
 (perfbench/*.py), or as a name or attribute in its own module outside its
 own def. Docstrings and other strings do not count. Code that only tests
 compare against belongs in tests/oracles.py, not in the package.
+
+The second walk takes each name an import binds (`import a.b` binds a) and
+requires it to be read as a name somewhere in the same module.
 """
 import ast
 from pathlib import Path
@@ -74,3 +78,23 @@ def test_every_public_name_has_a_non_test_caller():
     assert uncalled == ALLOWED, (
         f"public names with no caller outside the tests: {sorted(uncalled - ALLOWED)}; "
         f"allowed names that have a caller now: {sorted(ALLOWED - uncalled)}")
+
+
+def unused_imports(path: Path) -> list[str]:
+    """path:line: name for each name an import in path binds and the module never reads."""
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"):
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(bound.items(), key=lambda item: item[1]) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [entry for path in paths for entry in unused_imports(path)]
+    assert not unused, f"imported and never used: {unused}"

@@ -66,6 +66,17 @@ def test_wdist_exact_method(workspace, capsys):
     assert float(capsys.readouterr().out.strip()) <= 1e-9
 
 
+@pytest.mark.parametrize("p", ["1", "2"])
+def test_wdist_exact_takes_a_grid_file_like_couple(workspace, capsys, p):
+    dists = {}
+    for method in ("quantile", "exact"):
+        rc = main(["wdist", "--a", str(workspace / "bump.csv"), "--b", str(workspace / "atoms.csv"),
+                   "--method", method, "--p", p, "--out", str(workspace / f"wg_{method}")])
+        assert rc == 0
+        dists[method] = float(capsys.readouterr().out.strip())
+    assert dists["exact"] == pytest.approx(dists["quantile"], abs=1e-9)
+
+
 @pytest.mark.parametrize("method", ["quantile", "exact"])
 @pytest.mark.parametrize("p", ["50", "1000"])
 def test_wdist_at_large_p_reads_the_distance_every_coupling_moves(workspace, capsys, method, p):
@@ -459,6 +470,17 @@ def _mixed_dimensions(workspace, command, first, second, *flags):
             "--out", str(workspace / "md")]
 
 
+def _directory(workspace, name):
+    (workspace / name).mkdir()
+    return str(workspace / name)
+
+
+def _undecodable(workspace, name, head):
+    """A file whose first line is head and whose second holds bytes that are not UTF-8."""
+    (workspace / name).write_bytes(head + b"\n\xff\xfe,0.5\n")
+    return str(workspace / name)
+
+
 def _density_with_value(workspace, token):
     lines = (workspace / "uniform.csv").read_text().splitlines()
     lines[4] = token
@@ -565,6 +587,29 @@ BAD_INPUTS = {
                                                     "--limit", str(ws / "uniform.csv"),
                                                     "--eps", "0.1"),
                        ["dimension 2 to dimension 1"]),
+    "wdist-directory": (lambda ws: ["wdist", "--a", _directory(ws, "dir_a"), "--b",
+                                    str(ws / "atoms.csv"), "--out", str(ws / "wd")],
+                        ["dir_a", "is not a regular file"]),
+    "represent-kernel-directory": (lambda ws: ["represent", "--kernel", _directory(ws, "dir_k"),
+                                               "--out", str(ws / "rd")],
+                                   ["kernel manifest", "dir_k", "is not a regular file"]),
+    "lift-atoms-directory": (lambda ws: ["lift", "--manifold", "circle", "--base", "0.0",
+                                         "--atoms", _directory(ws, "dir_l"),
+                                         "--out", str(ws / "ld")],
+                             ["dir_l", "is not a regular file"]),
+    "stability-targets-empty": (lambda ws: ["stability", "--mu", str(ws / "uniform.csv"),
+                                            "--targets", ",", "--limit", str(ws / "atoms.csv"),
+                                            "--eps", "0.1", "--out", str(ws / "st")],
+                                ["input file '' is not a regular file"]),
+    "wdist-undecodable": (lambda ws: ["wdist", "--a", _undecodable(ws, "binary.csv", b"x0,w"),
+                                      "--b", str(ws / "atoms.csv"), "--out", str(ws / "wu")],
+                          ["binary.csv is not text", "invalid start byte"]),
+    "config-undecodable": (lambda ws: ["--config", _undecodable(ws, "binary.json", b"{")],
+                           ["config error", "binary.json is not text"]),
+    "wdist-out-is-file": (lambda ws: ["wdist", "--a", str(ws / "atoms.csv"),
+                                      "--b", str(ws / "atoms.csv"),
+                                      "--out", str(ws / "uniform.csv")],
+                          ["cannot make output directory", "uniform.csv", "File exists"]),
 }
 
 

@@ -45,10 +45,11 @@ def test_stacked_interp_equals_per_field_calls(grid):
     rng = np.random.default_rng(grid.dim)
     fields = rng.normal(size=(3,) + (grid.n,) * grid.dim)
     pts = _points(grid, 300, rng)
-    stacked = interp_grid(fields, pts, grid)
+    stacked = interp_grid(fields[None], pts[None], grid)[0]
     assert stacked.shape == (300, 3)
     for k in range(3):
-        assert np.array_equal(stacked[:, k], interp_grid(fields[k], pts, grid))
+        alone = interp_grid(fields[None, k:k + 1], pts[None], grid)[0, :, 0]
+        assert np.array_equal(stacked[:, k], alone)
 
 
 @pytest.mark.parametrize("batch", [1, 4])
@@ -60,26 +61,21 @@ def test_batched_interp_equals_per_stack_calls(grid, batch):
     batched = interp_grid(stacks, pts, grid)
     assert batched.shape == (batch, 50, 3) and batched.flags.c_contiguous
     for b in range(batch):
-        assert np.array_equal(batched[b], interp_grid(stacks[b], pts[b], grid))
+        assert np.array_equal(batched[b], interp_grid(stacks[b:b + 1], pts[b:b + 1], grid)[0])
 
 
 def _fancy_index_interp(values, points, grid):
-    """Reference gather: one multi-array fancy index per stencil corner, with
-    a (k, B) + (n,)*dim view of a batch, then a transpose to points first."""
-    values = np.asarray(values, dtype=float)
-    points = np.asarray(points, dtype=float)
-    batch = ()
-    if points.ndim == 3:
-        values = values.swapaxes(0, 1)
-        batch = (np.arange(len(points))[:, None],)
+    """Reference gather: one multi-array fancy index per stencil corner, its
+    per-axis indices unravelled from the corner's flat index, with a
+    (k, B) + (n,)*dim view of the batch, then a transpose to points first."""
+    values = np.asarray(values, dtype=float).swapaxes(0, 1)
+    batch = np.arange(len(points))[:, None]
     out = None
-    for index, factors in _stencil(points, grid):
-        weight = factors[0]
-        for f in factors[1:]:
-            weight = weight * f
-        term = weight * values[(Ellipsis,) + batch + index]
+    for cell, weight in _stencil(points, grid):
+        index = np.unravel_index(cell, (grid.n,) * grid.dim)
+        term = weight * values[(Ellipsis, batch) + index]
         out = term if out is None else out + term
-    return np.ascontiguousarray(out.transpose(1, 2, 0) if batch else out.T)
+    return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 
 def _same_bits(a, b):
@@ -91,10 +87,10 @@ def _same_bits(a, b):
 def test_flat_gather_equals_fancy_index_gather(grid, shape):
     rng = np.random.default_rng(30 + grid.dim + 2 * grid.periodic)
     nodes = (grid.n,) * grid.dim
-    if shape == "field":
-        values, pts = rng.normal(size=nodes), _points(grid, 200, rng)
-    elif shape == "stack":
-        values, pts = rng.normal(size=(3,) + nodes), _points(grid, 200, rng)
+    if shape == "field":  # one field, as a batch of one stack of one
+        values, pts = rng.normal(size=(1, 1) + nodes), _points(grid, 200, rng)[None]
+    elif shape == "stack":  # one stack, as a batch of one
+        values, pts = rng.normal(size=(1, 3) + nodes), _points(grid, 200, rng)[None]
     else:
         batch = int(shape[-1])
         values = rng.normal(size=(batch, 3) + nodes)
@@ -110,7 +106,7 @@ def test_linear_deposit_is_adjoint_of_interpolation(grid):
     values = rng.normal(size=(grid.n,) * grid.dim)
     pts = _points(grid, 500, rng)
     weights = rng.random(500)
-    lhs = np.sum(weights * interp_grid(values, pts, grid))
+    lhs = np.sum(weights * interp_grid(values[None, None], pts[None], grid)[0, :, 0])
     rhs = np.sum(values * deposit_linear(pts, weights, grid))
     assert abs(lhs - rhs) <= 1e-12
 

@@ -13,7 +13,6 @@ from randmap.geometry import unit_torus_grid, wrap_unit
 from randmap.kernel import (
     KernelError,
     KernelFamily,
-    ModulusTable,
     RandomMap,
     RandomMapFamily,
     base_distance_matrix,

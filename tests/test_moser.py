@@ -22,7 +22,6 @@ from randmap.moser import (
     FlowMap,
     MoserError,
     MoserField,
-    PoissonSolution,
     continuity_residual,
     integrate_flow,
     jacobian_min,

@@ -17,7 +17,6 @@ from randmap.kernel import stability_experiment
 from randmap.measures import (
     DiscreteMeasure,
     GridDensity,
-    MeasureError,
     draw_sample,
     grid_pushforward,
     wasserstein_1d,

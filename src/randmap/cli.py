@@ -211,13 +211,13 @@ def _seed(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_wdist(args) -> int:
+    out = _outdir(args)
     a = _load_measure(args.a)
     b = _load_measure(args.b)
     if args.method == "exact":
         dist = wasserstein_exact(a, b, p=args.p, periodic=args.periodic)
     else:
         dist = wasserstein_1d(a, b, p=args.p, periodic=args.periodic)
-    out = _outdir(args)
     report = {"distance": dist, "p": args.p, "periodic": args.periodic,
               "method": args.method}
     _write_report(out, report)
@@ -228,6 +228,7 @@ def cmd_wdist(args) -> int:
 
 
 def cmd_couple(args) -> int:
+    out = _outdir(args)
     mu = _load_measure(args.mu).as_discrete()
     nu = _load_measure(args.nu).as_discrete()
     spec = _cost_spec(args)
@@ -236,7 +237,6 @@ def cmd_couple(args) -> int:
     else:
         plan = solve_sinkhorn(mu, nu, spec, epsilon=args.epsilon,
                               max_iter=args.max_iter, tol=args.tol)
-    out = _outdir(args)
     plan.to_csv(out / "plan.csv")
     report = {
         "cost": plan.cost,
@@ -255,6 +255,7 @@ def cmd_couple(args) -> int:
 
 
 def cmd_moser(args) -> int:
+    out = _outdir(args)
     rho0 = _load_measure(args.rho0)
     rho1 = _load_measure(args.rho1)
     if not isinstance(rho0, GridDensity) or not isinstance(rho1, GridDensity):
@@ -264,7 +265,6 @@ def cmd_moser(args) -> int:
         if f"{a:.4f}" == f"{b:.4f}":
             raise CliError(f"checkpoints {a!r} and {b!r} both write checkpoint_{a:.4f}.csv")
     flow = moser_map(rho0, rho1, checkpoints=args.checkpoints)
-    out = _outdir(args)
     flow.map.to_csv(out / "map.csv")
     for t_mark, positions in flow.checkpoints.items():
         dim = positions.shape[1]
@@ -310,8 +310,8 @@ def _build_family(args):
 
 
 def cmd_represent(args) -> int:
-    family, inputs = _build_family(args)
     out = _outdir(args)
+    family, inputs = _build_family(args)
     for i, t_map in enumerate(family.maps):
         t_map.to_csv(out / f"map_{i:03d}.csv")
     report = {
@@ -328,9 +328,9 @@ def cmd_represent(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    out = _outdir(args)
     family, inputs = _build_family(args)
     report = verify_representation(family, n_samples=args.n, tol=args.tol, seed=args.seed)
-    out = _outdir(args)
     _write_report(out, report.to_dict())
     _write_manifest(out, "verify", {"route": args.route, "n": args.n, "tol": args.tol,
                                     "seed": args.seed},
@@ -339,6 +339,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    out = _outdir(args)
     chart = ManifoldChart(args.manifold, args.base, cap=args.cap)
     atoms = _read(args.atoms, lambda p: read_manifold_atoms(p, args.manifold))
     lifted = log_lift(chart, atoms)
@@ -347,7 +348,6 @@ def cmd_lift(args) -> int:
         rt = float(np.abs(sphere_xyz(back.points) - sphere_xyz(atoms.points)).max())
     else:
         rt = float(np.abs(wrap_signed(back.points - atoms.points)).max())
-    out = _outdir(args)
     lifted.to_csv(out / "tangent_atoms.csv")
     write_manifold_atoms(out / "roundtrip_atoms.csv", args.manifold, back)
     report = {"round_trip_error": rt, "cap": chart.cap, "manifold": args.manifold,
@@ -360,11 +360,11 @@ def cmd_lift(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    out = _outdir(args)
     mu = _load_measure(args.mu)
     targets = [_load_measure(p) for p in args.targets.split(",")]
     limit = _load_measure(args.limit)
     masses = stability_experiment(mu, targets, limit, eps=args.eps, periodic=args.periodic)
-    out = _outdir(args)
     write_rows(out / "stability.csv", ["k", "mass"], enumerate(masses))
     _write_report(out, {"eps": args.eps, "deviation_masses": masses})
     _write_manifest(out, "stability", {"eps": args.eps, "periodic": args.periodic},

@@ -230,12 +230,12 @@ def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
 
     Every kernel measure must be a grid density at least moser's MIN_DENSITY
     (full support is what makes the maps continuous); `moser_map` checks each
-    one, and a failure names its base point. The family's flows are
-    integrated as one batch by one `moser_map` call; each map takes the step
-    count that step doubling accepts for it alone (node estimate at most
-    FLOW_TOL * h). Continuity metadata is attached from the modulus table
-    over all base-point pairs. Only 1D maps are validated: in 2D the
-    pushforward errors are recorded as NaN.
+    one, and a failure names its base point. The family's maps are built as
+    one batch by one `moser_map` call: in closed form in 1D, by RK4 in 2D,
+    where each map takes the step count that step doubling accepts for it
+    alone (node estimate at most FLOW_TOL * h). Continuity metadata is
+    attached from the modulus table over all base-point pairs. Only 1D maps
+    are validated: in 2D the pushforward errors are recorded as NaN.
     """
     if not isinstance(kernel.measures[0], GridDensity):
         raise KernelError("continuous route needs grid-density kernel measures")

@@ -1,24 +1,27 @@
 """Moser coupling on the flat torus [0,1)^dim.
 
 Pipeline: spectral periodic Poisson solve for lap(u) = rho0 - rho1, the
-time-dependent field xi(t,x) = grad u(x) / ((1-t) rho0(x) + t rho1(x)),
-classical RK4 integration of every grid node to t=1, plus the
-diffeomorphism proxy (minimum Jacobian determinant of the time-1 map).
+time-dependent field xi(t,x) = grad u(x) / ((1-t) rho0(x) + t rho1(x)), the
+time-1 map of every grid node, plus the diffeomorphism proxy (minimum
+Jacobian determinant of the time-1 map).
 
-The field is the multilinear interpolant of grid values, whose derivative
-jumps at cell faces, so RK4 on it converges at about 2nd order, not 4th.
-The step count is therefore chosen by step doubling (Hairer, Norsett &
-Wanner, Solving ODEs I, sec. II.4): integrate with s and 2s steps from
-s = MIN_STEPS and accept the 2s solution once the largest wrapped node
-deviation between the two is at most FLOW_TOL * h (h = 1/n); otherwise the
-2s solution becomes the coarse one and s doubles, up to MAX_STEPS_PER_CELL * n.
+In 1D the flux rho_t xi is constant in t, so the time-1 map has a closed
+form (`_closed_form`). RK4 with step doubling is the 2D engine (written for
+any dimension). The field is the multilinear interpolant of grid values,
+whose derivative jumps at cell faces, so RK4 on it converges at about 2nd
+order, not 4th. The step count is therefore chosen by step doubling
+(Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4): integrate with s and
+2s steps from s = MIN_STEPS and accept the 2s solution once the largest
+wrapped node deviation between the two is at most FLOW_TOL * h (h = 1/n);
+otherwise the 2s solution becomes the coarse one and s doubles, up to
+MAX_STEPS_PER_CELL * n.
 
-A kernel family's flows all start from the same uniform density on the
-same grid, so the RK4 engine takes only batches: one loop moves every map's
-nodes, with one interpolation gather per cell corner, and one coupling is a
-batch of one. Each map keeps its own step doubling and its own blow-up
-guard, so it gets bit for bit the images, step count and estimate it would
-get alone.
+A kernel family's maps all start from the same uniform density on the same
+grid, so both engines take only batches, and one coupling is a batch of
+one. The RK4 loop moves every map's nodes, with one interpolation gather
+per cell corner; each map keeps its own step doubling and blow-up guard.
+Either way each map gets bit for bit the images, step count and estimate
+it would get alone.
 
 The discrete calculus (Laplacian, gradient, divergence) is spectral
 throughout: that is what makes the continuity identity
@@ -136,11 +139,15 @@ class MoserField:
 
 @dataclass(frozen=True)
 class FlowMap:
-    """Time-1 transport map of the Moser flow with integrator metadata."""
+    """Time-1 transport map of the Moser flow with integrator metadata.
+
+    flow_error bounds the node error: in 2D the accepted step-doubling
+    estimate; in 1D (closed form, steps 0) the certified max_i |G(T_i) -
+    F(x_i) - s| / min(rho1), since G' is at least rho1's least node value."""
 
     map: TransportMap
     steps: int
-    flow_error: float  # accepted step-doubling estimate of the node error
+    flow_error: float
     checkpoints: dict = field(default_factory=dict)
     pushforward_error: float | None = None
     field_ref: MoserField | None = None
@@ -226,8 +233,58 @@ def _moser_field(rho0: GridDensity, rho1: GridDensity) -> MoserField:
     return MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
 
 
+def _pl_masses(values: np.ndarray) -> np.ndarray:
+    """Mass from node 0 to nodes 0..n of the periodic piecewise-linear
+    interpolant of each row of values (B, n)."""
+    seg = (values + np.roll(values, -1, axis=1)) / (2 * values.shape[1])
+    return np.concatenate([np.zeros((len(values), 1)), np.cumsum(seg, axis=1)], axis=1)
+
+
+def _pl_inverse(values: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """y = G^-1(levels) and G(y) - levels per row, for G the lifted CDF from node 0
+    of the interpolant of each row of values (B, n), and levels (B, m): the node
+    masses give each level's segment, and a stable quadratic root its place there."""
+    n = values.shape[1]
+    at_node = _pl_masses(values)
+    turns = np.floor(levels / at_node[:, -1:])
+    rest = levels - turns * at_node[:, -1:]
+    k = np.stack([np.searchsorted(c, r, side="right") for c, r in zip(at_node, rest)])
+    k = np.clip(k - 1, 0, n - 1)
+    a, b = np.take_along_axis(values, k, axis=1), np.take_along_axis(values, (k + 1) % n, axis=1)
+    below = turns * at_node[:, -1:] + np.take_along_axis(at_node, k, axis=1)
+    q = (levels - below) * n
+    f = 2 * q / (a + np.sqrt(a * a + 2 * (b - a) * q))
+    residual = below + (a * f + (b - a) * f * f / 2) / n - levels
+    return turns + (k + 0.5 + f) / n, residual  # node i sits at (i + 1/2) / n
+
+
+def _closed_form(fields: list[MoserField], times: list[float]) -> list:
+    """The maps of a batch of 1D fields, as _flows returns them, with no RK4.
+
+    The flux J = rho_t xi is constant in t with zero mean, so G_t(X_t) - t J(0)
+    is constant along a trajectory, where G_t is the CDF of (1-t) rho0 + t rho1
+    and J(0) = s = int (G - F) over a period (Simpson's rule per piece is exact
+    for CDFs quadratic there): X_t(x_i) = G_t^-1(F(x_i) + t s). The estimate
+    is the certified node bound that FlowMap describes.
+    """
+    if not fields:
+        return []
+    rho0 = np.stack([fld.rho0.values for fld in fields])
+    rho1 = np.stack([fld.rho1.values for fld in fields])
+    n = rho0.shape[1]
+    start, end = _pl_masses(rho0)[:, :-1], _pl_masses(rho1)[:, :-1]
+    shift = np.sum((end - start) / n + (2 * (rho1 - rho0) + np.roll(rho1 - rho0, -1, axis=1))
+                   / (6 * n * n), axis=1, keepdims=True)
+    x, residual = _pl_inverse(rho1, start + shift)
+    marks = {t: wrap_unit(_pl_inverse((1 - t) * rho0 + t * rho1, start + t * shift)[0])
+             for t in times}
+    bound = np.abs(residual).max(axis=1) / rho1.min(axis=1)
+    return [(0, x[b, :, None], {t: pos[b, :, None] for t, pos in marks.items()},
+             float(bound[b])) for b in range(len(fields))]
+
+
 def _flows(fields: list[MoserField], times: list[float]) -> list:
-    """Integrate a batch of fields on one grid from its nodes to t=1.
+    """Integrate a batch of fields on one grid from its nodes to t=1 by RK4.
 
     Returns per field (steps, time-1 positions, checkpoint marks, estimate)
     or the MoserError its flow ended in. Step doubling runs as the module
@@ -283,17 +340,18 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     """Deterministic coupling of rho0 and rho1 by the time-1 Moser flow.
 
     Both densities must be strictly positive (min >= 1e-3) on a common grid.
-    The RK4 step count is chosen by step doubling from MIN_STEPS until the
-    node estimate is at most FLOW_TOL * h, and the map records that estimate
-    as `flow_error`; past MAX_STEPS_PER_CELL * n steps it raises MoserError.
-    Checkpoints split the same step count by segment length. With
-    check_pushforward (the default), a 1D map records the exact circle
+    A 1D map and its checkpoints are in closed form (steps 0). In 2D the
+    RK4 step count is chosen by step doubling from MIN_STEPS until the node
+    estimate is at most FLOW_TOL * h; past MAX_STEPS_PER_CELL * n steps it
+    raises MoserError, and checkpoints split the step count by segment
+    length. Either way `flow_error` bounds the node error (see FlowMap).
+    With check_pushforward (the default), a 1D map records the exact circle
     W1(T_* rho0, rho1) as its pushforward error; False skips that check. A
     2D map always records None: in 2D only the dense entropic upper bound is
     available, and it is too slow to run per map.
 
     rho1 may also be a sequence of targets, such as a kernel family's. Their
-    flows are integrated as one batch, one RK4 loop over every map's nodes,
+    maps are built as one batch (one RK4 loop over every map's nodes in 2D),
     and each map keeps the step count, images and estimate it would get
     alone. The result is then a list with, per target, its FlowMap or the
     MoserError it ended in: a density check or unresolved doubling.
@@ -310,7 +368,8 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
             built.append(_moser_field(rho0, target))
         except MoserError as exc:
             built.append(exc)
-    flows = iter(_flows([f for f in built if isinstance(f, MoserField)], times))
+    fields = [f for f in built if isinstance(f, MoserField)]
+    flows = iter(_closed_form(fields, times) if rho0.dim == 1 else _flows(fields, times))
     out = [f if isinstance(f, MoserError) else _flow_map(f, next(flows), check_pushforward)
            for f in built]
     if not single:

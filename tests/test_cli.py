@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import randmap
+from randmap import cli
 from randmap.cli import main
 from randmap.measures import DiscreteMeasure, GridDensity
 from randmap.lift import write_manifold_atoms
@@ -406,15 +407,19 @@ def _bad_wdist_input(workspace, name, text):
             "--out", str(workspace / "wbad")]
 
 
-def _unresolved_moser_flow(workspace):
-    # a narrow bump over the positivity floor on 16 cells: step doubling
-    # does not meet its tolerance by the cap of 64 * 16 steps
-    n = 16
+def _bump(n, width, floor, dim=1):
+    """A Gaussian bump at the centre of [0, 1)^dim over a density floor."""
     x = (np.arange(n) + 0.5) / n
-    spike = np.exp(-((x - 0.5) ** 2) / (2 * 0.01 ** 2))
-    GridDensity.uniform(1, n).to_csv(workspace / "uniform16.csv")
-    GridDensity(1, n, MIN_DENSITY + (1 - MIN_DENSITY) / spike.mean() * spike).to_csv(
-        workspace / "spike16.csv")
+    r2 = sum(a ** 2 for a in np.meshgrid(*(x - 0.5,) * dim, indexing="ij"))
+    bump = np.exp(-r2 / (2 * width ** 2))
+    return GridDensity(dim, n, floor + (1 - floor) / bump.mean() * bump)
+
+
+def _unresolved_moser_flow(workspace):
+    # a narrow 2D bump over the positivity floor on 16 x 16 cells: step
+    # doubling does not meet its tolerance by the cap of 64 * 16 steps
+    GridDensity.uniform(2, 16).to_csv(workspace / "uniform16.csv")
+    _bump(16, 0.01, MIN_DENSITY, dim=2).to_csv(workspace / "spike16.csv")
     return ["moser", "--rho0", str(workspace / "uniform16.csv"),
             "--rho1", str(workspace / "spike16.csv"), "--out", str(workspace / "mu")]
 
@@ -625,6 +630,52 @@ def test_bad_input_is_usage_error(workspace, capsys, case):
     assert "Traceback" not in err
     for needle in needles:
         assert needle in err
+
+
+# Per command: its flags before --out, and the randmap call that does its work.
+OUT_FIRST = {
+    "wdist": (["--a", "atoms.csv", "--b", "atoms.csv"], "wasserstein_1d"),
+    "couple": (["--mu", "atoms.csv", "--nu", "atoms.csv"], "solve_exact"),
+    "moser": (["--rho0", "uniform.csv", "--rho1", "bump.csv"], "moser_map"),
+    "represent": (["--kernel", "kernel.txt"], "build_continuous_representation"),
+    "verify": (["--kernel", "kernel.txt", "--seed", "0"], "build_continuous_representation"),
+    "lift": (["--manifold", "circle", "--base", "0.0", "--atoms", "atoms.csv"], "log_lift"),
+    "stability": (["--mu", "uniform.csv", "--targets", "bump.csv", "--limit", "atoms.csv",
+                   "--eps", "0.1"], "stability_experiment"),
+}
+
+
+@pytest.mark.parametrize("command", OUT_FIRST)
+def test_out_that_is_a_file_fails_before_any_work(workspace, monkeypatch, capsys, command):
+    flags, work = OUT_FIRST[command]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was made")
+
+    monkeypatch.setattr(cli, work, refuse)
+    flags = [str(workspace / f) if f.endswith((".csv", ".txt")) else f for f in flags]
+    rc = main([command, *flags, "--out", str(workspace / "uniform.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot make output directory" in err and "uniform.csv" in err
+
+
+@pytest.mark.parametrize("floor, code", [(0.1, 0), (1e-2, 1)])
+def test_moser_builds_steep_1d_maps_in_closed_form(workspace, floor, code):
+    # a bump of width 0.02 on 64 cells. Over the 0.1 floor the map is a
+    # diffeomorphism. Over 1e-2 the map is built too, but one cell's image
+    # spans more than half the circle, so the node map folds and the
+    # Jacobian check fails: a limit of sampling the map at nodes.
+    _bump(64, 0.02, floor).to_csv(workspace / "steep.csv")
+    out = workspace / "steep"
+    rc = main(["moser", "--rho0", str(workspace / "uniform.csv"),
+               "--rho1", str(workspace / "steep.csv"), "--out", str(out)])
+    assert rc == code
+    report = json.loads((out / "report.json").read_text())
+    assert report["steps"] == 0
+    assert report["flow_error_estimate"] <= FLOW_TOL / 64
+    assert report["pushforward_w1"] <= 1e-2
+    assert (report["jacobian_min"] > 0) == (code == 0)
 
 
 def test_represent_accepts_density_at_positivity_floor(workspace):

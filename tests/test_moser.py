@@ -1,10 +1,11 @@
 """Tests for the periodic Poisson solve, Moser flow, and diffeomorphism proxy.
 
 Oracles: single-Fourier-mode closed forms for the Poisson equation, the 1D
-monotone (quantile) map for pushforward agreement, the closed-form 1D time-1
-map for node accuracy, a 64n-step reference for the step-doubling estimate,
-analytic derivatives for the Jacobian checks, and single-target builds for
-the batched integration of a kernel family's flows.
+monotone (quantile) map for pushforward agreement, a bisection inverse of
+the piecewise-linear CDF for the closed-form 1D time-1 map, RK4 of the same
+field for its O(h^2) agreement with the flow, a 64n-step reference for the
+2D step-doubling estimate, analytic derivatives for the Jacobian checks,
+and single-target builds for the batched maps of a kernel family.
 """
 import numpy as np
 import pytest
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 from randmap import moser
 from randmap.geometry import unit_torus_grid, wrap_signed, wrap_unit
 from randmap.kernel import KernelError, KernelFamily, build_continuous_representation
-from randmap.measures import GridDensity, grid_pushforward, wasserstein_1d
+from randmap.measures import (
+    GridDensity,
+    grid_pushforward,
+    wasserstein_1d,
+    wasserstein_sinkhorn_upper,
+)
 from randmap.moser import (
     FLOW_TOL,
     MAX_STEPS_PER_CELL,
@@ -36,11 +42,13 @@ def cosine_density(n, amp, shift=0.0):
     return GridDensity(1, n, 1 + amp * np.cos(2 * np.pi * (x - shift)))
 
 
-def spike_density(n, width):
-    """Gaussian bump at 0.5 over the positivity floor: the late-time field is steep."""
+def spike_density(n, width, dim=1):
+    """Gaussian bump at the centre of the torus over the positivity floor: the
+    late-time field is steep."""
     x = (np.arange(n) + 0.5) / n
-    spike = np.exp(-((x - 0.5) ** 2) / (2 * width ** 2))
-    return GridDensity(1, n, 1e-3 + (1 - 1e-3) / spike.mean() * spike)
+    r2 = sum(a ** 2 for a in np.meshgrid(*(x - 0.5,) * dim, indexing="ij"))
+    spike = np.exp(-r2 / (2 * width ** 2))
+    return GridDensity(dim, n, 1e-3 + (1 - 1e-3) / spike.mean() * spike)
 
 
 def moser_field(rho0, rho1):
@@ -160,23 +168,25 @@ def test_blowup_guard_leaves_only_the_blown_row_nan():
 
 def test_doubling_passes_over_trial_blowups():
     # the 16-step trial trips the blow-up guard; doubling goes on past it
-    n = 64
-    rho1 = spike_density(n, 0.03)
-    rho0 = GridDensity.uniform(1, n)
-    nodes = unit_torus_grid(1, n).nodes()
+    # (the spike resolves at the cap of 1,024 steps)
+    n = 16
+    rho1 = spike_density(n, 0.064, dim=2)
+    rho0 = GridDensity.uniform(2, n)
+    nodes = unit_torus_grid(2, n).nodes()
     assert np.isnan(integrate_flow([moser_field(rho0, rho1)], nodes[None], 0.0, 1.0,
                                    MIN_STEPS)).all()
     flow = moser_map(rho0, rho1)
     assert MIN_STEPS < flow.steps <= MAX_STEPS_PER_CELL * n
     assert flow.flow_error <= FLOW_TOL / n
-    assert flow.pushforward_error <= 2.0 / n
+    pushed = grid_pushforward(flow, rho0)
+    assert wasserstein_sinkhorn_upper(pushed, rho1, p=1, periodic=True) <= 4.0 / n
 
 
 def test_doubling_cap_reports_steps_and_estimate():
-    n = 32
+    n = 16
     with pytest.raises(MoserError, match=f"cap of {MAX_STEPS_PER_CELL * n} steps: "
                                          r"doubling estimate \S+ exceeds"):
-        moser_map(GridDensity.uniform(1, n), spike_density(n, 0.01))
+        moser_map(GridDensity.uniform(2, n), spike_density(n, 0.01, dim=2))
 
 
 def test_flow_semigroup_consistency():
@@ -214,42 +224,80 @@ def _pl_cdf_inverse(rho, level, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _level_shift(rho0, rho1):
+    """s = int (G - F) over one period, by Simpson's rule between nodes,
+    which is exact there because both CDFs are quadratic."""
+    n = rho0.n
+    ends = (np.arange(n + 1) + 0.5) / n
+
+    def gap(y):
+        return _pl_cdf(rho1, y) - _pl_cdf(rho0, y)
+    return np.sum(gap(ends[:-1]) + 4 * gap(ends[:-1] + 0.5 / n) + gap(ends[1:])) / (6 * n)
+
+
 @pytest.mark.parametrize("n", [32, 64, 128])
 @pytest.mark.parametrize("amp", [0.4, 0.9])
 def test_moser_matches_closed_form_1d_map(n, amp):
-    # The 1D flow carries mass between trajectories, so the time-1 map is
-    # T(x) = F1^-1(F0(x) + c) with F the CDF of the interpolated density and
-    # c fixed by the trajectory of the first node (integrated at 16n steps).
-    # The field's flux is interpolated separately from the densities, so the
-    # map matches this form only up to O(h^2): measured worst 0.15 h^2 at
-    # n=32, amplitude 0.9, where the target density dips to 0.1.
+    # The 1D flux does not depend on t, so the time-1 map is
+    # T(x) = G^-1(F(x) + s) with F and G the CDFs of the interpolated
+    # densities and s = int (G - F). RK4 of the Moser field meets this form
+    # only up to O(h^2), because the field's flux is interpolated separately
+    # from the densities: 0.25 h^2 bounds it (measured worst 0.03 h^2).
     rho0 = GridDensity.uniform(1, n)
     rho1 = cosine_density(n, amp)
     flow = moser_map(rho0, rho1)
+    assert flow.steps == 0
     x = flow.map.points[:, 0]
     lift = x + wrap_signed(flow.map.images[:, 0] - x)
-    anchor = integrate_flow([flow.field_ref], flow.map.points[None, :1], 0.0, 1.0,
-                            16 * n)[0, 0, 0]
-    c = _pl_cdf(rho1, np.array([anchor]))[0] - _pl_cdf(rho0, x[:1])[0]
-    oracle = _pl_cdf_inverse(rho1, _pl_cdf(rho0, x) + c, x - 1.0, x + 1.0)
-    assert np.abs(lift - oracle).max() <= 0.25 / n ** 2
+    oracle = _pl_cdf_inverse(rho1, _pl_cdf(rho0, x) + _level_shift(rho0, rho1),
+                             x - 1.0, x + 1.0)
+    assert np.abs(lift - oracle).max() <= 1e-12
+    rk4 = integrate_flow([flow.field_ref], flow.map.points[None], 0.0, 1.0, 16 * n)[0, :, 0]
+    assert np.abs(rk4 - oracle).max() <= 0.25 / n ** 2
 
 
 @st.composite
-def cosine_targets(draw):
-    dim, n = draw(st.sampled_from([(1, 32), (1, 64), (2, 16)]))
-    x = (np.arange(n) + 0.5) / n
-    factors = []
-    for axis in range(dim):
-        amp = draw(st.floats(-0.9, 0.9)) if axis == 0 or draw(st.booleans()) else 0.0
-        shift = draw(st.floats(0.0, 1.0))
-        factors.append(1 + amp * np.cos(2 * np.pi * (x - shift)))
-    vals = factors[0] if dim == 1 else np.multiply.outer(factors[0], factors[1])
-    return GridDensity(dim, n, vals / vals.mean())
+def cosine_couplings(draw):
+    n = draw(st.sampled_from([32, 64, 128]))
+    amps, shifts = st.floats(-0.9, 0.9), st.floats(0.0, 1.0)
+    return tuple(cosine_density(n, draw(amps), draw(shifts)) for _ in range(2))
 
 
 @settings(max_examples=10)
-@given(cosine_targets())
+@given(cosine_couplings())
+def test_closed_form_1d_map_is_a_degree_one_circle_map(pair):
+    rho0, rho1 = pair
+    n = rho0.n
+    flow = moser_map(rho0, rho1, checkpoints=(0.5,))
+    x, images = flow.map.points[:, 0], flow.map.images[:, 0]
+    # the lift is strictly increasing and T(x + 1) = T(x) + 1: the forward
+    # gaps between neighbouring images are positive and make one turn
+    gaps = wrap_unit(np.roll(images, -1) - images)
+    assert gaps.min() > 0 and abs(gaps.sum() - 1.0) <= 1e-12
+    # G(T_i) = F(x_i) + s, up to one turn, within the rounding of the
+    # cumulative sums of n masses that make up each CDF
+    residual = _pl_cdf(rho1, images) - _pl_cdf(rho0, x) - _level_shift(rho0, rho1)
+    assert np.abs(wrap_signed(residual)).max() <= n * np.finfo(float).eps
+    assert flow.steps == 0 and flow.flow_error <= FLOW_TOL / n
+    half = integrate_flow([flow.field_ref], flow.map.points[None], 0.0, 0.5, 8 * n)[0]
+    assert np.abs(wrap_signed(flow.checkpoints[0.5] - half)).max() <= 0.25 / n ** 2
+
+
+@st.composite
+def cosine_targets_2d(draw):
+    n = 16
+    x = (np.arange(n) + 0.5) / n
+    factors = []
+    for axis in range(2):
+        amp = draw(st.floats(-0.9, 0.9)) if axis == 0 or draw(st.booleans()) else 0.0
+        shift = draw(st.floats(0.0, 1.0))
+        factors.append(1 + amp * np.cos(2 * np.pi * (x - shift)))
+    vals = np.multiply.outer(factors[0], factors[1])
+    return GridDensity(2, n, vals / vals.mean())
+
+
+@settings(max_examples=10)
+@given(cosine_targets_2d())
 def test_doubling_estimate_bounds_node_error(rho1):
     n, dim = rho1.n, rho1.dim
     rho0 = GridDensity.uniform(dim, n)
@@ -296,6 +344,11 @@ def circle_family(measures):
                         tuple(measures))
 
 
+def torus_family(measures):
+    return KernelFamily("torus2", [[0.1, 0.2], [0.4, 0.2], [0.1, 0.7], [0.6, 0.6]],
+                        tuple(measures))
+
+
 def assert_same_flows(batch, singles):
     for got, want in zip(batch, singles, strict=True):
         assert np.array_equal(got.map.images, want.map.images)
@@ -306,14 +359,14 @@ def assert_same_flows(batch, singles):
 
 
 def test_batched_1d_family_matches_single_target_maps():
-    # the spike's 16-step trial blows up and it resolves only at 1,024
-    # steps, against 32 or 64 for the cosines: every map doubles on its own
+    # closed-form maps, a steep spike among them: the batch is bit for bit
+    # what each target gets alone
     n = 64
     targets = [cosine_density(n, 0.3), cosine_density(n, 0.9, 0.25), spike_density(n, 0.03),
                cosine_density(n, 0.5, 0.5)]
     rho0 = GridDensity.uniform(1, n)
     singles = [moser_map(rho0, rho1, check_pushforward=False) for rho1 in targets]
-    assert len({flow.steps for flow in singles}) == 3
+    assert {flow.steps for flow in singles} == {0}
     family = build_continuous_representation(circle_family(targets))
     for t_map, want in zip(family.maps, singles, strict=True):
         assert np.array_equal(t_map.images, want.map.images)
@@ -325,13 +378,15 @@ def test_batched_1d_family_matches_single_target_maps():
 
 
 def test_batched_2d_family_matches_single_target_maps():
+    # the cosines resolve at 32 steps, the wide spike at 256 and the narrow
+    # one, whose 16-step trial blows up, at 1,024: every map doubles on its own
     n = 16
-    targets = [product_cosine_density(n, amp) for amp in (0.2, 0.5, 0.8, 0.95)]
+    targets = [product_cosine_density(n, 0.2), product_cosine_density(n, 0.95),
+               spike_density(n, 0.1, dim=2), spike_density(n, 0.064, dim=2)]
     rho0 = GridDensity.uniform(2, n)
     singles = [moser_map(rho0, rho1, check_pushforward=False) for rho1 in targets]
-    kern = KernelFamily("torus2", [[0.1, 0.2], [0.4, 0.2], [0.1, 0.7], [0.6, 0.6]],
-                        tuple(targets))
-    family = build_continuous_representation(kern)
+    assert [flow.steps for flow in singles] == [32, 32, 256, 1024]
+    family = build_continuous_representation(torus_family(targets))
     for t_map, want in zip(family.maps, singles, strict=True):
         assert np.array_equal(t_map.images, want.map.images)
     assert_same_flows(moser_map(rho0, targets, check_pushforward=False), singles)
@@ -339,22 +394,24 @@ def test_batched_2d_family_matches_single_target_maps():
 
 @pytest.mark.parametrize("checkpoints", [(), (0.5,)], ids=["one-segment", "two-segments"])
 def test_batched_unresolved_flows_report_the_first_by_base_point(checkpoints):
-    # the spikes are still unresolved at the cap of 64 n steps, while the
-    # cosines leave the batch early; each spike ends in the error it gets alone
+    # the spikes are still unresolved at the cap of 64 n steps, with
+    # different estimates, while the cosines leave the batch early; each
+    # spike ends in the error it gets alone
     n = 16
-    targets = [cosine_density(n, 0.3), cosine_density(n, 0.5), spike_density(n, 0.01),
-               spike_density(n, 0.02)]
+    targets = [product_cosine_density(n, 0.3), product_cosine_density(n, 0.5),
+               spike_density(n, 0.03, dim=2), spike_density(n, 0.05, dim=2)]
     if not checkpoints:
         with pytest.raises(KernelError, match="map construction failed at base point 2: "
                                               "flow not resolved at the cap of 1024 steps"):
-            build_continuous_representation(circle_family(targets))
-    rho0 = GridDensity.uniform(1, n)
+            build_continuous_representation(torus_family(targets))
+    rho0 = GridDensity.uniform(2, n)
     flows = moser_map(rho0, targets, checkpoints=checkpoints)
     assert [type(f) for f in flows] == [FlowMap, FlowMap, MoserError, MoserError]
     for got, rho1 in zip(flows[2:], targets[2:]):
         with pytest.raises(MoserError) as alone:
             moser_map(rho0, rho1, checkpoints=checkpoints)
         assert str(got) == str(alone.value)
+    assert str(flows[2]) != str(flows[3])
 
 
 def test_batched_construction_failure_stays_with_its_target():
@@ -384,11 +441,14 @@ def rk4_calls(monkeypatch):
 
 
 def test_family_build_integrates_every_map_in_one_batch(rk4_calls):
-    # 16 targets that all resolve at 32 steps: one 16-step and one 32-step
-    # trial for the whole family, where one integration per map would make 32
-    n = 64
-    targets = [cosine_density(n, 0.4, k / 16) for k in range(16)]
-    build_continuous_representation(circle_family(targets))
+    # a 1D family is built in closed form, with no RK4 at all
+    build_continuous_representation(circle_family(
+        [cosine_density(64, 0.4, k / 16) for k in range(16)]))
+    assert rk4_calls == []
+    # 4 targets that all resolve at 32 steps: one 16-step and one 32-step
+    # trial for the whole family, where one integration per map would make 8
+    build_continuous_representation(torus_family(
+        [product_cosine_density(16, 0.4 + 0.1 * k) for k in range(4)]))
     assert rk4_calls == [MIN_STEPS, 2 * MIN_STEPS]
 
 

@@ -523,6 +523,55 @@ def test_sinkhorn_kernel_failure_raises_instead_of_non_finite_potentials(bad):
         transport._sinkhorn_potentials(c, w, np.full(4, 0.25), 1.0, 100, 1e-9)
 
 
+def _axis_cost_case(seed, n, m):
+    """A (2, n, m) stack of per-axis quadratic costs between random axis
+    nodes, the (n^2, m^2) cost it sums to, C[i0 i1, j0 j1] = C_0[i0, j0] +
+    C_1[i1, j1], and random row-major grid weights, a few of them zero."""
+    rng = np.random.default_rng(seed)
+    axes = np.stack([0.5 * np.subtract.outer(rng.random(n), rng.random(m)) ** 2
+                     for _ in range(2)])
+    dense = (axes[0][:, None, :, None] + axes[1][None, :, None, :]).reshape(n * n, m * m)
+    wa, wb = rng.dirichlet(np.ones(n * n)), rng.dirichlet(np.ones(m * m))
+    wa[rng.integers(n * n)] = wb[rng.integers(m * m)] = 0.0
+    return axes, dense, wa / wa.sum(), wb / wb.sum()
+
+
+@pytest.mark.parametrize("seed, n, m, epsilon", [(0, 6, 5, 1e-2), (1, 8, 8, 1e-3),
+                                                 (2, 5, 7, 3e-3)])
+def test_factored_sinkhorn_matches_the_dense_cost_it_sums_to(seed, n, m, epsilon):
+    axes, dense, wa, wb = _axis_cost_case(seed, n, m)
+    f, g, converged, err, iters = transport._sinkhorn_potentials(axes, wa, wb, epsilon,
+                                                                 2000, 1e-9)
+    rf, rg, r_converged, _, r_iters = transport._sinkhorn_potentials(dense, wa, wb, epsilon,
+                                                                     2000, 1e-9)
+    assert converged and err <= 1e-9
+    assert (iters, converged) == (r_iters, r_converged)
+    assert np.abs(f - rf).max() <= 1e-10 and np.abs(g - rg).max() <= 1e-10
+
+
+def test_factored_kernel_holds_the_separable_part_and_turns_dense_on_a_failed_step():
+    axes, dense, wa, wb = _axis_cost_case(3, 6, 5)
+    rng = np.random.default_rng(4)
+    f = np.add.outer(rng.random(6), rng.random(6)).ravel() + 1e-3 * rng.normal(size=36)
+    g = np.add.outer(rng.random(5), rng.random(5)).ravel()
+    kern = transport._StabilisedKernel(axes, wa, wb)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in the solver
+        kern.absorb(f, g, 1e-2)
+        # the kernel takes the per-axis means; u keeps the rest, v nothing
+        assert len(kern.k) == 2 and kern.k[0].shape == (6, 5)
+        assert not np.allclose(kern.u, 1.0) and np.allclose(kern.v, 1.0, atol=1e-12)
+        hf, hg = kern.potentials()
+        assert np.abs(hf - f).max() <= 1e-15 and np.abs(hg - g).max() <= 1e-15
+        full = np.exp((np.add.outer(kern.f_bar, kern.g_bar) - dense) / 1e-2)
+        assert np.allclose(np.kron(*kern.k), full, rtol=1e-12, atol=0.0)
+        kern.k[0][0, 0] = np.inf  # a factor that overflowed
+        assert kern.iterate(1.0) is None
+        assert kern.axes is None and kern.c.shape == (36, 25)
+        assert np.array_equal(kern.c, dense)
+        kern.absorb(*kern.potentials(), 1e-2)
+        assert kern.iterate(1.0) is not None
+
+
 # ---------------------------------------------------------------------------
 # monotone 1D maps
 # ---------------------------------------------------------------------------
@@ -778,12 +827,114 @@ def test_brenier_solve_is_overrelaxed(sinkhorn_iters):
 
 
 def test_brenier_map_holds_at_most_two_cost_sized_arrays(peak_traced_bytes):
-    # n=32: the cost and the stabilised kernel are 1024 x 1024, and the solve
-    # needs both. A third full-size array breaks the bound: a temporary while
-    # the cost is built or halved, or the cost kept through the projection.
+    # n=32: the dense cost and stabilised kernel of a scattered target are
+    # 1024 x 1024, and the solve needs both. A third full-size array breaks
+    # the bound: a temporary while the cost is built or halved, or the cost
+    # kept through the projection. A grid target holds neither.
     g = GridDensity.uniform(2, 32)
-    peak = peak_traced_bytes(lambda: brenier_map(g, g, reg_epsilon=1e-3))
-    assert peak <= 2.5 * 1024 * 1024 * 8
+    for target in (g, g.as_discrete()):
+        peak = peak_traced_bytes(lambda: brenier_map(g, target, reg_epsilon=1e-3))
+        assert peak <= 2.5 * 1024 * 1024 * 8
+
+
+def _grid_density(values):
+    values = np.asarray(values, dtype=float)
+    return GridDensity(values.ndim, len(values), values / values.mean())
+
+
+def _box_bump(n, floor=0.2):
+    """The target of test_brenier_solve_is_overrelaxed, at n cells per axis."""
+    x = (np.arange(n) + 0.5) / n
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    bump = np.exp(-((xx - (0.3 + 0.4 / 6)) ** 2 + (yy - 0.5) ** 2) / (2 * 0.15 ** 2))
+    return _grid_density(floor + (1 - floor) * bump / bump.mean())
+
+
+def _half_box(n):
+    vals = np.zeros((n, n))
+    vals[: n // 2, :] = 2.0
+    return _grid_density(vals)
+
+
+def _diagonal_band(n):
+    x = (np.arange(n) + 0.5) / n
+    return _grid_density(1e-3 + np.exp(-np.subtract.outer(x, x) ** 2 / (2 * 0.03 ** 2)))
+
+
+def _seeded(seed, n):
+    return _grid_density(0.2 + np.random.default_rng(seed).random((n, n)))
+
+
+@pytest.mark.parametrize("source, target, densifies", [
+    (GridDensity.uniform(2, 8), _seeded(0, 8), False),
+    (GridDensity.uniform(2, 16), _seeded(1, 16), False),
+    (_seeded(2, 8), _seeded(3, 8), False),
+    (GridDensity.uniform(2, 32), _half_box(32), False),  # zero-mass cells, weight 0
+    (_box_bump(16), _seeded(4, 8), False),  # 16 -> 8 cells per axis
+    (GridDensity.uniform(2, 16), _diagonal_band(16), True),
+], ids=["seeded-8", "seeded-16", "seeded-source-8", "half-box-32", "16-to-8", "band-16"])
+def test_factored_brenier_map_matches_the_dense_kernel(monkeypatch, source, target,
+                                                      densifies):
+    # A grid target runs on per-axis factors; its cells as scattered atoms
+    # (zero-mass cells dropped) take the dense n^2 x m^2 kernel. The band's
+    # non-separable rest leaves the band at an absorption, so that solve
+    # turns dense part way; the others stay factored throughout.
+    solves, densified = [], []
+    solve, densify = transport._sinkhorn_potentials, transport._StabilisedKernel._densify
+
+    def counted(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        solves.append(result[2:])
+        return result
+
+    def recorded(self):
+        densified.append(len(solves))
+        densify(self)
+
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", counted)
+    monkeypatch.setattr(transport._StabilisedKernel, "_densify", recorded)
+    factored = brenier_map(source, target, reg_epsilon=1e-3)
+    assert bool(densified) == densifies
+    dense = brenier_map(source, target.as_discrete(), reg_epsilon=1e-3)
+    (conv, err, iters), (d_conv, d_err, d_iters) = solves
+    assert (conv, iters) == (d_conv, d_iters) and conv
+    assert abs(err - d_err) <= 1e-15
+    assert np.array_equal(factored.points, dense.points)
+    assert np.abs(factored.images - dense.images).max() <= 1e-12
+    assert np.abs(factored.psi - dense.psi).max() <= 1e-12
+
+
+def test_brenier_map_to_a_grid_target_holds_no_cost_sized_array(peak_traced_bytes):
+    # n=64: one 4096 x 4096 cost or kernel is 128 MB; the factored solve and
+    # projection hold (2, 64, 64) factors and vectors of 4096 entries.
+    g = GridDensity.uniform(2, 64)
+    peak = peak_traced_bytes(lambda: brenier_map(g, _box_bump(64),
+                                                 reg_epsilon=transport.BRENIER_EPSILON))
+    assert peak < 16 * 2 ** 20
+
+
+def test_brenier_n8_cosine_converges_or_names_its_marginal_error(sinkhorn_iters, monkeypatch):
+    # uniform to 1 + 0.3 cos(2 pi x) at n=8: the final level's contraction is
+    # slow enough that the 4,000-iteration cap may stop it short of 1e-10
+    x = (np.arange(8) + 0.5) / 8
+    target = _grid_density(np.tile((1 + 0.3 * np.cos(2 * np.pi * x))[:, None], (1, 8)))
+    errors = []
+    solve = transport._sinkhorn_potentials
+
+    def recorded(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        errors.append(result[3])
+        return result
+
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", recorded)
+    try:
+        brenier_map(GridDensity.uniform(2, 8), target, reg_epsilon=transport.BRENIER_EPSILON)
+    except SolverError as exc:
+        assert errors[0] > 1e-10
+        assert str(exc) == (f"Brenier Sinkhorn solve did not converge in {sinkhorn_iters[0]} "
+                            f"iterations (marginal error {errors[0]:.3e} > 1e-10)")
+    else:
+        assert errors[0] <= 1e-10
 
 
 def test_brenier_rejects_atomic_source():

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Entries per block of every blocked pass over an (n, m) array, stored
-# (`_blocks`) or not (`_row_blocks`), here and in transport: small enough
+# Entries per block of every blocked pass over a stored (n, m) array
+# (`_blocks`, cut into whole rows or columns by `_row_blocks`): the distance
+# matrix here, and transport's kernel fill and plan rounding. Small enough
 # that a pass adds no (n, m) temporary.
 BLOCK_ENTRIES = 1 << 16
 

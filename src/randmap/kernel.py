@@ -18,6 +18,7 @@ import numpy as np
 
 from .geometry import pairwise_distance, sphere_distance, sphere_xyz, wrap_signed
 from .measures import (
+    PUSHFORWARD_SUBDIV,
     DiscreteMeasure,
     GridDensity,
     draw_sample,
@@ -154,7 +155,8 @@ def _w1(mu, target, periodic: bool, grid_subdiv: int) -> float:
 
 def _pushforward_error(t_map: TransportMap, reference: GridDensity, target,
                        periodic: bool) -> float:
-    return _w1(grid_pushforward(t_map, reference), target, periodic, grid_subdiv=4)
+    return _w1(grid_pushforward(t_map, reference), target, periodic,
+               grid_subdiv=PUSHFORWARD_SUBDIV)
 
 
 def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,

@@ -51,12 +51,16 @@ class ManifoldChart:
             raise LiftError(f"{self.manifold} base point needs {expected} coordinates")
         if not np.isfinite(p).all():
             raise LiftError(f"chart base point must be finite, got {p.tolist()}")
+        flat = self.manifold in ("circle", "torus2")
         cap = self.cap
         if cap is None:
-            cap = 0.5 if self.manifold in ("circle", "torus2") else SPHERE_CAP
+            cap = 0.5 if flat else SPHERE_CAP
         if not (np.isfinite(cap) and cap > 0):
             raise LiftError(f"chart cap must be a finite number > 0, got {cap!r}")
-        if self.manifold == "sphere2" and cap >= np.pi:
+        if flat and cap > 0.5:
+            raise LiftError(f"{self.manifold} chart cap must stay at or below the "
+                            f"injectivity radius 0.5, got {cap!r}")
+        if not flat and cap >= np.pi:
             raise LiftError("sphere chart cap must stay below the cut locus pi")
         object.__setattr__(self, "base_point", p)
         object.__setattr__(self, "cap", float(cap))

@@ -405,6 +405,11 @@ def _circle_kinks(wu, wv, theta: float) -> list[tuple[float, tuple[int, float]]]
     return [(bu[k] + turn[j] - sv[j], (j, bu[k])) for j, k in ((lo, i[lo] - 1), (hi, i[hi]))]
 
 
+# Subcells per grid cell of the W1 quadrature of a map's pushforward: the
+# one value `moser_map` and the family builds of `kernel` both report.
+PUSHFORWARD_SUBDIV = 4
+
+
 def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
                    grid_subdiv: int = 1) -> float:
     """Exact order-p Wasserstein distance between 1D measures.

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import GridSpec, interp_grid, wrap_signed, wrap_unit
-from .measures import GridDensity, grid_pushforward, wasserstein_1d
+from .measures import PUSHFORWARD_SUBDIV, GridDensity, grid_pushforward, wasserstein_1d
 from .transport import TransportMap
 
 POISSON_RESIDUAL_TOL = 1e-8
@@ -329,7 +329,8 @@ def _flow_map(fld: MoserField, flow, check_pushforward: bool) -> FlowMap | Moser
     tmap = TransportMap(grid.nodes(), wrap_unit(x), route="moser", grid=grid)
     err = None
     if check_pushforward and grid.dim == 1:
-        err = wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True)
+        err = wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True,
+                             grid_subdiv=PUSHFORWARD_SUBDIV)
     return FlowMap(tmap, steps=steps, flow_error=flow_error, checkpoints=marks,
                    pushforward_error=err, field_ref=fld)
 
@@ -346,7 +347,8 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     raises MoserError, and checkpoints split the step count by segment
     length. Either way `flow_error` bounds the node error (see FlowMap).
     With check_pushforward (the default), a 1D map records the exact circle
-    W1(T_* rho0, rho1) as its pushforward error; False skips that check. A
+    W1(T_* rho0, rho1), at PUSHFORWARD_SUBDIV subcells per cell as in the
+    family builds, as its pushforward error; False skips that check. A
     2D map always records None: in 2D only the dense entropic upper bound is
     available, and it is too slow to run per map.
 

@@ -10,10 +10,11 @@ uses it, and its import would dominate every CLI command's start-up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
-from .geometry import (CostSpec, GridSpec, _blocks, _row_blocks, interp_grid, wrap_signed,
+from .geometry import (CostSpec, GridSpec, _blocks, interp_grid, wrap_signed,
                        wrap_unit)
 from .measures import (EXACT_SIZE_GUARD, DiscreteMeasure, GridDensity, MeasureError,
                        atoms_1d, circle_rotation, step_quantile, write_rows)
@@ -227,15 +228,15 @@ def solve_exact(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec) -> Tra
 # kinds is `pairwise_distance`'s, longer axis contiguous, so both products,
 # through K and through K.T, read it along long runs.
 #
-# On a tensor grid the quadratic cost splits by axis, C = C_0 (+) C_1, and so
-# does a kernel whose f_bar and g_bar are separable: K = K_0 (x) K_1, and
+# K is held as one factor per axis of a stack of per-axis costs; an (N, M)
+# cost is the one-axis stack, whose kernel takes in all of f_bar and g_bar.
+# On a tensor grid the quadratic cost splits by axis, C = C_0 (+) C_1, and
 # K x is K_0 X K_1^T on n x m factors (Solomon et al. 2015, Convolutional
-# Wasserstein Distances, ACM TOG). The kernel then takes in only the
-# separable part of each potential, its per-axis means, and the scalings keep
-# the rest, within the same band (absorbing part of a potential is what
-# Schmitzer 2019, section 3, asks of a stabilised kernel, not all of it).
-# Brenier maps to grid targets run so, in O(n^2) memory; a rest that leaves
-# the band turns the kernel dense for the rest of that solve.
+# Wasserstein Distances, ACM TOG): the kernel takes in only the per-axis
+# means of each potential, and the scalings keep the rest, within the same
+# band (absorbing part of a potential is what Schmitzer 2019, section 3,
+# asks of a stabilised kernel, not all of it). A rest that leaves the band
+# restacks the cost into one axis for the rest of that solve.
 #
 # The final epsilon level runs overrelaxed Sinkhorn (Thibault, Chizat,
 # Dossal & Papadakis 2017, arXiv:1711.01851; Lehmann, von Renesse, Sambale
@@ -305,27 +306,23 @@ def _in_band(s: np.ndarray) -> bool:
     return bool(_BAND[0] <= s.min() and s.max() <= _BAND[1])
 
 
-def _separable(f: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The per-axis parts (f_0, f_1) of the additive least-squares fit
-    f_i ~ f_0[i_0] + f_1[i_1] of a potential on an n x n grid (row-major flat
-    index i): each is the mean of f over the other axis, less half its
-    overall mean."""
+def _separable(f: np.ndarray, d: int, n: int) -> tuple[np.ndarray, ...]:
+    """The per-axis parts of the additive least-squares fit of a potential
+    on a d-axis grid of n cells per axis (row-major flat index i): f itself
+    for one axis; for two, f_i ~ f_0[i_0] + f_1[i_1], each part the mean of
+    f over the other axis, less half its overall mean."""
+    if d == 1:
+        return (f,)
     grid = f.reshape(n, n)
     half = 0.5 * grid.mean()
     return grid.mean(axis=1) - half, grid.mean(axis=0) - half
 
 
-def _outer_sum(parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The flat row-major vector f_0[i_0] + f_1[i_1]."""
-    return np.add.outer(*parts).ravel()
-
-
-def _apply(k, x: np.ndarray) -> np.ndarray:
-    """K x, for a kernel held whole (an array) or as the pair of its per-axis
-    factors, K = K_0 (x) K_1 on row-major flat vectors: K_0 X K_1^T for x
-    read as the grid X."""
-    if not isinstance(k, tuple):
-        return k @ x
+def _apply(k: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """K x for K held as its per-axis factors: K_0 x on one axis, and on two
+    K_0 X K_1^T (K = K_0 (x) K_1, x read as the row-major grid X)."""
+    if len(k) == 1:
+        return k[0] @ x
     k0, k1 = k
     return (k0 @ x.reshape(k0.shape[1], -1) @ k1.T).ravel()
 
@@ -344,65 +341,56 @@ class _StabilisedKernel:
     kernel sum that is 0 or not finite makes its scaling inf, 0 or NaN, which
     iterate reports.
 
-    The cost is an (N, M) matrix, or the (2, n, m) stack of the per-axis
-    costs of a tensor grid, C_ij = C_0[i_0, j_0] + C_1[i_1, j_1] over the
-    row-major indices i = (i_0, i_1) and j = (j_0, j_1). A matrix gives a
-    dense K: `absorb` folds all of f and g into it and sets both scalings to
-    1, and K is laid out as the cost is (`np.empty_like`) and built along
-    its contiguous axis (`_fill_exp`). A stack gives a factored K: `absorb`
-    folds in only the separable parts of f and g (their per-axis means,
-    `_separable`) and leaves the rest in u and v, so K = K_0 (x) K_1 with
-    K_a = exp((f_a + g_a - C_a)/eps), and a half-step is two n x m matrix
-    products (`_apply`). If that rest lies outside [e^-_ABSORB, e^_ABSORB],
-    or a factored step fails, the stack is summed into one (N, M) cost and K
-    is dense for the rest of the solve.
+    The cost is held as a (d, n, m) stack of per-axis costs, `axes`, and K
+    as the tuple of its d factors K_a = exp((f_a + g_a - C_a)/eps), each laid
+    out as its cost is (`np.empty_like`) and filled in place along its
+    contiguous axis (`_fill_exp`). An (N, M) cost is the one-axis stack
+    c[None]; the (2, n, m) stack of a tensor grid gives
+    C_ij = C_0[i_0, j_0] + C_1[i_1, j_1] over the row-major indices
+    i = (i_0, i_1) and j = (j_0, j_1), and K = K_0 (x) K_1 (`_apply`).
+    `absorb` folds the separable parts f_a, g_a of f and g (`_separable`)
+    into the factors and leaves the rest in u and v: on one axis that is all
+    of f and g, so both scalings are exactly 1. If the rest lies outside
+    [e^-_ABSORB, e^_ABSORB], or a two-axis step fails, the stack is summed
+    into one axis (`_densify`) for the rest of the solve.
     """
 
     def __init__(self, c: np.ndarray, wa: np.ndarray, wb: np.ndarray):
         self.wa, self.wb = wa, wb
-        if c.ndim == 3:
-            self.axes = c
-        else:
-            self._dense(c)
+        # An idle entry of a one-axis K, between a zero-weight row and column,
+        # meets only zero weights and no update bounds its exponent: it is
+        # kept at 0, not left to overflow to inf (inf * 0 = NaN).
+        self.idle = np.ix_(wa == 0, wb == 0)
+        self._hold(c if c.ndim == 3 else c[None])
 
-    def _dense(self, c: np.ndarray) -> None:
-        """Hold K whole, as a matrix laid out as the (N, M) cost c."""
-        self.axes, self.c = None, c
-        self.k = np.empty_like(c)
-        self.kt = self.k.T
-        # An entry between a zero-weight row and a zero-weight column always
-        # meets an exact zero weight, and no update bounds its exponent, so
-        # it is kept at 0 rather than left to overflow to inf (inf * 0 = NaN).
-        self.idle = np.ix_(self.wa == 0, self.wb == 0)
+    def _hold(self, axes: np.ndarray) -> None:
+        """Take the (d, n, m) cost stack axes, and room for K's factors."""
+        self.axes = axes
+        self.k = tuple(np.empty_like(ca) for ca in axes)
+        self.kt = tuple(ka.T for ka in self.k)
 
     def _densify(self) -> None:
-        """Sum the per-axis costs into the (N, M) cost, and hold K whole."""
+        """Restack the two per-axis costs into the (N, M) cost they sum to."""
         (c0, c1), (n, m) = self.axes, self.axes.shape[1:]
-        self._dense((c0[:, None, :, None] + c1[None, :, None, :]).reshape(n * n, m * m))
+        self._hold((c0[:, None, :, None] + c1[None, :, None, :]).reshape(1, n * n, m * m))
 
     def absorb(self, f: np.ndarray, g: np.ndarray, eps: float) -> None:
         """Fold the potentials f, g into K at regularisation eps: their
-        separable parts into the factors, the rest into u and v, for a
-        stack; all of them in place and block by block (`_fill_exp`), with
-        both scalings set to 1, for a matrix (or a stack whose rest leaves
-        the band, which turns it into one)."""
-        self.eps = eps
-        if self.axes is not None:
-            _, n, m = self.axes.shape
-            fa, ga = _separable(f, n), _separable(g, m)
-            f_bar, g_bar = _outer_sum(fa), _outer_sum(ga)
-            u, v = np.exp((f - f_bar) / eps), np.exp((g - g_bar) / eps)
-            if _in_band(u) and _in_band(v):
-                self.f_bar, self.g_bar, self.u, self.v = f_bar, g_bar, u, v
-                self.k = tuple(np.exp((np.add.outer(fs, gs) - ca) / eps)
-                               for fs, gs, ca in zip(fa, ga, self.axes))
-                self.kt = tuple(ka.T for ka in self.k)
-                return
+        separable parts into the factors, in place, and the rest into u and
+        v, after restacking a two-axis cost into one if that rest leaves the
+        band."""
+        d, n, m = self.axes.shape
+        fa, ga = _separable(f, d, n), _separable(g, d, m)
+        f_bar, g_bar = (reduce(np.add.outer, parts).ravel() for parts in (fa, ga))
+        u, v = np.exp((f - f_bar) / eps), np.exp((g - g_bar) / eps)
+        if d > 1 and not (_in_band(u) and _in_band(v)):
             self._densify()
-        self.f_bar, self.g_bar = f, g
-        self.u, self.v = np.ones(len(f)), np.ones(len(g))
-        _fill_exp(self.k, f, g, self.c, eps)
-        self.k[self.idle] = 0.0
+            return self.absorb(f, g, eps)
+        self.eps, self.f_bar, self.g_bar, self.u, self.v = eps, f_bar, g_bar, u, v
+        for k, fs, gs, ca in zip(self.k, fa, ga, self.axes):
+            _fill_exp(k, fs, gs, ca, eps)
+        if d == 1:
+            self.k[0][self.idle] = 0.0
 
     def halve(self) -> bool:
         """Move K, u and v to regularisation eps/2 around the same f_bar,
@@ -412,7 +400,7 @@ class _StabilisedKernel:
         u, v = self.u * self.u, self.v * self.v
         if not (_in_band(u) and _in_band(v)):
             return False
-        for k in self.k if self.axes is not None else (self.k,):
+        for k in self.k:
             k *= k
         self.u, self.v, self.eps = u, v, 0.5 * self.eps
         return True
@@ -431,8 +419,8 @@ class _StabilisedKernel:
         relative to the same g_bar: v / v_new = exp((g - g_new)/eps). None if
         a scaling is not finite and positive, which is how a kernel sum that
         underflows to 0 or is not finite shows; the state is then that of
-        the start of the iteration, and a factored K has turned dense, so
-        that the retry after absorption runs on the whole kernel.
+        the start of the iteration, and a two-axis cost is restacked into
+        one for the retry after absorption.
         """
         start = self.f_bar, self.g_bar, self.u, self.v
         self.u = _scale(self.k, self.u, self.v, self.wb, omega)
@@ -442,7 +430,7 @@ class _StabilisedKernel:
             if self._settle(v_new):
                 return v, v_new
         self.f_bar, self.g_bar, self.u, self.v = start
-        if self.axes is not None:
+        if len(self.k) > 1:
             self._densify()
         return None
 
@@ -460,7 +448,7 @@ class _StabilisedKernel:
 def _scale(k, own: np.ndarray, other: np.ndarray, w: np.ndarray,
            omega: float) -> np.ndarray:
     """1 / (K (w other)) at omega = 1, own (own K (w other))^-omega
-    otherwise, as a new array, for K held as `_apply` takes it."""
+    otherwise, as a new array, for K held as its factors (`_apply`)."""
     s = _apply(k, w * other)
     if omega == 1.0:
         return np.divide(1.0, s, out=s)
@@ -488,9 +476,10 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     down, overrelaxed at the final epsilon.
 
     c is the (N, M) cost, or the (2, n, m) stack of the per-axis costs of a
-    tensor grid (C_ij = C_0[i_0, j_0] + C_1[i_1, j_1] over row-major indices),
-    whose kernel is held as its per-axis factors while the potentials'
-    non-separable rest stays within the band below (`_StabilisedKernel`).
+    tensor grid (C_ij = C_0[i_0, j_0] + C_1[i_1, j_1] over row-major indices);
+    the kernel is held as one factor per axis, two for a stack while the
+    potentials' non-separable rest stays within the band below
+    (`_StabilisedKernel`).
     Each half-step is a Sinkhorn update (SK_f(g) = -eps lse_j[(g_j -
     C_ij)/eps + log b_j], SK_g(f) likewise) taken in scalings against the
     stabilised kernel K = exp((f_bar + g_bar - C)/eps): one matrix-vector
@@ -517,8 +506,8 @@ def _sinkhorn_potentials(c: np.ndarray, wa: np.ndarray, wb: np.ndarray,
     whenever a scaling leaves that band. When a kernel sum underflows to 0 or
     is not finite, K is built from the potentials of the iteration's start
     and the iteration redone; a sum that still fails raises SolverError, so
-    the potentials returned are always finite. Entries of a dense K between
-    zero-weight atoms on both sides stay 0.
+    the potentials returned are always finite. Entries of a one-axis K
+    between zero-weight atoms on both sides stay 0.
 
     Returns (f, g, converged, err, iterations). The returned iterate always
     comes from a plain step, and err is the L1 column violation of that step's
@@ -732,27 +721,6 @@ def _cell_atoms(rho: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     return (np.arange(rho.n) + 0.5) / rho.n, w / w.sum()
 
 
-def _factored_images(c: np.ndarray, g: np.ndarray, b: np.ndarray, y: np.ndarray,
-                     eps: float) -> np.ndarray | None:
-    """Barycentric projection of the entropic plan onto a 2D grid target
-    with per-axis costs c (2, n, m) and axis nodes y: image_i =
-    sum_j w_ij y_j / sum_j w_ij with w_ij = exp((g_j - C_ij)/eps) b_j, as
-    ((E_0 (x) E_1) (z y_j)) / ((E_0 (x) E_1) z). The factors
-    E_a = exp((g_a - C_a)/eps) carry the separable part of g and are
-    stabilised row by row (the shift cancels in the ratio); the vector
-    z = exp((g - g_0 - g_1)/eps) b carries the rest. None if that rest
-    leaves [e^-_ABSORB, e^_ABSORB], as it would for the factored kernel."""
-    parts = _separable(g, len(y))
-    z = np.exp((g - _outer_sum(parts)) / eps)
-    if not _in_band(z):
-        return None
-    z *= b
-    logits = [(ga - ca) / eps for ga, ca in zip(parts, c)]
-    e0, e1 = (np.exp(lg - lg.max(axis=1, keepdims=True)) for lg in logits)
-    mass = _apply((e0, e1), z)
-    return np.column_stack([_apply((e0 * y, e1), z), _apply((e0, e1 * y), z)]) / mass[:, None]
-
-
 def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     """Quadratic-cost optimal map on a box chart via the entropic dual.
 
@@ -761,48 +729,45 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     cyclically monotone to machine precision. The scalar potential psi with
     T(x) = x + grad psi(x) is recovered by path integration of T - id.
 
-    A 2D grid-density target keeps every cell, zero-mass cells with weight
-    0. The cost 1/2 |x - y|^2 is then the sum of its two per-axis costs, so
-    the solve and the projection run on (2, n, m) factors
-    (`_StabilisedKernel`, `_factored_images`): O(n^2) memory and O(n^3) time
-    per step for n^2 source and m^2 target cells. Both fall back to the
-    dense n^2 x m^2 kernel when the potentials' non-separable rest is too
-    large for the factors. Any other target (scattered atoms, or a 1D grid
-    as its atoms) takes the dense kernel: the cost and the kernel are the two
-    cost-sized arrays held.
+    The source keeps every cell, zero-mass cells with weight 0, so the plan
+    has a row for every node. A 2D grid-density target keeps every cell
+    likewise; the cost 1/2 |x - y|^2 is then the sum of its two per-axis
+    costs, and the solve runs on the (2, n, m) stack of them
+    (`_StabilisedKernel`): O(n^2) memory and O(n^3) time per step for n^2
+    source and m^2 target cells, unless the potentials' non-separable rest
+    is too large for the factors. Any other target (scattered atoms, or a 1D
+    grid as its atoms) gives the (N, M) cost, and the cost and the kernel
+    are the two cost-sized arrays held.
+
+    The projection reuses the kernel: with the solve's potentials absorbed
+    into a fresh K and z = v b, image_a = (K (z y_a)) / (K z).
     """
     if not isinstance(mu, GridDensity):
         raise MapError("brenier_map requires an absolutely continuous (grid) source")
     if mu.dim != nu.dim:
         raise MapError(f"cannot map a measure of dimension {mu.dim} to dimension {nu.dim}")
-    factored = isinstance(nu, GridDensity) and nu.dim == 2
-    if factored:
-        (x, a), (y, b) = _cell_atoms(mu), _cell_atoms(nu)
+    nodes = mu.nodes()
+    x, a = _cell_atoms(mu)
+    if isinstance(nu, GridDensity) and nu.dim == 2:
+        y, b = _cell_atoms(nu)
         c = np.stack([0.5 * np.subtract.outer(x, y) ** 2] * 2)
         pts = np.column_stack([p.ravel() for p in np.meshgrid(y, y, indexing="ij")])
     else:
-        src, tgt = mu.as_discrete(), nu.as_discrete()
-        c = CostSpec("sqdist", periodic=False).matrix(src.points, tgt.points)
+        tgt = nu.as_discrete()
+        b, pts = tgt.weights, tgt.points
+        c = CostSpec("sqdist", periodic=False).matrix(nodes, pts)
         c *= 0.5  # in place: scaling by a power of two is exact
-        a, b, pts = src.weights, tgt.weights, tgt.points
-    _, g, converged, err, iters = _sinkhorn_potentials(c, a, b, reg_epsilon,
+    f, g, converged, err, iters = _sinkhorn_potentials(c, a, b, reg_epsilon,
                                                        max_iter=4000, tol=1e-10)
     if not converged:
         raise SolverError(f"Brenier Sinkhorn solve did not converge in {iters} iterations "
                           f"(marginal error {err:.3e} > 1e-10)")
-    nodes = mu.nodes()
-    images = _factored_images(c, g, b, y, reg_epsilon) if factored else None
-    if images is None:
-        del c  # the dense projection below needs only g, so it runs without the cost
-        affine = (g - 0.5 * np.sum(pts * pts, axis=1)
-                  + reg_epsilon * _log_weights(b)) / reg_epsilon
-        images = np.empty((len(nodes), pts.shape[1]))
-        for rows in _row_blocks(len(nodes), len(pts)):
-            logits = nodes[rows] @ pts.T / reg_epsilon + affine[None, :]
-            logits -= logits.max(axis=1, keepdims=True)
-            w = np.exp(logits)
-            w /= w.sum(axis=1, keepdims=True)
-            images[rows] = w @ pts
+    kern = _StabilisedKernel(c, a, b)
+    with np.errstate(over="ignore"):  # as in the solve
+        kern.absorb(f, g, reg_epsilon)
+    z = kern.v * b
+    images = np.column_stack([_apply(kern.k, z * ya) for ya in pts.T])
+    images /= _apply(kern.k, z)[:, None]
     gspec = GridSpec(mu.dim, mu.n, periodic=False)
     psi = _integrate_potential(images - nodes, gspec)
     return TransportMap(nodes, images, psi=psi, route="brenier", grid=gspec)

@@ -3,7 +3,8 @@
 Nothing in randmap calls these, so they live beside the tests. Three groups:
 
 - checks: cyclical monotonicity, potential consistency, midpoint
-  convexity, the cost of a deterministic plan, and atomic pushforwards and
+  convexity, the cost of a deterministic plan, the barycentric projection
+  of an entropic plan from its target potential, and atomic pushforwards and
   empirical measures (with merging of coincident atoms and Dirac masses);
 - the discrete Legendre transform and the inversion of transport maps
   through it (acceptance criterion 5);
@@ -88,6 +89,24 @@ def deterministic_plan_cost(t_map: TransportMap, mu: DiscreteMeasure, cost: Cost
         d = np.sqrt(np.sum(delta * delta, axis=1))
         vals = d * d if cost.kind == "sqdist" else d ** cost.p
     return float(np.sum(mu.weights * vals))
+
+
+def barycentric_images(nodes: np.ndarray, pts: np.ndarray, g: np.ndarray, b: np.ndarray,
+                       eps: float) -> np.ndarray:
+    """Barycentric projection of the entropic plan for the cost 1/2 |x - y|^2
+    with target potential g: node x_i goes to sum_j w_ij y_j over the row
+    softmax w_ij of (x_i.y_j - |y_j|^2/2 + g_j)/eps + log b_j, taken from g
+    alone and shifted by each row's maximum, block by block of rows. Zero
+    weights b_j get no mass."""
+    with np.errstate(divide="ignore"):
+        affine = (g - 0.5 * np.sum(pts * pts, axis=1)) / eps + np.log(b)
+    images = np.empty((len(nodes), pts.shape[1]))
+    for rows in _row_blocks(len(nodes), len(pts)):
+        logits = nodes[rows] @ pts.T / eps + affine[None, :]
+        logits -= logits.max(axis=1, keepdims=True)
+        w = np.exp(logits)
+        images[rows] = (w @ pts) / w.sum(axis=1, keepdims=True)
+    return images
 
 
 def dirac(point) -> DiscreteMeasure:

@@ -1,5 +1,6 @@
-"""Every public name in randmap has a caller outside the tests, and no
-module of randmap or of the tests imports a name it never uses.
+"""Every public name in randmap has a caller outside the tests, every
+private helper a reader inside randmap, and no module of randmap or of the
+tests imports a name it never uses.
 
 The first walk reads each module of src/randmap with `ast` and collects its
 public top-level functions and classes and the public methods of those
@@ -9,7 +10,13 @@ attribute in another module of src/randmap or in the benchmark harness
 own def. Docstrings and other strings do not count. Code that only tests
 compare against belongs in tests/oracles.py, not in the package.
 
-The second walk takes each name an import binds (`import a.b` binds a) and
+The second walk does the same for the private top-level functions and the
+private methods of src/randmap: each must be named (as a name, an
+attribute or an import alias, which the third walk requires to be read)
+somewhere in src/randmap outside its own def, so no helper is left behind
+once its last caller is gone.
+
+The third walk takes each name an import binds (`import a.b` binds a) and
 requires it to be read as a name somewhere in the same module.
 """
 import ast
@@ -78,6 +85,41 @@ def test_every_public_name_has_a_non_test_caller():
     assert uncalled == ALLOWED, (
         f"public names with no caller outside the tests: {sorted(uncalled - ALLOWED)}; "
         f"allowed names that have a caller now: {sorted(ALLOWED - uncalled)}")
+
+
+def _private_definitions(tree: ast.Module):
+    """(qualified name, bare name, def node) of each private top-level
+    function and each private method of a top-level class (a leading
+    underscore, not a dunder)."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and private(node.name):
+            yield node.name, node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and private(item.name):
+                    yield f"{node.name}.{item.name}", item.name, item
+
+
+def unread_private_names(package: Path) -> list[str]:
+    """module.name of every private function and method in package that no
+    code of package names outside its own def (see above)."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    read = {stem: _references(tree, names=True) for stem, tree in modules.items()}
+    missing = []
+    for stem, tree in modules.items():
+        elsewhere = set().union(*(refs for other, refs in read.items() if other != stem))
+        for qualname, name, node in _private_definitions(tree):
+            if name not in elsewhere and name not in _references(tree, names=True, skip=node):
+                missing.append(f"{stem}.{qualname}")
+    return missing
+
+
+def test_every_private_helper_is_read_in_the_package():
+    unread = unread_private_names(PACKAGE)
+    assert not unread, f"private functions and methods nothing in randmap reads: {unread}"
 
 
 def unused_imports(path: Path) -> list[str]:

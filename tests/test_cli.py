@@ -576,6 +576,10 @@ BAD_INPUTS = {
     "lift-cap-nan": (lambda ws: ["lift", "--manifold", "circle", "--base", "0.0", "--atoms",
                                  str(ws / "atoms.csv"), "--cap", "nan", "--out", str(ws / "lc")],
                      ["--cap", "finite number > 0", "'nan'"]),
+    "lift-cap-above-injectivity": (lambda ws: ["lift", "--manifold", "circle", "--base", "0.0",
+                                               "--atoms", str(ws / "atoms.csv"), "--cap", "0.9",
+                                               "--out", str(ws / "lc")],
+                                   ["injectivity radius 0.5", "0.9"]),
     "stability-eps-nan": (lambda ws: _stability_eps(ws, "nan"), ["eps must be > 0", "nan"]),
     "stability-eps-inf": (lambda ws: _stability_eps(ws, "inf"), ["eps must be > 0", "inf"]),
     "couple-exact-dims": (lambda ws: _mixed_dimensions(ws, "couple", "atoms.csv", "b2.csv"),

@@ -105,6 +105,15 @@ def test_sphere_cap_must_stay_below_cut_locus():
 
 
 @pytest.mark.parametrize("manifold, base, cap", [
+    ("circle", [0.0], 0.9), ("circle", [0.0], 0.5 + 1e-12), ("torus2", [0.0, 0.0], 0.6)])
+def test_flat_chart_cap_must_stay_within_the_injectivity_radius(manifold, base, cap):
+    # past the radius, exp(0.7) under cap 0.9 wraps onto a point whose log is -0.3
+    with pytest.raises(LiftError, match="injectivity radius 0.5"):
+        ManifoldChart(manifold, base, cap=cap)
+    assert ManifoldChart(manifold, base, cap=0.5).cap == 0.5
+
+
+@pytest.mark.parametrize("manifold, base, cap", [
     ("circle", [0.0], np.nan), ("circle", [0.0], np.inf), ("circle", [0.0], 0.0),
     ("torus2", [0.0, 0.0], -0.1), ("sphere2", [0.5, 0.5], np.nan)])
 def test_chart_cap_must_be_finite_and_positive(manifold, base, cap):

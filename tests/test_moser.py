@@ -123,6 +123,16 @@ def test_moser_pushforward_refinement_study():
     assert errors[64] / errors[128] >= 1.5
 
 
+def test_moser_and_the_family_build_report_one_pushforward_error():
+    # `randmap moser` and `represent` print these two values for one map
+    rho1 = cosine_density(64, 0.4, shift=0.3)
+    flow = moser_map(GridDensity.uniform(1, 64), rho1)
+    family = build_continuous_representation(KernelFamily("circle", [[0.0], [0.5]],
+                                                           [rho1, rho1]))
+    assert np.array_equal(family.maps[0].images, flow.map.images)
+    assert family.pushforward_errors[0] == flow.pushforward_error
+
+
 def test_moser_agrees_with_monotone_map():
     n = 64
     rho0 = GridDensity.uniform(1, n)

@@ -36,6 +36,7 @@ from randmap.transport import (
 
 from oracles import (
     PotentialGrid,
+    barycentric_images,
     check_cyclical_monotonicity,
     deterministic_plan_cost,
     dirac,
@@ -451,11 +452,11 @@ def test_halved_kernel_matches_a_kernel_built_at_half_the_epsilon():
     # the squared scalings hold the same potentials at half the epsilon
     hf, hg = halved.potentials()
     assert np.abs(hf - (f + df)).max() <= 1e-15 and np.abs(hg - (g + dg)).max() <= 1e-15
-    assert np.all(halved.k[:3, :2] == 0.0)
-    held = fresh.k > 1e-300
+    assert np.all(halved.k[0][:3, :2] == 0.0)
+    held = fresh.k[0] > 1e-300
     assert 0 < held.sum() < held.size - 6  # some entries underflow at eps = 2^-9
-    assert np.array_equal(halved.k > 1e-300, held)
-    assert np.abs(halved.k[held] / fresh.k[held] - 1.0).max() <= 1e-13
+    assert np.array_equal(halved.k[0] > 1e-300, held)
+    assert np.abs(halved.k[0][held] / fresh.k[0][held] - 1.0).max() <= 1e-13
 
 
 def test_w1_bound_builds_its_kernel_from_the_cost_at_the_first_and_final_level_only(
@@ -566,8 +567,8 @@ def test_factored_kernel_holds_the_separable_part_and_turns_dense_on_a_failed_st
         assert np.allclose(np.kron(*kern.k), full, rtol=1e-12, atol=0.0)
         kern.k[0][0, 0] = np.inf  # a factor that overflowed
         assert kern.iterate(1.0) is None
-        assert kern.axes is None and kern.c.shape == (36, 25)
-        assert np.array_equal(kern.c, dense)
+        assert kern.axes.shape == (1, 36, 25)
+        assert np.array_equal(kern.axes[0], dense)
         kern.absorb(*kern.potentials(), 1e-2)
         assert kern.iterate(1.0) is not None
 
@@ -829,8 +830,9 @@ def test_brenier_solve_is_overrelaxed(sinkhorn_iters):
 def test_brenier_map_holds_at_most_two_cost_sized_arrays(peak_traced_bytes):
     # n=32: the dense cost and stabilised kernel of a scattered target are
     # 1024 x 1024, and the solve needs both. A third full-size array breaks
-    # the bound: a temporary while the cost is built or halved, or the cost
-    # kept through the projection. A grid target holds neither.
+    # the bound: a temporary while the cost is built or halved, or the
+    # solve's kernel kept while the projection builds its own from the cost.
+    # A grid target holds neither.
     g = GridDensity.uniform(2, 32)
     for target in (g, g.as_discrete()):
         peak = peak_traced_bytes(lambda: brenier_map(g, target, reg_epsilon=1e-3))
@@ -902,6 +904,38 @@ def test_factored_brenier_map_matches_the_dense_kernel(monkeypatch, source, targ
     assert np.array_equal(factored.points, dense.points)
     assert np.abs(factored.images - dense.images).max() <= 1e-12
     assert np.abs(factored.psi - dense.psi).max() <= 1e-12
+
+
+@pytest.mark.parametrize("source, target, densifies", [
+    (GridDensity.uniform(2, 16), _box_bump(16), False),
+    (GridDensity.uniform(2, 16), _diagonal_band(16), True),
+    (_half_box(16), _seeded(5, 8).as_discrete(), False),  # zero-mass source cells
+], ids=["factored-grid", "band-densifies", "scattered-from-half-box"])
+def test_brenier_images_match_the_row_softmax_of_the_target_potential(monkeypatch, source,
+                                                                      target, densifies):
+    # The projection absorbs the solve's potentials into a fresh kernel; the
+    # oracle reads only g, the target weights and points, as a dense softmax.
+    solves, densified = [], []
+    solve, densify = transport._sinkhorn_potentials, transport._StabilisedKernel._densify
+
+    def recorded(c, wa, wb, *args, **kwargs):
+        result = solve(c, wa, wb, *args, **kwargs)
+        solves.append((wb, result[1]))
+        return result
+
+    def counted(self):
+        densified.append(len(solves))
+        densify(self)
+
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", recorded)
+    monkeypatch.setattr(transport._StabilisedKernel, "_densify", counted)
+    t = brenier_map(source, target, reg_epsilon=1e-3)
+    [(b, g)] = solves
+    assert (1 in densified) == densifies  # the projection's own kernel
+    pts = target.nodes() if isinstance(target, GridDensity) else target.points
+    assert len(pts) == len(b) and len(t.points) == source.n ** 2
+    want = barycentric_images(source.nodes(), pts, g, b, 1e-3)
+    assert np.abs(t.images - want).max() <= 1e-12
 
 
 def test_brenier_map_to_a_grid_target_holds_no_cost_sized_array(peak_traced_bytes):

@@ -7,10 +7,6 @@ the manifest only, so reports from identical configs are byte-identical.
 
 Exit codes: 0 all checks passed, 1 a check failed (reports still written),
 2 configuration or validation error.
-
-RANDMAP_THREADS, when set, must be a positive integer (anything else exits
-with code 2) and is written to manifest.json. It is metadata only: it
-governs no thread count or worker pool in randmap.
 """
 from __future__ import annotations
 
@@ -141,7 +137,6 @@ def _write_manifest(outdir: Path, command: str, config: dict, inputs: list[str],
         "config": config,
         "inputs": {str(pth): _sha256(Path(pth)) for pth in inputs if Path(pth).exists()},
         "tolerances": tolerances,
-        "threads": os.environ.get("RANDMAP_THREADS", ""),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -486,15 +481,6 @@ def main(argv=None) -> int:
     if not getattr(args, "cmd", None):
         parser.print_help()
         return USAGE_ERROR
-    threads = os.environ.get("RANDMAP_THREADS")
-    if threads is not None and threads != "":
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"config error: RANDMAP_THREADS must be a positive integer, "
-                  f"got {threads!r}", file=sys.stderr)
-            return USAGE_ERROR
     try:
         return args.func(args)
     except (CliError, FileNotFoundError, *_ERRORS) as exc:

@@ -35,7 +35,9 @@ class ManifoldChart:
     """Geodesic normal chart exp_p / exp_p^{-1} at a base point.
 
     Injectivity caps: 0.5 in quotient units on the circle and torus, 3.0 on
-    the unit sphere (the exp Jacobian degenerates at the cut locus pi).
+    the unit sphere (the exp Jacobian degenerates at the cut locus pi). On
+    the circle and torus a radius of 0.5 itself is rejected whatever the
+    cap: it reaches the cut locus, where a point has no unique tangent vector.
     """
 
     manifold: str
@@ -66,11 +68,15 @@ class ManifoldChart:
         object.__setattr__(self, "cap", float(cap))
 
     def _check_cap(self, radii: np.ndarray, rows: np.ndarray, message: str) -> None:
-        """LiftError naming the first row whose radius exceeds the cap;
-        message holds {} where the row goes and is followed by the cap."""
-        bad = np.nonzero(radii > self.cap + 1e-15)[0]
+        """LiftError naming the first row whose radius exceeds the cap, or on
+        the circle and torus reaches the cut locus at 0.5, where a point has
+        no unique tangent vector (`wrap_signed` takes +0.5 to -0.5); message
+        holds {} where the row goes and is followed by the cap."""
+        cut = (radii >= 0.5) & (self.manifold != "sphere2")
+        bad = np.nonzero((radii > self.cap + 1e-15) | cut)[0]
         if bad.size:
-            raise LiftError(f"{message.format(rows[bad[0]].tolist())} {self.cap}")
+            why = " (radius 0.5 is the cut locus)" if cut[bad[0]] else ""
+            raise LiftError(f"{message.format(rows[bad[0]].tolist())} {self.cap}{why}")
 
     def _sphere_frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         theta, phi = self.base_point

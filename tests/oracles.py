@@ -4,8 +4,9 @@ Nothing in randmap calls these, so they live beside the tests. Three groups:
 
 - checks: cyclical monotonicity, potential consistency, midpoint
   convexity, the cost of a deterministic plan, the barycentric projection
-  of an entropic plan from its target potential, and atomic pushforwards and
-  empirical measures (with merging of coincident atoms and Dirac masses);
+  of an entropic plan from its target potential, the exact circle W1 by a
+  stable sort, and atomic pushforwards and empirical measures (with
+  merging of coincident atoms and Dirac masses);
 - the discrete Legendre transform and the inversion of transport maps
   through it (acceptance criterion 5);
 - trivial-bundle lifts of fiber densities into R^k, their projections
@@ -107,6 +108,27 @@ def barycentric_images(nodes: np.ndarray, pts: np.ndarray, g: np.ndarray, b: np.
         w = np.exp(logits)
         images[rows] = (w @ pts) / w.sum(axis=1, keepdims=True)
     return images
+
+
+def circle_w1_sorted(xu, wu, xv, wv) -> float:
+    """Exact W1 on the circle (atoms in [0, 1), sorted) by the weighted median
+    of F_mu - F_nu, with masses summed by `np.add.at` and the median taken
+    over a stable sort of every value: the reference for
+    `measures._circle_w1`, which groups equal values instead."""
+    z = np.union1d(xu, xv)
+    cu = np.zeros(len(z))
+    cv = np.zeros(len(z))
+    np.add.at(cu, np.searchsorted(z, xu), wu)
+    np.add.at(cv, np.searchsorted(z, xv), wv)
+    fu = np.cumsum(cu)
+    fv = np.cumsum(cv)
+    d = fu - fv
+    seg = np.diff(np.concatenate([z, [z[0] + 1.0]]))
+    order = np.argsort(d, kind="stable")
+    csum = np.cumsum(seg[order])
+    k = np.searchsorted(csum, 0.5 * csum[-1])
+    t_star = d[order[min(k, len(d) - 1)]]
+    return float(np.sum(seg * np.abs(d - t_star)))
 
 
 def dirac(point) -> DiscreteMeasure:

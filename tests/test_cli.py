@@ -511,6 +511,8 @@ BAD_INPUTS = {
                         ["bad_circle.csv, line 3", "abc"]),
     "lift-atom-row": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2\n"),
                       ["bad_circle.csv, line 3", "expected 2 values"]),
+    "lift-atom-at-cut-locus": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.5,0.5\n"),
+                               ["atom [0.5]", "cut locus"]),
     "lift-base": (lambda ws: ["lift", "--manifold", "circle", "--base", "x",
                               "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "lb")],
                   ["--base", "'x'"]),
@@ -752,15 +754,6 @@ def test_exact_coupling_loads_scipy_on_first_solve(workspace):
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] and report["marginal_violation"] <= MARGINAL_TOL
     assert (out / "plan.csv").read_text().startswith("i,j,gamma\n")
-
-
-def test_invalid_threads_env(workspace, monkeypatch, capsys):
-    monkeypatch.setenv("RANDMAP_THREADS", "zero")
-    rc = main(["wdist", "--a", str(workspace / "uniform.csv"),
-               "--b", str(workspace / "uniform.csv"),
-               "--out", str(workspace / "wt")])
-    assert rc == 2
-    assert "RANDMAP_THREADS" in capsys.readouterr().err
 
 
 def test_unconverged_brenier_solve_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -21,7 +21,7 @@ from randmap.kernel import (
     continuity_modulus,
     verify_representation,
 )
-from randmap.measures import GridDensity, draw_sample
+from randmap.measures import DiscreteMeasure, GridDensity, draw_sample, wasserstein_1d
 from randmap.transport import TransportMap
 
 from oracles import dirac
@@ -33,6 +33,14 @@ def circle_kernel(n=64, k=8, amp=0.4):
     measures = tuple(GridDensity(1, n, 1 + amp * np.cos(2 * np.pi * (x - b[0])))
                      for b in base)
     return KernelFamily("circle", base, measures)
+
+
+def interval_kernel(n=64, k=4):
+    """Tilted densities on the line's unit interval, one slope per base point."""
+    x = (np.arange(n) + 0.5) / n
+    base = (np.arange(k) / k)[:, None]
+    measures = tuple(GridDensity(1, n, 1 + (0.2 + b[0]) * (x - 0.5)) for b in base)
+    return KernelFamily("interval", base, measures)
 
 
 def identity_kernel(n=32, k=4):
@@ -258,6 +266,31 @@ def test_verify_requires_minimum_samples():
     fam = build_continuous_representation(kern)
     with pytest.raises(KernelError, match="100"):
         verify_representation(fam, n_samples=50, tol=0.05, seed=1)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_verify_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # inf passed every point, nan and -1.0 failed every point
+    fam = build_continuous_representation(circle_kernel(n=32, k=4))
+    with pytest.raises(KernelError, match="tol must be > 0 and finite"):
+        verify_representation(fam, n_samples=100, tol=tol, seed=1)
+
+
+@pytest.mark.parametrize("family", [
+    lambda: build_continuous_representation(circle_kernel(n=64, k=4)),
+    lambda: build_measurable_representation(interval_kernel(), GridDensity.uniform(1, 64))],
+    ids=["circle-moser", "line-measurable"])
+def test_verify_w1_does_not_depend_on_the_draw_order(family):
+    # 1D verify sorts its draws; the W1 of each map's images in drawn order is the same
+    fam = family()
+    n, seed = 3000, 5
+    rep = verify_representation(fam, n_samples=n, tol=0.05, seed=seed)
+    draws = draw_sample(fam.reference, n, seed)
+    assert np.any(np.diff(draws[:, 0]) < 0)
+    periodic = fam.kernel.target_periodic
+    for i, (t_map, target) in enumerate(zip(fam.maps, fam.kernel.measures)):
+        emp = DiscreteMeasure(t_map.evaluate(draws), np.full(n, 1.0 / n))
+        assert rep.w1[i] == wasserstein_1d(emp, target, p=1, periodic=periodic, grid_subdiv=8)
 
 
 def test_verification_report_deterministic():

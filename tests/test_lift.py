@@ -9,7 +9,7 @@ bundle lift.
 import numpy as np
 import pytest
 
-from randmap.geometry import sphere_xyz, wrap_signed
+from randmap.geometry import sphere_xyz, wrap_signed, wrap_unit
 from randmap.lift import (
     LiftError,
     ManifoldChart,
@@ -111,6 +111,22 @@ def test_flat_chart_cap_must_stay_within_the_injectivity_radius(manifold, base, 
     with pytest.raises(LiftError, match="injectivity radius 0.5"):
         ManifoldChart(manifold, base, cap=cap)
     assert ManifoldChart(manifold, base, cap=0.5).cap == 0.5
+
+
+@pytest.mark.parametrize("manifold, base", [
+    ("circle", [0.0]), ("circle", [0.2]), ("torus2", [0.2, 0.7])])
+def test_flat_chart_rejects_the_cut_locus_and_inverts_just_below_it(manifold, base):
+    # at radius 0.5, exp then log gave -0.5 back for +0.5
+    chart = ManifoldChart(manifold, base)
+    at_cut = np.zeros((1, len(base)))
+    at_cut[0, -1] = 0.5
+    with pytest.raises(LiftError, match="cut locus"):
+        chart.exp(at_cut)
+    with pytest.raises(LiftError, match="cut locus"):
+        chart.log(wrap_unit(chart.base_point + at_cut))
+    assert chart.exp(np.nextafter(at_cut, 0.0)).shape == at_cut.shape
+    for v in (at_cut - 1e-9, 1e-9 - at_cut):
+        assert np.abs(chart.log(chart.exp(v)) - v).max() <= 1e-15
 
 
 @pytest.mark.parametrize("manifold, base, cap", [

@@ -15,6 +15,8 @@ from randmap.measures import (
     DiscreteMeasure,
     GridDensity,
     MeasureError,
+    _circle_w1,
+    atoms_1d,
     draw_sample,
     grid_pushforward,
     read_atom_rows,
@@ -23,7 +25,7 @@ from randmap.measures import (
     wasserstein_sinkhorn_upper,
 )
 
-from oracles import dirac, empirical_measure, pushforward
+from oracles import circle_w1_sorted, dirac, empirical_measure, pushforward
 
 
 def assignment_oracle(xa, wa, xb, wb, p=1.0, periodic=False):
@@ -240,6 +242,38 @@ def reordered_measures(draw):
     perm = np.array(draw(st.permutations(range(len(x)))))
     return (DiscreteMeasure(x[:, None], w / w.sum()),
             DiscreteMeasure(x[perm, None], w[perm] / w.sum()))
+
+
+@st.composite
+def circle_atoms(draw):
+    """A measure of 1-10 atoms in [0, 1), on multiples of 1/8 (so atoms and
+    the two measures' steps coincide) or anywhere, some with weight 0."""
+    k = draw(st.integers(1, 10))
+    at = st.one_of(st.integers(0, 7).map(lambda i: i / 8), st.floats(0.0, 1.0, exclude_max=True))
+    x = draw(st.lists(at, min_size=k, max_size=k))
+    weight = st.one_of(st.just(0.0), st.sampled_from([0.1, 0.25, 1 / 3]), st.floats(0.01, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=k, max_size=k)))
+    w[0] = max(w[0], 0.01)
+    return DiscreteMeasure(np.array(x)[:, None], w / w.sum())
+
+
+# the two forms' W1 differ by one ulp here (0.10795177399825212 against ...213)
+_ULP_APART = (
+    DiscreteMeasure(np.array([0.7, 0.6, 0.30247410485647275, 0.2, 0.3, 0.7, 0.2,
+                              0.8976013423249442, 0.6, 0.8402942235655231, 0.3])[:, None],
+                    np.array([15, 10, 0, 7.5, 30, 3, 3, 7.5, 7.5, 30, 7.5]) / 121),
+    DiscreteMeasure(np.array([0.6, 0.388917683263162, 0.0, 0.7679170808488494, 0.9, 0.3,
+                              0.3022749471549092])[:, None],
+                    np.array([20, 0, 15, 6, 60, 0, 20]) / 121))
+
+
+@given(circle_atoms(), circle_atoms())
+@example(*_ULP_APART)
+def test_circle_w1_matches_the_stable_sort_form(a, b):
+    # the weighted median groups equal values, so where a tie puts half the
+    # arc length at a step, t* may move to the next median: same W1 up to rounding
+    atoms = (*atoms_1d(a, 1, True), *atoms_1d(b, 1, True))
+    assert _circle_w1(*atoms) == pytest.approx(circle_w1_sorted(*atoms), rel=1e-15, abs=0.0)
 
 
 # three atoms at 0 and one at 0.4: with coincident atoms taken in list order,

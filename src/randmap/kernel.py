@@ -12,7 +12,6 @@ with their target; both compare maps node by node with one distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -122,7 +121,6 @@ class ModulusTable:
 
     base_dists: np.ndarray
     map_dists: np.ndarray
-    fits: dict
 
     def as_records(self) -> list[dict]:
         return [{"dx": float(dx), "dT": float(dt)}
@@ -150,7 +148,7 @@ def _w1(mu, target, periodic: bool, grid_subdiv: int) -> float:
     """Exact W1 in 1D, the certified Sinkhorn upper bound in 2D."""
     if target.dim == 1:
         return wasserstein_1d(mu, target, p=1, periodic=periodic, grid_subdiv=grid_subdiv)
-    return wasserstein_sinkhorn_upper(mu, target, p=1, periodic=periodic)
+    return wasserstein_sinkhorn_upper(mu, target, periodic=periodic)
 
 
 def _pushforward_error(t_map: TransportMap, reference: GridDensity, target,
@@ -160,36 +158,25 @@ def _pushforward_error(t_map: TransportMap, reference: GridDensity, target,
 
 
 def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,
-                      maps, periodic: bool, validate: bool) -> RandomMapFamily:
+                      checked) -> RandomMapFamily:
     """One map per kernel measure, each checked by its pushforward W1.
 
-    maps yields, in base-point order, each measure's map from the reference
-    or the exception its construction raised; the first failure in that
-    order is raised, whether a construction or a check. With validate, a
-    W1(T_* reference, target) above 2/n (1D) or 4/n (2D) is rejected;
-    without it every error is recorded as NaN.
+    checked yields, in base-point order, (each measure's map, its W1(T_*
+    reference, target)) or (the exception its construction raised, None).
+    The first failure in that order is raised, a construction or a W1 above
+    2/n (1D) or 4/n (2D). A map with W1 None (2D Moser) is recorded as NaN.
     """
     tol = (2.0 if reference.dim == 1 else 4.0) / reference.n
     built, errs = [], []
-    for i, (target, t_map) in enumerate(zip(kernel.measures, maps)):
+    for i, (t_map, err) in enumerate(checked):
         if isinstance(t_map, Exception):
             raise KernelError(f"map construction failed at base point {i}: {t_map}") from t_map
-        err = (_pushforward_error(t_map, reference, target, periodic)
-               if validate else float("nan"))
-        if err > tol:
+        if err is not None and err > tol:
             raise KernelError(f"pushforward check failed at base point {i}: "
                               f"W1 = {err:.3e} > {tol:.3e}")
         built.append(t_map)
-        errs.append(err)
+        errs.append(float("nan") if err is None else err)
     return RandomMapFamily(reference, tuple(built), route, kernel, tol, tuple(errs))
-
-
-def _attempt(build_map, target):
-    """build_map(target), or the exception it raised."""
-    try:
-        return build_map(target)
-    except Exception as exc:
-        return exc
 
 
 def _optimal_map(reference: GridDensity, target, periodic: bool) -> TransportMap:
@@ -197,6 +184,19 @@ def _optimal_map(reference: GridDensity, target, periodic: bool) -> TransportMap
     if reference.dim == 1:
         return monotone_map_1d(reference, target, periodic=periodic)
     return brenier_map(reference, target, reg_epsilon=BRENIER_EPSILON)
+
+
+def _checked_optimal_maps(reference: GridDensity, kernel: KernelFamily, periodic: bool):
+    """Per kernel measure in order, (its optimal map, that map's pushforward
+    W1), or (the exception its construction raised, None). Lazy, so a
+    failure stops the build where it occurs."""
+    for target in kernel.measures:
+        try:
+            t_map = _optimal_map(reference, target, periodic)
+        except Exception as exc:
+            yield exc, None
+        else:
+            yield t_map, _pushforward_error(t_map, reference, target, periodic)
 
 
 def _node_distances(a: TransportMap, b: TransportMap, periodic: bool) -> np.ndarray:
@@ -220,11 +220,8 @@ def build_measurable_representation(kernel: KernelFamily,
                           "(grid density) reference measure")
     if reference.dim != kernel.target_dim:
         raise KernelError("reference dimension does not match kernel measures")
-    periodic = kernel.target_periodic
-    build_map = partial(_optimal_map, reference, periodic=periodic)
-    # built lazily, so a failure stops the build where it occurs
-    maps = (_attempt(build_map, target) for target in kernel.measures)
-    return _validated_family("measurable", kernel, reference, maps, periodic, validate=True)
+    checked = _checked_optimal_maps(reference, kernel, kernel.target_periodic)
+    return _validated_family("measurable", kernel, reference, checked)
 
 
 def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
@@ -235,19 +232,18 @@ def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
     one, and a failure names its base point. The family's maps are built as
     one batch by one `moser_map` call: in closed form in 1D, by RK4 in 2D,
     where each map takes the step count that step doubling accepts for it
-    alone (node estimate at most FLOW_TOL * h). Continuity metadata is
-    attached from the modulus table over all base-point pairs. Only 1D maps
-    are validated: in 2D the pushforward errors are recorded as NaN.
+    alone (node estimate at most FLOW_TOL * h). The build checks each map's
+    own `pushforward_error` (NaN for a 2D map's None). Continuity metadata
+    is attached from the modulus table over all base-point pairs.
     """
     if not isinstance(kernel.measures[0], GridDensity):
         raise KernelError("continuous route needs grid-density kernel measures")
     proto = kernel.measures[0]
     reference = GridDensity.uniform(proto.dim, proto.n)
 
-    flows = moser_map(reference, kernel.measures, check_pushforward=False)
-    maps = [flow.map if isinstance(flow, FlowMap) else flow for flow in flows]
-    family = _validated_family("continuous", kernel, reference, maps, True,
-                               validate=proto.dim == 1)
+    checked = [(flow.map, flow.pushforward_error) if isinstance(flow, FlowMap) else (flow, None)
+               for flow in moser_map(reference, kernel.measures)]
+    family = _validated_family("continuous", kernel, reference, checked)
     # the table reads the family it describes, so it is attached after the build
     object.__setattr__(family, "modulus", continuity_modulus(family))
     return family
@@ -351,11 +347,11 @@ def verify_representation(family: RandomMapFamily, n_samples: int, tol: float,
 
 
 def continuity_modulus(family: RandomMapFamily) -> ModulusTable:
-    """All-pairs table (base distance, sup-norm map distance) with envelope fits.
+    """All-pairs table (base distance, sup-norm map distance), by base distance.
 
     The sup norm runs over the shared evaluation grid with the target-space
-    metric. The envelope constants C_alpha = max dT / dx^alpha for alpha in
-    {0.25, 0.5, 0.75, 1} stay on the table (`fits`); no report writes them.
+    metric. Envelope constants such as C_1 = max dT / dx are read off the
+    table's two columns.
     """
     kernel = family.kernel
     grids = {(m.grid.dim, m.grid.n, m.grid.periodic) for m in family.maps}
@@ -372,13 +368,7 @@ def continuity_modulus(family: RandomMapFamily) -> ModulusTable:
     base_arr = np.array(base_d)
     map_arr = np.array(map_d)
     order = np.argsort(base_arr, kind="stable")
-    base_arr, map_arr = base_arr[order], map_arr[order]
-    fits = {}
-    for alpha in (0.25, 0.5, 0.75, 1.0):
-        with np.errstate(divide="ignore"):
-            ratios = map_arr / base_arr ** alpha
-        fits[alpha] = float(ratios.max())
-    return ModulusTable(base_arr, map_arr, fits)
+    return ModulusTable(base_arr[order], map_arr[order])
 
 
 def stability_experiment(mu: GridDensity, nu_seq, nu_limit, eps: float,

@@ -467,6 +467,8 @@ def wasserstein_sinkhorn_upper(mu, nu, p: float = 1.0, periodic: bool = False,
                                tol: float = 1e-4) -> float:
     """Certified upper bound on W_p from a rounded entropic plan.
 
+    Every randmap caller takes the default p = 1, the W1 bound; p stays a
+    parameter because the benchmark's layer sweep (perfbench/sweep.py) passes it.
     `transport.solve_sinkhorn` rounds its plan to be exactly feasible, so the
     plan's cost can only exceed the optimum: loose settings (by default
     epsilon 4e-3, max_iter 200, tol 1e-4) slacken the bound, never

@@ -2,8 +2,8 @@
 
 Pipeline: spectral periodic Poisson solve for lap(u) = rho0 - rho1, the
 time-dependent field xi(t,x) = grad u(x) / ((1-t) rho0(x) + t rho1(x)), the
-time-1 map of every grid node, plus the diffeomorphism proxy (minimum
-Jacobian determinant of the time-1 map).
+time-1 map of every grid node, plus the diffeomorphism check (the exact
+minimum Jacobian determinant of the interpolated time-1 map).
 
 In 1D the flux rho_t xi is constant in t, so the time-1 map has a closed
 form (`_closed_form`). RK4 with step doubling is the 2D engine (written for
@@ -143,7 +143,9 @@ class FlowMap:
 
     flow_error bounds the node error: in 2D the accepted step-doubling
     estimate; in 1D (closed form, steps 0) the certified max_i |G(T_i) -
-    F(x_i) - s| / min(rho1), since G' is at least rho1's least node value."""
+    F(x_i) - s| / min(rho1), since G' is at least rho1's least node value.
+    pushforward_error is a 1D map's exact circle W1(T_* rho0, rho1), which
+    the continuous family build checks; a 2D map carries None."""
 
     map: TransportMap
     steps: int
@@ -320,24 +322,21 @@ def _flows(fields: list[MoserField], times: list[float]) -> list:
     return out
 
 
-def _flow_map(fld: MoserField, flow, check_pushforward: bool) -> FlowMap | MoserError:
+def _flow_map(fld: MoserField, flow) -> FlowMap | MoserError:
     """The FlowMap of one integrated field, or the MoserError its flow ended in."""
     if isinstance(flow, MoserError):
         return flow
     steps, x, marks, flow_error = flow
     grid = fld.grid
     tmap = TransportMap(grid.nodes(), wrap_unit(x), route="moser", grid=grid)
-    err = None
-    if check_pushforward and grid.dim == 1:
-        err = wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True,
-                             grid_subdiv=PUSHFORWARD_SUBDIV)
+    err = (wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True,
+                          grid_subdiv=PUSHFORWARD_SUBDIV) if grid.dim == 1 else None)
     return FlowMap(tmap, steps=steps, flow_error=flow_error, checkpoints=marks,
                    pushforward_error=err, field_ref=fld)
 
 
 def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
-              checkpoints: tuple[float, ...] = (),
-              check_pushforward: bool = True) -> FlowMap | list:
+              checkpoints: tuple[float, ...] = ()) -> FlowMap | list:
     """Deterministic coupling of rho0 and rho1 by the time-1 Moser flow.
 
     Both densities must be strictly positive (min >= 1e-3) on a common grid.
@@ -346,10 +345,10 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     estimate is at most FLOW_TOL * h; past MAX_STEPS_PER_CELL * n steps it
     raises MoserError, and checkpoints split the step count by segment
     length. Either way `flow_error` bounds the node error (see FlowMap).
-    With check_pushforward (the default), a 1D map records the exact circle
-    W1(T_* rho0, rho1), at PUSHFORWARD_SUBDIV subcells per cell as in the
-    family builds, as its pushforward error; False skips that check. A
-    2D map always records None: in 2D only the dense entropic upper bound is
+    A 1D map always records the exact circle W1(T_* rho0, rho1), at
+    PUSHFORWARD_SUBDIV subcells per cell, as its pushforward error, and the
+    continuous family build checks that value rather than taking it again.
+    A 2D map records None: in 2D only the dense entropic upper bound is
     available, and it is too slow to run per map.
 
     rho1 may also be a sequence of targets, such as a kernel family's. Their
@@ -372,8 +371,7 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
             built.append(exc)
     fields = [f for f in built if isinstance(f, MoserField)]
     flows = iter(_closed_form(fields, times) if rho0.dim == 1 else _flows(fields, times))
-    out = [f if isinstance(f, MoserError) else _flow_map(f, next(flows), check_pushforward)
-           for f in built]
+    out = [f if isinstance(f, MoserError) else _flow_map(f, next(flows)) for f in built]
     if not single:
         return out
     if isinstance(out[0], MoserError):
@@ -382,26 +380,30 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
 
 
 def jacobian_min(flow: FlowMap | TransportMap) -> float:
-    """Minimum determinant of the centered-difference Jacobian of the map.
+    """Exact minimum of det Df, f(x) = x + the multilinear interpolant of
+    D = wrap_signed(images - points), the map `TransportMap.evaluate` computes.
 
-    Image differences are unwrapped to the nearest lift so the periodic seam
-    does not produce spurious +-1 jumps. Positive values certify the
-    local-diffeomorphism proxy.
+    On the 1D cell from node i to i + 1, det Df = 1 + n (D_{i+1} - D_i). A 2D
+    cell's map is bilinear, so det Df is affine in the cell coordinates and
+    least at a corner: the cross product of the two forward edges that meet
+    there. A positive value certifies that f folds nowhere; the identity
+    reads exactly 1.0.
     """
     tmap = flow.map if isinstance(flow, FlowMap) else flow
     if not tmap.grid.periodic:
         raise MoserError("jacobian_min expects a torus-grid map")
     n, dim = tmap.grid.n, tmap.grid.dim
-    h = 1.0 / n
-    shape = (n,) * dim
-    comps = [tmap.images[:, a].reshape(shape) for a in range(dim)]
-    j = np.empty((dim, dim) + shape)
-    for a in range(dim):
-        for b in range(dim):
-            rolled = wrap_signed(np.roll(comps[a], -1, axis=b) - np.roll(comps[a], 1, axis=b))
-            j[a, b] = rolled / (2 * h)
-    det = j[0, 0] if dim == 1 else j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    return float(det.min())
+    disp = wrap_signed(tmap.images - tmap.points).T.reshape((dim,) + (n,) * dim)
+    # edge[b][a]: component a of the forward edge along axis b, in units of 1/n
+    edge = [[float(a == b) + n * (np.roll(disp[a], -1, axis=b) - disp[a]) for a in range(dim)]
+            for b in range(dim)]
+    if dim == 1:
+        return float(edge[0][0].min())
+    # the cell from node (i, j) is bounded by edge[0] at rows j and j + 1
+    # and by edge[1] at columns i and i + 1
+    s_edges = (edge[0], [np.roll(c, -1, axis=1) for c in edge[0]])
+    t_edges = (edge[1], [np.roll(c, -1, axis=0) for c in edge[1]])
+    return float(min((s[0] * t[1] - s[1] * t[0]).min() for s in s_edges for t in t_edges))
 
 
 def continuity_residual(fld: MoserField, t: float) -> float:

@@ -60,14 +60,15 @@ class TransportPlan:
         col = np.abs(self.gamma.sum(axis=0) - self.nu.weights).max()
         return float(max(row, col))
 
-    def validate(self, cost_spec: CostSpec, tol: float = MARGINAL_TOL) -> None:
-        if self.marginal_violation() > tol:
-            raise SolverError(f"marginal violation {self.marginal_violation():.3e} > {tol}")
-        if np.any(self.gamma < -tol):
+    def validate(self, cost_spec: CostSpec) -> None:
+        violation = self.marginal_violation()
+        if violation > MARGINAL_TOL:
+            raise SolverError(f"marginal violation {violation:.3e} > {MARGINAL_TOL}")
+        if np.any(self.gamma < -MARGINAL_TOL):
             raise SolverError("plan has negative entries")
         c = cost_spec.matrix(self.mu.points, self.nu.points)
         recomputed = float(np.sum(self.gamma * c))
-        if abs(recomputed - self.cost) > max(tol, tol * abs(recomputed)):
+        if abs(recomputed - self.cost) > MARGINAL_TOL * max(1.0, abs(recomputed)):
             raise SolverError(f"stored cost {self.cost} != recomputed {recomputed}")
 
     def to_csv(self, path) -> None:
@@ -157,13 +158,13 @@ def _support_potentials(cost: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray
     return -d_row, d_col
 
 
-def _certify(cost: np.ndarray, gamma: np.ndarray, u: np.ndarray, v: np.ndarray,
-             tol: float = DUAL_TOL) -> bool:
+def _certify(cost: np.ndarray, gamma: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
+    """Dual feasibility and complementary slackness, each within DUAL_TOL."""
     slack = cost - u[:, None] - v[None, :]
-    if slack.min() < -tol:
+    if slack.min() < -DUAL_TOL:
         return False
     on_support = gamma > 1e-12
-    if on_support.any() and np.abs(slack[on_support]).max() > tol:
+    if on_support.any() and np.abs(slack[on_support]).max() > DUAL_TOL:
         return False
     return True
 

@@ -474,7 +474,7 @@ def fiber_w1(a: BoxDensity, b: BoxDensity) -> float:
     da, db = a.as_discrete(), b.as_discrete()
     if a.grid.dim == 1:
         return wasserstein_1d(da, db, p=1)
-    return wasserstein_sinkhorn_upper(da, db, p=1, periodic=False)
+    return wasserstein_sinkhorn_upper(da, db, periodic=False)
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,9 @@ def test_criterion_2_moser_pushforward():
     xx, yy = np.meshgrid(x, x, indexing="ij")
     vals = (1 + 0.4 * np.cos(2 * np.pi * xx)) * (1 + 0.3 * np.cos(2 * np.pi * yy))
     rho1 = GridDensity(2, n, vals / vals.mean())
-    flow2 = moser_map(GridDensity.uniform(2, n), rho1, check_pushforward=False)
+    flow2 = moser_map(GridDensity.uniform(2, n), rho1)
     pushed = grid_pushforward(flow2, GridDensity.uniform(2, n))
-    w2d = wasserstein_sinkhorn_upper(pushed, rho1, p=1, periodic=True, tol=2e-4)
+    w2d = wasserstein_sinkhorn_upper(pushed, rho1, periodic=True, tol=2e-4)
     assert w2d <= 3e-2, f"2D error bound {w2d:.3e} > 3e-2"
     announce(2, f"Moser pushforward: 1D {errs[64]:.1e}->{errs[128]:.1e}, 2D {w2d:.1e}")
 
@@ -240,7 +240,7 @@ def test_criterion_5_brenier_legendre():
     atoms = g2.as_discrete()
     composed = t_map.evaluate(s_map.evaluate(atoms.points))
     roundtrip = DiscreteMeasure(composed, atoms.weights)
-    w_rt = wasserstein_sinkhorn_upper(roundtrip, atoms, p=1, epsilon=2e-3)
+    w_rt = wasserstein_sinkhorn_upper(roundtrip, atoms, epsilon=2e-3)
     assert w_rt <= 3.0 / 32, f"round trip W1 {w_rt:.3e} > 3/n"
     announce(5, f"Brenier/Legendre: involution {worst_involution:.1e}, "
                 f"slack {worst_slack:.1e}, roundtrip {w_rt:.1e}")
@@ -273,7 +273,7 @@ def test_criterion_7_diffeomorphism_proxy():
     vals = (1 + 0.12 * np.cos(2 * np.pi * xx)) * (1 + 0.1 * np.sin(2 * np.pi * yy))
     rho2 = GridDensity(2, n2, vals / vals.mean())
     assert rho2.min_value >= 0.25
-    flow2 = moser_map(GridDensity.uniform(2, n2), rho2, check_pushforward=False)
+    flow2 = moser_map(GridDensity.uniform(2, n2), rho2)
     worst = min(worst, jacobian_min(flow2))
     assert worst > 0, f"minimum Jacobian {worst:.3e} not positive"
     grid = unit_torus_grid(1, 64)

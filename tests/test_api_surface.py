@@ -1,6 +1,7 @@
 """Every public name in randmap has a caller outside the tests, every
-private helper a reader inside randmap, and no module of randmap or of the
-tests imports a name it never uses.
+private helper a reader inside randmap, every dataclass field a reader,
+every defaulted parameter a call that passes it, and no module of randmap
+or of the tests imports a name it never uses.
 
 The first walk reads each module of src/randmap with `ast` and collects its
 public top-level functions and classes and the public methods of those
@@ -18,6 +19,20 @@ once its last caller is gone.
 
 The third walk takes each name an import binds (`import a.b` binds a) and
 requires it to be read as a name somewhere in the same module.
+
+The fourth walk takes each field of each dataclass of src/randmap and
+requires it to be read as an attribute (`obj.field` in load context)
+somewhere in src/randmap or in the benchmark harness, so no field is kept
+that nothing reads.
+
+The fifth walk takes each parameter with a default of each function and
+method of src/randmap (nested ones too) and requires some call in
+src/randmap or in the benchmark harness to pass it, by keyword or by
+position, so no knob is kept that no caller turns. Calls are matched to
+definitions by bare name, as in the first walk; a method's first
+parameter (self or cls) takes no position in its calls, and a call with
+`*args` or `**kwargs` counts as passing every positional or keyword
+parameter.
 """
 import ast
 from pathlib import Path
@@ -29,6 +44,17 @@ PACKAGE = ROOT / "src" / "randmap"
 # `interp` row means (nearest base point, or rejection under 'none'), by
 # evaluating the family's maps at one shared draw omega.
 ALLOWED = {"kernel.RandomMap"}
+
+# Kept without a reader in randmap: the exact LP's dual potentials are its
+# optimality certificate, which tests/test_transport.py checks.
+ALLOWED_FIELDS = {"transport.TransportPlan.dual_u", "transport.TransportPlan.dual_v"}
+
+# Kept without a randmap caller that passes them: the Sinkhorn settings of
+# the W1 bound, which acceptance criteria 2 (tol=2e-4) and 5 (epsilon=2e-3)
+# and the rounding property test (max_iter) set.
+ALLOWED_PARAMETERS = {"measures.wasserstein_sinkhorn_upper(epsilon)",
+                      "measures.wasserstein_sinkhorn_upper(max_iter)",
+                      "measures.wasserstein_sinkhorn_upper(tol)"}
 
 
 def _definitions(tree: ast.Module):
@@ -140,3 +166,94 @@ def test_no_module_imports_a_name_it_never_uses():
     paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in paths for entry in unused_imports(path)]
     assert not unused, f"imported and never used: {unused}"
+
+
+def _parsed(package: Path, harness: Path) -> tuple[dict, list]:
+    """The modules of package by stem, and the parsed harness modules."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    return modules, [ast.parse(path.read_text()) for path in sorted(harness.glob("*.py"))]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(package: Path, harness: Path) -> list[str]:
+    """module.Class.field of every dataclass field in package that no code
+    of package or harness reads as an attribute (see above)."""
+    modules, others = _parsed(package, harness)
+    read = {node.attr for tree in [*modules.values(), *others] for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    missing = []
+    for stem, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                missing += [f"{stem}.{node.name}.{item.target.id}" for item in node.body
+                            if isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)
+                            and item.target.id not in read]
+    return missing
+
+
+def test_every_dataclass_field_is_read():
+    unread = set(unread_fields(PACKAGE, ROOT / "perfbench"))
+    assert unread == ALLOWED_FIELDS, (
+        f"dataclass fields nothing reads: {sorted(unread - ALLOWED_FIELDS)}; "
+        f"allowed fields that are read now: {sorted(ALLOWED_FIELDS - unread)}")
+
+
+def _defaulted_parameters(func: ast.FunctionDef, method: bool):
+    """(name, position or None) of each parameter of func with a default;
+    the position counts from the call's first argument."""
+    positional = [*func.args.posonlyargs, *func.args.args][1 if method else 0:]
+    first = len(positional) - len(func.args.defaults)
+    for pos, arg in enumerate(positional[first:], start=first):
+        yield arg.arg, pos
+    for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, pos: int | None) -> bool:
+    if any(kw.arg == name or kw.arg is None for kw in call.keywords):
+        return True
+    if pos is None:
+        return False
+    return len(call.args) > pos or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def unpassed_parameters(package: Path, harness: Path) -> list[str]:
+    """module.function(parameter) of every defaulted parameter in package
+    that no call in package or harness passes (see above)."""
+    modules, others = _parsed(package, harness)
+    calls = {}
+    for tree in [*modules.values(), *others]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    missing = []
+    for stem, tree in modules.items():
+        methods = {id(item): f"{node.name}.{item.name}" for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body
+                   if isinstance(item, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in item.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for name, pos in _defaulted_parameters(node, id(node) in methods):
+                if not any(_passes(call, name, pos) for call in calls.get(node.name, [])):
+                    missing.append(f"{stem}.{methods.get(id(node), node.name)}({name})")
+    return missing
+
+
+def test_every_defaulted_parameter_is_passed():
+    unpassed = set(unpassed_parameters(PACKAGE, ROOT / "perfbench"))
+    assert unpassed == ALLOWED_PARAMETERS, (
+        f"defaulted parameters no call passes: {sorted(unpassed - ALLOWED_PARAMETERS)}; "
+        f"allowed parameters that a call passes now: {sorted(ALLOWED_PARAMETERS - unpassed)}")

@@ -666,12 +666,13 @@ def test_out_that_is_a_file_fails_before_any_work(workspace, monkeypatch, capsys
     assert "cannot make output directory" in err and "uniform.csv" in err
 
 
-@pytest.mark.parametrize("floor, code", [(0.1, 0), (1e-2, 1)])
+@pytest.mark.parametrize("floor, code", [(0.1, 0), (1e-2, 0)])
 def test_moser_builds_steep_1d_maps_in_closed_form(workspace, floor, code):
-    # a bump of width 0.02 on 64 cells. Over the 0.1 floor the map is a
-    # diffeomorphism. Over 1e-2 the map is built too, but one cell's image
-    # spans more than half the circle, so the node map folds and the
-    # Jacobian check fails: a limit of sampling the map at nodes.
+    # a bump of width 0.02 on 64 cells, over a floor of 0.1 or 1e-2. Either
+    # map is a diffeomorphism. Over 1e-2 one cell's image spans 0.886 of the
+    # circle, but no wrapped node displacement exceeds 0.435, so the
+    # interpolated map still increases everywhere and its exact Jacobian
+    # minimum is positive.
     _bump(64, 0.02, floor).to_csv(workspace / "steep.csv")
     out = workspace / "steep"
     rc = main(["moser", "--rho0", str(workspace / "uniform.csv"),

@@ -512,7 +512,7 @@ def test_sinkhorn_w1_bounds_the_exact_w1_from_above(pair, periodic, max_iter):
     # the rounded plan is feasible whether or not the solve converged, so
     # its cost is at least the LP optimum
     a, b = pair
-    upper = wasserstein_sinkhorn_upper(a, b, p=1, periodic=periodic, max_iter=max_iter)
+    upper = wasserstein_sinkhorn_upper(a, b, periodic=periodic, max_iter=max_iter)
     assert upper >= wasserstein_exact(a, b, p=1, periodic=periodic) - 1e-12
 
 
@@ -529,7 +529,7 @@ def test_dense_w1_path_holds_at_most_two_cost_sized_arrays(peak_traced_bytes, ca
     nodes = rho.nodes()
     fn = {"pairwise_distance": lambda: pairwise_distance(draws, nodes, periodic),
           "wasserstein_sinkhorn_upper":
-              lambda: wasserstein_sinkhorn_upper(sample, rho, p=1, periodic=periodic)}[call]
+              lambda: wasserstein_sinkhorn_upper(sample, rho, periodic=periodic)}[call]
     assert peak_traced_bytes(fn) <= 2.5 * 500 * 1024 * 8
 
 
@@ -543,8 +543,7 @@ def test_tall_w1_bound_holds_at_most_two_cost_sized_arrays(peak_traced_bytes, pe
     v = np.random.default_rng(7).random((16, 16)) + 0.5
     rho = GridDensity(2, 16, v / v.mean())
     sample = empirical_measure(draw_sample(rho, 2048, seed=8))
-    peak = peak_traced_bytes(lambda: wasserstein_sinkhorn_upper(sample, rho, p=1,
-                                                                periodic=periodic))
+    peak = peak_traced_bytes(lambda: wasserstein_sinkhorn_upper(sample, rho, periodic=periodic))
     assert peak <= 2.5 * 2048 * 256 * 8
 
 

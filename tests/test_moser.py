@@ -1,18 +1,19 @@
-"""Tests for the periodic Poisson solve, Moser flow, and diffeomorphism proxy.
+"""Tests for the periodic Poisson solve, Moser flow, and diffeomorphism check.
 
 Oracles: single-Fourier-mode closed forms for the Poisson equation, the 1D
 monotone (quantile) map for pushforward agreement, a bisection inverse of
 the piecewise-linear CDF for the closed-form 1D time-1 map, RK4 of the same
 field for its O(h^2) agreement with the flow, a 64n-step reference for the
-2D step-doubling estimate, analytic derivatives for the Jacobian checks,
-and single-target builds for the batched maps of a kernel family.
+2D step-doubling estimate, forward differences of node images and finite
+differences of the evaluated map for the Jacobian checks, and
+single-target builds for the batched maps of a kernel family.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randmap import moser
+from randmap import kernel, moser
 from randmap.geometry import unit_torus_grid, wrap_signed, wrap_unit
 from randmap.kernel import KernelError, KernelFamily, build_continuous_representation
 from randmap.measures import (
@@ -123,6 +124,24 @@ def test_moser_pushforward_refinement_study():
     assert errors[64] / errors[128] >= 1.5
 
 
+def test_continuous_family_build_takes_each_1d_pushforward_w1_once(monkeypatch):
+    # each map's own W1, taken by moser_map, is the one the build checks
+    calls = {"moser": 0, "kernel": 0}
+
+    def counted(name, w1):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return w1(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(moser, "wasserstein_1d", counted("moser", moser.wasserstein_1d))
+    monkeypatch.setattr(kernel, "wasserstein_1d", counted("kernel", kernel.wasserstein_1d))
+    k = 5
+    build_continuous_representation(circle_family(
+        [cosine_density(64, 0.4, j / k) for j in range(k)]))
+    assert calls == {"moser": k, "kernel": 0}
+
+
 def test_moser_and_the_family_build_report_one_pushforward_error():
     # `randmap moser` and `represent` print these two values for one map
     rho1 = cosine_density(64, 0.4, shift=0.3)
@@ -189,7 +208,7 @@ def test_doubling_passes_over_trial_blowups():
     assert MIN_STEPS < flow.steps <= MAX_STEPS_PER_CELL * n
     assert flow.flow_error <= FLOW_TOL / n
     pushed = grid_pushforward(flow, rho0)
-    assert wasserstein_sinkhorn_upper(pushed, rho1, p=1, periodic=True) <= 4.0 / n
+    assert wasserstein_sinkhorn_upper(pushed, rho1, periodic=True) <= 4.0 / n
 
 
 def test_doubling_cap_reports_steps_and_estimate():
@@ -311,7 +330,7 @@ def cosine_targets_2d(draw):
 def test_doubling_estimate_bounds_node_error(rho1):
     n, dim = rho1.n, rho1.dim
     rho0 = GridDensity.uniform(dim, n)
-    flow = moser_map(rho0, rho1, check_pushforward=False)
+    flow = moser_map(rho0, rho1)
     nodes = flow.map.points[None]
     ref = integrate_flow([flow.field_ref], nodes, 0.0, 1.0, MAX_STEPS_PER_CELL * n)[0]
     assert flow.flow_error <= FLOW_TOL / n
@@ -319,7 +338,7 @@ def test_doubling_estimate_bounds_node_error(rho1):
     # is all that is left when the target is nearly uniform
     deviation = np.abs(wrap_signed(flow.map.images - ref)).max()
     assert deviation <= flow.flow_error + 1e-12
-    marked = moser_map(rho0, rho1, checkpoints=(0.5,), check_pushforward=False)
+    marked = moser_map(rho0, rho1, checkpoints=(0.5,))
     assert marked.steps == flow.steps
     # the same step count, split over the two segments, by hand
     half = integrate_flow([flow.field_ref], nodes, 0.0, 0.5, marked.steps // 2)
@@ -375,12 +394,12 @@ def test_batched_1d_family_matches_single_target_maps():
     targets = [cosine_density(n, 0.3), cosine_density(n, 0.9, 0.25), spike_density(n, 0.03),
                cosine_density(n, 0.5, 0.5)]
     rho0 = GridDensity.uniform(1, n)
-    singles = [moser_map(rho0, rho1, check_pushforward=False) for rho1 in targets]
+    singles = [moser_map(rho0, rho1) for rho1 in targets]
     assert {flow.steps for flow in singles} == {0}
     family = build_continuous_representation(circle_family(targets))
     for t_map, want in zip(family.maps, singles, strict=True):
         assert np.array_equal(t_map.images, want.map.images)
-    assert_same_flows(moser_map(rho0, targets, check_pushforward=False), singles)
+    assert_same_flows(moser_map(rho0, targets), singles)
     marked = [moser_map(rho0, rho1, checkpoints=(0.5,)) for rho1 in targets]
     batch = moser_map(rho0, targets, checkpoints=(0.5,))
     assert_same_flows(batch, marked)
@@ -394,12 +413,12 @@ def test_batched_2d_family_matches_single_target_maps():
     targets = [product_cosine_density(n, 0.2), product_cosine_density(n, 0.95),
                spike_density(n, 0.1, dim=2), spike_density(n, 0.064, dim=2)]
     rho0 = GridDensity.uniform(2, n)
-    singles = [moser_map(rho0, rho1, check_pushforward=False) for rho1 in targets]
+    singles = [moser_map(rho0, rho1) for rho1 in targets]
     assert [flow.steps for flow in singles] == [32, 32, 256, 1024]
     family = build_continuous_representation(torus_family(targets))
     for t_map, want in zip(family.maps, singles, strict=True):
         assert np.array_equal(t_map.images, want.map.images)
-    assert_same_flows(moser_map(rho0, targets, check_pushforward=False), singles)
+    assert_same_flows(moser_map(rho0, targets), singles)
 
 
 @pytest.mark.parametrize("checkpoints", [(), (0.5,)], ids=["one-segment", "two-segments"])
@@ -479,19 +498,59 @@ def test_jacobian_identity_exactly_one():
 
 
 def test_jacobian_sine_map_matches_analytic_difference():
-    # T(x) = x + a sin(2 pi x): the centered difference of the image grid is
-    # 1 + a cos(2 pi x) sin(2 pi h)/h, minimized where cos = -1
+    # T(x) = x + a sin(2 pi x): the interpolated map's slope on the cell from
+    # node i to node i + 1 is the forward difference of the images, and near
+    # x = 1/2 it tends to T'(1/2) = 1 - 2 pi a
     n, a = 64, 0.1
     grid = unit_torus_grid(1, n)
     x = grid.nodes()[:, 0]
     images = np.mod(x + a * np.sin(2 * np.pi * x), 1.0)
     tmap = TransportMap(grid.nodes(), images[:, None], route="composed", grid=grid)
-    h = 1.0 / n
-    factor = np.sin(2 * np.pi * h) / (2 * np.pi * h)
-    oracle = (1 + a * 2 * np.pi * factor * np.cos(2 * np.pi * x)).min()
+    oracle = (1 + n * a * (np.sin(2 * np.pi * (x + 1.0 / n)) - np.sin(2 * np.pi * x))).min()
     got = jacobian_min(tmap)
     assert got == pytest.approx(oracle, abs=1e-12)
     assert got == pytest.approx(1 - 0.2 * np.pi, abs=5e-3)
+
+
+def test_jacobian_of_a_map_with_two_nodes_swapped_is_negative():
+    # the identity with the images of nodes 3 and 4 exchanged runs backwards
+    # on the cell between them: slope 1 + n (-h - h) = -1
+    grid = unit_torus_grid(1, 8)
+    images = grid.nodes()
+    images[[3, 4]] = images[[4, 3]]
+    tmap = TransportMap(grid.nodes(), images, route="composed", grid=grid)
+    assert jacobian_min(tmap) == pytest.approx(-1.0, abs=1e-12)
+
+
+def evaluated_jacobian(tmap, pts, step=1e-6):
+    """det Df of the evaluated map at pts, by one-sided differences of size step."""
+    base = tmap.evaluate(pts)
+    cols = [wrap_signed(tmap.evaluate(pts + step * e) - base) / step
+            for e in np.eye(tmap.grid.dim)]
+    return np.linalg.det(np.stack(cols, axis=-1))
+
+
+@st.composite
+def displaced_grid_maps(draw):
+    """A torus-grid map whose node images are the nodes plus random
+    displacements, small or large enough to fold, and points inside cells."""
+    dim, n = draw(st.sampled_from([1, 2])), draw(st.sampled_from([8, 16]))
+    scale = draw(st.sampled_from([0.1 / n, 0.5 / n, 2.0 / n, 0.3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    grid = unit_torus_grid(dim, n)
+    images = wrap_unit(grid.nodes() + rng.uniform(-scale, scale, (n ** dim, dim)))
+    # a cell's coordinates run from node i at (i + 1/2) / n to node i + 1;
+    # keeping 1e-3 of a cell from its faces keeps each difference in one cell
+    cells = rng.integers(0, n, (50, dim))
+    pts = wrap_unit((cells + 0.5 + rng.uniform(1e-3, 1 - 2e-3, (50, dim))) / n)
+    return TransportMap(grid.nodes(), images, route="composed", grid=grid), pts
+
+
+@settings(max_examples=40, deadline=None)
+@given(displaced_grid_maps())
+def test_jacobian_min_bounds_the_evaluated_map_from_below(case):
+    tmap, pts = case
+    assert jacobian_min(tmap) <= evaluated_jacobian(tmap, pts).min() + 1e-6
 
 
 def test_jacobian_positive_for_tame_densities():

@@ -465,7 +465,7 @@ def test_w1_bound_builds_its_kernel_from_the_cost_at_the_first_and_final_level_o
                                                  .nodes()[:, 0]).reshape(16, 16))
     sample = empirical_measure(draw_sample(rho, 300, seed=3))
     absorbed = _recorded_absorbs(monkeypatch)
-    wasserstein_sinkhorn_upper(sample, rho, p=1, periodic=True)
+    wasserstein_sinkhorn_upper(sample, rho, periodic=True)
     # the defaults run 9 levels, 1 down to 1/256 and then 4e-3: the warm
     # levels after the first start from the kernel before them, squared
     assert [eps for eps, at_start in absorbed if at_start] == [1.0, 4e-3]
@@ -1112,7 +1112,7 @@ def test_invert_roundtrip_2d_brenier():
     atoms = g.as_discrete()
     composed = t.evaluate(s.evaluate(atoms.points))
     roundtrip = DiscreteMeasure(composed, atoms.weights)
-    w1 = wasserstein_sinkhorn_upper(roundtrip, atoms, p=1, epsilon=2e-3)
+    w1 = wasserstein_sinkhorn_upper(roundtrip, atoms, epsilon=2e-3)
     assert w1 <= 3.0 / n
 
 

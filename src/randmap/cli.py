@@ -1,12 +1,17 @@
 """Config-driven experiment runner.
 
-Every subcommand writes machine-readable reports (JSON plus flat CSV) into
-the output directory, together with a run manifest recording input hashes,
-seeds, and the exact tolerances applied. The wall-clock timestamp lives in
-the manifest only, so reports from identical configs are byte-identical.
+Every subcommand is a handler `cmd_x(args, out)` that reads its inputs,
+computes, writes its own CSV files into the output directory `out` (`wdist`
+also prints its distance), and returns (report, input paths, tolerances
+applied, ok). `main` alone does the rest: it makes `--out` before the
+handler reads anything, writes `report.json` and `manifest.json` through
+one JSON writer (strict JSON, sorted keys), and records in the manifest
+every parsed flag except `--out` and `--config`, the input hashes, the
+tolerances and the wall-clock timestamp. The timestamp lives in the
+manifest only, so reports from identical configs are byte-identical.
 
-Exit codes: 0 all checks passed, 1 a check failed (reports still written),
-2 configuration or validation error.
+Exit codes: 0 all checks passed (`ok`), 1 a check failed (reports still
+written), 2 configuration or validation error (no JSON written).
 """
 from __future__ import annotations
 
@@ -54,6 +59,7 @@ from .transport import MARGINAL_TOL, MapError, SolverError, solve_exact, solve_s
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+Outcome = tuple[dict, list[str], dict, bool]  # report, input paths, tolerances, ok
 
 _ERRORS = (MeasureError, KernelError, MoserError, LiftError, MapError, SolverError)
 
@@ -130,36 +136,9 @@ def _load_kernel_manifest(path: str) -> tuple[KernelFamily, list[str]]:
     return KernelFamily(space, np.array(base_pts), tuple(measures), interp=interp), paths
 
 
-def _write_manifest(outdir: Path, command: str, config: dict, inputs: list[str],
-                    tolerances: dict) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": {str(pth): _sha256(Path(pth)) for pth in inputs if Path(pth).exists()},
-        "tolerances": tolerances,
-        "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    with open(outdir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2, allow_nan=False)
-
-
-def _write_report(outdir: Path, payload: dict) -> None:
-    with open(outdir / "report.json", "w") as fh:
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-
-
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot make output directory {args.out}: {exc.strerror}") from None
-    return out
-
-
-def _cost_spec(args) -> CostSpec:
-    return CostSpec(kind=args.cost, p=args.p, periodic=args.periodic)
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -205,52 +184,42 @@ def _seed(text: str) -> int:
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
-def cmd_wdist(args) -> int:
-    out = _outdir(args)
+def cmd_wdist(args, out: Path) -> Outcome:
     a = _load_measure(args.a)
     b = _load_measure(args.b)
     if args.method == "exact":
         dist = wasserstein_exact(a, b, p=args.p, periodic=args.periodic)
     else:
         dist = wasserstein_1d(a, b, p=args.p, periodic=args.periodic)
+    print(dist)
     report = {"distance": dist, "p": args.p, "periodic": args.periodic,
               "method": args.method}
-    _write_report(out, report)
-    _write_manifest(out, "wdist", {"p": args.p, "periodic": args.periodic,
-                                   "method": args.method}, [args.a, args.b], {})
-    print(dist)
-    return 0
+    return report, [args.a, args.b], {}, True
 
 
-def cmd_couple(args) -> int:
-    out = _outdir(args)
+def cmd_couple(args, out: Path) -> Outcome:
     mu = _load_measure(args.mu).as_discrete()
     nu = _load_measure(args.nu).as_discrete()
-    spec = _cost_spec(args)
+    spec = CostSpec(kind=args.cost, p=args.p, periodic=args.periodic)
     if args.method == "exact":
         plan = solve_exact(mu, nu, spec)
     else:
         plan = solve_sinkhorn(mu, nu, spec, epsilon=args.epsilon,
                               max_iter=args.max_iter, tol=args.tol)
     plan.to_csv(out / "plan.csv")
+    violation = plan.marginal_violation()
     report = {
         "cost": plan.cost,
         "converged": plan.converged,
-        "marginal_violation": plan.marginal_violation(),
+        "marginal_violation": violation,
         "method": args.method,
         "epsilon": args.epsilon if args.method == "sinkhorn" else None,
     }
-    _write_report(out, report)
-    _write_manifest(out, "couple", {"cost": args.cost, "p": args.p,
-                                    "periodic": args.periodic, "method": args.method,
-                                    "epsilon": args.epsilon, "max_iter": args.max_iter,
-                                    "tol": args.tol},
-                    [args.mu, args.nu], {"marginal_tol": MARGINAL_TOL})
-    return 0 if plan.converged and plan.marginal_violation() <= MARGINAL_TOL else CHECK_FAILED
+    ok = plan.converged and violation <= MARGINAL_TOL
+    return report, [args.mu, args.nu], {"marginal_tol": MARGINAL_TOL}, ok
 
 
-def cmd_moser(args) -> int:
-    out = _outdir(args)
+def cmd_moser(args, out: Path) -> Outcome:
     rho0 = _load_measure(args.rho0)
     rho1 = _load_measure(args.rho1)
     if not isinstance(rho0, GridDensity) or not isinstance(rho1, GridDensity):
@@ -267,22 +236,18 @@ def cmd_moser(args) -> int:
         rows = np.column_stack([np.full(len(positions), t_mark), flow.map.points, positions])
         write_rows(out / f"checkpoint_{t_mark:.4f}.csv", header, rows.tolist())
     jac = jacobian_min(flow)
-    cont = continuity_residual(flow.field_ref, 0.5)
     report = {
         "pushforward_w1": flow.pushforward_error,
         "jacobian_min": jac,
         "poisson_residual": flow.field_ref.poisson.residual,
-        "continuity_residual": cont,
+        "continuity_residual": continuity_residual(flow.field_ref, 0.5),
         "steps": flow.steps,
         "flow_error_estimate": flow.flow_error,
     }
-    _write_report(out, report)
-    _write_manifest(out, "moser", {"steps": flow.steps, "checkpoints": list(args.checkpoints)},
-                    [args.rho0, args.rho1],
-                    {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL,
-                     "flow_tol": flow_tolerance(rho0.n)})
+    tolerances = {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL,
+                  "flow_tol": flow_tolerance(rho0.n)}
     ok = jac > 0 and (flow.pushforward_error is None or flow.pushforward_error <= args.tol)
-    return 0 if ok else CHECK_FAILED
+    return report, [args.rho0, args.rho1], tolerances, ok
 
 
 def _build_family(args):
@@ -304,37 +269,26 @@ def _build_family(args):
     return build_measurable_representation(kern, reference), inputs
 
 
-def cmd_represent(args) -> int:
-    out = _outdir(args)
+def cmd_represent(args, out: Path) -> Outcome:
     family, inputs = _build_family(args)
     for i, t_map in enumerate(family.maps):
         t_map.to_csv(out / f"map_{i:03d}.csv")
     report = {
         "route": family.route,
         "pushforward_tol": family.pushforward_tol,
-        "pushforward_errors": [None if np.isnan(e) else e
-                               for e in family.pushforward_errors],
+        "pushforward_errors": family.pushforward_errors,
         "modulus": family.modulus.as_records() if family.modulus else [],
     }
-    _write_report(out, report)
-    _write_manifest(out, "represent", {"route": args.route},
-                    inputs, {"pushforward_tol": family.pushforward_tol})
-    return 0
+    return report, inputs, {"pushforward_tol": family.pushforward_tol}, True
 
 
-def cmd_verify(args) -> int:
-    out = _outdir(args)
+def cmd_verify(args, out: Path) -> Outcome:
     family, inputs = _build_family(args)
     report = verify_representation(family, n_samples=args.n, tol=args.tol, seed=args.seed)
-    _write_report(out, report.to_dict())
-    _write_manifest(out, "verify", {"route": args.route, "n": args.n, "tol": args.tol,
-                                    "seed": args.seed},
-                    inputs, {"tol": args.tol})
-    return 0 if report.all_pass else CHECK_FAILED
+    return report.to_dict(), inputs, {"tol": args.tol}, report.all_pass
 
 
-def cmd_lift(args) -> int:
-    out = _outdir(args)
+def cmd_lift(args, out: Path) -> Outcome:
     chart = ManifoldChart(args.manifold, args.base, cap=args.cap)
     atoms = _read(args.atoms, lambda p: read_manifold_atoms(p, args.manifold))
     lifted = log_lift(chart, atoms)
@@ -347,24 +301,18 @@ def cmd_lift(args) -> int:
     write_manifold_atoms(out / "roundtrip_atoms.csv", args.manifold, back)
     report = {"round_trip_error": rt, "cap": chart.cap, "manifold": args.manifold,
               "n_atoms": atoms.size}
-    _write_report(out, report)
-    _write_manifest(out, "lift", {"manifold": args.manifold, "base": list(args.base),
-                                  "cap": chart.cap},
-                    [args.atoms], {"round_trip_tol": ROUND_TRIP_TOL})
-    return 0 if rt <= ROUND_TRIP_TOL else CHECK_FAILED
+    return report, [args.atoms], {"round_trip_tol": ROUND_TRIP_TOL}, rt <= ROUND_TRIP_TOL
 
 
-def cmd_stability(args) -> int:
-    out = _outdir(args)
+def cmd_stability(args, out: Path) -> Outcome:
     mu = _load_measure(args.mu)
-    targets = [_load_measure(p) for p in args.targets.split(",")]
+    paths = args.targets.split(",")
+    targets = [_load_measure(p) for p in paths]
     limit = _load_measure(args.limit)
     masses = stability_experiment(mu, targets, limit, eps=args.eps, periodic=args.periodic)
     write_rows(out / "stability.csv", ["k", "mass"], enumerate(masses))
-    _write_report(out, {"eps": args.eps, "deviation_masses": masses})
-    _write_manifest(out, "stability", {"eps": args.eps, "periodic": args.periodic},
-                    [args.mu, args.limit] + args.targets.split(","), {"eps": args.eps})
-    return 0
+    report = {"eps": args.eps, "deviation_masses": masses}
+    return report, [args.mu, args.limit, *paths], {"eps": args.eps}, True
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +388,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--targets", required=True, help="comma-separated target files")
     sp.add_argument("--limit", required=True)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--periodic", action="store_true")
+    sp.add_argument("--periodic", action="store_true",
+                    help="torus distance; in 1D also the circle maps, in 2D the maps "
+                         "stay box-chart Brenier maps")
     add_out(sp)
     sp.set_defaults(func=cmd_stability)
     return parser
@@ -481,11 +431,28 @@ def main(argv=None) -> int:
     if not getattr(args, "cmd", None):
         parser.print_help()
         return USAGE_ERROR
+    out = Path(args.out)
     try:
-        return args.func(args)
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot make output directory {args.out}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
+    try:
+        report, inputs, tolerances, ok = args.func(args, out)
     except (CliError, FileNotFoundError, *_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    _write_json(out / "report.json", report)
+    _write_json(out / "manifest.json", {
+        "command": args.cmd,
+        "config": {key: val for key, val in vars(args).items()
+                   if key not in ("cmd", "func", "out", "config")},
+        "inputs": {str(pth): _sha256(Path(pth)) for pth in inputs if Path(pth).exists()},
+        "tolerances": tolerances,
+        "version": __version__,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+    })
+    return 0 if ok else CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -49,12 +49,13 @@ def wrap_unit(x: np.ndarray | float) -> np.ndarray:
 def wrap_signed(x: np.ndarray | float) -> np.ndarray:
     """Wrap displacements to the nearest lift in [-0.5, 0.5).
 
-    This is np.mod(x + 0.5, 1.0) - 0.5 bit for bit, in the floor form of
-    wrap_unit.
+    x - rint(x) is exact for every finite x, since rint(x) is an integer
+    within 1/2 of x; it reaches +0.5 only at a half-integer that rint
+    rounds down to even, and that is sent to -0.5.
     """
-    t = np.asarray(x, dtype=float) + 0.5
-    t -= np.floor(t)
-    t -= 0.5
+    x = np.asarray(x, dtype=float)
+    t = np.asarray(x - np.rint(x))
+    t[t == 0.5] = -0.5
     return t
 
 
@@ -104,10 +105,8 @@ def pairwise_distance(x: np.ndarray, y: np.ndarray, periodic: bool = False) -> n
         for a in range(dim):
             delta = buf[:acc.shape[0], :acc.shape[1]] if a else acc
             np.subtract.outer(x[rows, a], y[cols, a], out=delta)
-            if periodic:  # wrap_signed, in place
-                delta += 0.5
-                delta -= np.floor(delta)
-                delta -= 0.5
+            if periodic:  # wrap_signed, but +0.5 may stay: |delta| is the same
+                delta -= np.rint(delta)
             if dim == 1:
                 np.abs(delta, out=delta)
             else:

@@ -11,7 +11,7 @@ with their target; both compare maps node by node with one distance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -164,7 +164,7 @@ def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,
     checked yields, in base-point order, (each measure's map, its W1(T_*
     reference, target)) or (the exception its construction raised, None).
     The first failure in that order is raised, a construction or a W1 above
-    2/n (1D) or 4/n (2D). A map with W1 None (2D Moser) is recorded as NaN.
+    2/n (1D) or 4/n (2D). A map with W1 None (2D Moser) is recorded as None.
     """
     tol = (2.0 if reference.dim == 1 else 4.0) / reference.n
     built, errs = [], []
@@ -175,7 +175,7 @@ def _validated_family(route: str, kernel: KernelFamily, reference: GridDensity,
             raise KernelError(f"pushforward check failed at base point {i}: "
                               f"W1 = {err:.3e} > {tol:.3e}")
         built.append(t_map)
-        errs.append(float("nan") if err is None else err)
+        errs.append(err)
     return RandomMapFamily(reference, tuple(built), route, kernel, tol, tuple(errs))
 
 
@@ -233,8 +233,9 @@ def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
     one batch by one `moser_map` call: in closed form in 1D, by RK4 in 2D,
     where each map takes the step count that step doubling accepts for it
     alone (node estimate at most FLOW_TOL * h). The build checks each map's
-    own `pushforward_error` (NaN for a 2D map's None). Continuity metadata
-    is attached from the modulus table over all base-point pairs.
+    own `pushforward_error` (None for a 2D map, which goes unchecked).
+    Continuity metadata is attached from the modulus table over all
+    base-point pairs.
     """
     if not isinstance(kernel.measures[0], GridDensity):
         raise KernelError("continuous route needs grid-density kernel measures")
@@ -245,8 +246,7 @@ def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
                for flow in moser_map(reference, kernel.measures)]
     family = _validated_family("continuous", kernel, reference, checked)
     # the table reads the family it describes, so it is attached after the build
-    object.__setattr__(family, "modulus", continuity_modulus(family))
-    return family
+    return replace(family, modulus=continuity_modulus(family))
 
 
 @dataclass(frozen=True)
@@ -379,7 +379,8 @@ def stability_experiment(mu: GridDensity, nu_seq, nu_limit, eps: float,
     the limit target, compared at the grid nodes (the quantity of the
     convergence-in-probability statement for optimal maps under weak
     convergence of targets). periodic wraps the distance on the torus and
-    selects the circle rearrangement in 1D.
+    selects the circle rearrangement in 1D. In 2D it wraps only the
+    distance: the maps are Brenier maps on the box chart, not torus-optimal.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise KernelError(f"eps must be > 0 and finite, got {eps!r}")

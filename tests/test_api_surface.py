@@ -33,6 +33,12 @@ definitions by bare name, as in the first walk; a method's first
 parameter (self or cls) takes no position in its calls, and a call with
 `*args` or `**kwargs` counts as passing every positional or keyword
 parameter.
+
+The sixth walk finds each top-level function and method of src/randmap
+that opens a file for writing (`open` with a mode that writes, or a call
+named write_text, write_bytes or savetxt) and requires them to be the two
+writers, one per output format: `measures.write_rows` for every CSV file
+and the CLI's JSON writer for `report.json` and `manifest.json`.
 """
 import ast
 from pathlib import Path
@@ -55,6 +61,9 @@ ALLOWED_FIELDS = {"transport.TransportPlan.dual_u", "transport.TransportPlan.dua
 ALLOWED_PARAMETERS = {"measures.wasserstein_sinkhorn_upper(epsilon)",
                       "measures.wasserstein_sinkhorn_upper(max_iter)",
                       "measures.wasserstein_sinkhorn_upper(tol)"}
+
+# The one writer per output format (see the sixth walk).
+WRITERS = {"measures.write_rows", "cli._write_json"}
 
 
 def _definitions(tree: ast.Module):
@@ -257,3 +266,37 @@ def test_every_defaulted_parameter_is_passed():
     assert unpassed == ALLOWED_PARAMETERS, (
         f"defaulted parameters no call passes: {sorted(unpassed - ALLOWED_PARAMETERS)}; "
         f"allowed parameters that a call passes now: {sorted(ALLOWED_PARAMETERS - unpassed)}")
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """call opens a file for writing: an open whose mode is not a constant
+    or holds w, a, x or +, or a write_text, write_bytes or savetxt call."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    if name in ("write_text", "write_bytes", "savetxt"):
+        return True
+    modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return name == "open" and any(not isinstance(mode, ast.Constant)
+                                  or set(str(mode.value)) & set("wax+") for mode in modes)
+
+
+def file_writers(package: Path) -> set[str]:
+    """module.name of every top-level function and method in package whose
+    body (nested defs included) opens a file for writing."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        defs += [(f"{cls.name}.{item.name}", item) for cls in tree.body
+                 if isinstance(cls, ast.ClassDef) for item in cls.body
+                 if isinstance(item, ast.FunctionDef)]
+        found |= {f"{path.stem}.{qualname}" for qualname, node in defs
+                  if any(isinstance(call, ast.Call) and _writes_a_file(call)
+                         for call in ast.walk(node))}
+    return found
+
+
+def test_one_writer_per_output_format():
+    writers = file_writers(PACKAGE)
+    assert writers == WRITERS, (
+        f"functions that write files besides the two writers: {sorted(writers - WRITERS)}; "
+        f"writers that no longer write: {sorted(WRITERS - writers)}")

@@ -112,7 +112,8 @@ def test_moser_writes_map_and_report(workspace):
     assert 0 <= report["flow_error_estimate"] <= FLOW_TOL / 64
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tolerances"]["flow_tol"] == FLOW_TOL / 64
-    assert manifest["config"]["steps"] == report["steps"]
+    # a computed value, so it is reported; the config holds only flags
+    assert report["steps"] == 0 and "steps" not in manifest["config"]
     assert (out / "map.csv").exists()
     assert (out / "checkpoint_0.5000.csv").exists()
 
@@ -664,6 +665,50 @@ def test_out_that_is_a_file_fails_before_any_work(workspace, monkeypatch, capsys
     assert rc == 2
     err = capsys.readouterr().err
     assert "cannot make output directory" in err and "uniform.csv" in err
+
+
+# Per command: its smallest valid flags in the workspace (the first file is
+# the one the exit-2 run replaces with a missing file), and the flags that
+# then make its check fail, for the commands that have a check to fail.
+CONTRACT = {
+    "wdist": (["--a", "atoms.csv", "--b", "bump.csv"], None),
+    "couple": (["--mu", "atoms.csv", "--nu", "bump.csv", "--method", "sinkhorn"],
+               ["--max-iter", "3"]),
+    "moser": (["--rho0", "uniform.csv", "--rho1", "bump.csv"], ["--tol", "1e-9"]),
+    "represent": (["--kernel", "kernel.txt"], None),
+    "verify": (["--kernel", "kernel.txt", "--n", "2000", "--seed", "21"], ["--tol", "0.0001"]),
+    "lift": (["--manifold", "circle", "--base", "0.0", "--atoms", "circle_atoms.csv"], None),
+    "stability": (["--mu", "uniform.csv", "--targets", "bump.csv", "--limit", "atoms.csv",
+                   "--eps", "0.1"], None),
+}
+
+
+@pytest.mark.parametrize("command", CONTRACT)
+def test_every_command_writes_both_json_files_and_records_every_flag(workspace, capsys,
+                                                                    command):
+    write_manifold_atoms(workspace / "circle_atoms.csv", "circle",
+                         DiscreteMeasure(np.array([[0.2], [0.8]]), np.array([0.5, 0.5])))
+    flags, failing = CONTRACT[command]
+    flags = [str(workspace / f) if f.endswith((".csv", ".txt")) else f for f in flags]
+    runs = {0: flags} | ({1: flags + failing} if failing else {})
+    for code, run_flags in runs.items():
+        out = workspace / f"{command}-{code}"
+        argv = [command, *run_flags, "--out", str(out)]
+        assert main(argv) == code
+        parsed = vars(cli._build_parser().parse_args(argv))
+        flags_only = {key: val for key, val in parsed.items()
+                      if key not in ("cmd", "func", "out", "config")}
+        assert json.loads((out / "report.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["config"] == json.loads(json.dumps(flags_only))
+    # a missing input exits 2 after --out is made, and no JSON is written
+    first = next(i for i, f in enumerate(flags) if f.startswith(str(workspace)))
+    out = workspace / f"{command}-2"
+    missing = flags[:first] + [str(workspace / "nope.csv")] + flags[first + 1:]
+    assert main([command, *missing, "--out", str(out)]) == 2
+    assert "not found" in capsys.readouterr().err
+    assert out.is_dir() and not {"report.json", "manifest.json"} & {f.name for f in out.iterdir()}
 
 
 @pytest.mark.parametrize("floor, code", [(0.1, 0), (1e-2, 0)])

@@ -2,11 +2,12 @@
 same arithmetic as one call per field, the flat gather returns what a
 multi-array fancy-index gather returns, bit for bit, and the linear deposit
 is the exact adjoint of interpolation. Also: torus wrapping stays inside
-[0, 1) and equals the np.mod formulas bit for bit, every grid-backed object
-builds its grid once, pairwise distances are the broadcast formula's,
-bit for bit and longer axis contiguous (in 1D the absolute delta, also
-where its square underflows), and a scaled cost matrix is the cost itself
-unless its largest entry is below 1."""
+[0, 1) and equals np.mod bit for bit, signed wrapping is exact (x minus the
+result is an integer, and the result lies in [-1/2, 1/2)), every
+grid-backed object builds its grid once, pairwise distances are the
+broadcast formula's, bit for bit and longer axis contiguous (in 1D the
+absolute delta, also where its square underflows), and a scaled cost
+matrix is the cost itself unless its largest entry is below 1."""
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -126,10 +127,17 @@ def _wrap_unit_by_mod(x):
     return np.where(y == 1.0, 0.0, y)
 
 
-def _assert_wraps_match_mod(x):
+def _wraps_exactly(x: float, r: float) -> bool:
+    """In exact rationals: x - r is an integer and -1/2 <= r < 1/2."""
+    (xn, xd), (rn, rd) = x.as_integer_ratio(), r.as_integer_ratio()
+    return (xn * rd - rn * xd) % (xd * rd) == 0 and -rd <= 2 * rn < rd
+
+
+def _assert_wraps_match_oracles(x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     assert _same_bits(np.atleast_1d(wrap_unit(x)), _wrap_unit_by_mod(x))
-    assert _same_bits(np.atleast_1d(wrap_signed(x)), np.mod(x + 0.5, 1.0) - 0.5)
+    signed = np.atleast_1d(wrap_signed(x)).tolist()
+    assert [v for v, r in zip(x.tolist(), signed) if not _wraps_exactly(v, r)] == []
 
 
 _WRAP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-18, -1e-18,
@@ -144,19 +152,23 @@ _WRAP_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e-
 @example(-5e-324)
 @example(-(1 - 2.0 ** -53))
 @example(-(2.0 ** 52 - 0.5))
-def test_wraps_equal_mod_formulas_bit_for_bit(x):
-    # an independent reference: signed zeros and subnormals count, since the
-    # comparison is on the bits
-    _assert_wraps_match_mod(x)
+@example(0.49999999999999994)  # x + 0.5 rounds to 1.0
+@example(1e-20)  # x + 0.5 rounds to 0.5
+@example(2.0 ** 52 + 1)  # x + 0.5 rounds to the even 2^52 + 2
+def test_wraps_match_their_oracles(x):
+    # independent references: for wrap_unit signed zeros and subnormals
+    # count, since the comparison is on the bits; wrap_signed is checked in
+    # exact rationals, so a low bit it drops (1e-20 -> 0.0) fails
+    _assert_wraps_match_oracles(x)
 
 
-def test_wraps_equal_mod_formulas_on_edges_and_random_bits():
+def test_wraps_match_their_oracles_on_edges_and_random_bits():
     rng = np.random.default_rng(0)
     x = rng.integers(-2 ** 63, 2 ** 63, size=200_000, dtype=np.int64).view(np.float64)
     # random bit patterns are mostly huge or tiny; add values at every scale
     # from 1e-17 to 1e3, where the fractional part is rounded
     scaled = rng.normal(size=200_000) * 10.0 ** rng.uniform(-17, 3, size=200_000)
-    _assert_wraps_match_mod(np.concatenate([_WRAP_EDGES, x[np.isfinite(x)], scaled]))
+    _assert_wraps_match_oracles(np.concatenate([_WRAP_EDGES, x[np.isfinite(x)], scaled]))
 
 
 def _moser_field():

@@ -122,11 +122,21 @@ def test_flat_chart_rejects_the_cut_locus_and_inverts_just_below_it(manifold, ba
     at_cut[0, -1] = 0.5
     with pytest.raises(LiftError, match="cut locus"):
         chart.exp(at_cut)
+    # base - 0.5 is exact at each of these bases, so the point is on the cut
     with pytest.raises(LiftError, match="cut locus"):
-        chart.log(wrap_unit(chart.base_point + at_cut))
+        chart.log(chart.base_point - at_cut)
     assert chart.exp(np.nextafter(at_cut, 0.0)).shape == at_cut.shape
     for v in (at_cut - 1e-9, 1e-9 - at_cut):
         assert np.abs(chart.log(chart.exp(v)) - v).max() <= 1e-15
+
+
+def test_flat_chart_log_inverts_one_ulp_inside_the_cut_locus():
+    # 0.2 + 0.5 rounds to a point 0.5 - 2^-54 from 0.2: one ulp inside the
+    # cut, so log returns that radius and does not reject the point
+    below = 0.49999999999999994
+    assert ManifoldChart("circle", [0.2]).log(wrap_unit(0.2 + 0.5))[0, 0] == below
+    chart = ManifoldChart("circle", [0.0])
+    assert chart.log(chart.exp([[below]]))[0, 0] == below
 
 
 @pytest.mark.parametrize("manifold, base, cap", [

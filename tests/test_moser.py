@@ -418,6 +418,8 @@ def test_batched_2d_family_matches_single_target_maps():
     family = build_continuous_representation(torus_family(targets))
     for t_map, want in zip(family.maps, singles, strict=True):
         assert np.array_equal(t_map.images, want.map.images)
+    # a 2D map carries no pushforward W1, and the family records it unchecked
+    assert family.pushforward_errors == (None,) * len(targets)
     assert_same_flows(moser_map(rho0, targets), singles)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -45,10 +44,12 @@ from .lift import (
     write_manifold_atoms,
 )
 from .measures import (
-    DiscreteMeasure,
     GridDensity,
     MeasureError,
     parse_float,
+    read_measure,
+    read_rows,
+    read_text,
     wasserstein_1d,
     wasserstein_exact,
     write_rows,
@@ -76,62 +77,27 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _read(path: str, load, what: str = "input file"):
-    """load(Path(path)); a path that names no regular file, or a file that is
-    not text, is a CliError naming the path."""
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"{what} not found: {path}" if not p.exists()
-                       else f"{what} {path!r} is not a regular file")
-    try:
-        return load(p)
-    except UnicodeDecodeError as exc:
-        raise CliError(f"{what} {path} is not text: {exc.reason} at byte {exc.start}") from None
-
-
-def _load_measure(path: str):
-    """Grid densities start with a 'dim,n' line; anything else is atoms."""
-    def load(p: Path):
-        with open(p) as fh:
-            first = fh.readline().strip().replace(" ", "")
-        if first == "dim,n" or (first and first[0].isdigit()):
-            return GridDensity.from_csv(p)
-        return DiscreteMeasure.from_csv(p)
-    return _read(path, load)
-
-
-def _manifest_lines(p: Path) -> list[tuple[int, str]]:
-    """(line number, stripped text) of each line that is not blank or a comment."""
-    with open(p) as fh:
-        return [(no, ln.strip()) for no, ln in enumerate(fh, start=1)
-                if ln.strip() and not ln.startswith("#")]
-
-
 def _load_kernel_manifest(path: str) -> tuple[KernelFamily, list[str]]:
     """The family a kernel manifest names, and the manifest's and measures' paths."""
-    p = Path(path)
-    lines = _read(path, _manifest_lines, "kernel manifest")
+    lines = read_rows(path, "kernel manifest")
     if len(lines) < 4:
         raise CliError(f"{path}: manifest needs space, interp, header, and rows")
     (_, space_line), (_, interp_line) = lines[:2]
     if not space_line.startswith("space,"):
         raise CliError(f"{path}: first line must be 'space,<tag>'")
-    space = space_line.split(",", 1)[1]
+    space = space_line.split(",", 1)[1].strip()
     if not interp_line.startswith("interp,"):
         raise CliError(f"{path}: second line must be 'interp,<rule>'")
-    interp = interp_line.split(",", 1)[1]
+    interp = interp_line.split(",", 1)[1].strip()
     fields = len(lines[2][1].split(","))
     base_pts, measures, paths = [], [], [path]
     for no, ln in lines[3:]:
         parts = ln.split(",")
         if len(parts) != fields:
             raise CliError(f"{path}, line {no}: expected {fields} fields, got {len(parts)}")
-        coords = [parse_float(v, path, no) for v in parts[:-1]]
-        mpath = parts[-1]
-        if not os.path.isabs(mpath):
-            mpath = str(p.parent / mpath)
-        base_pts.append(coords)
-        measures.append(_load_measure(mpath))
+        base_pts.append([parse_float(v, path, no) for v in parts[:-1]])
+        mpath = str(Path(path).parent / parts[-1])  # an absolute path replaces the parent
+        measures.append(read_measure(mpath))
         paths.append(mpath)
     return KernelFamily(space, np.array(base_pts), tuple(measures), interp=interp), paths
 
@@ -185,8 +151,8 @@ def _seed(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_wdist(args, out: Path) -> Outcome:
-    a = _load_measure(args.a)
-    b = _load_measure(args.b)
+    a = read_measure(args.a)
+    b = read_measure(args.b)
     if args.method == "exact":
         dist = wasserstein_exact(a, b, p=args.p, periodic=args.periodic)
     else:
@@ -198,8 +164,8 @@ def cmd_wdist(args, out: Path) -> Outcome:
 
 
 def cmd_couple(args, out: Path) -> Outcome:
-    mu = _load_measure(args.mu).as_discrete()
-    nu = _load_measure(args.nu).as_discrete()
+    mu = read_measure(args.mu).as_discrete()
+    nu = read_measure(args.nu).as_discrete()
     spec = CostSpec(kind=args.cost, p=args.p, periodic=args.periodic)
     if args.method == "exact":
         plan = solve_exact(mu, nu, spec)
@@ -220,8 +186,8 @@ def cmd_couple(args, out: Path) -> Outcome:
 
 
 def cmd_moser(args, out: Path) -> Outcome:
-    rho0 = _load_measure(args.rho0)
-    rho1 = _load_measure(args.rho1)
+    rho0 = read_measure(args.rho0)
+    rho1 = read_measure(args.rho1)
     if not isinstance(rho0, GridDensity) or not isinstance(rho1, GridDensity):
         raise CliError("moser requires grid-density inputs")
     times = sorted(set(args.checkpoints))
@@ -259,7 +225,7 @@ def _build_family(args):
                            "continuous route's reference is the uniform density")
         return build_continuous_representation(kern), inputs
     if args.reference:
-        reference = _load_measure(args.reference)
+        reference = read_measure(args.reference)
         inputs.append(args.reference)
     else:
         proto = kern.measures[0]
@@ -290,7 +256,7 @@ def cmd_verify(args, out: Path) -> Outcome:
 
 def cmd_lift(args, out: Path) -> Outcome:
     chart = ManifoldChart(args.manifold, args.base, cap=args.cap)
-    atoms = _read(args.atoms, lambda p: read_manifold_atoms(p, args.manifold))
+    atoms = read_manifold_atoms(args.atoms, args.manifold)
     lifted = log_lift(chart, atoms)
     back = exp_push(chart, lifted)
     if args.manifold == "sphere2":
@@ -305,10 +271,10 @@ def cmd_lift(args, out: Path) -> Outcome:
 
 
 def cmd_stability(args, out: Path) -> Outcome:
-    mu = _load_measure(args.mu)
+    mu = read_measure(args.mu)
     paths = args.targets.split(",")
-    targets = [_load_measure(p) for p in paths]
-    limit = _load_measure(args.limit)
+    targets = [read_measure(p) for p in paths]
+    limit = read_measure(args.limit)
     masses = stability_experiment(mu, targets, limit, eps=args.eps, periodic=args.periodic)
     write_rows(out / "stability.csv", ["k", "mass"], enumerate(masses))
     report = {"eps": args.eps, "deviation_masses": masses}
@@ -401,8 +367,8 @@ def main(argv=None) -> int:
     args, extra = parser.parse_known_args(argv)
     if args.config:
         try:
-            cfg = _read(args.config, lambda p: json.loads(p.read_text()), "config file")
-        except (CliError, OSError, json.JSONDecodeError) as exc:
+            cfg = json.loads(read_text(args.config, "config file"))
+        except (MeasureError, OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return USAGE_ERROR
         if not isinstance(cfg, dict):
@@ -417,13 +383,9 @@ def main(argv=None) -> int:
             return USAGE_ERROR
         flags = [cfg["cmd"]]
         for key, val in cfg.items():
-            if key == "cmd":
-                continue
-            if isinstance(val, bool):
-                if val:
-                    flags.append(f"--{key.replace('_', '-')}")
-            else:
-                flags.extend([f"--{key.replace('_', '-')}", str(val)])
+            flag = f"--{key.replace('_', '-')}"
+            if key != "cmd" and val is not False:  # true is a bare switch, false omits it
+                flags += [flag] if val is True else [flag, str(val)]
         args = parser.parse_args(flags + list(extra))
     elif extra:
         print(f"unrecognized arguments: {' '.join(extra)}", file=sys.stderr)

@@ -20,13 +20,15 @@ from .measures import (
     PUSHFORWARD_SUBDIV,
     DiscreteMeasure,
     GridDensity,
+    MeasureError,
     draw_sample,
     grid_pushforward,
     wasserstein_1d,
     wasserstein_sinkhorn_upper,
 )
 from .moser import FlowMap, moser_map
-from .transport import BRENIER_EPSILON, TransportMap, brenier_map, monotone_map_1d
+from .transport import (BRENIER_EPSILON, MapError, SolverError, TransportMap, brenier_map,
+                        monotone_map_1d)
 
 BASE_SPACES = ("circle", "torus2", "interval", "sphere2-chart")
 INTERP_RULES = ("nearest", "none")
@@ -188,12 +190,12 @@ def _optimal_map(reference: GridDensity, target, periodic: bool) -> TransportMap
 
 def _checked_optimal_maps(reference: GridDensity, kernel: KernelFamily, periodic: bool):
     """Per kernel measure in order, (its optimal map, that map's pushforward
-    W1), or (the exception its construction raised, None). Lazy, so a
+    W1), or (the typed error its construction raised, None). Lazy, so a
     failure stops the build where it occurs."""
     for target in kernel.measures:
         try:
             t_map = _optimal_map(reference, target, periodic)
-        except Exception as exc:
+        except (MapError, MeasureError, SolverError) as exc:
             yield exc, None
         else:
             yield t_map, _pushforward_error(t_map, reference, target, periodic)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import sphere_distance, sphere_xyz, wrap_signed, wrap_unit
-from .measures import DiscreteMeasure, read_atom_rows, write_rows
+from .measures import DiscreteMeasure, float_rows, read_rows, write_rows
 
 MANIFOLDS = ("circle", "torus2", "sphere2")
 ROUND_TRIP_TOL = 1e-9
@@ -152,7 +152,9 @@ def write_manifold_atoms(path, manifold: str, mu: DiscreteMeasure) -> None:
 def read_manifold_atoms(path, manifold: str) -> DiscreteMeasure:
     if manifold not in _HEADERS:
         raise LiftError(f"unknown manifold {manifold!r}")
-    header, data = read_atom_rows(path)
-    if header != _HEADERS[manifold]:
-        raise LiftError(f"{path}: expected header {','.join(_HEADERS[manifold])}")
+    header = _HEADERS[manifold]
+    rows = read_rows(path)
+    if not rows or rows[0][1].replace(" ", "") != ",".join(header):
+        raise LiftError(f"{path}: expected header {','.join(header)}")
+    data = float_rows(path, rows[1:], len(header))
     return DiscreteMeasure(data[:, :-1], data[:, -1])

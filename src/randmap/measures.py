@@ -5,13 +5,16 @@ Two concrete representations are supported: weighted point clouds in R^d
 (`GridDensity`, stored relative to the normalized volume, mean 1).
 
 `write_rows` is the one CSV writer of the package: measures, plans, maps,
-manifold atoms and the CLI's tables all go through it.
+manifold atoms and the CLI's tables all go through it. `read_text` is the
+one reader: every input file, a measure, a kernel manifest, manifold atoms
+or a JSON config, is opened by it, and every CSV input is split into rows by
+`read_rows`, which skips blank lines and '#' comments.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -41,25 +44,37 @@ def parse_float(token: str, path, line: int) -> float:
         raise MeasureError(f"{path}, line {line}: {exc}") from None
 
 
-def read_atom_rows(path) -> tuple[list[str], np.ndarray]:
-    """Header and values of an atom CSV, one number per header field in each row.
+def read_text(path, what: str = "input file") -> str:
+    """The text of the file at path (universal newlines); MeasureError naming
+    the path if it is missing, names no regular file, or is not text."""
+    p = Path(path)
+    if not p.is_file():
+        raise MeasureError(f"{what} not found: {path}" if not p.exists()
+                           else f"{what} {str(path)!r} is not a regular file")
+    try:
+        with open(p) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeasureError(f"{what} {path} is not text: {exc.reason} at byte {exc.start}") from None
 
-    MeasureError names the file and line of a bad row; callers check the header.
-    """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise MeasureError(f"{path}: empty measure file")
-    header = [c.strip() for c in rows[0]]
+
+def read_rows(path, what: str = "input file") -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line of the file at path that is
+    neither blank nor a '#' comment."""
+    lines = map(str.strip, read_text(path, what).split("\n"))
+    return [(no, ln) for no, ln in enumerate(lines, start=1) if ln and ln[0] != "#"]
+
+
+def float_rows(path, rows: list[tuple[int, str]], width: int) -> np.ndarray:
+    """The rows of `read_rows` as a (len(rows), width) array; MeasureError
+    names the file and line of a row that is not width numbers."""
     data = []
-    for line, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise MeasureError(f"{path}, line {line}: expected {len(header)} values, "
-                               f"got {len(row)}")
-        data.append([parse_float(v, path, line) for v in row])
-    return header, np.array(data, dtype=float).reshape(-1, len(header))
+    for no, text in rows:
+        fields = text.split(",")
+        if len(fields) != width:
+            raise MeasureError(f"{path}, line {no}: expected {width} values, got {len(fields)}")
+        data.append([parse_float(v, path, no) for v in fields])
+    return np.array(data, dtype=float).reshape(-1, width)
 
 
 def write_rows(path, header: list[str], rows) -> None:
@@ -114,13 +129,6 @@ class DiscreteMeasure:
     def to_csv(self, path) -> None:
         write_rows(path, [f"x{i}" for i in range(self.dim)] + ["w"],
                    np.column_stack([self.points, self.weights]).tolist())
-
-    @classmethod
-    def from_csv(cls, path) -> "DiscreteMeasure":
-        header, data = read_atom_rows(path)
-        if header[-1] != "w" or not header[0].startswith("x"):
-            raise MeasureError(f"{path}: expected header 'x0[,x1[,x2]],w'")
-        return cls(data[:, :-1], data[:, -1])
 
 
 @dataclass(frozen=True)
@@ -186,21 +194,30 @@ class GridDensity:
     def to_csv(self, path) -> None:
         write_rows(path, ["dim", "n"], [[self.dim, self.n]] + self.values.reshape(-1, 1).tolist())
 
-    @classmethod
-    def from_csv(cls, path) -> "GridDensity":
-        with open(path) as fh:
-            lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-        if not lines:
-            raise MeasureError(f"{path}: empty density file")
-        start = 1 if lines[0][1].replace(" ", "") == "dim,n" else 0
+
+def read_measure(path) -> DiscreteMeasure | GridDensity:
+    """The measure in a CSV file: a grid density if its first row (see
+    `read_rows`) is 'dim,n' or its values, starting with a digit, and atoms
+    under the exact header x0[,x1[,x2]],w otherwise."""
+    rows = read_rows(path)
+    if not rows:
+        raise MeasureError(f"{path}: empty measure file")
+    no, first = rows[0]
+    if first.replace(" ", "") == "dim,n" or first[0].isdigit():
         try:
-            dim, n = (int(tok) for tok in lines[start][1].split(","))
-        except Exception as exc:
+            (_, meta), *values = rows[0 if first[0].isdigit() else 1:]
+            dim, n = (int(tok) for tok in meta.split(","))
+        except ValueError as exc:
             raise MeasureError(f"{path}: expected 'dim,n' metadata line") from exc
-        vals = np.array([parse_float(ln, path, no) for no, ln in lines[start + 1:]])
+        vals = np.array([parse_float(text, path, line) for line, text in values])
         if len(vals) != n ** dim:
             raise MeasureError(f"{path}: expected {n ** dim} values, got {len(vals)}")
-        return cls(dim, n, vals.reshape((n,) * dim))
+        return GridDensity(dim, n, vals.reshape((n,) * dim))
+    header = first.replace(" ", "").split(",")
+    if not 2 <= len(header) <= 4 or header != [f"x{a}" for a in range(len(header) - 1)] + ["w"]:
+        raise MeasureError(f"{path}, line {no}: expected header 'x0[,x1[,x2]],w', got {first!r}")
+    data = float_rows(path, rows[1:], len(header))
+    return DiscreteMeasure(data[:, :-1], data[:, -1])
 
 
 def draw_sample(mu: DiscreteMeasure | GridDensity, n_draws: int, seed: int) -> np.ndarray:

@@ -669,6 +669,12 @@ def _quantile_of(nu, q: np.ndarray, periodic: bool) -> np.ndarray:
     return step_quantile(x, np.cumsum(w), q)
 
 
+def _integrate_potential(disp: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Trapezoid integration of a 1D displacement field, 0 at the first node."""
+    d = disp[:, 0]
+    return np.concatenate([[0.0], np.cumsum(0.5 * (d[:-1] + d[1:]) * grid.spacing[0])])
+
+
 def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
     """Monotone rearrangement T = F_nu^{-1} o F_mu sampled at grid nodes.
 
@@ -699,21 +705,6 @@ def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
 # Brenier maps from entropic dual potentials
 # ---------------------------------------------------------------------------
 
-def _integrate_potential(disp: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Trapezoid path integration of a displacement field (axis 0, then 1)."""
-    n, dim = grid.n, grid.dim
-    h = grid.spacing
-    if dim == 1:
-        d = disp[:, 0]
-        return np.concatenate([[0.0], np.cumsum(0.5 * (d[:-1] + d[1:]) * h[0])])
-    dx = disp[:, 0].reshape(n, n)
-    dy = disp[:, 1].reshape(n, n)
-    psi = np.zeros((n, n))
-    psi[1:, 0] = np.cumsum(0.5 * (dx[:-1, 0] + dx[1:, 0]) * h[0])
-    psi[:, 1:] = psi[:, [0]] + np.cumsum(0.5 * (dy[:, :-1] + dy[:, 1:]) * h[1], axis=1)
-    return psi.ravel()
-
-
 def _cell_atoms(rho: GridDensity) -> tuple[np.ndarray, np.ndarray]:
     """Every cell of a grid density as an atom: the cell centres along one
     axis, and the row-major cell weights, zero-mass cells included, as
@@ -727,8 +718,11 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
 
     The images are the analytic gradient of the convex log-partition
     potential (the conditional mean of the entropic plan), so the map is
-    cyclically monotone to machine precision. The scalar potential psi with
-    T(x) = x + grad psi(x) is recovered by path integration of T - id.
+    cyclically monotone to machine precision. The potential is psi = f(x_0) - f
+    for the solve's source potential f: f is the soft c-transform of the
+    target potential g, so |x|^2/2 + psi = eps log sum_j b_j
+    exp((x.y_j + g_j - |y_j|^2/2)/eps) + const is a log-sum-exp of affine
+    functions, convex, with gradient the image T(x) = x + grad psi(x).
 
     The source keeps every cell, zero-mass cells with weight 0, so the plan
     has a row for every node. A 2D grid-density target keeps every cell
@@ -769,6 +763,5 @@ def brenier_map(mu: GridDensity, nu, reg_epsilon: float) -> TransportMap:
     z = kern.v * b
     images = np.column_stack([_apply(kern.k, z * ya) for ya in pts.T])
     images /= _apply(kern.k, z)[:, None]
-    gspec = GridSpec(mu.dim, mu.n, periodic=False)
-    psi = _integrate_potential(images - nodes, gspec)
-    return TransportMap(nodes, images, psi=psi, route="brenier", grid=gspec)
+    return TransportMap(nodes, images, psi=f[0] - f, route="brenier",
+                        grid=GridSpec(mu.dim, mu.n, periodic=False))

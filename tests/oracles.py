@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.special import logsumexp
 
 from randmap.geometry import CostSpec, GridSpec, _row_blocks, _stencil, interp_grid, wrap_signed
 from randmap.lift import LiftError, ManifoldChart
@@ -108,6 +109,19 @@ def barycentric_images(nodes: np.ndarray, pts: np.ndarray, g: np.ndarray, b: np.
         w = np.exp(logits)
         images[rows] = (w @ pts) / w.sum(axis=1, keepdims=True)
     return images
+
+
+def brenier_potential(nodes: np.ndarray, pts: np.ndarray, g: np.ndarray, b: np.ndarray,
+                      eps: float) -> np.ndarray:
+    """The entropic Brenier potential psi of target potential g, 0 at node 0:
+    |x|^2/2 + psi(x) = eps log sum_j b_j exp((x.y_j - |y_j|^2/2 + g_j)/eps)
+    up to a constant, a log-sum-exp of affine functions of x whose gradient
+    is `barycentric_images`. Zero weights b_j add nothing."""
+    with np.errstate(divide="ignore"):
+        affine = (g - 0.5 * np.sum(pts * pts, axis=1)) / eps + np.log(b)
+    psi = eps * logsumexp(nodes @ pts.T / eps + affine[None, :], axis=1)
+    psi -= 0.5 * np.sum(nodes * nodes, axis=1)
+    return psi - psi[0]
 
 
 def circle_w1_sorted(xu, wu, xv, wv) -> float:

@@ -39,6 +39,14 @@ that opens a file for writing (`open` with a mode that writes, or a call
 named write_text, write_bytes or savetxt) and requires them to be the two
 writers, one per output format: `measures.write_rows` for every CSV file
 and the CLI's JSON writer for `report.json` and `manifest.json`.
+
+The seventh walk mirrors the sixth for input: it finds each top-level
+function and method of src/randmap that opens a file for reading (`open`
+with a mode that does not write, or a call named read_text, read_bytes,
+loadtxt, genfromtxt or fromfile) and requires them to be the one reader
+per way of reading: `measures.read_text` opens every input file as text,
+and the CLI's hash of an input is the one read of a file as bytes. A call
+of `read_text` by its bare name is the reader's own, not a read.
 """
 import ast
 from pathlib import Path
@@ -64,6 +72,9 @@ ALLOWED_PARAMETERS = {"measures.wasserstein_sinkhorn_upper(epsilon)",
 
 # The one writer per output format (see the sixth walk).
 WRITERS = {"measures.write_rows", "cli._write_json"}
+
+# The one reader per way of reading a file (see the seventh walk).
+READERS = {"text": {"measures.read_text"}, "bytes": {"cli._sha256"}}
 
 
 def _definitions(tree: ast.Module):
@@ -279,20 +290,26 @@ def _writes_a_file(call: ast.Call) -> bool:
                                   or set(str(mode.value)) & set("wax+") for mode in modes)
 
 
+def _functions(package: Path):
+    """(module.name, def node) of every top-level function and method in package."""
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                yield from ((f"{path.stem}.{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+
+
+def _calls(node: ast.AST):
+    return (call for call in ast.walk(node) if isinstance(call, ast.Call))
+
+
 def file_writers(package: Path) -> set[str]:
     """module.name of every top-level function and method in package whose
     body (nested defs included) opens a file for writing."""
-    found = set()
-    for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
-        defs += [(f"{cls.name}.{item.name}", item) for cls in tree.body
-                 if isinstance(cls, ast.ClassDef) for item in cls.body
-                 if isinstance(item, ast.FunctionDef)]
-        found |= {f"{path.stem}.{qualname}" for qualname, node in defs
-                  if any(isinstance(call, ast.Call) and _writes_a_file(call)
-                         for call in ast.walk(node))}
-    return found
+    return {name for name, node in _functions(package) if any(map(_writes_a_file, _calls(node)))}
 
 
 def test_one_writer_per_output_format():
@@ -300,3 +317,39 @@ def test_one_writer_per_output_format():
     assert writers == WRITERS, (
         f"functions that write files besides the two writers: {sorted(writers - WRITERS)}; "
         f"writers that no longer write: {sorted(WRITERS - writers)}")
+
+
+def _reads_a_file(call: ast.Call) -> str | None:
+    """'bytes' or 'text' if call opens a file for reading (see the seventh
+    walk), else None: an open with a constant mode that does not write, by
+    whether the mode holds b; an attribute call read_bytes; an attribute
+    call read_text (a bare read_text(...) is measures.read_text itself), or
+    a call named loadtxt, genfromtxt or fromfile."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    attribute = isinstance(call.func, ast.Attribute)
+    if name == "read_bytes" and attribute:
+        return "bytes"
+    if (name == "read_text" and attribute) or name in ("loadtxt", "genfromtxt", "fromfile"):
+        return "text"
+    if name != "open" or _writes_a_file(call):
+        return None
+    modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return "bytes" if any("b" in str(mode.value) for mode in modes) else "text"
+
+
+def file_readers(package: Path) -> dict[str, set[str]]:
+    """For 'text' and 'bytes', module.name of every top-level function
+    and method in package whose body (nested defs included) opens a file
+    for reading that way."""
+    found = {"text": set(), "bytes": set()}
+    for name, node in _functions(package):
+        for kind in filter(None, map(_reads_a_file, _calls(node))):
+            found[kind].add(name)
+    return found
+
+
+def test_one_reader_per_input_format():
+    readers = file_readers(PACKAGE)
+    assert readers == READERS, (
+        f"functions that read files: {readers}; the one text reader and the one byte "
+        f"reader: {READERS}")

@@ -389,6 +389,53 @@ def test_malformed_atom_value_is_usage_error(workspace, capsys):
     assert "bad_atoms.csv, line 3" in err and "half" in err
 
 
+def test_atom_file_with_a_wrong_header_is_usage_error(workspace, capsys):
+    # every header field counts, not only the first and the last
+    (workspace / "foo_atoms.csv").write_text("x0,foo,w\n0.2,0.3,0.5\n0.8,0.1,0.5\n")
+    rc = main(["wdist", "--a", str(workspace / "foo_atoms.csv"),
+               "--b", str(workspace / "foo_atoms.csv"), "--method", "exact",
+               "--out", str(workspace / "wfoo")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "foo_atoms.csv, line 1: expected header 'x0[,x1[,x2]],w', got 'x0,foo,w'" in err
+
+
+def test_grid_file_with_a_leading_blank_line_and_comments_reads(workspace, capsys):
+    bump = (workspace / "bump.csv").read_text()
+    (workspace / "bump_noted.csv").write_text("\n# 1 + cos/2 on 64 cells\n" + bump
+                                             + "# end\n")
+    dists = []
+    for name in ("bump.csv", "bump_noted.csv"):
+        rc = main(["wdist", "--a", str(workspace / name), "--b", str(workspace / "uniform.csv"),
+                   "--out", str(workspace / f"w-{name}")])
+        assert rc == 0
+        dists.append(capsys.readouterr().out)
+    assert dists[0] == dists[1] and float(dists[0]) > 0
+
+
+def test_comment_lines_in_an_atom_file_are_skipped(workspace, capsys):
+    (workspace / "atoms_noted.csv").write_text("x0,w\n# two atoms\n0.2,0.5\n0.8,0.5\n")
+    rc = main(["wdist", "--a", str(workspace / "atoms_noted.csv"),
+               "--b", str(workspace / "atoms.csv"), "--method", "exact",
+               "--out", str(workspace / "wnoted")])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "0.0"
+
+
+def test_manifest_tags_are_read_without_surrounding_spaces(workspace):
+    text = (workspace / "kernel.txt").read_text()
+    text = text.replace("space,circle", "space, circle").replace("interp,nearest",
+                                                                 "interp, nearest")
+    (workspace / "spaced_kernel.txt").write_text("# a spaced manifest\n" + text)
+    assert main(["represent", "--kernel", str(workspace / "spaced_kernel.txt"),
+                 "--out", str(workspace / "rspaced")]) == 0
+    assert main(["represent", "--kernel", str(workspace / "kernel.txt"),
+                 "--out", str(workspace / "rplain")]) == 0
+    assert ((workspace / "rspaced" / "report.json").read_bytes()
+            == (workspace / "rplain" / "report.json").read_bytes())
+
+
 def _bad_lift_atoms(workspace, text):
     (workspace / "bad_circle.csv").write_text(text)
     return ["lift", "--manifold", "circle", "--base", "0.0",

@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 
+from randmap import kernel
 from randmap.geometry import unit_torus_grid, wrap_unit
 from randmap.kernel import (
     KernelError,
@@ -21,8 +22,9 @@ from randmap.kernel import (
     continuity_modulus,
     verify_representation,
 )
-from randmap.measures import DiscreteMeasure, GridDensity, draw_sample, wasserstein_1d
-from randmap.transport import TransportMap
+from randmap.measures import (DiscreteMeasure, GridDensity, MeasureError, draw_sample,
+                              wasserstein_1d)
+from randmap.transport import MapError, SolverError, TransportMap
 
 from oracles import dirac
 
@@ -172,6 +174,23 @@ def test_measurable_rejects_atomic_reference():
     kern = identity_kernel()
     with pytest.raises(KernelError, match="absolutely continuous"):
         build_measurable_representation(kern, dirac([0.0]))
+
+
+@pytest.mark.parametrize("error, raised", [
+    (MapError("no map"), KernelError), (MeasureError("bad target"), KernelError),
+    (SolverError("no solve"), KernelError), (TypeError("a bug"), TypeError)],
+    ids=["map", "measure", "solver", "bug"])
+def test_map_construction_turns_only_typed_errors_into_kernel_errors(monkeypatch, error,
+                                                                      raised):
+    # a typed error is a usage error at its base point; anything else is a
+    # bug, and propagates as itself
+    def broken(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(kernel, "monotone_map_1d", broken)
+    with pytest.raises(raised) as info:
+        build_measurable_representation(circle_kernel(n=16, k=2), GridDensity.uniform(1, 16))
+    prefix = "map construction failed at base point 0: " if raised is KernelError else ""
+    assert str(info.value) == prefix + str(error)
 
 
 def test_route_consistency():

@@ -4,6 +4,8 @@ Oracles: exhaustive assignment expansion via scipy's Hungarian solver
 (exact W_p on rational weights), and seeded Monte Carlo for the
 empirical-measure bound.
 """
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -19,7 +21,9 @@ from randmap.measures import (
     atoms_1d,
     draw_sample,
     grid_pushforward,
-    read_atom_rows,
+    read_measure,
+    read_rows,
+    read_text,
     wasserstein_1d,
     wasserstein_exact,
     wasserstein_sinkhorn_upper,
@@ -599,7 +603,7 @@ def test_discrete_csv_round_trip(tmp_path):
     m.to_csv(path)
     header = path.read_text().splitlines()[0]
     assert header == "x0,x1,w"
-    back = DiscreteMeasure.from_csv(path)
+    back = read_measure(path)
     assert np.array_equal(back.points, m.points)
     assert np.array_equal(back.weights, m.weights)
 
@@ -608,12 +612,18 @@ def test_atom_csv_with_crlf_line_endings_still_reads(tmp_path):
     # earlier versions wrote atom files through csv.writer, which ends lines in \r\n
     path = tmp_path / "atoms.csv"
     path.write_bytes(b"x0,x1,w\r\n0.1,0.2,0.25\r\n0.7,0.8,0.75\r\n")
-    header, data = read_atom_rows(path)
-    assert header == ["x0", "x1", "w"]
-    assert np.array_equal(data, [[0.1, 0.2, 0.25], [0.7, 0.8, 0.75]])
-    back = DiscreteMeasure.from_csv(path)
+    assert read_rows(path) == [(1, "x0,x1,w"), (2, "0.1,0.2,0.25"), (3, "0.7,0.8,0.75")]
+    back = read_measure(path)
     assert np.array_equal(back.points, [[0.1, 0.2], [0.7, 0.8]])
     assert np.array_equal(back.weights, [0.25, 0.75])
+
+
+def test_rows_skip_blank_lines_and_comments_and_keep_line_numbers(tmp_path):
+    path = tmp_path / "rows.csv"
+    path.write_text("\n# a comment\n  x0,w  \n\n   # indented comment\n0.5,1.0\n")
+    assert read_rows(path) == [(3, "x0,w"), (6, "0.5,1.0")]
+    back = read_measure(path)
+    assert np.array_equal(back.points, [[0.5]]) and np.array_equal(back.weights, [1.0])
 
 
 def test_grid_csv_round_trip(tmp_path):
@@ -623,17 +633,54 @@ def test_grid_csv_round_trip(tmp_path):
     path = tmp_path / "grid.csv"
     g.to_csv(path)
     assert path.read_text().splitlines()[0] == "dim,n"
-    back = GridDensity.from_csv(path)
+    back = read_measure(path)
     assert back.dim == 2 and back.n == 8
     assert np.array_equal(back.values, g.values)
+    # the 'dim,n' header may be left out: a first row that starts with a digit
+    # is the metadata row
+    path.write_text("\n".join(path.read_text().splitlines()[1:]) + "\n")
+    assert np.array_equal(read_measure(path).values, g.values)
 
 
 def test_csv_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(MeasureError):
-        DiscreteMeasure.from_csv(bad)
+        read_measure(bad)
     bad2 = tmp_path / "bad2.csv"
     bad2.write_text("dim,n\n1,8\n1.0\n")
     with pytest.raises(MeasureError):
-        GridDensity.from_csv(bad2)
+        read_measure(bad2)
+
+
+@pytest.mark.parametrize("header", ["x0,foo,w", "x1,w", "x0,x1", "w", "x0,w,w",
+                                    "x0,x1,x2,x3,w"])
+def test_atom_header_must_be_exact(tmp_path, header):
+    path = tmp_path / "atoms.csv"
+    path.write_text(f"{header}\n" + "0.5," * header.count(",") + "1.0\n")
+    expected = re.escape(f"line 1: expected header 'x0[,x1[,x2]],w', got '{header}'")
+    with pytest.raises(MeasureError, match=expected):
+        read_measure(path)
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('x0,w\n"0.5",1.0\n', "line 2"), ('dim,n\n1,8\n' + '"1.0"\n' * 8, "line 3"),
+    ("x0,w\n0.5\n", "line 2: expected 2 values, got 1"), ("", "empty measure file"),
+    ("# only a comment\n\n", "empty measure file"), ("dim,n\n", "expected 'dim,n' metadata")],
+    ids=["quoted-atom", "quoted-grid", "short-row", "empty", "comments-only", "no-metadata"])
+def test_malformed_measure_files_name_the_line(tmp_path, text, needle):
+    # fields are numbers as float() reads them: a quoted number is not one
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(MeasureError, match=needle):
+        read_measure(path)
+
+
+@pytest.mark.parametrize("make, needle", [
+    (lambda d: d / "missing.csv", "input file not found"),
+    (lambda d: d, "is not a regular file"),
+    (lambda d: (d / "bin.csv").write_bytes(b"x0,w\n\xff\n") and d / "bin.csv", "is not text")],
+    ids=["missing", "directory", "not-text"])
+def test_read_text_names_a_path_it_cannot_read(tmp_path, make, needle):
+    with pytest.raises(MeasureError, match=needle):
+        read_text(make(tmp_path))

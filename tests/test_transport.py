@@ -37,6 +37,7 @@ from randmap.transport import (
 from oracles import (
     PotentialGrid,
     barycentric_images,
+    brenier_potential,
     check_cyclical_monotonicity,
     deterministic_plan_cost,
     dirac,
@@ -936,6 +937,32 @@ def test_brenier_images_match_the_row_softmax_of_the_target_potential(monkeypatc
     assert len(pts) == len(b) and len(t.points) == source.n ** 2
     want = barycentric_images(source.nodes(), pts, g, b, 1e-3)
     assert np.abs(t.images - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("source, target", [
+    (GridDensity.uniform(2, 16), _box_bump(16)),
+    (GridDensity.uniform(2, 16), _diagonal_band(16)),
+    (_half_box(16), _seeded(5, 8).as_discrete()),
+], ids=["factored-grid", "band-densifies", "scattered-from-half-box"])
+def test_brenier_potential_is_the_log_sum_exp_of_the_target_potential(monkeypatch, source,
+                                                                       target):
+    # psi is the solve's source potential f, less f at node 0: the soft
+    # c-transform of g, so |x|^2/2 + psi is convex with gradient T
+    solves = []
+    solve = transport._sinkhorn_potentials
+
+    def recorded(c, wa, wb, *args, **kwargs):
+        result = solve(c, wa, wb, *args, **kwargs)
+        solves.append((wb, result[1]))
+        return result
+
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", recorded)
+    t = brenier_map(source, target, reg_epsilon=1e-3)
+    [(b, g)] = solves
+    pts = target.nodes() if isinstance(target, GridDensity) else target.points
+    want = brenier_potential(source.nodes(), pts, g, b, 1e-3)
+    assert t.psi[0] == 0.0
+    assert np.abs(t.psi - want).max() <= 1e-10
 
 
 def test_brenier_map_to_a_grid_target_holds_no_cost_sized_array(peak_traced_bytes):

@@ -195,12 +195,7 @@ def cmd_moser(args, out: Path) -> Outcome:
         if f"{a:.4f}" == f"{b:.4f}":
             raise CliError(f"checkpoints {a!r} and {b!r} both write checkpoint_{a:.4f}.csv")
     flow = moser_map(rho0, rho1, checkpoints=args.checkpoints)
-    flow.map.to_csv(out / "map.csv")
-    for t_mark, positions in flow.checkpoints.items():
-        dim = positions.shape[1]
-        header = ["t"] + [f"x{a}" for a in range(dim)] + [f"Tx{a}" for a in range(dim)]
-        rows = np.column_stack([np.full(len(positions), t_mark), flow.map.points, positions])
-        write_rows(out / f"checkpoint_{t_mark:.4f}.csv", header, rows.tolist())
+    # a 1D field solves only when read here: a failed solve must leave --out empty
     jac = jacobian_min(flow)
     report = {
         "pushforward_w1": flow.pushforward_error,
@@ -210,6 +205,12 @@ def cmd_moser(args, out: Path) -> Outcome:
         "steps": flow.steps,
         "flow_error_estimate": flow.flow_error,
     }
+    flow.map.to_csv(out / "map.csv")
+    for t_mark, positions in flow.checkpoints.items():
+        dim = positions.shape[1]
+        header = ["t"] + [f"x{a}" for a in range(dim)] + [f"Tx{a}" for a in range(dim)]
+        rows = np.column_stack([np.full(len(positions), t_mark), flow.map.points, positions])
+        write_rows(out / f"checkpoint_{t_mark:.4f}.csv", header, rows.tolist())
     tolerances = {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL,
                   "flow_tol": flow_tolerance(rho0.n)}
     ok = jac > 0 and (flow.pushforward_error is None or flow.pushforward_error <= args.tol)

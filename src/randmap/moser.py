@@ -36,11 +36,11 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import GridSpec, interp_grid, wrap_signed, wrap_unit
-from .measures import PUSHFORWARD_SUBDIV, GridDensity, grid_pushforward, wasserstein_1d
+from .measures import MEAN_TOL, PUSHFORWARD_SUBDIV, GridDensity, grid_pushforward, wasserstein_1d
 from .transport import TransportMap
 
 POISSON_RESIDUAL_TOL = 1e-8
-ZERO_MEAN_TOL = 1e-10
+ZERO_MEAN_TOL = 2 * MEAN_TOL  # the means of two valid densities differ by up to this
 MIN_DENSITY = 1e-3
 MIN_STEPS = 16
 FLOW_TOL = 1e-3  # step-doubling tolerance on the node estimate, in cells
@@ -84,9 +84,6 @@ class PoissonSolution:
     u: np.ndarray
     residual: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-
 
 def solve_poisson_periodic(source: np.ndarray) -> PoissonSolution:
     """Solve lap(u) = source on the torus by Fourier division, zero-mean gauge.
@@ -118,23 +115,25 @@ class MoserField:
 
     xi(t, x) = grad u(x) / ((1-t) rho0(x) + t rho1(x)); the denominator is
     bounded below by min(min rho0, min rho1) for all t in [0, 1]. moser_map
-    builds it once both densities pass its checks (one grid, min >= MIN_DENSITY).
+    builds it once both densities pass its checks (one grid, min >= MIN_DENSITY);
+    the Poisson solve and the gradient stack wait until first read.
     """
 
     rho0: GridDensity
     rho1: GridDensity
-    poisson: PoissonSolution
-    # grad u components, rho0 and rho1 stacked as (dim + 2, n, ...): every
-    # velocity evaluation is one gather through one interpolation stencil
-    stack: np.ndarray = field(init=False, default=None, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "stack", np.stack([*spectral_gradient(self.poisson.u),
-                                                    self.rho0.values, self.rho1.values]))
 
     @cached_property
     def grid(self) -> GridSpec:
         return self.rho0.grid
+
+    @cached_property
+    def poisson(self) -> PoissonSolution:
+        return solve_poisson_periodic(self.rho0.values - self.rho1.values)
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """grad u, rho0 and rho1 as (dim + 2, n, ...): one gather per velocity."""
+        return np.stack([*spectral_gradient(self.poisson.u), self.rho0.values, self.rho1.values])
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,8 @@ class FlowMap:
     estimate; in 1D (closed form, steps 0) the certified max_i |G(T_i) -
     F(x_i) - s| / min(rho1), since G' is at least rho1's least node value.
     pushforward_error is a 1D map's exact circle W1(T_* rho0, rho1), which
-    the continuous family build checks; a 2D map carries None."""
+    the continuous family build checks; a 2D map carries None. field_ref is
+    the map's field, whose Poisson solve a 1D build never reads."""
 
     map: TransportMap
     steps: int
@@ -232,7 +232,10 @@ def _moser_field(rho0: GridDensity, rho1: GridDensity) -> MoserField:
         if rho.min_value < MIN_DENSITY:
             raise MoserError(f"{name} violates strict positivity: "
                              f"min {rho.min_value:.2e} < {MIN_DENSITY}")
-    return MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
+    fld = MoserField(rho0, rho1)
+    if fld.grid.dim > 1:
+        fld.stack  # RK4 reads it: a failed solve is this coupling's MoserError
+    return fld
 
 
 def _pl_masses(values: np.ndarray) -> np.ndarray:
@@ -340,7 +343,8 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     """Deterministic coupling of rho0 and rho1 by the time-1 Moser flow.
 
     Both densities must be strictly positive (min >= 1e-3) on a common grid.
-    A 1D map and its checkpoints are in closed form (steps 0). In 2D the
+    A 1D map and its checkpoints are in closed form (steps 0), from the
+    densities alone: a 1D build runs no Poisson solve and no FFT. In 2D the
     RK4 step count is chosen by step doubling from MIN_STEPS until the node
     estimate is at most FLOW_TOL * h; past MAX_STEPS_PER_CELL * n steps it
     raises MoserError, and checkpoints split the step count by segment
@@ -355,9 +359,9 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     maps are built as one batch (one RK4 loop over every map's nodes in 2D),
     and each map keeps the step count, images and estimate it would get
     alone. The result is then a list with, per target, its FlowMap or the
-    MoserError it ended in: a density check or unresolved doubling.
-    `checkpoints` are checked once, before any target; a bad value raises
-    MoserError.
+    MoserError it ended in: a density check, a failed Poisson solve (2D)
+    or unresolved doubling. `checkpoints` are checked once, before any
+    target; a bad value raises MoserError.
     """
     single = isinstance(rho1, GridDensity)
     times = sorted(set(checkpoints))

@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 import randmap
-from randmap import cli
+from randmap import cli, moser
 from randmap.cli import main
-from randmap.measures import DiscreteMeasure, GridDensity
+from randmap.measures import DiscreteMeasure, GridDensity, read_measure
 from randmap.lift import write_manifold_atoms
-from randmap.moser import FLOW_TOL, MIN_DENSITY
+from randmap.moser import FLOW_TOL, MIN_DENSITY, MoserError, MoserField, continuity_residual
 from randmap.transport import MARGINAL_TOL
 
 
@@ -116,6 +116,40 @@ def test_moser_writes_map_and_report(workspace):
     assert report["steps"] == 0 and "steps" not in manifest["config"]
     assert (out / "map.csv").exists()
     assert (out / "checkpoint_0.5000.csv").exists()
+
+
+def test_moser_writes_nothing_when_the_solve_fails(workspace, monkeypatch, capsys):
+    def failed_solve(source):
+        raise MoserError("Poisson residual 1.000e+00 exceeds 1e-08")
+
+    monkeypatch.setattr(moser, "solve_poisson_periodic", failed_solve)
+    out = workspace / "mfail"
+    rc = main(["moser", "--rho0", str(workspace / "uniform.csv"),
+               "--rho1", str(workspace / "bump.csv"),
+               "--checkpoints", "0.5", "--out", str(out)])
+    assert rc == 2
+    assert "Poisson residual" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_only_moser_solves_poisson_in_1d(workspace, monkeypatch):
+    solve = moser.solve_poisson_periodic
+    sources = []
+    monkeypatch.setattr(moser, "solve_poisson_periodic",
+                        lambda source: sources.append(source) or solve(source))
+    kern = ["--kernel", str(workspace / "kernel.txt"), "--route", "continuous"]
+    assert main(["represent", *kern, "--out", str(workspace / "rep")]) == 0
+    assert main(["verify", *kern, "--n", "10000", "--tol", "0.05", "--seed", "7",
+                 "--out", str(workspace / "ver")]) == 0
+    assert sources == []
+    out = workspace / "mos"
+    assert main(["moser", "--rho0", str(workspace / "uniform.csv"),
+                 "--rho1", str(workspace / "bump.csv"), "--out", str(out)]) == 0
+    assert len(sources) == 1
+    rho0, rho1 = (read_measure(workspace / f) for f in ("uniform.csv", "bump.csv"))
+    report = json.loads((out / "report.json").read_text())
+    assert report["poisson_residual"] == solve(rho0.values - rho1.values).residual
+    assert report["continuity_residual"] == continuity_residual(MoserField(rho0, rho1), 0.5)
 
 
 def test_verify_pass_and_schema(workspace):

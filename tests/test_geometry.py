@@ -23,7 +23,7 @@ from randmap.geometry import (
     wrap_unit,
 )
 from randmap.measures import GridDensity
-from randmap.moser import MoserField, PoissonSolution
+from randmap.moser import MoserField
 
 from oracles import BoxDensity, PotentialGrid, deposit_linear
 
@@ -173,7 +173,7 @@ def test_wraps_match_their_oracles_on_edges_and_random_bits():
 
 def _moser_field():
     rho = GridDensity.uniform(1, 8)
-    return MoserField(rho, rho, PoissonSolution(np.zeros(8), 0.0))
+    return MoserField(rho, rho)
 
 
 @pytest.mark.parametrize("make", [

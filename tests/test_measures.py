@@ -280,6 +280,33 @@ def test_circle_w1_matches_the_stable_sort_form(a, b):
     assert _circle_w1(*atoms) == pytest.approx(circle_w1_sorted(*atoms), rel=1e-15, abs=0.0)
 
 
+@st.composite
+def verify_scale_atoms(draw):
+    """(xu, wu, xv, wv) as `verify` meets them: 10^3-10^4 sorted draws of
+    weight 1/N, and 10^3-10^4 sorted images rotated by one index, as a
+    monotone circle map returns them, with equal or random weights. A share
+    of both sits on a 1/64 lattice, so that atoms coincide and values of
+    F_mu - F_nu tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.1, 0.9]))
+
+    def sorted_atoms(size):
+        x = rng.random(size)
+        on_lattice = rng.random(size) < share
+        x[on_lattice] = np.floor(64 * x[on_lattice]) / 64
+        return np.sort(x)
+
+    n_u, n_v = draw(st.integers(1000, 10000)), draw(st.integers(1000, 10000))
+    wv = np.full(n_v, 1.0) if draw(st.booleans()) else rng.random(n_v) + 0.01
+    return (sorted_atoms(n_u), np.full(n_u, 1.0 / n_u),
+            np.roll(sorted_atoms(n_v), 1), np.roll(wv / wv.sum(), 1))
+
+
+@given(verify_scale_atoms())
+def test_circle_w1_matches_the_stable_sort_form_at_verify_scale(atoms):
+    assert _circle_w1(*atoms) == pytest.approx(circle_w1_sorted(*atoms), rel=1e-15, abs=0.0)
+
+
 # three atoms at 0 and one at 0.4: with coincident atoms taken in list order,
 # the two listings' cumulative weights differ by rounding, and the level
 # segment between them paired 0 with 0.4 (W_1000 read 0.386)

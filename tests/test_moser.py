@@ -17,6 +17,7 @@ from randmap import kernel, moser
 from randmap.geometry import unit_torus_grid, wrap_signed, wrap_unit
 from randmap.kernel import KernelError, KernelFamily, build_continuous_representation
 from randmap.measures import (
+    MEAN_TOL,
     GridDensity,
     grid_pushforward,
     wasserstein_1d,
@@ -26,6 +27,7 @@ from randmap.moser import (
     FLOW_TOL,
     MAX_STEPS_PER_CELL,
     MIN_STEPS,
+    POISSON_RESIDUAL_TOL,
     FlowMap,
     MoserError,
     MoserField,
@@ -53,7 +55,7 @@ def spike_density(n, width, dim=1):
 
 
 def moser_field(rho0, rho1):
-    return MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
+    return MoserField(rho0, rho1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +102,20 @@ def test_poisson_random_sources_residual():
 def test_poisson_rejects_nonzero_mean():
     with pytest.raises(MoserError, match="mean"):
         solve_poisson_periodic(np.ones(64) * 0.01)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 16)])
+def test_densities_whose_means_differ_by_up_to_twice_mean_tol_couple(dim, n):
+    # GridDensity takes any mean within MEAN_TOL of 1, so two valid densities
+    # differ in mean by up to 2 MEAN_TOL; at 1.8e-10 the solve must still run
+    x = (np.arange(n) + 0.5) / n
+    bump = np.ones((n,) * dim) * (1 + 0.3 * np.cos(2 * np.pi * x))
+    rho0 = GridDensity(dim, n, np.full((n,) * dim, 1 + 0.9e-10))
+    rho1 = GridDensity(dim, n, bump / bump.mean() * (1 - 0.9e-10))
+    assert (rho0.values - rho1.values).mean() > 1.5 * MEAN_TOL
+    flow = moser_map(rho0, rho1)
+    assert flow.field_ref.poisson.residual <= POISSON_RESIDUAL_TOL
+    assert jacobian_min(flow) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +592,7 @@ def test_continuity_identity_machine_precision():
     n = 64
     rho0 = cosine_density(n, 0.3)
     rho1 = cosine_density(n, 0.5, shift=0.4)
-    fld = MoserField(rho0, rho1, solve_poisson_periodic(rho0.values - rho1.values))
+    fld = MoserField(rho0, rho1)
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
         assert continuity_residual(fld, t) <= 1e-6
 

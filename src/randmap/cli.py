@@ -151,8 +151,8 @@ def _seed(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_wdist(args, out: Path) -> Outcome:
-    a = read_measure(args.a)
-    b = read_measure(args.b)
+    a = read_measure(args.a).as_discrete()
+    b = read_measure(args.b).as_discrete()
     if args.method == "exact":
         dist = wasserstein_exact(a, b, p=args.p, periodic=args.periodic)
     else:

@@ -261,15 +261,19 @@ def grid_pushforward(T, rho: GridDensity) -> GridDensity:
 # one-dimensional Wasserstein distances (quantile coupling)
 # ---------------------------------------------------------------------------
 
-def atoms_1d(mu: DiscreteMeasure | GridDensity, subdiv: int, periodic: bool):
+W1_SUBDIV = 8  # subcells per cell of a grid density's midpoint atoms in every 1D W1
+
+
+def atoms_1d(mu: DiscreteMeasure | GridDensity, periodic: bool):
     """Atom positions (wrapped to [0, 1) on the circle) in sorted order, with weights.
 
+    A grid density is read as midpoint atoms at W1_SUBDIV subcells per cell.
     Coincident atoms are ordered by weight, so a measure listed in any order
     gives the same arrays, and so the same cumulative weights bit for bit.
     """
     if mu.dim != 1:
         raise MeasureError("wasserstein_1d requires one-dimensional measures")
-    dm = mu.as_discrete(subdiv=subdiv)
+    dm = mu.as_discrete(subdiv=W1_SUBDIV)
     x = wrap_unit(dm.points[:, 0]) if periodic else dm.points[:, 0]
     order = np.lexsort((dm.weights, x))
     return x[order], dm.weights[order]
@@ -440,14 +444,8 @@ def _circle_kinks(wu, wv, theta: float) -> list[tuple[float, tuple[int, float]]]
     return [(bu[k] + turn[j] - sv[j], (j, bu[k])) for j, k in ((lo, i[lo] - 1), (hi, i[hi]))]
 
 
-# Subcells per grid cell of the W1 quadrature of a map's pushforward: the
-# one value `moser_map` and the family builds of `kernel` both report.
-PUSHFORWARD_SUBDIV = 4
-
-
-def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
-                   grid_subdiv: int = 1) -> float:
-    """Exact order-p Wasserstein distance between 1D measures.
+def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False) -> float:
+    """Order-p Wasserstein distance between 1D measures, exact between atoms.
 
     On the line this is the quantile-function coupling. On the circle it is
     the quantile coupling rotated by the best level shift: the weighted-median
@@ -462,13 +460,13 @@ def wasserstein_1d(mu, nu, p: float = 1.0, periodic: bool = False,
     a segment of rounding width (where breaks that should coincide, such as
     sums of the same weights in another order, differ by rounding). Each
     candidate is the cost of a coupling, so the least is never above the
-    search's. Grid densities enter through midpoint quadrature at subcell
-    resolution `grid_subdiv`.
+    search's. A grid density enters as the midpoint atoms of `atoms_1d`, so
+    against one the value is exact for that quadrature, not for the density.
     """
     if not (np.isfinite(p) and p >= 1):
         raise MeasureError(f"order p must be finite and >= 1, got {p!r}")
-    xu, wu = atoms_1d(mu, grid_subdiv, periodic)
-    xv, wv = atoms_1d(nu, grid_subdiv, periodic)
+    xu, wu = atoms_1d(mu, periodic)
+    xv, wv = atoms_1d(nu, periodic)
     if not periodic:
         return _quantile_distance(xu, wu, xv, wv, p)
     if p == 1.0:

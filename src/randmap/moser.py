@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import GridSpec, interp_grid, wrap_signed, wrap_unit
-from .measures import MEAN_TOL, PUSHFORWARD_SUBDIV, GridDensity, grid_pushforward, wasserstein_1d
+from .measures import MEAN_TOL, GridDensity, grid_pushforward, wasserstein_1d
 from .transport import TransportMap
 
 POISSON_RESIDUAL_TOL = 1e-8
@@ -140,10 +140,10 @@ class MoserField:
 class FlowMap:
     """Time-1 transport map of the Moser flow with integrator metadata.
 
-    flow_error bounds the node error: in 2D the accepted step-doubling
-    estimate; in 1D (closed form, steps 0) the certified max_i |G(T_i) -
-    F(x_i) - s| / min(rho1), since G' is at least rho1's least node value.
-    pushforward_error is a 1D map's exact circle W1(T_* rho0, rho1), which
+    flow_error is, in 1D (closed form, steps 0), the certified node bound
+    max_i |G(T_i) - F(x_i) - s| / min(rho1), since G' >= min rho1; in 2D the
+    accepted step-doubling estimate, which is not a bound. pushforward_error
+    is a 1D map's circle W1 from `grid_pushforward` of rho0 to rho1, which
     the continuous family build checks; a 2D map carries None. field_ref is
     the map's field, whose Poisson solve a 1D build never reads."""
 
@@ -201,7 +201,7 @@ def integrate_flow(fields: Sequence[MoserField], x0: np.ndarray, t0: float, t1: 
 
 
 def flow_tolerance(n: int) -> float:
-    """Step-doubling bound on the node estimate for an n-cell grid: FLOW_TOL * h."""
+    """Step-doubling tolerance on the node estimate for an n-cell grid: FLOW_TOL * h."""
     return FLOW_TOL / n
 
 
@@ -332,8 +332,8 @@ def _flow_map(fld: MoserField, flow) -> FlowMap | MoserError:
     steps, x, marks, flow_error = flow
     grid = fld.grid
     tmap = TransportMap(grid.nodes(), wrap_unit(x), route="moser", grid=grid)
-    err = (wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True,
-                          grid_subdiv=PUSHFORWARD_SUBDIV) if grid.dim == 1 else None)
+    err = (wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True)
+           if grid.dim == 1 else None)
     return FlowMap(tmap, steps=steps, flow_error=flow_error, checkpoints=marks,
                    pushforward_error=err, field_ref=fld)
 
@@ -348,12 +348,12 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     RK4 step count is chosen by step doubling from MIN_STEPS until the node
     estimate is at most FLOW_TOL * h; past MAX_STEPS_PER_CELL * n steps it
     raises MoserError, and checkpoints split the step count by segment
-    length. Either way `flow_error` bounds the node error (see FlowMap).
-    A 1D map always records the exact circle W1(T_* rho0, rho1), at
-    PUSHFORWARD_SUBDIV subcells per cell, as its pushforward error, and the
-    continuous family build checks that value rather than taking it again.
-    A 2D map records None: in 2D only the dense entropic upper bound is
-    available, and it is too slow to run per map.
+    length. `flow_error` is a node bound in 1D, an estimate in 2D (see
+    FlowMap). A 1D map always records its circle W1 from `grid_pushforward`
+    of rho0 to rho1 as its pushforward error, which the continuous family
+    build checks rather than taking it again. A 2D map records None: in 2D
+    only the dense entropic upper bound is available, and it is too slow to
+    run per map.
 
     rho1 may also be a sequence of targets, such as a kernel family's. Their
     maps are built as one batch (one RK4 loop over every map's nodes in 2D),

@@ -665,7 +665,7 @@ def _quantile_of(nu, q: np.ndarray, periodic: bool) -> np.ndarray:
     density, the step quantile of its atoms (wrapped on the circle) otherwise."""
     if isinstance(nu, GridDensity):
         return _grid_quantile(nu, q)
-    x, w = atoms_1d(nu, 1, periodic)
+    x, w = atoms_1d(nu, periodic)
     return step_quantile(x, np.cumsum(w), q)
 
 
@@ -682,7 +682,7 @@ def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
     source generally admits no deterministic coupling (Dirac counterexample).
     On the circle, level t of mu goes with level t - theta of nu, with theta
     from `measures.circle_rotation` (the one rotation search, shared with
-    `wasserstein_1d`) at p = 2, on atoms at 8 subcells per grid cell.
+    `wasserstein_1d`) at p = 2, on the atoms of `measures.atoms_1d`.
     """
     if not isinstance(mu, GridDensity):
         raise MapError("monotone map requires an absolutely continuous (grid) source; "
@@ -696,7 +696,7 @@ def monotone_map_1d(mu, nu, periodic: bool = False) -> TransportMap:
         gspec = GridSpec(1, mu.n, periodic=False)
         psi = _integrate_potential(images - nodes, gspec) if isinstance(nu, GridDensity) else None
         return TransportMap(nodes, images, psi=psi, route="monotone", grid=gspec)
-    theta = circle_rotation(*atoms_1d(mu, 8, True), *atoms_1d(nu, 8, True), p=2.0)
+    theta = circle_rotation(*atoms_1d(mu, True), *atoms_1d(nu, True), p=2.0)
     images = wrap_unit(_quantile_of(nu, wrap_unit(q - theta), periodic))
     return TransportMap(nodes, images[:, None], route="monotone", grid=mu.grid)
 

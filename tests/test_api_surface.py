@@ -47,6 +47,12 @@ loadtxt, genfromtxt or fromfile) and requires them to be the one reader
 per way of reading: `measures.read_text` opens every input file as text,
 and the CLI's hash of an input is the one read of a file as bytes. A call
 of `read_text` by its bare name is the reader's own, not a read.
+
+The eighth walk finds each top-level function and method outside
+measures.py that calls `as_discrete` with an argument, and requires there
+to be none: `measures` alone decides at how many subcells per cell a grid
+density is read as atoms, such as the one resolution at which
+`measures.atoms_1d` reads it for every 1D W1.
 """
 import ast
 from pathlib import Path
@@ -353,3 +359,16 @@ def test_one_reader_per_input_format():
     assert readers == READERS, (
         f"functions that read files: {readers}; the one text reader and the one byte "
         f"reader: {READERS}")
+
+
+def resolution_choosers(package: Path) -> set[str]:
+    """module.name of every top-level function and method outside measures.py
+    whose body calls `as_discrete` with an argument (see the eighth walk)."""
+    return {name for name, node in _functions(package) if not name.startswith("measures.")
+            and any(getattr(call.func, "attr", None) == "as_discrete"
+                    and (call.args or call.keywords) for call in _calls(node))}
+
+
+def test_only_measures_chooses_a_grid_resolution():
+    choosers = resolution_choosers(PACKAGE)
+    assert not choosers, f"functions outside measures that pick a grid resolution: {choosers}"

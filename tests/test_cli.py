@@ -871,6 +871,23 @@ def test_represent_and_verify_do_not_load_scipy(tmp_path):
     assert "scipy.optimize" not in loaded and "scipy.sparse" not in loaded, loaded
 
 
+def test_continuous_route_refuses_an_interval_kernel(tmp_path, capsys):
+    # the default route builds torus maps; an interval kernel is pointed to
+    # the measurable route, which represents it
+    x = (np.arange(64) + 0.5) / 64
+    kernel = _family_manifest(tmp_path / "seam.txt", "interval", [
+        GridDensity(1, 64, 1 + 0.9 * np.cos(2 * np.pi * (x - s))) for s in (0.0, 0.3)])
+    for cmd, extra in (("represent", []), ("verify", ["--seed", "0"])):
+        out = tmp_path / cmd
+        assert main([cmd, "--kernel", kernel, *extra, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--route measurable" in err
+        assert list(out.iterdir()) == []
+    out = tmp_path / "measurable"
+    assert main(["represent", "--kernel", kernel, "--route", "measurable",
+                 "--out", str(out)]) == 0
+
+
 def test_exact_coupling_loads_scipy_on_first_solve(workspace):
     out = workspace / "cold"
     codes, loaded = _cold_cli(["couple", "--mu", str(workspace / "atoms.csv"),

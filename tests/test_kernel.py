@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from randmap import kernel
-from randmap.geometry import unit_torus_grid, wrap_unit
+from randmap.geometry import GridSpec, unit_torus_grid, wrap_signed, wrap_unit
 from randmap.kernel import (
     KernelError,
     KernelFamily,
@@ -23,7 +23,7 @@ from randmap.kernel import (
     verify_representation,
 )
 from randmap.measures import (DiscreteMeasure, GridDensity, MeasureError, draw_sample,
-                              wasserstein_1d)
+                              grid_pushforward, wasserstein_1d)
 from randmap.transport import MapError, SolverError, TransportMap
 
 from oracles import dirac
@@ -167,6 +167,37 @@ def test_continuous_route_positivity_rejection_names_index():
     bad = GridDensity(1, n, flat / flat.mean())
     kern = KernelFamily("circle", np.array([[0.0], [0.5]]), (good, bad))
     with pytest.raises(KernelError, match="base point 1"):
+        build_continuous_representation(kern)
+
+
+@pytest.mark.parametrize("build", [
+    build_continuous_representation,
+    lambda kern: build_measurable_representation(kern, GridDensity.uniform(1, 64))],
+    ids=["continuous", "measurable"])
+def test_pushforward_errors_read_the_target_at_the_one_w1_resolution(build):
+    # each route's check is the plain circle W1 of the particle pushforward,
+    # which reads a grid density at the resolution verify's W1 reads it at
+    kern = circle_kernel(n=64, k=4)
+    fam = build(kern)
+    for t_map, target, err in zip(fam.maps, kern.measures, fam.pushforward_errors):
+        assert err == wasserstein_1d(grid_pushforward(t_map, fam.reference), target,
+                                     p=1, periodic=True)
+
+
+def seam_measures(n=64):
+    """Targets 1 + 0.9 cos(2 pi (x - s)), s = 0 and 0.3: a torus map to them
+    from the uniform density moves mass across x = 0."""
+    x = (np.arange(n) + 0.5) / n
+    return tuple(GridDensity(1, n, 1 + 0.9 * np.cos(2 * np.pi * (x - s))) for s in (0.0, 0.3))
+
+
+@pytest.mark.parametrize("space, base", [
+    ("interval", [[0.0], [0.3]]), ("sphere2-chart", [[0.7, 1.2], [1.5, 0.3]])])
+def test_continuous_route_refuses_targets_off_the_torus(space, base):
+    # a torus map's node images jumped by 0.977 across the interval's seam,
+    # and verify passed, since it checks only laws
+    kern = KernelFamily(space, np.array(base), seam_measures())
+    with pytest.raises(KernelError, match=f"'{space}'.*--route measurable"):
         build_continuous_representation(kern)
 
 
@@ -314,7 +345,7 @@ def test_verify_w1_does_not_depend_on_the_draw_order(family):
     periodic = fam.kernel.target_periodic
     for i, (t_map, target) in enumerate(zip(fam.maps, fam.kernel.measures)):
         emp = DiscreteMeasure(t_map.evaluate(draws), np.full(n, 1.0 / n))
-        assert rep.w1[i] == wasserstein_1d(emp, target, p=1, periodic=periodic, grid_subdiv=8)
+        assert rep.w1[i] == wasserstein_1d(emp, target, p=1, periodic=periodic)
 
 
 def test_verification_report_deterministic():
@@ -354,6 +385,33 @@ def test_modulus_moser_family_stable_under_base_refinement():
         fam = build_continuous_representation(kern)
         consts.append(lipschitz_constant(fam.modulus))
     assert abs(consts[1] - consts[0]) <= 0.2 * consts[0]
+
+
+@pytest.mark.parametrize("space, dim, periodic", [
+    ("circle", 1, True), ("torus2", 2, True), ("interval", 1, False)])
+def test_modulus_equals_the_pair_by_pair_table(space, dim, periodic):
+    # one array operation per map gives the table that a loop over the pairs
+    # (i, j > i) in row-major order gives, bit for bit
+    n, k = 8, 5
+    rng = np.random.default_rng(7)
+    grid = GridSpec(dim, n, periodic=periodic)
+    nodes = grid.nodes()
+    kern = KernelFamily(space, rng.random((k, dim)), (GridDensity.uniform(dim, n),) * k)
+    maps = tuple(TransportMap(nodes, nodes + 0.6 * rng.standard_normal(nodes.shape), grid=grid)
+                 for _ in range(k))
+    fam = RandomMapFamily(kern.measures[0], maps, "measurable", kern, 1.0, (None,) * k)
+    dmat = base_distance_matrix(space, kern.base_points)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    base_d = np.array([dmat[i, j] for i, j in pairs])
+    map_d = []
+    for i, j in pairs:
+        delta = maps[i].images - maps[j].images
+        delta = wrap_signed(delta) if periodic else delta
+        map_d.append(np.sqrt(np.sum(delta * delta, axis=1)).max())
+    order = np.argsort(base_d, kind="stable")
+    table = continuity_modulus(fam)
+    assert np.array_equal(table.base_dists, base_d[order])
+    assert np.array_equal(table.map_dists, np.array(map_d)[order])
 
 
 def test_modulus_rejects_mismatched_grids():

@@ -276,7 +276,7 @@ _ULP_APART = (
 def test_circle_w1_matches_the_stable_sort_form(a, b):
     # the weighted median groups equal values, so where a tie puts half the
     # arc length at a step, t* may move to the next median: same W1 up to rounding
-    atoms = (*atoms_1d(a, 1, True), *atoms_1d(b, 1, True))
+    atoms = (*atoms_1d(a, True), *atoms_1d(b, True))
     assert _circle_w1(*atoms) == pytest.approx(circle_w1_sorted(*atoms), rel=1e-15, abs=0.0)
 
 
@@ -597,7 +597,7 @@ def test_empirical_monte_carlo_bound():
     g = GridDensity.uniform(1, 64)
     sample = draw_sample(g, n, seed=2024)
     emp = empirical_measure(sample)
-    dist = wasserstein_1d(emp, g, p=1, grid_subdiv=8)
+    dist = wasserstein_1d(emp, g, p=1)
     assert dist <= 2.0 / np.sqrt(n)
 
 

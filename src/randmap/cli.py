@@ -164,9 +164,13 @@ def cmd_wdist(args, out: Path) -> Outcome:
 
 
 def cmd_couple(args, out: Path) -> Outcome:
+    if args.p is not None and args.cost != "dist_p":
+        raise CliError(f"--p applies to --cost dist_p only, not to --cost {args.cost}")
+    if args.periodic and args.cost == "negdot":
+        raise CliError("--periodic applies to the distance costs only, not to --cost negdot")
     mu = read_measure(args.mu).as_discrete()
     nu = read_measure(args.nu).as_discrete()
-    spec = CostSpec(kind=args.cost, p=args.p, periodic=args.periodic)
+    spec = CostSpec(kind=args.cost, p=args.p or CostSpec.p, periodic=args.periodic)
     if args.method == "exact":
         plan = solve_exact(mu, nu, spec)
     else:
@@ -309,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", required=True)
     sp.add_argument("--nu", required=True)
     sp.add_argument("--cost", choices=["sqdist", "dist_p", "negdot"], default="sqdist")
-    sp.add_argument("--p", type=_order, default=2.0)
+    sp.add_argument("--p", type=_order, help="cost exponent of --cost dist_p (default 2)")
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--method", choices=["exact", "sinkhorn"], default="exact")
     sp.add_argument("--epsilon", type=_positive, default=1e-2)
@@ -323,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho1", required=True)
     sp.add_argument("--checkpoints", type=_floats, default="")
     sp.add_argument("--tol", type=_positive, default=1e-2,
-                    help="pushforward W1 tolerance for the pass/fail gate")
+                    help="pushforward W1 gate, 1D only: a 2D map records no pushforward W1")
     add_out(sp)
     sp.set_defaults(func=cmd_moser)
 
@@ -383,9 +387,9 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return USAGE_ERROR
         flags = [cfg["cmd"]]
-        for key, val in cfg.items():
+        for key, val in cfg.items():  # true is a bare switch; false or null omits the flag
             flag = f"--{key.replace('_', '-')}"
-            if key != "cmd" and val is not False:  # true is a bare switch, false omits it
+            if key != "cmd" and val is not False and val is not None:
                 flags += [flag] if val is True else [flag, str(val)]
         args = parser.parse_args(flags + list(extra))
     elif extra:

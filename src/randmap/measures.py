@@ -136,7 +136,11 @@ class GridDensity:
     """Nonnegative density on the flat torus [0,1)^dim w.r.t. normalized volume.
 
     n cells per axis (power of two, >= 8); values are stored row-major with
-    mean exactly 1 within 1e-10 so that the density integrates to one.
+    mean exactly 1 within 1e-10 so that the density integrates to one. The
+    measure is piecewise constant per cell, as `draw_sample`, `as_discrete`,
+    every W1 and every Brenier solve read it; the continuous route (1D closed
+    form, RK4 velocity) reads the piecewise-linear interpolant between cell
+    centres instead. Interval and box kernels use this type as a box density.
     """
 
     dim: int
@@ -220,18 +224,13 @@ def read_measure(path) -> DiscreteMeasure | GridDensity:
     return DiscreteMeasure(data[:, :-1], data[:, -1])
 
 
-def draw_sample(mu: DiscreteMeasure | GridDensity, n_draws: int, seed: int) -> np.ndarray:
-    """(n_draws, d) array of i.i.d. draws from mu, reproducible from the seed.
-
-    Grid densities are sampled exactly: pick a cell by its mass, then a
-    uniform point inside the cell.
-    """
+def draw_sample(mu: GridDensity, n_draws: int, seed: int) -> np.ndarray:
+    """(n_draws, dim) array of i.i.d. draws from mu, reproducible from the
+    seed: exact for the piecewise-constant reading, a cell picked by its mass
+    and then a uniform point inside it."""
     if n_draws < 1:
         raise MeasureError("n_draws must be >= 1")
     rng = np.random.default_rng(seed)
-    if isinstance(mu, DiscreteMeasure):
-        idx = rng.choice(mu.size, size=n_draws, p=mu.weights / mu.weights.sum())
-        return mu.points[idx]
     masses = mu.cell_masses()
     idx = rng.choice(len(masses), size=n_draws, p=masses / masses.sum())
     offs = rng.random((n_draws, mu.dim)) / mu.n

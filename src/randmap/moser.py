@@ -14,7 +14,8 @@ order, not 4th. The step count is therefore chosen by step doubling
 2s steps from s = MIN_STEPS and accept the 2s solution once the largest
 wrapped node deviation between the two is at most FLOW_TOL * h (h = 1/n);
 otherwise the 2s solution becomes the coarse one and s doubles, up to
-MAX_STEPS_PER_CELL * n.
+MAX_STEPS_PER_CELL * n. A checkpoint at t is a side step off the accepted
+run, so it never moves the time-1 map.
 
 A kernel family's maps all start from the same uniform density on the same
 grid, so both engines take only batches, and one coupling is a batch of
@@ -145,7 +146,9 @@ class FlowMap:
     accepted step-doubling estimate, which is not a bound. pushforward_error
     is a 1D map's circle W1 from `grid_pushforward` of rho0 to rho1, which
     the continuous family build checks; a 2D map carries None. field_ref is
-    the map's field, whose Poisson solve a 1D build never reads."""
+    the map's field, whose Poisson solve a 1D build never reads. checkpoints
+    maps each time t to the wrapped node positions at t: closed form in 1D,
+    a side step off the accepted run in 2D (`_checkpoints`)."""
 
     map: TransportMap
     steps: int
@@ -170,16 +173,16 @@ def integrate_flow(fields: Sequence[MoserField], x0: np.ndarray, t0: float, t1: 
                    steps: int) -> np.ndarray:
     """Classical RK4 on dx/dt = xi(t, x) for B fields on one grid, all in one loop.
 
-    x0 has shape (B, m, dim) and row b moves by field b, bit for bit as if it
-    ran alone. A map whose step moves a node more than half the domain leaves
-    the batch and its row comes back NaN; rows that enter as NaN stay out.
-    Returns the positions.
+    x0 has shape (B, m, dim), or (m, dim) for one start that every field
+    shares, and row b moves by field b, bit for bit as if it ran alone. A map
+    whose step moves a node more than half the domain leaves the batch and
+    its row comes back NaN. Returns the positions.
     """
-    x = np.array(x0, dtype=float)
-    live = np.flatnonzero(~np.isnan(x).any(axis=(1, 2)))
-    stacks = np.stack([fields[i].stack for i in live]) if live.size else None
+    pos = np.array(np.broadcast_to(x0, (len(fields),) + np.shape(x0)[-2:]), dtype=float)
+    out = np.full_like(pos, np.nan)
+    live = np.arange(len(fields))
+    stacks = np.stack([fld.stack for fld in fields])
     grid = fields[0].grid
-    pos = x[live]
     dt = (t1 - t0) / steps
     for k in range(steps):
         if not live.size:
@@ -192,12 +195,11 @@ def integrate_flow(fields: Sequence[MoserField], x0: np.ndarray, t0: float, t1: 
         delta = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         blown = np.abs(delta).max(axis=(1, 2)) > 0.5
         if blown.any():
-            x[live[blown]] = np.nan
             keep = ~blown
             live, stacks, pos, delta = live[keep], stacks[keep], pos[keep], delta[keep]
         pos = pos + delta
-    x[live] = pos
-    return x
+    out[live] = pos
+    return out
 
 
 def flow_tolerance(n: int) -> float:
@@ -205,23 +207,19 @@ def flow_tolerance(n: int) -> float:
     return FLOW_TOL / n
 
 
-def _trajectory(fields: Sequence[MoserField], nodes: np.ndarray, steps: int,
-                times: list[float]) -> tuple[np.ndarray, dict]:
-    """Integrate one copy of the nodes per field to t=1 through the checkpoint times.
-
-    Returns the unwrapped time-1 positions and the wrapped positions at each
-    checkpoint. Each segment takes its share of the `steps` steps on [0, 1];
-    a map that blew up sits out the rest as NaN.
-    """
-    marks = {}
-    x = np.broadcast_to(nodes, (len(fields),) + nodes.shape)
-    t_prev = 0.0
-    for t_mark in [*times, 1.0]:
-        x = integrate_flow(fields, x, t_prev, t_mark, max(1, round(steps * (t_mark - t_prev))))
-        if t_mark < 1.0:
-            marks[t_mark] = wrap_unit(x)
-        t_prev = t_mark
-    return x, marks
+def _checkpoints(fields: Sequence[MoserField], nodes: np.ndarray, steps: int,
+                 times: list[float]) -> list[dict]:
+    """Per map accepted at `steps` steps, its wrapped positions at each
+    checkpoint time t: the first k = floor(t * steps) steps of its time-1
+    run, bit for bit, then one RK4 step of size t - k / steps."""
+    marks, x, done = [{} for _ in fields], nodes, 0
+    for t in times if fields else ():  # no map accepted, no run to step off
+        k = int(t * steps)
+        if k > done:
+            x, done = integrate_flow(fields, x, done / steps, k / steps, k - done), k
+        for row, pos in zip(marks, wrap_unit(integrate_flow(fields, x, k / steps, t, 1))):
+            row[t] = pos
+    return marks
 
 
 def _moser_field(rho0: GridDensity, rho1: GridDensity) -> MoserField:
@@ -272,8 +270,6 @@ def _closed_form(fields: list[MoserField], times: list[float]) -> list:
     for CDFs quadratic there): X_t(x_i) = G_t^-1(F(x_i) + t s). The estimate
     is the certified node bound that FlowMap describes.
     """
-    if not fields:
-        return []
     rho0 = np.stack([fld.rho0.values for fld in fields])
     rho1 = np.stack([fld.rho1.values for fld in fields])
     n = rho0.shape[1]
@@ -298,24 +294,23 @@ def _flows(fields: list[MoserField], times: list[float]) -> list:
     gets the steps, positions and estimate it would get alone, or the error
     of a map still unresolved at the cap.
     """
-    if not fields:
-        return []
     n = fields[0].grid.n
     nodes = fields[0].grid.nodes()
     tol, cap = flow_tolerance(n), MAX_STEPS_PER_CELL * n
     out = [None] * len(fields)
     live = list(range(len(fields)))
     steps = MIN_STEPS
-    coarse = _trajectory(fields, nodes, steps, times)[0]
+    coarse = integrate_flow(fields, nodes, 0.0, 1.0, steps)
     estimate = np.full(len(fields), np.inf)
     while live and 2 * steps <= cap:
         steps *= 2
-        fine, marks = _trajectory([fields[i] for i in live], nodes, steps, times)
+        fine = integrate_flow([fields[i] for i in live], nodes, 0.0, 1.0, steps)
         estimate = np.abs(wrap_signed(fine - coarse)).max(axis=(1, 2))
         estimate[np.isnan(estimate)] = np.inf
         done = estimate <= tol
-        for b in np.flatnonzero(done):
-            row_marks = {t: pos[b] for t, pos in marks.items()}
+        hits = np.flatnonzero(done)
+        marks = _checkpoints([fields[live[b]] for b in hits], nodes, steps, times)
+        for b, row_marks in zip(hits, marks):
             out[live[b]] = (steps, fine[b], row_marks, float(estimate[b]))
         live = [i for i, d in zip(live, done) if not d]
         coarse, estimate = fine[~done], estimate[~done]
@@ -347,13 +342,13 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     densities alone: a 1D build runs no Poisson solve and no FFT. In 2D the
     RK4 step count is chosen by step doubling from MIN_STEPS until the node
     estimate is at most FLOW_TOL * h; past MAX_STEPS_PER_CELL * n steps it
-    raises MoserError, and checkpoints split the step count by segment
-    length. `flow_error` is a node bound in 1D, an estimate in 2D (see
-    FlowMap). A 1D map always records its circle W1 from `grid_pushforward`
-    of rho0 to rho1 as its pushforward error, which the continuous family
-    build checks rather than taking it again. A 2D map records None: in 2D
-    only the dense entropic upper bound is available, and it is too slow to
-    run per map.
+    raises MoserError. Checkpoints are side steps off the accepted run (see
+    FlowMap): they change neither the images, the steps nor `flow_error`, a
+    node bound in 1D and an estimate in 2D. A 1D map always records its
+    circle W1 from `grid_pushforward` of rho0 to rho1 as its pushforward
+    error, which the continuous family build checks rather than taking it
+    again. A 2D map records None: in 2D only the dense entropic upper bound
+    is available, and it is too slow to run per map.
 
     rho1 may also be a sequence of targets, such as a kernel family's. Their
     maps are built as one batch (one RK4 loop over every map's nodes in 2D),
@@ -374,7 +369,8 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
         except MoserError as exc:
             built.append(exc)
     fields = [f for f in built if isinstance(f, MoserField)]
-    flows = iter(_closed_form(fields, times) if rho0.dim == 1 else _flows(fields, times))
+    engine = _closed_form if rho0.dim == 1 else _flows
+    flows = iter(engine(fields, times) if fields else [])
     out = [f if isinstance(f, MoserError) else _flow_map(f, next(flows)) for f in built]
     if not single:
         return out

@@ -118,6 +118,21 @@ def test_moser_writes_map_and_report(workspace):
     assert (out / "checkpoint_0.5000.csv").exists()
 
 
+def test_2d_moser_checkpoints_leave_map_csv_as_it_is(workspace):
+    # 0.3 falls between RK4 steps at every step count; the checkpoint is a
+    # side step off the accepted run, so the map's bytes do not move
+    GridDensity.uniform(2, 16).to_csv(workspace / "uniform16.csv")
+    _bump(16, 0.15, 0.2, dim=2).to_csv(workspace / "bump16.csv")
+    written = []
+    for name, extra in (("plain", []), ("marked", ["--checkpoints", "0.3"])):
+        out = workspace / name
+        assert main(["moser", "--rho0", str(workspace / "uniform16.csv"), "--rho1",
+                     str(workspace / "bump16.csv"), *extra, "--out", str(out)]) == 0
+        written.append([(out / f).read_bytes() for f in ("map.csv", "report.json")])
+    assert written[0] == written[1]
+    assert (workspace / "marked" / "checkpoint_0.3000.csv").exists()
+
+
 def test_moser_writes_nothing_when_the_solve_fails(workspace, monkeypatch, capsys):
     def failed_solve(source):
         raise MoserError("Poisson residual 1.000e+00 exceeds 1e-08")
@@ -214,32 +229,57 @@ def test_represent_manifest_hashes_the_reference_file(workspace):
     assert manifest["inputs"] == _kernel_inputs(workspace) | _hashes(workspace / "uniform.csv")
 
 
-# Each flag changes what its command writes, so two runs that differ in it
-# must not write equal manifest configs.
+# Each numeric flag acts: two runs that differ in it, each with the exit code
+# given here, must differ in that code, a CSV or a report value that is not
+# the flag's own echo, and each run's manifest config records its value.
+_SINKHORN_COUPLE = ["couple", "--mu", "bump.csv", "--nu", "uniform.csv", "--method", "sinkhorn"]
+_MOSER = ["moser", "--rho0", "uniform.csv", "--rho1", "bump.csv"]
+_VERIFY = ["verify", "--kernel", "kernel.txt", "--n", "200", "--seed", "0"]
 FLAG_PAIRS = {
-    "couple-epsilon": (["couple", "--mu", "bump.csv", "--nu", "uniform.csv",
-                        "--method", "sinkhorn"], "--epsilon", ("0.05", "0.02")),
-    "couple-max-iter": (["couple", "--mu", "bump.csv", "--nu", "uniform.csv",
-                         "--method", "sinkhorn"], "--max-iter", ("3", "5000")),
-    "couple-tol": (["couple", "--mu", "bump.csv", "--nu", "uniform.csv",
-                    "--method", "sinkhorn"], "--tol", ("1e-3", "1e-9")),
+    "couple-epsilon": (_SINKHORN_COUPLE, "--epsilon", {"0.05": 0, "0.02": 0}),
+    "couple-max-iter": (_SINKHORN_COUPLE, "--max-iter", {"3": 1, "5000": 0}),
+    "couple-tol": (_SINKHORN_COUPLE, "--tol", {"1e-3": 0, "1e-9": 0}),
+    "couple-p": (["couple", "--mu", "atoms.csv", "--nu", "bump.csv", "--cost", "dist_p"],
+                 "--p", {"1": 0, "3": 0}),
+    "wdist-p": (["wdist", "--a", "atoms.csv", "--b", "bump.csv"], "--p", {"1": 0, "2": 0}),
+    "moser-tol": (_MOSER, "--tol", {"1e-2": 0, "1e-9": 1}),
+    "moser-checkpoints": (_MOSER, "--checkpoints", {"0.25": 0, "0.3,0.7": 0}),
+    "lift-cap": (["lift", "--manifold", "circle", "--base", "0.0", "--atoms",
+                  "circle_atoms.csv"], "--cap", {"0.4": 0, "0.1": 2}),
+    "lift-base": (["lift", "--manifold", "circle", "--atoms", "circle_atoms.csv"], "--base",
+                  {"0.0": 0, "0.1": 0}),
+    "stability-eps": (["stability", "--mu", "uniform.csv", "--targets", "bump.csv",
+                       "--limit", "atoms.csv"], "--eps", {"0.01": 0, "0.3": 0}),
+    "verify-n": (_VERIFY, "--n", {"200": 0, "400": 0}),
+    "verify-tol": (_VERIFY, "--tol", {"0.05": 0, "1e-4": 1}),
+    "verify-seed": (_VERIFY, "--seed", {"0": 0, "1": 0}),
 }
 
 
 @pytest.mark.parametrize("case", FLAG_PAIRS)
 def test_manifest_config_records_flags_that_change_outputs(workspace, case):
-    argv, flag, values = FLAG_PAIRS[case]
+    write_manifold_atoms(workspace / "circle_atoms.csv", "circle",
+                         DiscreteMeasure(np.array([[0.2], [0.8]]), np.array([0.5, 0.5])))
+    argv, flag, codes = FLAG_PAIRS[case]
     argv = [str(workspace / a) if a.endswith((".txt", ".csv")) else a for a in argv]
-    outputs, configs = [], []
-    for value in values:
-        out = workspace / f"{case}-{value}"
-        assert main(argv + [flag, value, "--out", str(out)]) in (0, 1)
-        outputs.append({f.name: f.read_bytes() for f in out.iterdir()
-                        if f.name != "manifest.json"})
-        configs.append(json.loads((out / "manifest.json").read_text())["config"])
-    assert outputs[0] != outputs[1]
     key = flag[2:].replace("-", "_")
-    assert [c[key] for c in configs] == [float(v) for v in values]
+    runs, echoes = [], set()
+    for value, code in codes.items():
+        out = workspace / f"{case}-{value}"
+        assert main(argv + [flag, value, "--out", str(out)]) == code
+        files = {f.name: f.read_bytes() for f in out.iterdir()
+                 if f.name not in ("manifest.json", "report.json")}
+        report = {}
+        if code != 2:  # a usage error writes no JSON
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert np.ravel(config[key]).tolist() == [float(v) for v in value.split(",")]
+            echoes.add(json.dumps(config[key]))
+            report = json.loads((out / "report.json").read_text())
+        runs.append((code, files, report))
+    # a report value that only echoes either run's flag value shows no effect
+    outputs = [(code, files, {k: v for k, v in report.items() if json.dumps(v) not in echoes})
+               for code, files, report in runs]
+    assert outputs[0] != outputs[1]
 
 
 def test_every_csv_writer_ends_lines_in_bare_newlines(workspace):
@@ -361,6 +401,20 @@ def test_config_file_dispatch(workspace, capsys):
     assert rc == 0
     dist = float(capsys.readouterr().out.strip())
     assert dist > 0.0
+
+
+def test_couple_manifest_config_runs_again_as_a_config_file(workspace):
+    # an unset --p is recorded as null, and a null in a config omits its flag
+    out = workspace / "first"
+    assert main(["couple", "--mu", str(workspace / "atoms.csv"), "--nu",
+                 str(workspace / "bump.csv"), "--out", str(out)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert config["p"] is None
+    cfg_path = workspace / "again.json"
+    cfg_path.write_text(json.dumps(config | {"cmd": "couple", "out": str(workspace / "again")}))
+    assert main(["--config", str(cfg_path)]) == 0
+    for name in ("report.json", "plan.csv"):
+        assert (workspace / "again" / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_config_missing_cmd_field(workspace, capsys):
@@ -544,17 +598,41 @@ def _wdist_p(workspace, p, *flags):
             "--p", p, *flags, "--out", str(workspace / "wp")]
 
 
-def _mixed_dimensions(workspace, command, first, second, *flags):
-    """argv of command from the file first to the file second, where b2.csv
-    (two 2D atoms) and g2.csv (a uniform 2D grid) join the workspace's 1D
-    files."""
+def _write_2d_files(workspace):
+    """b2.csv (two 2D atoms) and g2.csv (a uniform 2D grid) beside the workspace's 1D files."""
     DiscreteMeasure(np.array([[0.1, 0.7], [0.9, 0.2]]), np.array([0.5, 0.5])).to_csv(
         workspace / "b2.csv")
     GridDensity.uniform(2, 8).to_csv(workspace / "g2.csv")
+
+
+def _mixed_dimensions(workspace, command, first, second, *flags):
+    """argv of command from the file first to the file second (see `_write_2d_files`)."""
+    _write_2d_files(workspace)
     a, b = {"couple": ("--mu", "--nu"), "wdist": ("--a", "--b"),
             "stability": ("--mu", "--targets")}[command]
     return [command, a, str(workspace / first), b, str(workspace / second), *flags,
             "--out", str(workspace / "md")]
+
+
+def _manifest(workspace, lines, *flags):
+    """argv of represent on a kernel manifest of the given lines."""
+    (workspace / "edited_kernel.txt").write_text("\n".join(lines) + "\n")
+    return ["represent", "--kernel", str(workspace / "edited_kernel.txt"), *flags,
+            "--out", str(workspace / "rm")]
+
+
+def _atom_kernel(workspace, second, *flags):
+    """argv of represent on a circle kernel of atoms.csv at 0 and the file second at 0.5."""
+    _write_2d_files(workspace)
+    return _manifest(workspace, ["space,circle", "interp,nearest", "x0,path", "0.0,atoms.csv",
+                                 f"0.5,{second}"], *flags)
+
+
+def _measurable_reference(workspace, name):
+    """argv of represent on the workspace kernel by the measurable route from the file name."""
+    _write_2d_files(workspace)
+    return ["represent", "--kernel", str(workspace / "kernel.txt"), "--route", "measurable",
+            "--reference", str(workspace / name), "--out", str(workspace / "rrd")]
 
 
 def _directory(workspace, name):
@@ -699,6 +777,44 @@ BAD_INPUTS = {
                           ["binary.csv is not text", "invalid start byte"]),
     "config-undecodable": (lambda ws: ["--config", _undecodable(ws, "binary.json", b"{")],
                            ["config error", "binary.json is not text"]),
+    "manifest-short": (lambda ws: _manifest(ws, ["space,circle", "interp,nearest", "x0,path"]),
+                       ["edited_kernel.txt", "manifest needs space, interp, header, and rows"]),
+    "manifest-space-row": (lambda ws: _manifest(ws, ["circle", "interp,nearest", "x0,path",
+                                                     "0.0,meas_000.csv"]),
+                           ["first line must be 'space,<tag>'"]),
+    "manifest-interp-row": (lambda ws: _manifest(ws, ["space,circle", "nearest", "x0,path",
+                                                      "0.0,meas_000.csv"]),
+                            ["second line must be 'interp,<rule>'"]),
+    "manifest-interp-rule": (lambda ws: _manifest(ws, ["space,circle", "interp,linear", "x0,path",
+                                                       "0.0,meas_000.csv", "0.5,meas_004.csv"]),
+                             ["interpolation rule must be one of", "nearest"]),
+    "moser-atoms": (lambda ws: ["moser", "--rho0", str(ws / "atoms.csv"), "--rho1",
+                                str(ws / "bump.csv"), "--out", str(ws / "ma")],
+                    ["moser requires grid-density inputs"]),
+    "measurable-atoms-no-reference": (lambda ws: _atom_kernel(ws, "atoms.csv", "--route",
+                                                              "measurable"),
+                                      ["measurable route needs --reference for atomic kernels"]),
+    "continuous-atoms": (lambda ws: _atom_kernel(ws, "atoms.csv"),
+                         ["continuous route needs grid-density kernel measures"]),
+    "atom-kernel-dims": (lambda ws: _atom_kernel(ws, "b2.csv"),
+                         ["all discrete measures must share one dimension"]),
+    "measurable-reference-dims": (lambda ws: _measurable_reference(ws, "g2.csv"),
+                                  ["reference dimension does not match kernel measures"]),
+    "wdist-grid-dim-3": (lambda ws: _bad_wdist_input(ws, "dim3.csv",
+                                                     "dim,n\n3,8\n" + "1.0\n" * 512),
+                         ["grid dim must be 1 or 2"]),
+    "lift-base-length": (lambda ws: ["lift", "--manifold", "torus2", "--base", "0.5",
+                                     "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "ll")],
+                         ["torus2 base point needs 2 coordinates"]),
+    "no-subcommand": (lambda ws: [], []),
+    "couple-sqdist-p": (lambda ws: _couple_p(ws, "7", "--cost", "sqdist"),
+                        ["--p applies to --cost dist_p only", "sqdist"]),
+    "couple-negdot-p": (lambda ws: _couple_p(ws, "2", "--cost", "negdot"),
+                        ["--p applies to --cost dist_p only", "negdot"]),
+    "couple-negdot-periodic": (lambda ws: ["couple", "--mu", str(ws / "atoms.csv"), "--nu",
+                                           str(ws / "atoms.csv"), "--cost", "negdot",
+                                           "--periodic", "--out", str(ws / "cn")],
+                               ["--periodic", "--cost negdot"]),
     "wdist-out-is-file": (lambda ws: ["wdist", "--a", str(ws / "atoms.csv"),
                                       "--b", str(ws / "atoms.csv"),
                                       "--out", str(ws / "uniform.csv")],

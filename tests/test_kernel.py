@@ -224,6 +224,16 @@ def test_map_construction_turns_only_typed_errors_into_kernel_errors(monkeypatch
     assert str(info.value) == prefix + str(error)
 
 
+def test_pushforward_check_fails_at_the_first_base_point_above_2_over_n(monkeypatch):
+    # a W1 of exactly 2/n passes; the first one above it stops the build
+    n = 16
+    errors = iter([2.0 / n, 0.5])
+    monkeypatch.setattr(kernel, "_pushforward_error", lambda *args: next(errors))
+    with pytest.raises(KernelError, match=r"pushforward check failed at base point 1: "
+                                          r"W1 = 5\.000e-01 > 1\.250e-01"):
+        build_measurable_representation(circle_kernel(n=n, k=2), GridDensity.uniform(1, n))
+
+
 def test_route_consistency():
     kern = circle_kernel(n=64, k=4)
     cont = build_continuous_representation(kern)

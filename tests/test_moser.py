@@ -373,6 +373,27 @@ def test_moser_checkpoints():
         assert np.all((positions >= 0) & (positions < 1))
 
 
+@pytest.mark.parametrize("checkpoints", [(0.3,), (0.3, 0.7), (0.25, 0.5)])
+def test_2d_checkpoints_leave_the_time_1_map_as_it_is(checkpoints):
+    # a checkpoint is a side step off the accepted run, so asking for one
+    # changes no image, step count or estimate, even at a t off the step grid
+    n = 16
+    rho0 = GridDensity.uniform(2, n)
+    targets = [product_cosine_density(n, 0.95), spike_density(n, 0.1, dim=2)]
+    for plain, marked in zip(moser_map(rho0, targets),
+                             moser_map(rho0, targets, checkpoints=checkpoints)):
+        assert np.array_equal(marked.map.images, plain.map.images)
+        assert (marked.steps, marked.flow_error) == (plain.steps, plain.flow_error)
+        nodes = plain.map.points[None]
+        for t in checkpoints:
+            k = int(t * plain.steps)
+            prefix = integrate_flow([plain.field_ref], nodes, 0.0, k / plain.steps, k)
+            if k == t * plain.steps:  # on the step grid: the run's own positions
+                assert np.array_equal(marked.checkpoints[t], wrap_unit(prefix[0]))
+            ref = integrate_flow([plain.field_ref], nodes, 0.0, t, MAX_STEPS_PER_CELL * n)[0]
+            assert np.abs(wrap_signed(marked.checkpoints[t] - ref)).max() <= FLOW_TOL / n
+
+
 # ---------------------------------------------------------------------------
 # a kernel family's flows, integrated as one batch
 # ---------------------------------------------------------------------------

@@ -34,16 +34,9 @@ from .kernel import (
     stability_experiment,
     verify_representation,
 )
-from .lift import (
-    ROUND_TRIP_TOL,
-    LiftError,
-    ManifoldChart,
-    exp_push,
-    log_lift,
-    read_manifold_atoms,
-    write_manifold_atoms,
-)
+from .lift import ROUND_TRIP_TOL, LiftError, ManifoldChart, exp_push, log_lift
 from .measures import (
+    DiscreteMeasure,
     GridDensity,
     MeasureError,
     parse_float,
@@ -168,14 +161,18 @@ def cmd_couple(args, out: Path) -> Outcome:
         raise CliError(f"--p applies to --cost dist_p only, not to --cost {args.cost}")
     if args.periodic and args.cost == "negdot":
         raise CliError("--periodic applies to the distance costs only, not to --cost negdot")
+    sinkhorn = {k: v for k in ("epsilon", "max_iter", "tol") if (v := getattr(args, k)) is not None}
+    if sinkhorn and args.method == "exact":
+        raise CliError("--epsilon, --max-iter and --tol apply to --method sinkhorn only, got "
+                       + ", ".join(f"--{k.replace('_', '-')}" for k in sinkhorn))
     mu = read_measure(args.mu).as_discrete()
     nu = read_measure(args.nu).as_discrete()
     spec = CostSpec(kind=args.cost, p=args.p or CostSpec.p, periodic=args.periodic)
     if args.method == "exact":
         plan = solve_exact(mu, nu, spec)
     else:
-        plan = solve_sinkhorn(mu, nu, spec, epsilon=args.epsilon,
-                              max_iter=args.max_iter, tol=args.tol)
+        sinkhorn = {"epsilon": 1e-2} | sinkhorn  # max_iter and tol: the solver's defaults
+        plan = solve_sinkhorn(mu, nu, spec, **sinkhorn)
     plan.to_csv(out / "plan.csv")
     violation = plan.marginal_violation()
     report = {
@@ -183,7 +180,7 @@ def cmd_couple(args, out: Path) -> Outcome:
         "converged": plan.converged,
         "marginal_violation": violation,
         "method": args.method,
-        "epsilon": args.epsilon if args.method == "sinkhorn" else None,
+        "epsilon": sinkhorn.get("epsilon"),
     }
     ok = plan.converged and violation <= MARGINAL_TOL
     return report, [args.mu, args.nu], {"marginal_tol": MARGINAL_TOL}, ok
@@ -194,6 +191,9 @@ def cmd_moser(args, out: Path) -> Outcome:
     rho1 = read_measure(args.rho1)
     if not isinstance(rho0, GridDensity) or not isinstance(rho1, GridDensity):
         raise CliError("moser requires grid-density inputs")
+    if args.tol is not None and rho0.dim != 1:
+        raise CliError("--tol gates 1D maps only: a 2D map records no pushforward W1")
+    tol = (args.tol or 1e-2) if rho0.dim == 1 else None
     times = sorted(set(args.checkpoints))
     for a, b in zip(times, times[1:]):  # rounding keeps order: clashes are neighbours
         if f"{a:.4f}" == f"{b:.4f}":
@@ -215,9 +215,9 @@ def cmd_moser(args, out: Path) -> Outcome:
         header = ["t"] + [f"x{a}" for a in range(dim)] + [f"Tx{a}" for a in range(dim)]
         rows = np.column_stack([np.full(len(positions), t_mark), flow.map.points, positions])
         write_rows(out / f"checkpoint_{t_mark:.4f}.csv", header, rows.tolist())
-    tolerances = {"pushforward_tol": args.tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL,
+    tolerances = {"pushforward_tol": tol, "poisson_residual_tol": POISSON_RESIDUAL_TOL,
                   "flow_tol": flow_tolerance(rho0.n)}
-    ok = jac > 0 and (flow.pushforward_error is None or flow.pushforward_error <= args.tol)
+    ok = jac > 0 and (flow.pushforward_error is None or flow.pushforward_error <= tol)
     return report, [args.rho0, args.rho1], tolerances, ok
 
 
@@ -261,7 +261,9 @@ def cmd_verify(args, out: Path) -> Outcome:
 
 def cmd_lift(args, out: Path) -> Outcome:
     chart = ManifoldChart(args.manifold, args.base, cap=args.cap)
-    atoms = read_manifold_atoms(args.atoms, args.manifold)
+    atoms = read_measure(args.atoms)
+    if not isinstance(atoms, DiscreteMeasure):
+        raise CliError(f"{args.atoms}: lift needs an atom file x0[,x1],w, not a grid density")
     lifted = log_lift(chart, atoms)
     back = exp_push(chart, lifted)
     if args.manifold == "sphere2":
@@ -269,7 +271,7 @@ def cmd_lift(args, out: Path) -> Outcome:
     else:
         rt = float(np.abs(wrap_signed(back.points - atoms.points)).max())
     lifted.to_csv(out / "tangent_atoms.csv")
-    write_manifold_atoms(out / "roundtrip_atoms.csv", args.manifold, back)
+    back.to_csv(out / "roundtrip_atoms.csv")
     report = {"round_trip_error": rt, "cap": chart.cap, "manifold": args.manifold,
               "n_atoms": atoms.size}
     return report, [args.atoms], {"round_trip_tol": ROUND_TRIP_TOL}, rt <= ROUND_TRIP_TOL
@@ -316,9 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_order, help="cost exponent of --cost dist_p (default 2)")
     sp.add_argument("--periodic", action="store_true")
     sp.add_argument("--method", choices=["exact", "sinkhorn"], default="exact")
-    sp.add_argument("--epsilon", type=_positive, default=1e-2)
-    sp.add_argument("--max-iter", type=int, default=5000)
-    sp.add_argument("--tol", type=_positive, default=1e-9)
+    sp.add_argument("--epsilon", type=_positive, help="sinkhorn only (default 1e-2)")
+    sp.add_argument("--max-iter", type=int, help="sinkhorn only (default 5000)")
+    sp.add_argument("--tol", type=_positive, help="sinkhorn only (default 1e-9)")
     add_out(sp)
     sp.set_defaults(func=cmd_couple)
 
@@ -326,8 +328,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rho0", required=True)
     sp.add_argument("--rho1", required=True)
     sp.add_argument("--checkpoints", type=_floats, default="")
-    sp.add_argument("--tol", type=_positive, default=1e-2,
-                    help="pushforward W1 gate, 1D only: a 2D map records no pushforward W1")
+    sp.add_argument("--tol", type=_positive,
+                    help="pushforward W1 gate, 1D only (default 1e-2): a 2D map records "
+                         "no pushforward W1")
     add_out(sp)
     sp.set_defaults(func=cmd_moser)
 
@@ -349,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifold", choices=["circle", "torus2", "sphere2"], required=True)
     sp.add_argument("--base", type=_floats, required=True,
                     help="chart base point, comma-separated")
-    sp.add_argument("--atoms", required=True)
+    sp.add_argument("--atoms", required=True,
+                    help="atom file x0[,x1],w: a sphere atom is (colatitude, longitude)")
     sp.add_argument("--cap", type=_positive, default=None)
     add_out(sp)
     sp.set_defaults(func=cmd_lift)
@@ -389,6 +393,7 @@ def main(argv=None) -> int:
         flags = [cfg["cmd"]]
         for key, val in cfg.items():  # true is a bare switch; false or null omits the flag
             flag = f"--{key.replace('_', '-')}"
+            val = ",".join(map(str, val)) if isinstance(val, list) else val  # as _floats reads it
             if key != "cmd" and val is not False and val is not None:
                 flags += [flag] if val is True else [flag, str(val)]
         args = parser.parse_args(flags + list(extra))

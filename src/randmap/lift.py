@@ -1,10 +1,10 @@
-"""Exponential-map lifting of atomic measures to a tangent chart and back,
-and the CSV format of manifold atoms.
+"""Exponential-map lifting of atomic measures to a tangent chart and back.
 
 Supported manifolds: the circle (quotient coordinates in [0,1)), the flat
 2-torus, and the unit 2-sphere in colatitude/longitude angles. These cover
 both the parallelizable and the non-parallelizable tangent-bundle cases the
-flat-space solvers are reused for.
+flat-space solvers are reused for. Manifold and tangent atoms are plain
+`DiscreteMeasure`s, so they are read and written as every other measure is.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import sphere_distance, sphere_xyz, wrap_signed, wrap_unit
-from .measures import DiscreteMeasure, float_rows, read_rows, write_rows
+from .measures import DiscreteMeasure
 
 MANIFOLDS = ("circle", "torus2", "sphere2")
 ROUND_TRIP_TOL = 1e-9
@@ -33,6 +33,9 @@ def _sphere_angles(xyz: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ManifoldChart:
     """Geodesic normal chart exp_p / exp_p^{-1} at a base point.
+
+    Points and tangent vectors are rows of the base point's dimension, a
+    sphere point (colatitude, longitude); a row of another length is a LiftError.
 
     Injectivity caps: 0.5 in quotient units on the circle and torus, 3.0 on
     the unit sphere (the exp Jacobian degenerates at the cut locus pi). On
@@ -67,6 +70,14 @@ class ManifoldChart:
         object.__setattr__(self, "base_point", p)
         object.__setattr__(self, "cap", float(cap))
 
+    def _rows(self, arr) -> np.ndarray:
+        """arr as an (m, d) float array, d the base point's dimension; LiftError otherwise."""
+        rows = np.atleast_2d(np.asarray(arr, dtype=float))
+        dim = len(self.base_point)
+        if rows.ndim != 2 or rows.shape[1] != dim:
+            raise LiftError(f"{self.manifold} rows need {dim} coordinates, got shape {rows.shape}")
+        return rows
+
     def _check_cap(self, radii: np.ndarray, rows: np.ndarray, message: str) -> None:
         """LiftError naming the first row whose radius exceeds the cap, or on
         the circle and torus reaches the cut locus at 0.5, where a point has
@@ -89,7 +100,7 @@ class ManifoldChart:
 
     def log(self, pts: np.ndarray) -> np.ndarray:
         """exp_p^{-1} of manifold points; rejects points beyond the cap."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = self._rows(pts)
         if self.manifold in ("circle", "torus2"):
             v = wrap_signed(pts - self.base_point[None, :])
             self._check_cap(np.sqrt(np.sum(v * v, axis=1)), pts,
@@ -109,7 +120,7 @@ class ManifoldChart:
 
     def exp(self, vecs: np.ndarray) -> np.ndarray:
         """exp_p of tangent vectors; rejects vectors beyond the cap."""
-        v = np.atleast_2d(np.asarray(vecs, dtype=float))
+        v = self._rows(vecs)
         norms = np.sqrt(np.sum(v * v, axis=1))
         self._check_cap(norms, v, "tangent vector {} exceeds the radius cap")
         if self.manifold in ("circle", "torus2"):
@@ -130,31 +141,3 @@ def log_lift(chart: ManifoldChart, mu: DiscreteMeasure) -> DiscreteMeasure:
 def exp_push(chart: ManifoldChart, mu_tangent: DiscreteMeasure) -> DiscreteMeasure:
     """Push a tangent-space atomic measure back to the manifold."""
     return DiscreteMeasure(chart.exp(mu_tangent.points), mu_tangent.weights)
-
-
-# ---------------------------------------------------------------------------
-# manifold atom CSV formats
-# ---------------------------------------------------------------------------
-
-_HEADERS = {"circle": ["theta", "w"], "torus2": ["x0", "x1", "w"],
-            "sphere2": ["theta", "phi", "w"]}
-
-
-def write_manifold_atoms(path, manifold: str, mu: DiscreteMeasure) -> None:
-    if manifold not in _HEADERS:
-        raise LiftError(f"unknown manifold {manifold!r}")
-    header = _HEADERS[manifold]
-    if mu.dim != len(header) - 1:
-        raise LiftError(f"{manifold} atoms need {len(header) - 1} coordinates")
-    write_rows(path, header, np.column_stack([mu.points, mu.weights]).tolist())
-
-
-def read_manifold_atoms(path, manifold: str) -> DiscreteMeasure:
-    if manifold not in _HEADERS:
-        raise LiftError(f"unknown manifold {manifold!r}")
-    header = _HEADERS[manifold]
-    rows = read_rows(path)
-    if not rows or rows[0][1].replace(" ", "") != ",".join(header):
-        raise LiftError(f"{path}: expected header {','.join(header)}")
-    data = float_rows(path, rows[1:], len(header))
-    return DiscreteMeasure(data[:, :-1], data[:, -1])

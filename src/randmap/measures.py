@@ -4,11 +4,12 @@ Two concrete representations are supported: weighted point clouds in R^d
 (`DiscreteMeasure`) and periodic densities on the flat torus [0,1)^dim
 (`GridDensity`, stored relative to the normalized volume, mean 1).
 
-`write_rows` is the one CSV writer of the package: measures, plans, maps,
-manifold atoms and the CLI's tables all go through it. `read_text` is the
-one reader: every input file, a measure, a kernel manifest, manifold atoms
-or a JSON config, is opened by it, and every CSV input is split into rows by
-`read_rows`, which skips blank lines and '#' comments.
+`write_rows` is the one CSV writer of the package: measures (manifold and
+tangent atoms among them), plans, maps and the CLI's tables all go through
+it. `read_text` is the one reader: every input file, a measure (a grid
+density, or atoms under x0[,x1[,x2]],w, manifold atoms included), a kernel
+manifest or a JSON config, is opened by it, and every CSV input is split
+into rows by `read_rows`, which skips blank lines and '#' comments.
 """
 from __future__ import annotations
 

@@ -647,12 +647,12 @@ def _grid_cdf_at_nodes(rho: GridDensity) -> np.ndarray:
 
 
 def _grid_quantile(rho: GridDensity, q: np.ndarray) -> np.ndarray:
-    """Exact piecewise-linear inverse CDF of a 1D grid density."""
+    """Exact piecewise-linear inverse CDF of a 1D grid density: the least y with
+    F(y) >= q, a level above the total mass (1 up to rounding) read as the total."""
     n = rho.n
     masses = rho.values / n
     cum = np.concatenate([[0.0], np.cumsum(masses)])
-    cum[-1] = 1.0
-    q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
+    q = np.clip(np.asarray(q, dtype=float), 0.0, cum[-1])
     idx = np.clip(np.searchsorted(cum, q, side="left") - 1, 0, n - 1)
     # zero-mass cells: snap to the right edge of the preceding mass
     with np.errstate(divide="ignore", invalid="ignore"):

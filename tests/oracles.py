@@ -5,8 +5,9 @@ Nothing in randmap calls these, so they live beside the tests. Three groups:
 - checks: cyclical monotonicity, potential consistency, midpoint
   convexity, the cost of a deterministic plan, the barycentric projection
   of an entropic plan from its target potential, the exact circle W1 by a
-  stable sort, and atomic pushforwards and empirical measures (with
-  merging of coincident atoms and Dirac masses);
+  stable sort, the CDF of a 1D grid density and its left-continuous
+  inverse by bisection, and atomic pushforwards and empirical measures
+  (with merging of coincident atoms and Dirac masses);
 - the discrete Legendre transform and the inversion of transport maps
   through it (acceptance criterion 5);
 - trivial-bundle lifts of fiber densities into R^k, their projections
@@ -143,6 +144,27 @@ def circle_w1_sorted(xu, wu, xv, wv) -> float:
     k = np.searchsorted(csum, 0.5 * csum[-1])
     t_star = d[order[min(k, len(d) - 1)]]
     return float(np.sum(seg * np.abs(d - t_star)))
+
+
+def grid_cdf(rho: GridDensity, y: float) -> float:
+    """F(y), the mass of [0, y] under the piecewise-constant 1D density rho
+    (whole cells summed in order, as `np.cumsum` does)."""
+    masses = rho.values / rho.n
+    k = min(int(y * rho.n), rho.n - 1)
+    return float(np.concatenate([[0.0], np.cumsum(masses)])[k] + masses[k] * (y * rho.n - k))
+
+
+def grid_quantile_bisection(rho: GridDensity, q: float) -> float:
+    """inf{y in [0, 1] : F(y) >= min(q, F(1))} for F = `grid_cdf` of rho, by 64
+    bisection steps: the left-continuous inverse, which takes a level on a
+    plateau of F (a run of zero-mass cells) to the plateau's left end, and a
+    level at or above the total mass (1 up to rounding) to where F reaches it."""
+    q = min(q, grid_cdf(rho, 1.0))
+    lo, hi = 0.0, 1.0
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if grid_cdf(rho, mid) >= q else (mid, hi)
+    return hi
 
 
 def dirac(point) -> DiscreteMeasure:

@@ -12,8 +12,8 @@ import pytest
 import randmap
 from randmap import cli, moser
 from randmap.cli import main
+from randmap.lift import ManifoldChart, exp_push, log_lift
 from randmap.measures import DiscreteMeasure, GridDensity, read_measure
-from randmap.lift import write_manifold_atoms
 from randmap.moser import FLOW_TOL, MIN_DENSITY, MoserError, MoserField, continuity_residual
 from randmap.transport import MARGINAL_TOL
 
@@ -229,9 +229,10 @@ def test_represent_manifest_hashes_the_reference_file(workspace):
     assert manifest["inputs"] == _kernel_inputs(workspace) | _hashes(workspace / "uniform.csv")
 
 
-# Each numeric flag acts: two runs that differ in it, each with the exit code
-# given here, must differ in that code, a CSV or a report value that is not
-# the flag's own echo, and each run's manifest config records its value.
+# Each flag that names no file acts: two runs that differ in it, each with
+# the exit code given here, must differ in that code, a CSV or a report value
+# that is not the flag's own echo, and each run's manifest config records its
+# value. A switch's value is True (given) or False (left out).
 _SINKHORN_COUPLE = ["couple", "--mu", "bump.csv", "--nu", "uniform.csv", "--method", "sinkhorn"]
 _MOSER = ["moser", "--rho0", "uniform.csv", "--rho1", "bump.csv"]
 _VERIFY = ["verify", "--kernel", "kernel.txt", "--n", "200", "--seed", "0"]
@@ -244,35 +245,56 @@ FLAG_PAIRS = {
     "wdist-p": (["wdist", "--a", "atoms.csv", "--b", "bump.csv"], "--p", {"1": 0, "2": 0}),
     "moser-tol": (_MOSER, "--tol", {"1e-2": 0, "1e-9": 1}),
     "moser-checkpoints": (_MOSER, "--checkpoints", {"0.25": 0, "0.3,0.7": 0}),
-    "lift-cap": (["lift", "--manifold", "circle", "--base", "0.0", "--atoms",
-                  "circle_atoms.csv"], "--cap", {"0.4": 0, "0.1": 2}),
-    "lift-base": (["lift", "--manifold", "circle", "--atoms", "circle_atoms.csv"], "--base",
+    "lift-cap": (["lift", "--manifold", "circle", "--base", "0.0", "--atoms", "atoms.csv"],
+                 "--cap", {"0.4": 0, "0.1": 2}),
+    "lift-base": (["lift", "--manifold", "circle", "--atoms", "atoms.csv"], "--base",
                   {"0.0": 0, "0.1": 0}),
     "stability-eps": (["stability", "--mu", "uniform.csv", "--targets", "bump.csv",
                        "--limit", "atoms.csv"], "--eps", {"0.01": 0, "0.3": 0}),
     "verify-n": (_VERIFY, "--n", {"200": 0, "400": 0}),
     "verify-tol": (_VERIFY, "--tol", {"0.05": 0, "1e-4": 1}),
     "verify-seed": (_VERIFY, "--seed", {"0": 0, "1": 0}),
+    "wdist-method": (["wdist", "--a", "b2.csv", "--b", "g2.csv"], "--method",
+                     {"quantile": 2, "exact": 0}),
+    "wdist-periodic": (["wdist", "--a", "atoms.csv", "--b", "meas_001.csv"], "--periodic",
+                       {False: 0, True: 0}),
+    "couple-cost": (["couple", "--mu", "atoms.csv", "--nu", "bump.csv"], "--cost",
+                    {"sqdist": 0, "negdot": 0}),
+    "couple-method": (["couple", "--mu", "atoms.csv", "--nu", "bump.csv"], "--method",
+                      {"exact": 0, "sinkhorn": 0}),
+    "couple-periodic": (["couple", "--mu", "atoms.csv", "--nu", "meas_001.csv"], "--periodic",
+                        {False: 0, True: 0}),
+    "represent-route": (["represent", "--kernel", "kernel.txt"], "--route",
+                        {"continuous": 0, "measurable": 0}),
+    "verify-route": (_VERIFY, "--route", {"continuous": 0, "measurable": 0}),
+    "lift-manifold": (["lift", "--base", "0.0,0.0", "--atoms", "b2.csv"], "--manifold",
+                      {"torus2": 0, "sphere2": 0}),
+    "stability-periodic": (["stability", "--mu", "uniform.csv", "--targets", "meas_001.csv",
+                            "--limit", "atoms.csv", "--eps", "0.1"], "--periodic",
+                           {False: 0, True: 0}),
 }
 
 
 @pytest.mark.parametrize("case", FLAG_PAIRS)
 def test_manifest_config_records_flags_that_change_outputs(workspace, case):
-    write_manifold_atoms(workspace / "circle_atoms.csv", "circle",
-                         DiscreteMeasure(np.array([[0.2], [0.8]]), np.array([0.5, 0.5])))
+    _write_2d_files(workspace)
     argv, flag, codes = FLAG_PAIRS[case]
     argv = [str(workspace / a) if a.endswith((".txt", ".csv")) else a for a in argv]
     key = flag[2:].replace("-", "_")
     runs, echoes = [], set()
     for value, code in codes.items():
         out = workspace / f"{case}-{value}"
-        assert main(argv + [flag, value, "--out", str(out)]) == code
+        given = ([flag] if value else []) if isinstance(value, bool) else [flag, value]
+        assert main(argv + given + ["--out", str(out)]) == code
         files = {f.name: f.read_bytes() for f in out.iterdir()
                  if f.name not in ("manifest.json", "report.json")}
         report = {}
         if code != 2:  # a usage error writes no JSON
             config = json.loads((out / "manifest.json").read_text())["config"]
-            assert np.ravel(config[key]).tolist() == [float(v) for v in value.split(",")]
+            if isinstance(value, bool) or value[0].isalpha():  # a switch or a choice
+                assert config[key] == value
+            else:
+                assert np.ravel(config[key]).tolist() == [float(v) for v in value.split(",")]
             echoes.add(json.dumps(config[key]))
             report = json.loads((out / "report.json").read_text())
         runs.append((code, files, report))
@@ -284,8 +306,7 @@ def test_manifest_config_records_flags_that_change_outputs(workspace, case):
 
 def test_every_csv_writer_ends_lines_in_bare_newlines(workspace):
     sphere = workspace / "sphere_atoms.csv"
-    write_manifold_atoms(sphere, "sphere2", DiscreteMeasure(np.array([[0.3, 0.1], [0.5, 1.0]]),
-                                                           np.array([0.5, 0.5])))
+    DiscreteMeasure(np.array([[0.3, 0.1], [0.5, 1.0]]), np.array([0.5, 0.5])).to_csv(sphere)
     runs = [["represent", "--kernel", str(workspace / "kernel.txt"), "--route", "measurable"],
             ["moser", "--rho0", str(workspace / "uniform.csv"),
              "--rho1", str(workspace / "bump.csv"), "--checkpoints", "0.5"],
@@ -377,11 +398,32 @@ def test_stability_2d_grid_targets(workspace, flags, masses):
                              targets, 0.3, *flags) == masses
 
 
+@pytest.mark.parametrize("manifold, base, points", [
+    ("circle", "0.9", [[0.1], [0.75], [0.5]]),
+    ("sphere2", "1.0,2.0", [[0.3, 1.2], [1.1, 4.0], [2.5, 0.1]])])
+def test_lift_writes_atom_files_that_read_back_bit_for_bit(workspace, manifold, base, points):
+    atoms = DiscreteMeasure(np.array(points), np.array([0.25, 0.5, 0.25]))
+    path = workspace / f"{manifold}_atoms.csv"
+    atoms.to_csv(path)
+    out = workspace / manifold
+    assert main(["lift", "--manifold", manifold, "--base", base, "--atoms", str(path),
+                 "--out", str(out)]) == 0
+    chart = ManifoldChart(manifold, [float(b) for b in base.split(",")])
+    tangent = log_lift(chart, atoms)
+    for name, expected in (("tangent_atoms.csv", tangent),
+                           ("roundtrip_atoms.csv", exp_push(chart, tangent))):
+        back = read_measure(out / name)
+        assert back.points.tobytes() == expected.points.tobytes()
+        assert back.weights.tobytes() == atoms.weights.tobytes()
+    header = "x0,x1,w" if manifold == "sphere2" else "x0,w"
+    assert (out / "roundtrip_atoms.csv").read_text().splitlines()[0] == header
+
+
 def test_lift_roundtrip_command(workspace):
     atoms = DiscreteMeasure(np.array([[0.3, 0.1], [0.5, 1.0]]),
                             np.array([0.5, 0.5]))
     path = workspace / "sphere_atoms.csv"
-    write_manifold_atoms(path, "sphere2", atoms)
+    atoms.to_csv(path)
     out = workspace / "lift"
     rc = main(["lift", "--manifold", "sphere2", "--base", "0.0,0.0",
                "--atoms", str(path), "--out", str(out)])
@@ -582,6 +624,17 @@ def _sinkhorn_couple(workspace, *flags):
             "--method", "sinkhorn", *flags, "--out", str(workspace / "cs")]
 
 
+def _exact_couple(workspace, *flags):
+    return ["couple", "--mu", str(workspace / "atoms.csv"), "--nu", str(workspace / "uniform.csv"),
+            *flags, "--out", str(workspace / "ce")]
+
+
+def _moser_2d(workspace, *flags):
+    _write_2d_files(workspace)
+    return ["moser", "--rho0", str(workspace / "g2.csv"), "--rho1", str(workspace / "g2.csv"),
+            *flags, "--out", str(workspace / "m2")]
+
+
 def _stability_eps(workspace, eps):
     return ["stability", "--mu", str(workspace / "uniform.csv"),
             "--targets", str(workspace / "atoms.csv"), "--limit", str(workspace / "atoms.csv"),
@@ -667,12 +720,21 @@ BAD_INPUTS = {
                                  ["base points must be finite"]),
     "represent-inf-base-point": (lambda ws: _edited_manifest(ws, "inf_kernel.txt", "inf,meas_002"),
                                  ["base points must be finite"]),
-    "lift-atom-value": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2,abc\n"),
+    "lift-atom-value": (lambda ws: _bad_lift_atoms(ws, "x0,w\n0.1,0.5\n0.2,abc\n"),
                         ["bad_circle.csv, line 3", "abc"]),
-    "lift-atom-row": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2\n"),
+    "lift-atom-row": (lambda ws: _bad_lift_atoms(ws, "x0,w\n0.1,0.5\n0.2\n"),
                       ["bad_circle.csv, line 3", "expected 2 values"]),
-    "lift-atom-at-cut-locus": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.5,0.5\n"),
+    "lift-atom-at-cut-locus": (lambda ws: _bad_lift_atoms(ws, "x0,w\n0.1,0.5\n0.5,0.5\n"),
                                ["atom [0.5]", "cut locus"]),
+    "lift-theta-header": (lambda ws: _bad_lift_atoms(ws, "theta,w\n0.1,0.5\n0.2,0.5\n"),
+                          ["bad_circle.csv, line 1", "expected header 'x0[,x1[,x2]],w'",
+                           "'theta,w'"]),
+    "lift-atoms-grid": (lambda ws: ["lift", "--manifold", "circle", "--base", "0.0", "--atoms",
+                                    str(ws / "bump.csv"), "--out", str(ws / "lg")],
+                        ["bump.csv", "lift needs an atom file x0[,x1],w, not a grid density"]),
+    "lift-atoms-dims": (lambda ws: ["lift", "--manifold", "torus2", "--base", "0.5,0.5",
+                                    "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "ldm")],
+                        ["torus2 rows need 2 coordinates", "(2, 1)"]),
     "lift-base": (lambda ws: ["lift", "--manifold", "circle", "--base", "x",
                               "--atoms", str(ws / "atoms.csv"), "--out", str(ws / "lb")],
                   ["--base", "'x'"]),
@@ -815,6 +877,16 @@ BAD_INPUTS = {
                                            str(ws / "atoms.csv"), "--cost", "negdot",
                                            "--periodic", "--out", str(ws / "cn")],
                                ["--periodic", "--cost negdot"]),
+    "couple-exact-epsilon": (lambda ws: _exact_couple(ws, "--epsilon", "0.5"),
+                             ["--method sinkhorn only", "got --epsilon"]),
+    "couple-exact-max-iter": (lambda ws: _exact_couple(ws, "--max-iter", "1"),
+                              ["--method sinkhorn only", "got --max-iter"]),
+    "couple-exact-tol": (lambda ws: _exact_couple(ws, "--method", "exact", "--tol", "0.3"),
+                         ["--method sinkhorn only", "got --tol"]),
+    "moser-2d-tol": (lambda ws: _moser_2d(ws, "--tol", "0.5"), ["--tol gates 1D maps only"]),
+    "verify-tol-text": (lambda ws: _verify_tol(ws, "abc"), ["--tol", "finite number > 0", "'abc'"]),
+    "verify-seed-text": (lambda ws: ["verify", "--kernel", str(ws / "kernel.txt"), "--seed", "x",
+                                     "--out", str(ws / "vx")], ["--seed", "integer >= 0", "'x'"]),
     "wdist-out-is-file": (lambda ws: ["wdist", "--a", str(ws / "atoms.csv"),
                                       "--b", str(ws / "atoms.csv"),
                                       "--out", str(ws / "uniform.csv")],
@@ -874,7 +946,7 @@ CONTRACT = {
     "moser": (["--rho0", "uniform.csv", "--rho1", "bump.csv"], ["--tol", "1e-9"]),
     "represent": (["--kernel", "kernel.txt"], None),
     "verify": (["--kernel", "kernel.txt", "--n", "2000", "--seed", "21"], ["--tol", "0.0001"]),
-    "lift": (["--manifold", "circle", "--base", "0.0", "--atoms", "circle_atoms.csv"], None),
+    "lift": (["--manifold", "circle", "--base", "0.0", "--atoms", "atoms.csv"], None),
     "stability": (["--mu", "uniform.csv", "--targets", "bump.csv", "--limit", "atoms.csv",
                    "--eps", "0.1"], None),
 }
@@ -883,8 +955,6 @@ CONTRACT = {
 @pytest.mark.parametrize("command", CONTRACT)
 def test_every_command_writes_both_json_files_and_records_every_flag(workspace, capsys,
                                                                     command):
-    write_manifold_atoms(workspace / "circle_atoms.csv", "circle",
-                         DiscreteMeasure(np.array([[0.2], [0.8]]), np.array([0.5, 0.5])))
     flags, failing = CONTRACT[command]
     flags = [str(workspace / f) if f.endswith((".csv", ".txt")) else f for f in flags]
     runs = {0: flags} | ({1: flags + failing} if failing else {})
@@ -906,6 +976,22 @@ def test_every_command_writes_both_json_files_and_records_every_flag(workspace, 
     assert main([command, *missing, "--out", str(out)]) == 2
     assert "not found" in capsys.readouterr().err
     assert out.is_dir() and not {"report.json", "manifest.json"} & {f.name for f in out.iterdir()}
+
+
+@pytest.mark.parametrize("command", CONTRACT)
+def test_every_manifest_config_runs_again_as_a_config_file(workspace, command):
+    # a list (moser --checkpoints, lift --base) is comma-joined, a null omits its flag
+    flags, failing = CONTRACT[command]
+    flags = [str(workspace / f) if f.endswith((".csv", ".txt")) else f for f in flags]
+    flags += ["--checkpoints", "0.5"] if command == "moser" else []
+    for code, run_flags in ({0: flags} | ({1: flags + failing} if failing else {})).items():
+        out, again = workspace / f"{command}-{code}", workspace / f"{command}-{code}-again"
+        assert main([command, *run_flags, "--out", str(out)]) == code
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        cfg_path = workspace / f"{command}-{code}.json"
+        cfg_path.write_text(json.dumps(config | {"cmd": command, "out": str(again)}))
+        assert main(["--config", str(cfg_path)]) == code
+        assert (again / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
 @pytest.mark.parametrize("floor, code", [(0.1, 0), (1e-2, 0)])

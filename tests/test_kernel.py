@@ -89,6 +89,8 @@ def test_kernel_family_invariants():
     with pytest.raises(KernelError, match="base space"):
         KernelFamily("moebius", np.array([[0.0], [0.5]]),
                      (GridDensity.uniform(1, 8), GridDensity.uniform(1, 8)))
+    with pytest.raises(KernelError, match="one measure per base point required"):
+        KernelFamily("circle", np.array([[0.0], [0.3], [0.6]]), (GridDensity.uniform(1, 8),) * 2)
 
 
 def test_nearest_index_and_none_rule():

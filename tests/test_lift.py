@@ -1,6 +1,6 @@
-"""Tests for exponential-map charts and the manifold atom CSV format, and
-for the trivial-bundle lifts, projections and density comparison that
-acceptance criterion 8 uses (tests/oracles.py).
+"""Tests for exponential-map charts, and for the trivial-bundle lifts,
+projections and density comparison that acceptance criterion 8 uses
+(tests/oracles.py).
 
 Oracles: closed-form sphere log/exp (verified through round trips), the
 analytic sin(r)/r Jacobian envelope, and fiberwise product structure of the
@@ -15,8 +15,6 @@ from randmap.lift import (
     ManifoldChart,
     exp_push,
     log_lift,
-    read_manifold_atoms,
-    write_manifold_atoms,
 )
 from randmap.measures import DiscreteMeasure, GridDensity, wasserstein_1d
 
@@ -152,6 +150,21 @@ def test_chart_cap_must_be_finite_and_positive(manifold, base, cap):
 def test_chart_base_point_must_be_finite(manifold, base):
     with pytest.raises(LiftError, match="base point must be finite"):
         ManifoldChart(manifold, base)
+
+
+@pytest.mark.parametrize("manifold, base, rows", [
+    ("circle", [0.0], [[0.1, 0.2]]), ("torus2", [0.2, 0.7], [[0.1], [0.3]]),
+    ("sphere2", [0.8, 1.5], [[0.8, 1.5, 0.0]])], ids=["circle", "torus2", "sphere2"])
+def test_chart_rows_must_have_the_base_point_dimension(manifold, base, rows):
+    chart = ManifoldChart(manifold, base)
+    for method in (chart.log, chart.exp):
+        with pytest.raises(LiftError, match=f"{manifold} rows need {len(base)} coordinates"):
+            method(np.array(rows))
+
+
+def test_chart_manifold_must_be_known():
+    with pytest.raises(LiftError, match="manifold must be one of"):
+        ManifoldChart("plane", [0.0, 0.0])
 
 
 def test_lift_preserves_mass_and_distances():
@@ -331,21 +344,3 @@ def test_density_compare_sphere_large_support_not_convex():
     assert rep.support_radius <= 2.0
     assert rep.support_radius > np.pi / 2
     assert not rep.convex_support
-
-
-# ---------------------------------------------------------------------------
-# manifold CSV
-# ---------------------------------------------------------------------------
-
-def test_manifold_atom_csv_round_trip(tmp_path):
-    atoms = DiscreteMeasure(np.array([[0.3, 1.2], [1.1, 4.0]]), np.array([0.5, 0.5]))
-    path = tmp_path / "sphere_atoms.csv"
-    write_manifold_atoms(path, "sphere2", atoms)
-    assert path.read_text().splitlines()[0] == "theta,phi,w"
-    back = read_manifold_atoms(path, "sphere2")
-    assert np.array_equal(back.points, atoms.points)
-    circ = tmp_path / "circle_atoms.csv"
-    write_manifold_atoms(circ, "circle", dirac([0.25]))
-    assert circ.read_text().splitlines()[0] == "theta,w"
-    with pytest.raises(LiftError, match="header"):
-        read_manifold_atoms(path, "circle")

@@ -71,6 +71,8 @@ def test_discrete_measure_invariants():
         DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))
     with pytest.raises(MeasureError):
         DiscreteMeasure(np.array([[0.0]]), np.array([0.5, 0.5]))
+    with pytest.raises(MeasureError, match=r"d in 1\.\.3, got \(2, 4\)"):
+        DiscreteMeasure(np.zeros((2, 4)), np.array([0.5, 0.5]))
 
 
 def test_grid_density_invariants():
@@ -94,6 +96,8 @@ def test_empirical_sample_reproducible():
     s1 = draw_sample(g, 50, seed=42)
     s2 = draw_sample(g, 50, seed=42)
     assert np.array_equal(s1, s2)
+    with pytest.raises(MeasureError, match="n_draws must be >= 1"):
+        draw_sample(g, 0, seed=42)
     with pytest.raises(MeasureError):
         empirical_measure(np.zeros((0, 1)))
 

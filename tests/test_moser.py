@@ -188,6 +188,17 @@ def test_moser_rejects_nonpositive_density():
         moser_map(GridDensity.uniform(1, n), bad)
 
 
+@pytest.mark.parametrize("make, needle", [
+    (lambda: jacobian_min(monotone_map_1d(GridDensity.uniform(1, 8), GridDensity.uniform(1, 8))),
+     "expects a torus-grid map"),
+    (lambda: continuity_residual(MoserField(GridDensity.uniform(1, 8), GridDensity.uniform(1, 8)),
+                                 1.5), r"time 1\.5 outside \[0, 1\]")],
+    ids=["box-grid-jacobian", "time-past-one"])
+def test_moser_refusals_are_moser_errors(make, needle):
+    with pytest.raises(MoserError, match=needle):
+        make()
+
+
 def test_moser_rejects_mismatched_grids():
     with pytest.raises(MoserError, match="grid"):
         moser_map(GridDensity.uniform(1, 32), GridDensity.uniform(1, 64))

@@ -17,6 +17,8 @@ from randmap.kernel import stability_experiment
 from randmap.measures import (
     DiscreteMeasure,
     GridDensity,
+    atoms_1d,
+    circle_rotation,
     draw_sample,
     grid_pushforward,
     wasserstein_1d,
@@ -42,6 +44,8 @@ from oracles import (
     deterministic_plan_cost,
     dirac,
     empirical_measure,
+    grid_cdf,
+    grid_quantile_bisection,
     invert_map,
     legendre_transform,
     potential_consistency,
@@ -606,6 +610,16 @@ def test_monotone_step_to_atoms():
     assert np.all(t.images[x > 0.5, 0] == 1.0)
 
 
+@pytest.mark.parametrize("make, needle", [
+    (lambda: TransportMap(GridSpec(1, 8).nodes(), GridSpec(1, 8).nodes(), psi=np.zeros(7),
+                          grid=GridSpec(1, 8)), "potential values must align"),
+    (lambda: monotone_map_1d(GridDensity.uniform(2, 8), GridDensity.uniform(2, 8)),
+     "requires one-dimensional measures")], ids=["psi-length", "2d-monotone"])
+def test_map_refusals_are_map_errors(make, needle):
+    with pytest.raises(MapError, match=needle):
+        make()
+
+
 def test_monotone_rejects_atomic_source():
     nu = dirac([0.5])
     with pytest.raises(MapError, match="deterministic"):
@@ -629,6 +643,41 @@ def test_monotone_cdf_match():
     masses_mu = mu.values / mu.n
     f_mu = np.concatenate([[0.0], np.cumsum(masses_mu)])[:-1] + 0.5 * masses_mu
     assert np.abs(f_nu - f_mu).max() <= 1.0 / nu.n + 1e-9
+
+
+@st.composite
+def zero_run_densities(draw, n):
+    """A 1D density on n cells with a leading, an inner and a trailing run of
+    zero-mass cells (each possibly empty), its values small integers scaled
+    to mean 1."""
+    k = np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
+    lead, trail = draw(st.integers(0, n // 4)), draw(st.integers(0, n // 4))
+    start = draw(st.integers(lead, n - trail - 1))
+    k[:lead], k[n - trail:] = 0, 0
+    k[start:start + draw(st.integers(0, n // 4))] = 0
+    if not k.any():
+        k[start] = 1
+    return GridDensity(1, n, k * n / k.sum())
+
+
+@given(pair=st.sampled_from([8, 16]).flatmap(
+    lambda n: st.tuples(zero_run_densities(n), zero_run_densities(n))), periodic=st.booleans())
+# mu's cumulative masses reach 1.0, nu's end one ulp below: mu's trailing
+# nodes go to the left end of nu's trailing run, not to its last cell
+@example(pair=(GridDensity(1, 8, np.array([1, 5, 2, 2, 5, 3, 0, 0]) * 8 / 18),
+               GridDensity(1, 8, np.array([4, 5, 1, 2, 1, 2, 0, 0]) * 8 / 15)), periodic=False)
+def test_monotone_map_reads_levels_by_the_left_continuous_inverse(pair, periodic):
+    # a level on a plateau of F_nu goes to the plateau's left end: mu's
+    # levels meet nu's plateaus at 0, at the total mass and where the two
+    # share masses
+    mu, nu = pair
+    t = monotone_map_1d(mu, nu, periodic=periodic)
+    levels = np.array([grid_cdf(mu, x) for x in t.points[:, 0]])
+    if periodic:
+        theta = circle_rotation(*atoms_1d(mu, True), *atoms_1d(nu, True), p=2.0)
+        levels = wrap_unit(levels - theta)
+    gaps = t.images[:, 0] - [grid_quantile_bisection(nu, q) for q in levels]
+    assert np.abs(wrap_signed(gaps) if periodic else gaps).max() <= 1e-12
 
 
 def test_monotone_circle_beats_rigid_translation():

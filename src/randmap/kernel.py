@@ -234,7 +234,10 @@ def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
     refused. The family's maps are built as one batch by one `moser_map`
     call: in closed form in 1D, by RK4 in 2D, where each map takes the step
     count that step doubling accepts for it alone (node estimate at most
-    FLOW_TOL * h). The build checks each map's own `pushforward_error` (None
+    FLOW_TOL * h). Doubling starts at the least power of two from 4 to 16
+    at which no RK4 stage moves a node more than one cell under the map's
+    speed bound (16 where none is), so no map takes more steps than a start
+    at 16 gives. The build checks each map's own `pushforward_error` (None
     for a 2D map, which goes unchecked). Continuity metadata is attached
     from the modulus table over all base-point pairs.
     """

@@ -11,11 +11,22 @@ any dimension). The field is the multilinear interpolant of grid values,
 whose derivative jumps at cell faces, so RK4 on it converges at about 2nd
 order, not 4th. The step count is therefore chosen by step doubling
 (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4): integrate with s and
-2s steps from s = MIN_STEPS and accept the 2s solution once the largest
-wrapped node deviation between the two is at most FLOW_TOL * h (h = 1/n);
-otherwise the 2s solution becomes the coarse one and s doubles, up to
-MAX_STEPS_PER_CELL * n. A checkpoint at t is a side step off the accepted
-run, so it never moves the time-1 map.
+2s steps and accept the 2s solution once the largest wrapped node deviation
+between the two is at most FLOW_TOL * h (h = 1/n); otherwise the 2s solution
+becomes the coarse one and s doubles, up to MAX_STEPS_PER_CELL * n.
+
+Each map starts from a count its field gives (`_start_steps`): the least
+power of two s >= n V, clipped to [MIN_STEPS, MAX_START_STEPS], for the
+speed bound V = max over nodes and axes of |d_a u| / min(rho0, rho1). V
+bounds every component of xi(t, x) for all t in [0, 1] and all x, because xi
+is a ratio of two multilinear interpolants with the same weights and a ratio
+of weighted sums is at most the largest ratio of its terms (the mediant
+inequality); so at s >= n V no RK4 stage moves a node more than one cell. A
+start of at most 16 joins the ladder 16, 32, ... that a start at 16 climbs:
+no map takes more steps than from 16, a map accepted at 32 steps or more is
+bit for bit what a start at 16 gives, and a steep field (n V > 16) starts at
+16. A checkpoint at t is a side step off the accepted run, so it never moves
+the time-1 map.
 
 A kernel family's maps all start from the same uniform density on the same
 grid, so both engines take only batches, and one coupling is a batch of
@@ -43,8 +54,9 @@ from .transport import TransportMap
 POISSON_RESIDUAL_TOL = 1e-8
 ZERO_MEAN_TOL = 2 * MEAN_TOL  # the means of two valid densities differ by up to this
 MIN_DENSITY = 1e-3
-MIN_STEPS = 16
 FLOW_TOL = 1e-3  # step-doubling tolerance on the node estimate, in cells
+MIN_STEPS = 4  # least start: the coarse trial still reads xi at 9 times in [0, 1]
+MAX_START_STEPS = 16  # greatest start: any start climbs through (16, 32), so none adds steps
 MAX_STEPS_PER_CELL = 64  # step-doubling cap: 64 n steps
 
 
@@ -284,39 +296,62 @@ def _closed_form(fields: list[MoserField], times: list[float]) -> list:
              float(bound[b])) for b in range(len(fields))]
 
 
+def _speed_bound(fld: MoserField) -> float:
+    """V = max over nodes and axes of |d_a u| / min(rho0, rho1), read from the
+    node stack: a bound on every component of xi(t, x) for t in [0, 1]."""
+    dim = fld.grid.dim
+    grad, rho0, rho1 = fld.stack[:dim], fld.stack[dim], fld.stack[dim + 1]
+    return float((np.abs(grad) / np.minimum(rho0, rho1)).max())
+
+
+def _start_steps(fld: MoserField) -> int:
+    """The least power of two s with MIN_STEPS <= s <= MAX_START_STEPS and
+    s >= n V, or MAX_START_STEPS where none is: at s >= n V a step of 1/s
+    moves no RK4 stage more than one cell along any axis."""
+    steps, cells = MIN_STEPS, fld.grid.n * _speed_bound(fld)
+    while steps < min(cells, MAX_START_STEPS):
+        steps *= 2
+    return steps
+
+
 def _flows(fields: list[MoserField], times: list[float]) -> list:
     """Integrate a batch of fields on one grid from its nodes to t=1 by RK4.
 
     Returns per field (steps, time-1 positions, checkpoint marks, estimate)
     or the MoserError its flow ended in. Step doubling runs as the module
-    describes, each map on its own (a trial in which it blows up counts as
-    unresolved): a resolved map leaves the batch and the rest double, so each
-    gets the steps, positions and estimate it would get alone, or the error
-    of a map still unresolved at the cap.
+    describes, each map on its own from its own start (a trial in which it
+    blows up counts as unresolved). Each step count is one `integrate_flow`
+    call: the coarse trial of every map that starts there rides with the
+    fine trials of the maps that started lower. A resolved map leaves the
+    batch and the rest double, so each gets the steps, positions and
+    estimate it would get alone, or the error of a map still unresolved at
+    the cap.
     """
     n = fields[0].grid.n
     nodes = fields[0].grid.nodes()
     tol, cap = flow_tolerance(n), MAX_STEPS_PER_CELL * n
-    out = [None] * len(fields)
-    live = list(range(len(fields)))
-    steps = MIN_STEPS
-    coarse = integrate_flow(fields, nodes, 0.0, 1.0, steps)
-    estimate = np.full(len(fields), np.inf)
-    while live and 2 * steps <= cap:
+    starts = [_start_steps(fld) for fld in fields]
+    out, coarse, estimate = [None] * len(fields), {}, {}
+    live, steps = list(range(len(fields))), min(starts)
+    while live and steps <= cap:
+        batch = [i for i in live if starts[i] <= steps]
+        hits = []
+        for i, x in zip(batch, integrate_flow([fields[i] for i in batch], nodes, 0.0, 1.0,
+                                              steps)):
+            if i in coarse:
+                est = np.abs(wrap_signed(x - coarse[i])).max()
+                estimate[i] = np.inf if np.isnan(est) else float(est)
+                if estimate[i] <= tol:
+                    hits.append((i, x))
+            coarse[i] = x
+        marks = _checkpoints([fields[i] for i, _ in hits], nodes, steps, times)
+        for (i, x), row_marks in zip(hits, marks):
+            out[i] = (steps, x, row_marks, estimate[i])
+        live = [i for i in live if out[i] is None]
         steps *= 2
-        fine = integrate_flow([fields[i] for i in live], nodes, 0.0, 1.0, steps)
-        estimate = np.abs(wrap_signed(fine - coarse)).max(axis=(1, 2))
-        estimate[np.isnan(estimate)] = np.inf
-        done = estimate <= tol
-        hits = np.flatnonzero(done)
-        marks = _checkpoints([fields[live[b]] for b in hits], nodes, steps, times)
-        for b, row_marks in zip(hits, marks):
-            out[live[b]] = (steps, fine[b], row_marks, float(estimate[b]))
-        live = [i for i, d in zip(live, done) if not d]
-        coarse, estimate = fine[~done], estimate[~done]
-    for i, est in zip(live, estimate):
-        out[i] = MoserError(f"flow not resolved at the cap of {steps} steps: doubling "
-                            f"estimate {est:.3e} exceeds {tol:.3e}")
+    for i in live:
+        out[i] = MoserError(f"flow not resolved at the cap of {steps // 2} steps: doubling "
+                            f"estimate {estimate[i]:.3e} exceeds {tol:.3e}")
     return out
 
 
@@ -340,11 +375,15 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     Both densities must be strictly positive (min >= 1e-3) on a common grid.
     A 1D map and its checkpoints are in closed form (steps 0), from the
     densities alone: a 1D build runs no Poisson solve and no FFT. In 2D the
-    RK4 step count is chosen by step doubling from MIN_STEPS until the node
-    estimate is at most FLOW_TOL * h; past MAX_STEPS_PER_CELL * n steps it
-    raises MoserError. Checkpoints are side steps off the accepted run (see
-    FlowMap): they change neither the images, the steps nor `flow_error`, a
-    node bound in 1D and an estimate in 2D. A 1D map always records its
+    RK4 step count is chosen by step doubling until the node estimate is at
+    most FLOW_TOL * h. Doubling starts at the least power of two from
+    MIN_STEPS to MAX_START_STEPS at which, under the field's speed bound, no
+    RK4 stage moves a node more than one cell (MAX_START_STEPS where none
+    is), so it joins the ladder 16, 32, ... and no map takes more steps than
+    from 16. Past MAX_STEPS_PER_CELL * n steps it raises MoserError.
+    Checkpoints are side steps off the accepted run (see FlowMap): they
+    change neither the images, the steps nor `flow_error`, a node bound in
+    1D and an estimate in 2D. A 1D map always records its
     circle W1 from `grid_pushforward` of rho0 to rho1 as its pushforward
     error, which the continuous family build checks rather than taking it
     again. A 2D map records None: in 2D only the dense entropic upper bound

@@ -6,8 +6,9 @@ Nothing in randmap calls these, so they live beside the tests. Three groups:
   convexity, the cost of a deterministic plan, the barycentric projection
   of an entropic plan from its target potential, the exact circle W1 by a
   stable sort, the CDF of a 1D grid density and its left-continuous
-  inverse by bisection, and atomic pushforwards and empirical measures
-  (with merging of coincident atoms and Dirac masses);
+  inverse by bisection, atomic pushforwards and empirical measures
+  (with merging of coincident atoms and Dirac masses), and step doubling
+  of 2D Moser flows from one fixed start;
 - the discrete Legendre transform and the inversion of transport maps
   through it (acceptance criterion 5);
 - trivial-bundle lifts of fiber densities into R^k, their projections
@@ -25,6 +26,7 @@ from randmap.geometry import CostSpec, GridSpec, _row_blocks, _stencil, interp_g
 from randmap.lift import LiftError, ManifoldChart
 from randmap.measures import (DiscreteMeasure, GridDensity, MeasureError, wasserstein_1d,
                               wasserstein_sinkhorn_upper)
+from randmap.moser import MAX_STEPS_PER_CELL, MoserError, flow_tolerance, integrate_flow
 from randmap.transport import MapError, TransportMap, _integrate_potential
 
 MERGE_TOL = 1e-12
@@ -165,6 +167,38 @@ def grid_quantile_bisection(rho: GridDensity, q: float) -> float:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if grid_cdf(rho, mid) >= q else (mid, hi)
     return hi
+
+
+def doubling_from(fields, start: int) -> list:
+    """Step doubling of a batch of 2D Moser fields, every map from the same
+    fixed start: per field (steps, time-1 positions, estimate), or the
+    MoserError of a map still unresolved at the cap. From 16 it is the
+    reference for `moser._flows`, whose start comes from each field's speed
+    bound and is at most 16: no map may take more steps than from 16, and a
+    map accepted at 32 steps or more, or unresolved, must match it bit for
+    bit."""
+    n = fields[0].grid.n
+    nodes = fields[0].grid.nodes()
+    tol, cap = flow_tolerance(n), MAX_STEPS_PER_CELL * n
+    out = [None] * len(fields)
+    live = list(range(len(fields)))
+    steps = start
+    coarse = integrate_flow(fields, nodes, 0.0, 1.0, steps)
+    estimate = np.full(len(fields), np.inf)
+    while live and 2 * steps <= cap:
+        steps *= 2
+        fine = integrate_flow([fields[i] for i in live], nodes, 0.0, 1.0, steps)
+        estimate = np.abs(wrap_signed(fine - coarse)).max(axis=(1, 2))
+        estimate[np.isnan(estimate)] = np.inf
+        done = estimate <= tol
+        for b in np.flatnonzero(done):
+            out[live[b]] = (steps, fine[b], float(estimate[b]))
+        live = [i for i, d in zip(live, done) if not d]
+        coarse, estimate = fine[~done], estimate[~done]
+    for i, est in zip(live, estimate):
+        out[i] = MoserError(f"flow not resolved at the cap of {steps} steps: doubling "
+                            f"estimate {est:.3e} exceeds {tol:.3e}")
+    return out
 
 
 def dirac(point) -> DiscreteMeasure:

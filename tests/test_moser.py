@@ -5,8 +5,10 @@ monotone (quantile) map for pushforward agreement, a bisection inverse of
 the piecewise-linear CDF for the closed-form 1D time-1 map, RK4 of the same
 field for its O(h^2) agreement with the flow, a 64n-step reference for the
 2D step-doubling estimate, forward differences of node images and finite
-differences of the evaluated map for the Jacobian checks, and
-single-target builds for the batched maps of a kernel family.
+differences of the evaluated map for the Jacobian checks,
+single-target builds for the batched maps of a kernel family, and step
+doubling from a fixed start of 16 (`oracles.doubling_from`) for the
+field-given start.
 """
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from randmap.measures import (
 )
 from randmap.moser import (
     FLOW_TOL,
+    MAX_START_STEPS,
     MAX_STEPS_PER_CELL,
     MIN_STEPS,
     POISSON_RESIDUAL_TOL,
@@ -38,6 +41,8 @@ from randmap.moser import (
     solve_poisson_periodic,
 )
 from randmap.transport import TransportMap, monotone_map_1d
+
+from oracles import doubling_from
 
 
 def cosine_density(n, amp, shift=0.0):
@@ -213,26 +218,27 @@ def test_blowup_guard_leaves_only_the_blown_row_nan():
     fields = [moser_field(rho0, rho1) for rho1 in
               (cosine_density(n, 0.3), spike_density(n, 0.03), cosine_density(n, 0.5, 0.5))]
     nodes = unit_torus_grid(1, n).nodes()
-    batch = integrate_flow(fields, np.broadcast_to(nodes, (3,) + nodes.shape), 0.0, 1.0,
-                           MIN_STEPS)
+    batch = integrate_flow(fields, np.broadcast_to(nodes, (3,) + nodes.shape), 0.0, 1.0, 16)
     assert [bool(np.isnan(row).any()) for row in batch] == [False, True, False]
     assert np.isnan(batch[1]).all()
     for b in (0, 2):
-        alone = integrate_flow([fields[b]], nodes[None], 0.0, 1.0, MIN_STEPS)
+        alone = integrate_flow([fields[b]], nodes[None], 0.0, 1.0, 16)
         assert np.array_equal(batch[b], alone[0])
 
 
 def test_doubling_passes_over_trial_blowups():
-    # the 16-step trial trips the blow-up guard; doubling goes on past it
-    # (the spike resolves at the cap of 1,024 steps)
+    # the spike's speed bound gives it the greatest start, 16 steps, and
+    # that trial trips the blow-up guard; doubling goes on past it (the
+    # spike resolves at the cap of 1,024 steps)
     n = 16
     rho1 = spike_density(n, 0.064, dim=2)
     rho0 = GridDensity.uniform(2, n)
     nodes = unit_torus_grid(2, n).nodes()
-    assert np.isnan(integrate_flow([moser_field(rho0, rho1)], nodes[None], 0.0, 1.0,
-                                   MIN_STEPS)).all()
+    fld = moser_field(rho0, rho1)
+    assert moser._start_steps(fld) == MAX_START_STEPS
+    assert np.isnan(integrate_flow([fld], nodes[None], 0.0, 1.0, MAX_START_STEPS)).all()
     flow = moser_map(rho0, rho1)
-    assert MIN_STEPS < flow.steps <= MAX_STEPS_PER_CELL * n
+    assert MAX_START_STEPS < flow.steps <= MAX_STEPS_PER_CELL * n
     assert flow.flow_error <= FLOW_TOL / n
     pushed = grid_pushforward(flow, rho0)
     assert wasserstein_sinkhorn_upper(pushed, rho1, periodic=True) <= 4.0 / n
@@ -390,7 +396,9 @@ def test_2d_checkpoints_leave_the_time_1_map_as_it_is(checkpoints):
     # changes no image, step count or estimate, even at a t off the step grid
     n = 16
     rho0 = GridDensity.uniform(2, n)
-    targets = [product_cosine_density(n, 0.95), spike_density(n, 0.1, dim=2)]
+    # accepted at 8, 32 and 256 steps
+    targets = [product_cosine_density(n, 0.4), product_cosine_density(n, 0.95),
+               spike_density(n, 0.1, dim=2)]
     for plain, marked in zip(moser_map(rho0, targets),
                              moser_map(rho0, targets, checkpoints=checkpoints)):
         assert np.array_equal(marked.map.images, plain.map.images)
@@ -455,20 +463,89 @@ def test_batched_1d_family_matches_single_target_maps():
 
 
 def test_batched_2d_family_matches_single_target_maps():
-    # the cosines resolve at 32 steps, the wide spike at 256 and the narrow
-    # one, whose 16-step trial blows up, at 1,024: every map doubles on its own
+    # the cosines resolve at 8 and 32 steps, the wide spike at 256 and the
+    # narrow one, whose 16-step trial blows up, at 1,024: every map doubles
+    # on its own
     n = 16
     targets = [product_cosine_density(n, 0.2), product_cosine_density(n, 0.95),
                spike_density(n, 0.1, dim=2), spike_density(n, 0.064, dim=2)]
     rho0 = GridDensity.uniform(2, n)
     singles = [moser_map(rho0, rho1) for rho1 in targets]
-    assert [flow.steps for flow in singles] == [32, 32, 256, 1024]
+    assert [flow.steps for flow in singles] == [8, 32, 256, 1024]
     family = build_continuous_representation(torus_family(targets))
     for t_map, want in zip(family.maps, singles, strict=True):
         assert np.array_equal(t_map.images, want.map.images)
     # a 2D map carries no pushforward W1, and the family records it unchecked
     assert family.pushforward_errors == (None,) * len(targets)
     assert_same_flows(moser_map(rho0, targets), singles)
+
+
+def test_field_start_adds_no_steps_to_doubling_from_16():
+    # a field's start is a power of two from 4 to 16, so its doubling joins
+    # the ladder 16, 32, ... of a start at 16: no map takes more steps, and a
+    # map accepted at 32 steps or more, or unresolved at the cap, is bit for
+    # bit what doubling from 16 gives
+    n = 16
+    targets = ([product_cosine_density(n, amp) for amp in (0.2, 0.4, 0.6, 0.8, 0.95)]
+               + [spike_density(n, width, dim=2) for width in (0.064, 0.08, 0.1, 0.03, 0.05)])
+    rho0 = GridDensity.uniform(2, n)
+    flows = moser_map(rho0, targets)
+    oracle = doubling_from([moser_field(rho0, rho1) for rho1 in targets], 16)
+    assert [type(f) for f in flows] == [FlowMap] * 8 + [MoserError] * 2
+    for got, want in zip(flows, oracle, strict=True):
+        if isinstance(want, MoserError):
+            assert str(got) == str(want)
+            continue
+        steps, x, estimate = want
+        assert got.steps <= steps
+        if got.steps >= 32:
+            assert got.steps == steps and got.flow_error == estimate
+            assert np.array_equal(got.map.images, wrap_unit(x))
+    # the cosines below 0.8 resolve sooner than from 16, the rest as from 16
+    assert [f.steps for f in flows[:8]] == [8, 8, 8, 32, 32, 1024, 512, 256]
+    assert [w[0] for w in oracle[:8]] == [32, 32, 32, 32, 32, 1024, 512, 256]
+
+
+@st.composite
+def speed_bound_cases(draw):
+    """A 2D field on n = 8 or 16 cells from a cosine or spike pair, a time
+    in [0, 1] and a generator for the points it is read at."""
+    n = draw(st.sampled_from([8, 16]))
+    x = (np.arange(n) + 0.5) / n
+
+    def density():
+        if draw(st.booleans()):
+            return spike_density(n, draw(st.floats(0.05, 0.3)), dim=2)
+        amps, shifts = st.floats(-0.9, 0.9), st.floats(0.0, 1.0)
+        vals = np.multiply.outer(*(1 + draw(amps) * np.cos(2 * np.pi * (x - draw(shifts)))
+                                   for _ in range(2)))
+        return GridDensity(2, n, vals / vals.mean())
+
+    rho0 = GridDensity.uniform(2, n) if draw(st.booleans()) else density()
+    return (moser_field(rho0, density()), draw(st.floats(0.0, 1.0)),
+            np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(speed_bound_cases())
+def test_speed_bound_holds_everywhere_and_sets_the_start(case):
+    fld, t, rng = case
+    n = fld.grid.n
+    bound = moser._speed_bound(fld)
+    pts = rng.random((200, 2))
+    xi = moser._velocity(fld.stack[None], fld.grid, t, pts[None])
+    assert np.abs(xi).max() <= bound * (1 + 1e-12)
+    # the start is the least power of two from MIN_STEPS to MAX_START_STEPS
+    # at or above n V
+    start = moser._start_steps(fld)
+    assert MIN_STEPS <= start <= MAX_START_STEPS and start & (start - 1) == 0
+    assert start == MIN_STEPS or start // 2 < n * bound
+    assert start == MAX_START_STEPS or start >= n * bound
+    if start >= n * bound:
+        # so one RK4 step at the start moves no point more than one cell
+        k = int(rng.integers(start))
+        moved = integrate_flow([fld], pts, k / start, (k + 1) / start, 1)[0] - pts
+        assert np.abs(moved).max() <= (1 + 1e-12) / n
 
 
 @pytest.mark.parametrize("checkpoints", [(), (0.5,)], ids=["one-segment", "two-segments"])
@@ -524,11 +601,40 @@ def test_family_build_integrates_every_map_in_one_batch(rk4_calls):
     build_continuous_representation(circle_family(
         [cosine_density(64, 0.4, k / 16) for k in range(16)]))
     assert rk4_calls == []
-    # 4 targets that all resolve at 32 steps: one 16-step and one 32-step
-    # trial for the whole family, where one integration per map would make 8
+    # 4 targets that all start at 4 steps, three resolving at 8 and one at
+    # 16: one call per step count for the whole family, where one
+    # integration per trial of each map would make 9
     build_continuous_representation(torus_family(
         [product_cosine_density(16, 0.4 + 0.1 * k) for k in range(4)]))
-    assert rk4_calls == [MIN_STEPS, 2 * MIN_STEPS]
+    assert rk4_calls == [MIN_STEPS, 2 * MIN_STEPS, 4 * MIN_STEPS]
+    # smooth targets starting at 4 and a spike starting at 16: the spike's
+    # 16-step coarse trial rides in the call that gives the 0.7 cosine its
+    # 16-step fine trial, so there is still one call per step count
+    rk4_calls.clear()
+    build_continuous_representation(torus_family(
+        [product_cosine_density(16, 0.7), spike_density(16, 0.1, dim=2),
+         product_cosine_density(16, 0.4), product_cosine_density(16, 0.5)]))
+    assert rk4_calls == [4, 8, 16, 32, 64, 128, 256]
+
+
+def test_bench_shaped_family_starts_at_4_and_resolves_at_8(rk4_calls):
+    # four product cosines of amplitude about 0.4 on n = 32, as the torus
+    # bench family: each starts at 4 steps and is accepted at 8, within its
+    # estimate of a 16 n-step reference
+    n = 32
+    x = (np.arange(n) + 0.5) / n
+    targets = []
+    for amp, (cx, cy) in zip((0.39, 0.40, 0.41, 0.42), ((0.0, 0.0), (0.0, 0.5), (0.5, 0.0),
+                                                          (0.5, 0.5))):
+        vals = np.multiply.outer(1 + amp * np.cos(2 * np.pi * (x - cx)),
+                                 1 + amp * np.cos(2 * np.pi * (x - cy)))
+        targets.append(GridDensity(2, n, vals / vals.mean()))
+    flows = moser_map(GridDensity.uniform(2, n), targets)
+    assert rk4_calls == [4, 8]
+    for flow in flows:
+        assert flow.steps == 8 and flow.flow_error <= FLOW_TOL / n
+        ref = integrate_flow([flow.field_ref], flow.map.points, 0.0, 1.0, 16 * n)[0]
+        assert np.abs(wrap_signed(flow.map.images - ref)).max() <= flow.flow_error
 
 
 # ---------------------------------------------------------------------------

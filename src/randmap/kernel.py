@@ -29,7 +29,7 @@ from .moser import FlowMap, moser_map
 from .transport import (BRENIER_EPSILON, MapError, SolverError, TransportMap, brenier_map,
                         monotone_map_1d)
 
-BASE_SPACES = ("circle", "torus2", "interval", "sphere2-chart")
+BASE_SPACES = {"circle": 1, "torus2": 2, "interval": 1, "sphere2-chart": 2}  # coordinates
 INTERP_RULES = ("nearest", "none")
 MC_FLOOR_CONST = 0.5
 
@@ -40,10 +40,8 @@ class KernelError(ValueError):
 
 def base_distance_matrix(space: str, pts: np.ndarray) -> np.ndarray:
     """Pairwise base-space distances for the supported base manifolds."""
-    if space in ("circle", "interval"):
-        return pairwise_distance(pts[:, :1], pts[:, :1], periodic=space == "circle")
-    if space == "torus2":
-        return pairwise_distance(pts, pts, periodic=True)
+    if space in ("circle", "interval", "torus2"):
+        return pairwise_distance(pts, pts, periodic=space != "interval")
     if space == "sphere2-chart":
         xyz = sphere_xyz(pts)
         return sphere_distance(xyz[:, None, :], xyz[None, :, :])
@@ -61,7 +59,7 @@ class KernelFamily:
 
     def __post_init__(self):
         if self.space not in BASE_SPACES:
-            raise KernelError(f"base space must be one of {BASE_SPACES}")
+            raise KernelError(f"base space must be one of {tuple(BASE_SPACES)}")
         if self.interp not in INTERP_RULES:
             raise KernelError(f"interpolation rule must be one of {INTERP_RULES}")
         pts = np.atleast_2d(np.asarray(self.base_points, dtype=float))
@@ -69,6 +67,9 @@ class KernelFamily:
             raise KernelError("a kernel family needs at least two base points")
         if not np.isfinite(pts).all():
             raise KernelError("base points must be finite")
+        if pts.shape[1] != BASE_SPACES[self.space]:
+            raise KernelError(f"{self.space} base points need {BASE_SPACES[self.space]} "
+                              f"coordinate(s), got {pts.shape[1]}")
         meas = tuple(self.measures)
         if len(meas) != pts.shape[0]:
             raise KernelError("one measure per base point required")
@@ -234,12 +235,10 @@ def build_continuous_representation(kernel: KernelFamily) -> RandomMapFamily:
     refused. The family's maps are built as one batch by one `moser_map`
     call: in closed form in 1D, by RK4 in 2D, where each map takes the step
     count that step doubling accepts for it alone (node estimate at most
-    FLOW_TOL * h). Doubling starts at the least power of two from 4 to 16
-    at which no RK4 stage moves a node more than one cell under the map's
-    speed bound (16 where none is), so no map takes more steps than a start
-    at 16 gives. The build checks each map's own `pushforward_error` (None
-    for a 2D map, which goes unchecked). Continuity metadata is attached
-    from the modulus table over all base-point pairs.
+    FLOW_TOL * h), from the start the `moser` module docstring gives. The
+    build checks each map's own `pushforward_error` (None for a 2D map,
+    which goes unchecked). Continuity metadata is attached from the modulus
+    table over all base-point pairs.
     """
     if not isinstance(kernel.measures[0], GridDensity):
         raise KernelError("continuous route needs grid-density kernel measures")

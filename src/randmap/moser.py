@@ -64,38 +64,22 @@ class MoserError(ValueError):
     """Moser-coupling precondition violated (positivity, mean, unresolved flow)."""
 
 
-def _wavenumbers(shape: tuple[int, ...]) -> list[np.ndarray]:
-    """Integer Fourier mode grids for each axis of a unit-torus field."""
+def _symbols(shape: tuple[int, ...]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per axis the derivative multiplier 2 pi i k, and the Laplacian multiplier
+    lam = -(2 pi)^2 |k|^2, of the integer Fourier modes of a unit-torus field."""
     axes = [np.fft.fftfreq(n, d=1.0 / n) for n in shape]
-    return list(np.meshgrid(*axes, indexing="ij"))
-
-
-def spectral_laplacian(values: np.ndarray) -> np.ndarray:
-    ks = _wavenumbers(values.shape)
+    ks = np.meshgrid(*axes, indexing="ij")
     lam = -(2.0 * np.pi) ** 2 * sum(k * k for k in ks)
-    return np.real(np.fft.ifftn(lam * np.fft.fftn(values)))
-
-
-def spectral_gradient(values: np.ndarray) -> list[np.ndarray]:
-    ks = _wavenumbers(values.shape)
-    vhat = np.fft.fftn(values)
-    return [np.real(np.fft.ifftn(2j * np.pi * k * vhat)) for k in ks]
-
-
-def spectral_divergence(components: list[np.ndarray]) -> np.ndarray:
-    ks = _wavenumbers(components[0].shape)
-    out = np.zeros(components[0].shape, dtype=complex)
-    for k, comp in zip(ks, components):
-        out += 2j * np.pi * k * np.fft.fftn(comp)
-    return np.real(np.fft.ifftn(out))
+    return [2j * np.pi * k for k in ks], lam
 
 
 @dataclass(frozen=True)
 class PoissonSolution:
-    """Zero-mean solution of the periodic Poisson equation with its residual."""
+    """Zero-mean solution of the periodic Poisson equation, its residual and grad u."""
 
     u: np.ndarray
     residual: float
+    grad: list[np.ndarray]
 
 
 def solve_poisson_periodic(source: np.ndarray) -> PoissonSolution:
@@ -103,23 +87,24 @@ def solve_poisson_periodic(source: np.ndarray) -> PoissonSolution:
 
     The source must have zero mean (solvability); the reported residual is
     the sup norm of lap(u) - source under the spectral Laplacian and must
-    come out at machine precision.
+    come out at machine precision. The residual and the spectral grad u are
+    both read from one transform of the returned u.
     """
     src = np.asarray(source, dtype=float)
     if abs(src.mean()) > ZERO_MEAN_TOL:
         raise MoserError(f"source mean {src.mean():.3e} exceeds {ZERO_MEAN_TOL}; "
                          "no periodic solution exists")
-    ks = _wavenumbers(src.shape)
-    lam = -(2.0 * np.pi) ** 2 * sum(k * k for k in ks)
+    ders, lam = _symbols(src.shape)
     shat = np.fft.fftn(src)
     with np.errstate(divide="ignore", invalid="ignore"):
         uhat = np.where(lam != 0, shat / np.where(lam != 0, lam, 1.0), 0.0)
     u = np.real(np.fft.ifftn(uhat))
     u = u - u.mean()
-    residual = float(np.abs(spectral_laplacian(u) - src).max())
+    uhat = np.fft.fftn(u)
+    residual = float(np.abs(np.real(np.fft.ifftn(lam * uhat)) - src).max())
     if residual > POISSON_RESIDUAL_TOL:
         raise MoserError(f"Poisson residual {residual:.3e} exceeds {POISSON_RESIDUAL_TOL}")
-    return PoissonSolution(u, residual)
+    return PoissonSolution(u, residual, [np.real(np.fft.ifftn(d * uhat)) for d in ders])
 
 
 @dataclass(frozen=True)
@@ -146,7 +131,7 @@ class MoserField:
     @cached_property
     def stack(self) -> np.ndarray:
         """grad u, rho0 and rho1 as (dim + 2, n, ...): one gather per velocity."""
-        return np.stack([*spectral_gradient(self.poisson.u), self.rho0.values, self.rho1.values])
+        return np.stack([*self.poisson.grad, self.rho0.values, self.rho1.values])
 
 
 @dataclass(frozen=True)
@@ -168,9 +153,6 @@ class FlowMap:
     checkpoints: dict = field(default_factory=dict)
     pushforward_error: float | None = None
     field_ref: MoserField | None = None
-
-    def __call__(self, x) -> np.ndarray:
-        return self.map(x)
 
 
 def _velocity(stacks: np.ndarray, grid: GridSpec, t: float, pts: np.ndarray) -> np.ndarray:
@@ -273,14 +255,15 @@ def _pl_inverse(values: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.
     return turns + (k + 0.5 + f) / n, residual  # node i sits at (i + 1/2) / n
 
 
-def _closed_form(fields: list[MoserField], times: list[float]) -> list:
-    """The maps of a batch of 1D fields, as _flows returns them, with no RK4.
+def _closed_form(fields: list[MoserField], times: list[float]) -> list[FlowMap]:
+    """The FlowMaps of a batch of 1D fields, with no RK4.
 
     The flux J = rho_t xi is constant in t with zero mean, so G_t(X_t) - t J(0)
     is constant along a trajectory, where G_t is the CDF of (1-t) rho0 + t rho1
     and J(0) = s = int (G - F) over a period (Simpson's rule per piece is exact
     for CDFs quadratic there): X_t(x_i) = G_t^-1(F(x_i) + t s). The estimate
-    is the certified node bound that FlowMap describes.
+    is the certified node bound that FlowMap describes, and each map records
+    its circle W1 from `grid_pushforward` of rho0 to rho1.
     """
     rho0 = np.stack([fld.rho0.values for fld in fields])
     rho1 = np.stack([fld.rho1.values for fld in fields])
@@ -292,8 +275,15 @@ def _closed_form(fields: list[MoserField], times: list[float]) -> list:
     marks = {t: wrap_unit(_pl_inverse((1 - t) * rho0 + t * rho1, start + t * shift)[0])
              for t in times}
     bound = np.abs(residual).max(axis=1) / rho1.min(axis=1)
-    return [(0, x[b, :, None], {t: pos[b, :, None] for t, pos in marks.items()},
-             float(bound[b])) for b in range(len(fields))]
+    grid = fields[0].grid
+    nodes, out = grid.nodes(), []
+    for b, fld in enumerate(fields):
+        tmap = TransportMap(nodes, wrap_unit(x[b, :, None]), route="moser", grid=grid)
+        err = wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True)
+        out.append(FlowMap(tmap, steps=0, flow_error=float(bound[b]),
+                           checkpoints={t: pos[b, :, None] for t, pos in marks.items()},
+                           pushforward_error=err, field_ref=fld))
+    return out
 
 
 def _speed_bound(fld: MoserField) -> float:
@@ -317,18 +307,17 @@ def _start_steps(fld: MoserField) -> int:
 def _flows(fields: list[MoserField], times: list[float]) -> list:
     """Integrate a batch of fields on one grid from its nodes to t=1 by RK4.
 
-    Returns per field (steps, time-1 positions, checkpoint marks, estimate)
-    or the MoserError its flow ended in. Step doubling runs as the module
-    describes, each map on its own from its own start (a trial in which it
-    blows up counts as unresolved). Each step count is one `integrate_flow`
-    call: the coarse trial of every map that starts there rides with the
-    fine trials of the maps that started lower. A resolved map leaves the
-    batch and the rest double, so each gets the steps, positions and
-    estimate it would get alone, or the error of a map still unresolved at
-    the cap.
+    Returns per field its FlowMap or the MoserError its flow ended in. Step
+    doubling runs as the module describes, each map on its own from its own
+    start (a trial in which it blows up counts as unresolved). Each step
+    count is one `integrate_flow` call: the coarse trial of every map that
+    starts there rides with the fine trials of the maps that started lower.
+    A resolved map leaves the batch and the rest double, so each gets the
+    steps, images and estimate it would get alone, or the error of a map
+    still unresolved at the cap.
     """
-    n = fields[0].grid.n
-    nodes = fields[0].grid.nodes()
+    grid = fields[0].grid
+    n, nodes = grid.n, grid.nodes()
     tol, cap = flow_tolerance(n), MAX_STEPS_PER_CELL * n
     starts = [_start_steps(fld) for fld in fields]
     out, coarse, estimate = [None] * len(fields), {}, {}
@@ -346,26 +335,15 @@ def _flows(fields: list[MoserField], times: list[float]) -> list:
             coarse[i] = x
         marks = _checkpoints([fields[i] for i, _ in hits], nodes, steps, times)
         for (i, x), row_marks in zip(hits, marks):
-            out[i] = (steps, x, row_marks, estimate[i])
+            out[i] = FlowMap(TransportMap(nodes, wrap_unit(x), route="moser", grid=grid),
+                             steps=steps, flow_error=estimate[i], checkpoints=row_marks,
+                             field_ref=fields[i])
         live = [i for i in live if out[i] is None]
         steps *= 2
     for i in live:
         out[i] = MoserError(f"flow not resolved at the cap of {steps // 2} steps: doubling "
                             f"estimate {estimate[i]:.3e} exceeds {tol:.3e}")
     return out
-
-
-def _flow_map(fld: MoserField, flow) -> FlowMap | MoserError:
-    """The FlowMap of one integrated field, or the MoserError its flow ended in."""
-    if isinstance(flow, MoserError):
-        return flow
-    steps, x, marks, flow_error = flow
-    grid = fld.grid
-    tmap = TransportMap(grid.nodes(), wrap_unit(x), route="moser", grid=grid)
-    err = (wasserstein_1d(grid_pushforward(tmap, fld.rho0), fld.rho1, p=1, periodic=True)
-           if grid.dim == 1 else None)
-    return FlowMap(tmap, steps=steps, flow_error=flow_error, checkpoints=marks,
-                   pushforward_error=err, field_ref=fld)
 
 
 def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
@@ -376,11 +354,8 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     A 1D map and its checkpoints are in closed form (steps 0), from the
     densities alone: a 1D build runs no Poisson solve and no FFT. In 2D the
     RK4 step count is chosen by step doubling until the node estimate is at
-    most FLOW_TOL * h. Doubling starts at the least power of two from
-    MIN_STEPS to MAX_START_STEPS at which, under the field's speed bound, no
-    RK4 stage moves a node more than one cell (MAX_START_STEPS where none
-    is), so it joins the ladder 16, 32, ... and no map takes more steps than
-    from 16. Past MAX_STEPS_PER_CELL * n steps it raises MoserError.
+    most FLOW_TOL * h, from the start the module docstring gives
+    (`_start_steps`). Past MAX_STEPS_PER_CELL * n steps it raises MoserError.
     Checkpoints are side steps off the accepted run (see FlowMap): they
     change neither the images, the steps nor `flow_error`, a node bound in
     1D and an estimate in 2D. A 1D map always records its
@@ -410,7 +385,7 @@ def moser_map(rho0: GridDensity, rho1: GridDensity | Sequence[GridDensity],
     fields = [f for f in built if isinstance(f, MoserField)]
     engine = _closed_form if rho0.dim == 1 else _flows
     flows = iter(engine(fields, times) if fields else [])
-    out = [f if isinstance(f, MoserError) else _flow_map(f, next(flows)) for f in built]
+    out = [f if isinstance(f, MoserError) else next(flows) for f in built]
     if not single:
         return out
     if isinstance(out[0], MoserError):
@@ -454,8 +429,8 @@ def continuity_residual(fld: MoserField, t: float) -> float:
     if not 0.0 <= t <= 1.0:
         raise MoserError(f"time {t} outside [0, 1]")
     denom = (1.0 - t) * fld.rho0.values + t * fld.rho1.values
-    xi = [g / denom for g in fld.stack[:fld.grid.dim]]
-    flux = [denom * comp for comp in xi]
-    div = spectral_divergence(list(flux))
+    ders = _symbols(denom.shape)[0]
+    flux = [denom * (g / denom) for g in fld.stack[:fld.grid.dim]]
+    div = np.real(np.fft.ifftn(sum(d * np.fft.fftn(f) for d, f in zip(ders, flux))))
     dt_rho = fld.rho1.values - fld.rho0.values
     return float(np.abs(dt_rho + div).max())

@@ -111,7 +111,7 @@ def test_criterion_2_moser_pushforward():
     vals = (1 + 0.4 * np.cos(2 * np.pi * xx)) * (1 + 0.3 * np.cos(2 * np.pi * yy))
     rho1 = GridDensity(2, n, vals / vals.mean())
     flow2 = moser_map(GridDensity.uniform(2, n), rho1)
-    pushed = grid_pushforward(flow2, GridDensity.uniform(2, n))
+    pushed = grid_pushforward(flow2.map, GridDensity.uniform(2, n))
     w2d = wasserstein_sinkhorn_upper(pushed, rho1, periodic=True, tol=2e-4)
     assert w2d <= 3e-2, f"2D error bound {w2d:.3e} > 3e-2"
     announce(2, f"Moser pushforward: 1D {errs[64]:.1e}->{errs[128]:.1e}, 2D {w2d:.1e}")

@@ -572,11 +572,18 @@ def _bad_lift_atoms(workspace, text):
             "--atoms", str(workspace / "bad_circle.csv"), "--out", str(workspace / "lbad")]
 
 
-def _edited_manifest(workspace, name, row):
-    """The workspace manifest, with the row of base point 0.25 replaced by `row`."""
-    text = (workspace / "kernel.txt").read_text().replace("0.25,meas_002", row)
+def _rewritten_manifest(workspace, name, *edits):
+    """The workspace manifest with every (old, new) text edit applied."""
+    text = (workspace / "kernel.txt").read_text()
+    for old, new in edits:
+        text = text.replace(old, new)
     (workspace / name).write_text(text)
     return ["represent", "--kernel", str(workspace / name), "--out", str(workspace / "rbad")]
+
+
+def _edited_manifest(workspace, name, row):
+    """The workspace manifest, with the row of base point 0.25 replaced by `row`."""
+    return _rewritten_manifest(workspace, name, ("0.25,meas_002", row))
 
 
 def _bad_wdist_input(workspace, name, text):
@@ -720,6 +727,16 @@ BAD_INPUTS = {
                                  ["base points must be finite"]),
     "represent-inf-base-point": (lambda ws: _edited_manifest(ws, "inf_kernel.txt", "inf,meas_002"),
                                  ["base points must be finite"]),
+    "represent-sphere-one-column": (
+        lambda ws: _rewritten_manifest(ws, "s1_kernel.txt", ("circle", "sphere2-chart")),
+        ["sphere2-chart base points need 2 coordinate(s), got 1"]),
+    "represent-torus-one-column": (
+        lambda ws: _rewritten_manifest(ws, "t1_kernel.txt", ("circle", "torus2")),
+        ["torus2 base points need 2 coordinate(s), got 1"]),
+    "represent-circle-two-columns": (
+        lambda ws: _rewritten_manifest(ws, "c2_kernel.txt", ("x0,", "x0,x1,"),
+                                       (",meas_", ",0.5,meas_")),
+        ["circle base points need 1 coordinate(s), got 2"]),
     "lift-atom-value": (lambda ws: _bad_lift_atoms(ws, "x0,w\n0.1,0.5\n0.2,abc\n"),
                         ["bad_circle.csv, line 3", "abc"]),
     "lift-atom-row": (lambda ws: _bad_lift_atoms(ws, "x0,w\n0.1,0.5\n0.2\n"),

@@ -93,6 +93,15 @@ def test_kernel_family_invariants():
         KernelFamily("circle", np.array([[0.0], [0.3], [0.6]]), (GridDensity.uniform(1, 8),) * 2)
 
 
+def test_family_rejects_base_points_of_the_wrong_width():
+    # the target grid is 1D throughout: only the base points' width is checked
+    for space, width, need in [("circle", 2, 1), ("interval", 2, 1), ("torus2", 1, 2),
+                               ("sphere2-chart", 1, 2), ("sphere2-chart", 3, 2)]:
+        pts = np.array([[0.1] * width, [0.3] * width])
+        with pytest.raises(KernelError, match=f"{space} base points need {need} coordinate"):
+            KernelFamily(space, pts, (GridDensity.uniform(1, 8),) * 2)
+
+
 def test_nearest_index_and_none_rule():
     kern = circle_kernel(k=4)
     assert kern.nearest_index([0.26]) == 1  # base points at 0, .25, .5, .75

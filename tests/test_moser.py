@@ -81,6 +81,7 @@ def test_poisson_single_mode_1d():
     want = -src / (4 * np.pi ** 2)
     assert np.abs(sol.u - want).max() <= 1e-10
     assert sol.residual <= 1e-8
+    assert np.abs(sol.grad[0] - np.sin(2 * np.pi * x) / (2 * np.pi)).max() <= 1e-10
 
 
 def test_poisson_single_mode_2d():
@@ -92,6 +93,10 @@ def test_poisson_single_mode_2d():
     want = -src / (8 * np.pi ** 2)
     assert np.abs(sol.u - want).max() <= 1e-10
     assert sol.residual <= 1e-8
+    sx, sy = np.sin(2 * np.pi * xx), np.sin(2 * np.pi * yy)
+    cx, cy = np.cos(2 * np.pi * xx), np.cos(2 * np.pi * yy)
+    for got, want in zip(sol.grad, (sx * cy / (4 * np.pi), cx * sy / (4 * np.pi))):
+        assert np.abs(got - want).max() <= 1e-10
 
 
 def test_poisson_random_sources_residual():
@@ -179,7 +184,7 @@ def test_moser_agrees_with_monotone_map():
     rho1 = cosine_density(n, 0.5)
     flow = moser_map(rho0, rho1)
     quantile = monotone_map_1d(rho0, rho1)
-    push_flow = grid_pushforward(flow, rho0)
+    push_flow = grid_pushforward(flow.map, rho0)
     push_quant = grid_pushforward(quantile, rho0)
     assert wasserstein_1d(push_flow, push_quant, p=1, periodic=True) <= 2e-2
 
@@ -240,7 +245,7 @@ def test_doubling_passes_over_trial_blowups():
     flow = moser_map(rho0, rho1)
     assert MAX_START_STEPS < flow.steps <= MAX_STEPS_PER_CELL * n
     assert flow.flow_error <= FLOW_TOL / n
-    pushed = grid_pushforward(flow, rho0)
+    pushed = grid_pushforward(flow.map, rho0)
     assert wasserstein_sinkhorn_upper(pushed, rho1, periodic=True) <= 4.0 / n
 
 
